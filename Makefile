@@ -1,6 +1,6 @@
 # Tier-1 gate: `make verify` must pass before merging.
 #
-#   vet          go vet ./...
+#   vet          go vet ./..., and gofmt -l . must list no file
 #   build        go build ./...
 #   test         go test -race ./... (full suite under the race detector)
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
@@ -33,11 +33,11 @@
 #                kill (replica failover), restart (read-repair), two joins
 #                and a leave (partition handoff) with provenance queries
 #                answering and byte-class accounting exact at every step
-#   cache-smoke  the keyed-invalidation A/B at reduced scale: a mixed
+#   cache-smoke  the keyed-invalidation floor at reduced scale: a mixed
 #                read/write workload (Zipf readers racing a sustained
-#                writer) against the dependency-indexed cache and against
-#                the legacy epoch baseline — keyed must hold a hit rate
-#                > 0.5 where the epoch discipline measures ~0
+#                writer into a class no reader targets) against the
+#                dependency-indexed cache, which must hold a hit rate
+#                > 0.5 with the writer landing events throughout
 #   soak-smoke   the multi-tenant scenario soak at reduced scale: every
 #                registered DELP scenario (forwarding, bgp, gossip) runs
 #                bursty ingest, Zipf queries from a well-behaved and an
@@ -60,6 +60,8 @@ verify: vet build test chaos serve-smoke trace-smoke bench-smoke ingest-smoke re
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

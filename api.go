@@ -114,7 +114,7 @@ func NewMultiSystem(g *Graph, progs []*Program, scheme string, funcs FuncMap) (*
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := maint.(*core.Advanced); ok {
+	if needsEquivalenceKeys(maint.Name()) {
 		merged, err := ndlog.MergePrograms(progs...)
 		if err != nil {
 			return nil, err
@@ -276,7 +276,7 @@ func NewSystem(g *Graph, prog *Program, scheme string, funcs FuncMap) (*System, 
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := maint.(*core.Advanced); ok {
+	if needsEquivalenceKeys(maint.Name()) {
 		// Stage 3 requires outputs of one equivalence class to land on one
 		// node; reject programs where the static analysis cannot show it.
 		if err := analysis.CheckAdvancedApplicable(prog); err != nil {
@@ -287,6 +287,13 @@ func NewSystem(g *Graph, prog *Program, scheme string, funcs FuncMap) (*System, 
 	net := netsim.New(sched, g)
 	rt := engine.NewRuntime(net, prog, funcs, maint)
 	return &System{Runtime: rt, Scheme: maint, sched: sched}, nil
+}
+
+// needsEquivalenceKeys reports whether a scheme (by canonical name)
+// compresses by equivalence class, and so needs the program to pass the
+// Advanced applicability analysis.
+func needsEquivalenceKeys(scheme string) bool {
+	return scheme == SchemeAdvanced || scheme == SchemeAdvancedInterClass
 }
 
 // LoadBase installs base (slow-changing) tuples at the nodes named by

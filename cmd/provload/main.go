@@ -14,8 +14,7 @@
 //
 // With -mixed, a background writer keeps injecting fresh events into one
 // equivalence class (-write-src/-write-dst, default n0->n1) while the
-// readers run, and the report adds the write count and cache hit rate —
-// the A/B measurement against a daemon started with epoch invalidation:
+// readers run, and the report adds the write count and cache hit rate:
 //
 //	provload -inject -mixed -write-interval 1ms
 package main

@@ -17,12 +17,12 @@ import (
 
 // cacheBenchRecord is one measured mixed read/write cache run: Zipf
 // readers over a preloaded output frame racing a writer that injects a
-// fresh event every 500µs into a class the readers never target. The
-// "keyed" mode runs the dependency-indexed invalidation the daemon ships
-// with; "epoch" restores the old evict-everything-per-event discipline as
-// the A/B baseline.
+// fresh event every 500µs into a class the readers never target. Mode is
+// always "keyed", the dependency-indexed invalidation the daemon ships
+// with; the field stays so records line up with the committed
+// BENCH_serve.json, which also holds the retired epoch baseline's last run.
 type cacheBenchRecord struct {
-	Mode      string  `json:"mode"` // "keyed" | "epoch"
+	Mode      string  `json:"mode"`
 	Nodes     int     `json:"nodes"`
 	Events    int     `json:"events"` // preloaded read targets
 	Queries   int     `json:"queries"`
@@ -37,12 +37,12 @@ type cacheBenchRecord struct {
 // cacheBenchRun boots a fresh chain cluster + daemon, preloads a packet
 // workload into classes away from the writer's, then measures the mixed
 // workload.
-func cacheBenchRun(mode string, smoke bool) (cacheBenchRecord, error) {
+func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 	nodes, events, queries := 8, 40, 4000
 	if smoke {
 		nodes, events, queries = 5, 12, 800
 	}
-	rec := cacheBenchRecord{Mode: mode, Nodes: nodes, Events: events, Queries: queries}
+	rec := cacheBenchRecord{Mode: "keyed", Nodes: nodes, Events: events, Queries: queries}
 
 	g := topo.Line(nodes, "n")
 	c, err := cluster.New(cluster.Config{
@@ -58,8 +58,7 @@ func cacheBenchRun(mode string, smoke bool) (cacheBenchRecord, error) {
 		return rec, err
 	}
 	srv, err := provserve.New(provserve.Config{
-		Clusters:                map[string]*cluster.Cluster{"advanced": c},
-		LegacyEpochInvalidation: mode == "epoch",
+		Clusters: map[string]*cluster.Cluster{"advanced": c},
 	})
 	if err != nil {
 		return rec, err
@@ -117,7 +116,7 @@ func cacheBenchRun(mode string, smoke bool) (cacheBenchRecord, error) {
 		return rec, err
 	}
 	if rep.Errors > 0 || rep.WriteErrors > 0 {
-		return rec, fmt.Errorf("cache bench %s: %d query errors, %d write errors", mode, rep.Errors, rep.WriteErrors)
+		return rec, fmt.Errorf("cache bench: %d query errors, %d write errors", rep.Errors, rep.WriteErrors)
 	}
 	rec.Writes = rep.Writes
 	rec.CacheHits = rep.CacheHits
@@ -128,52 +127,34 @@ func cacheBenchRun(mode string, smoke bool) (cacheBenchRecord, error) {
 	return rec, nil
 }
 
-// benchCache runs the keyed/epoch A/B and returns both records for
+// benchCache runs the mixed workload and returns its record for
 // BENCH_serve.json.
 func benchCache(smoke bool) ([]cacheBenchRecord, error) {
-	var out []cacheBenchRecord
-	for _, mode := range []string{"keyed", "epoch"} {
-		rec, err := cacheBenchRun(mode, smoke)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
+	rec, err := cacheBenchRun(smoke)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return []cacheBenchRecord{rec}, nil
 }
 
-// runCacheSmoke executes the A/B, prints it, and enforces the gates the
-// keyed cache was built for: under sustained writes the keyed hit rate
-// must stay above 0.5 while the epoch baseline collapses toward zero,
-// and the writer must actually have sustained writes in both runs.
+// runCacheSmoke executes the mixed workload, prints it, and enforces the
+// floor the keyed cache was built for: under sustained writes the hit rate
+// must stay above 0.5, and the writer must actually have sustained writes.
 func runCacheSmoke(w io.Writer, smoke bool) error {
-	recs, err := benchCache(smoke)
+	r, err := cacheBenchRun(smoke)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-6s %6s %7s %8s %7s %9s %9s %9s %10s\n",
-		"mode", "nodes", "events", "queries", "writes", "hit-rate", "p50-ms", "p99-ms", "qps")
-	byMode := make(map[string]cacheBenchRecord, len(recs))
-	for _, r := range recs {
-		byMode[r.Mode] = r
-		fmt.Fprintf(w, "%-6s %6d %7d %8d %7d %9.3f %9.3f %9.3f %10.0f\n",
-			r.Mode, r.Nodes, r.Events, r.Queries, r.Writes, r.HitRate, r.P50MS, r.P99MS, r.QPS)
+	fmt.Fprintf(w, "%6s %7s %8s %7s %9s %9s %9s %10s\n",
+		"nodes", "events", "queries", "writes", "hit-rate", "p50-ms", "p99-ms", "qps")
+	fmt.Fprintf(w, "%6d %7d %8d %7d %9.3f %9.3f %9.3f %10.0f\n",
+		r.Nodes, r.Events, r.Queries, r.Writes, r.HitRate, r.P50MS, r.P99MS, r.QPS)
+	if r.Writes == 0 {
+		return fmt.Errorf("cache: writer landed no events; run degenerate")
 	}
-	keyed, epoch := byMode["keyed"], byMode["epoch"]
-	if keyed.Writes == 0 || epoch.Writes == 0 {
-		return fmt.Errorf("cache: writer landed no events (keyed %d, epoch %d); runs degenerate",
-			keyed.Writes, epoch.Writes)
+	if r.HitRate <= 0.5 {
+		return fmt.Errorf("cache: hit rate %.3f under sustained writes, want > 0.5", r.HitRate)
 	}
-	if keyed.HitRate <= 0.5 {
-		return fmt.Errorf("cache: keyed hit rate %.3f under sustained writes, want > 0.5", keyed.HitRate)
-	}
-	if epoch.HitRate >= 0.2 {
-		return fmt.Errorf("cache: epoch baseline hit rate %.3f, want ~0 (< 0.2) — the A/B lost its contrast", epoch.HitRate)
-	}
-	if keyed.HitRate <= epoch.HitRate {
-		return fmt.Errorf("cache: keyed hit rate %.3f not above epoch baseline %.3f", keyed.HitRate, epoch.HitRate)
-	}
-	fmt.Fprintf(w, "cache: keyed invalidation holds %.0f%% hits under sustained writes (epoch baseline %.0f%%)\n",
-		100*keyed.HitRate, 100*epoch.HitRate)
+	fmt.Fprintf(w, "cache: keyed invalidation holds %.0f%% hits under sustained writes\n", 100*r.HitRate)
 	return nil
 }

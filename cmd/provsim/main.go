@@ -233,7 +233,7 @@ func printWorkedExampleTables() {
 		}
 		rt.Run()
 		fmt.Println(sc.title)
-		fmt.Println(core.DumpTables(maint.(core.TableSource), net.Graph().Nodes()))
+		fmt.Println(core.DumpTables(maint, net.Graph().Nodes()))
 		fmt.Println()
 	}
 }

@@ -69,10 +69,10 @@ type scenarioBenchRecord struct {
 // soakGauges is the leak-check snapshot, read over HTTP like an operator
 // would.
 type soakGauges struct {
-	graveyard   int64
+	graveyard    int64
 	cacheEntries int64
-	depKeys     int64
-	traceSpans  int64
+	depKeys      int64
+	traceSpans   int64
 }
 
 // scrapeSoakGauges pulls the daemon's /metrics text and extracts the

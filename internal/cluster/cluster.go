@@ -91,13 +91,16 @@ type Config struct {
 
 // Cluster is a set of live nodes on loopback TCP.
 type Cluster struct {
-	prog   *ndlog.Program
-	funcs  ndlog.FuncMap
-	keys   []int
-	scheme string
-	tcfg   TransportConfig
-	faults *FaultPlan
-	tracer *trace.Collector
+	prog  *ndlog.Program
+	funcs ndlog.FuncMap
+	keys  []int
+	// arities is every program relation's argument count; Inject refuses
+	// events that disagree with it.
+	arities map[string]int
+	scheme  string
+	tcfg    TransportConfig
+	faults  *FaultPlan
+	tracer  *trace.Collector
 
 	// dataDir / dopts configure durability ("" = volatile cluster).
 	dataDir string
@@ -250,6 +253,10 @@ func New(cfg Config) (*Cluster, error) {
 	if scheme == "" {
 		scheme = core.SchemeAdvanced
 	}
+	arities, err := cfg.Prog.Arities()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	graph := analysis.BuildGraph(cfg.Prog)
 	shardKeys := make(map[string][]int)
 	for _, r := range cfg.Prog.Rules {
@@ -268,6 +275,7 @@ func New(cfg Config) (*Cluster, error) {
 		prog:         cfg.Prog,
 		funcs:        cfg.Funcs,
 		keys:         graph.EquivalenceKeys(),
+		arities:      arities,
 		scheme:       scheme,
 		tcfg:         cfg.Transport.withDefaults(),
 		faults:       cfg.Faults,
@@ -557,6 +565,15 @@ func (c *Cluster) Inject(ev types.Tuple) error {
 // tree's root; every downstream derivation step on every node parents
 // under it through the frame trace headers.
 func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
+	// Events arrive from outside the process (POST /v1/events): one whose
+	// shape the program cannot evaluate is refused here, before any shard
+	// worker indexes into its arguments.
+	if want, ok := c.arities[ev.Rel]; ok && ev.Arity() != want {
+		return 0, fmt.Errorf("cluster: inject %s: relation %s takes %d arguments, got %d", ev, ev.Rel, want, ev.Arity())
+	}
+	if ev.Arity() == 0 {
+		return 0, fmt.Errorf("cluster: inject %s: no location argument", ev.Rel)
+	}
 	origin := c.node(ev.Loc())
 	if origin == nil {
 		return 0, fmt.Errorf("cluster: inject %s at unknown node", ev)

@@ -82,9 +82,9 @@ type membStats struct {
 // MembershipStats is a point-in-time snapshot of the membership
 // subsystem, summed across members.
 type MembershipStats struct {
-	Replicas     int   // configured k
-	Members      int   // rows in the (merged) view, any state
-	Alive        int   // members the view believes serve traffic
+	Replicas     int // configured k
+	Members      int // rows in the (merged) view, any state
+	Alive        int // members the view believes serve traffic
 	ViewVersion  uint64
 	ViewFrames   int64
 	Suspicions   int64

@@ -72,7 +72,7 @@ func TestDHCPKeysAndCompression(t *testing.T) {
 		t.Fatalf("keys = %v, want [0 1]", keys)
 	}
 
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := dhcpRuntime(t, a)
 	// The same client discovers three times; a different client once.
 	injectSpaced(rt,

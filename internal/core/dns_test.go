@@ -92,7 +92,7 @@ func TestDNSQueryAllSchemes(t *testing.T) {
 	rrt.Run()
 	checkNoErrors(t, rrt)
 
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced(), NewAdvancedInterClass()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced), mustScheme(SchemeAdvancedInterClass)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt, _, _ := dnsRuntime(t, m)
 			injectSpaced(rt, evs...)
@@ -117,7 +117,7 @@ func TestDNSQueryAllSchemes(t *testing.T) {
 // Figure 14: the number of shared chains Advanced maintains grows with the
 // number of distinct (host, URL) pairs, not with the number of requests.
 func TestDNSEquivalenceClassesByURL(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt, urls, clients := dnsRuntime(t, a)
 	host := clients[0]
 	// 12 requests, but only 3 distinct URLs from one host.
@@ -133,7 +133,7 @@ func TestDNSEquivalenceClassesByURL(t *testing.T) {
 		t.Fatalf("outputs = %d, want 12", rt.NumOutputs())
 	}
 	// htequi at the origin host has exactly 3 classes.
-	if n := len(a.store(host).htequi); n != 3 {
+	if n := len(a.states[host].tables().htequi); n != 3 {
 		t.Errorf("classes = %d, want 3", n)
 	}
 	// prov rows: one per request, all at the client.
@@ -144,7 +144,7 @@ func TestDNSEquivalenceClassesByURL(t *testing.T) {
 
 // TestDNSKeysIncludeHostAndURL pins the analysis result the runtime uses.
 func TestDNSKeysIncludeHostAndURL(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt, _, _ := dnsRuntime(t, a)
 	_ = rt
 	keys := a.Keys()
@@ -211,7 +211,7 @@ func TestDNSManyRequestsLossless(t *testing.T) {
 	injectSpaced(rrt, evs...)
 	rrt.Run()
 
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt, _, _ := dnsRuntime(t, a)
 	injectSpaced(rt, evs...)
 	rt.Run()

@@ -9,7 +9,7 @@ import (
 )
 
 // TableSource is any maintainer exposing its provenance tables per node
-// (the three schemes, through their shared base).
+// (SimMaintainer, for every scheme).
 type TableSource interface {
 	RuleExecRows(addr types.NodeAddr) []RuleExec
 	ProvRows(addr types.NodeAddr) []Prov

@@ -13,7 +13,7 @@ import (
 // outputs that did complete still reconstruct correct trees or — when the
 // load-bearing chain message was lost — return empty rather than wrong.
 func TestLossyNetworkDegradesGracefully(t *testing.T) {
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt := lineRuntime(t, 6, m)
 			rt.Net.SetLossRate(0.2, 42)
@@ -73,7 +73,7 @@ func TestLossyNetworkDegradesGracefully(t *testing.T) {
 // parked (correctly unanswerable) until a fresh chain completes, at which
 // point they attach to it.
 func TestLossyAdvancedPendingBounded(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := lineRuntime(t, 4, a)
 	// Drop everything: the first packet's chain never completes.
 	rt.Net.SetLossRate(1.0, 1)

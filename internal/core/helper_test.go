@@ -27,6 +27,15 @@ func fig2Runtime(t *testing.T, maint engine.Maintainer) *engine.Runtime {
 	return rt
 }
 
+// mustScheme builds the simulator maintainer for a known scheme name.
+func mustScheme(name string) *SimMaintainer {
+	m, err := NewScheme(name)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func packet(loc, src, dst, data string) types.Tuple {
 	return types.NewTuple("packet",
 		types.String(loc), types.String(src), types.String(dst), types.String(data))

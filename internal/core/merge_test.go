@@ -9,7 +9,7 @@ import (
 // TestStateMergeIntoFresh: merging a snapshot into a never-used state is
 // equivalent to restoring it — same tables, same byte accounting.
 func TestStateMergeIntoFresh(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			src := populatedNodeState(t, scheme)
 			dst := freshNodeState(t, scheme)
@@ -25,7 +25,7 @@ func TestStateMergeIntoFresh(t *testing.T) {
 // nothing the second time — replication may deliver a handoff or repair
 // payload more than once.
 func TestStateMergeIdempotent(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			src := populatedNodeState(t, scheme)
 			buf := persistBytes(src)
@@ -55,10 +55,13 @@ func TestStateMergeUnion(t *testing.T) {
 	// class.
 	a := packet("n1", "n1", "n3", "data")
 	b := packet("n2", "n2", "n3", "ack")
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
+			// One event at a time: a ruleExecLink list keeps arrival order,
+			// and the comparison below is order-sensitive.
 			full := freshNodeState(t, scheme)
-			driveForwarding(t, full, a, b)
+			driveForwarding(t, full, a)
+			driveForwarding(t, full, b)
 
 			partial := freshNodeState(t, scheme)
 			driveForwarding(t, partial, a) // subset arrives first

@@ -61,7 +61,7 @@ func TestMultipleDerivationsSameOutput(t *testing.T) {
 		t.Fatalf("reference trees = %d, want 2", len(got))
 	}
 
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced(), NewAdvancedInterClass()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced), mustScheme(SchemeAdvancedInterClass)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt := projRuntime(t, m)
 			injectSpaced(rt, ev1, ev2)
@@ -105,7 +105,7 @@ func TestMultipleDerivationsSameOutput(t *testing.T) {
 // TestProjectionKeysIncludeY pins why the two events above form different
 // equivalence classes: Y joins the hop table, so it is a key.
 func TestProjectionKeysIncludeY(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := projRuntime(t, a)
 	_ = rt
 	keys := a.Keys()

@@ -133,7 +133,7 @@ func TestCrossProgramExecution(t *testing.T) {
 // Advanced, the mirror chain reuses the forwarding chain's rule-execution
 // node at n1 — provenance compressed across programs.
 func TestCrossProgramSharedChain(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := multiRuntime(t, a)
 	injectSpaced(rt,
 		packet("n1", "n1", "n3", "data"),
@@ -207,7 +207,7 @@ func TestMultiProgramDisjointApps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	var sched sim.Scheduler
 	net := netsim.New(&sched, g)
 	rt, err := engine.NewMultiRuntime(net,
@@ -274,7 +274,7 @@ func TestMultiProgramDisjointApps(t *testing.T) {
 // packet:2) — the tap join touches only the location, which is always a
 // key.
 func TestMultiProgramKeys(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	_ = multiRuntime(t, a)
 	keys := a.Keys()
 	if len(keys) != 2 || keys[0] != 0 || keys[1] != 2 {

@@ -23,31 +23,13 @@ const statePersistVersion = 1
 const maxPersistItems = 1 << 26
 
 // Persist serializes the state machine into the encoder.
-func (s *AdvancedState) Persist(e *wire.Encoder) { s.st.persist(e) }
+func (s stored) Persist(e *wire.Encoder) { s.st.persist(e) }
 
 // Restore rebuilds the state machine from an encoded snapshot.
-func (s *AdvancedState) Restore(d *wire.Decoder) error { return s.st.restore(d) }
+func (s stored) Restore(d *wire.Decoder) error { return s.st.restore(d) }
 
 // Merge folds a snapshot into the existing state without resetting it.
-func (s *AdvancedState) Merge(d *wire.Decoder) error { return s.st.merge(d) }
-
-// Persist serializes the state machine into the encoder.
-func (s *BasicState) Persist(e *wire.Encoder) { s.st.persist(e) }
-
-// Restore rebuilds the state machine from an encoded snapshot.
-func (s *BasicState) Restore(d *wire.Decoder) error { return s.st.restore(d) }
-
-// Merge folds a snapshot into the existing state without resetting it.
-func (s *BasicState) Merge(d *wire.Decoder) error { return s.st.merge(d) }
-
-// Persist serializes the state machine into the encoder.
-func (s *ExSPANState) Persist(e *wire.Encoder) { s.st.persist(e) }
-
-// Restore rebuilds the state machine from an encoded snapshot.
-func (s *ExSPANState) Restore(d *wire.Decoder) error { return s.st.restore(d) }
-
-// Merge folds a snapshot into the existing state without resetting it.
-func (s *ExSPANState) Merge(d *wire.Decoder) error { return s.st.merge(d) }
+func (s stored) Merge(d *wire.Decoder) error { return s.st.merge(d) }
 
 func encodePersistRef(e *wire.Encoder, r Ref) {
 	e.Str(string(r.Loc))

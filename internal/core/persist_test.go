@@ -12,9 +12,10 @@ import (
 	"provcompress/internal/wire"
 )
 
-// clusterSchemes are the scheme names the cluster transport (and thus the
-// durability layer) runs NodeState machines for.
-var clusterSchemes = []string{"exspan", "basic", "advanced"}
+// stateSchemes names every NodeState machine: the three the cluster
+// transport (and thus the durability layer) runs, plus the Section 5.4
+// inter-class variant, whose ruleExecLink rows the same codec must carry.
+var stateSchemes = []string{"exspan", "basic", "advanced", "advanced-ic"}
 
 // stateStore reaches into a NodeState for its backing store, for
 // white-box equality checks.
@@ -95,7 +96,7 @@ func driveForwarding(t *testing.T, st NodeState, events ...types.Tuple) {
 func populatedNodeState(t *testing.T, scheme string) NodeState {
 	t.Helper()
 	keys := analysis.EquivalenceKeys(apps.Forwarding())
-	st, err := NewNodeState(scheme, keys)
+	st, err := newNodeState(scheme, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func populatedNodeState(t *testing.T, scheme string) NodeState {
 
 func freshNodeState(t *testing.T, scheme string) NodeState {
 	t.Helper()
-	st, err := NewNodeState(scheme, analysis.EquivalenceKeys(apps.Forwarding()))
+	st, err := newNodeState(scheme, analysis.EquivalenceKeys(apps.Forwarding()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,14 @@ func persistBytes(st NodeState) []byte {
 // scheme reproduces every table and the accounting, and the restored
 // machine answers query-walk Collect calls identically.
 func TestStatePersistRoundTrip(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			st := populatedNodeState(t, scheme)
 			if st.StorageBytes() <= 0 {
 				t.Fatalf("populated %s state reports %d bytes", scheme, st.StorageBytes())
+			}
+			if scheme == "advanced-ic" && len(stateStore(t, st).links) == 0 {
+				t.Fatal("inter-class state holds no ruleExecLink rows")
 			}
 			fresh := freshNodeState(t, scheme)
 			if err := fresh.Restore(wire.NewDecoder(persistBytes(st))); err != nil {
@@ -181,7 +185,7 @@ func TestStatePersistRoundTrip(t *testing.T) {
 // TestStatePersistRestoreReplaces: restoring over an already-populated
 // state drops the old contents instead of merging.
 func TestStatePersistRestoreReplaces(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			src := freshNodeState(t, scheme)
 			driveForwarding(t, src, packet("n1", "n1", "n3", "data"))
@@ -201,7 +205,7 @@ func TestStatePersistRestoreReplaces(t *testing.T) {
 // snapshot fails cleanly — the torn-snapshot corpus at the state-machine
 // layer — and a bumped version byte is rejected.
 func TestStatePersistTruncatedErrors(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			buf := persistBytes(populatedNodeState(t, scheme))
 			for cut := 0; cut < len(buf); cut++ {
@@ -224,7 +228,7 @@ func TestStatePersistTruncatedErrors(t *testing.T) {
 // TestStatePersistEmpty: a never-used state round-trips too (a fresh
 // boot's checkpoint before any traffic).
 func TestStatePersistEmpty(t *testing.T) {
-	for _, scheme := range clusterSchemes {
+	for _, scheme := range stateSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			st := freshNodeState(t, scheme)
 			fresh := freshNodeState(t, scheme)

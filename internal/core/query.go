@@ -173,21 +173,23 @@ func (q *walkQuery) eventIDs() []types.ID {
 	return out
 }
 
-// queryDispatcher runs the shared walk protocol on behalf of a scheme.
+// queryDispatcher is the simulated transport's query walk: it carries a
+// walkQuery from node to node over netsim messages, asks each node's
+// NodeState for the rows behind every reference, and charges the
+// Section 6.1.3 cost model for what the states return.
 type queryDispatcher struct {
-	b      *base
-	s      scheme
+	m      *SimMaintainer
 	nextID int64
 	active map[int64]func(QueryResult)
 }
 
-func newQueryDispatcher(b *base, s scheme) *queryDispatcher {
-	return &queryDispatcher{b: b, s: s, active: make(map[int64]func(QueryResult))}
+func newQueryDispatcher(m *SimMaintainer) *queryDispatcher {
+	return &queryDispatcher{m: m, active: make(map[int64]func(QueryResult))}
 }
 
 // start anchors a query at the output tuple's node and begins the walk.
 func (d *queryDispatcher) start(out types.Tuple, evid types.ID, cb func(QueryResult)) {
-	sched := d.b.rt.Net.Scheduler()
+	sched := d.m.rt.Net.Scheduler()
 	d.nextID++
 	q := &walkQuery{
 		id:      d.nextID,
@@ -200,24 +202,23 @@ func (d *queryDispatcher) start(out types.Tuple, evid types.ID, cb func(QueryRes
 		start:   sched.Now(),
 	}
 	d.active[q.id] = cb
-	node := d.b.rt.Node(q.querier)
+	node := d.m.rt.Node(q.querier)
 	if node == nil {
 		sched.After(0, func() { d.complete(q) })
 		return
 	}
-	st := d.b.store(q.querier)
-	q.rootProvs = d.s.provRefsFor(st, q.rootVID, evid)
+	q.rootProvs = d.m.states[q.querier].ProvRows(q.rootVID, evid)
 	for _, p := range q.rootProvs {
 		if !p.Ref.IsNil() {
 			q.work = append(q.work, p.Ref)
 		}
-		q.bytes += int64(p.WireSize(d.b.withEvID))
+		q.bytes += int64(p.WireSize(d.m.layout.withEvID))
 	}
 	lookups := len(q.rootProvs)
 	if lookups == 0 {
 		lookups = 1
 	}
-	cost := time.Duration(lookups) * d.b.Cost.PerEntry
+	cost := time.Duration(lookups) * d.m.Cost.PerEntry
 	sched.After(cost, func() { d.continueAt(node, q) })
 }
 
@@ -225,8 +226,8 @@ func (d *queryDispatcher) start(out types.Tuple, evid types.ID, cb func(QueryRes
 // either forwards the walk to the next node or returns the result to the
 // querier.
 func (d *queryDispatcher) continueAt(n *engine.Node, q *walkQuery) {
-	sched := d.b.rt.Net.Scheduler()
-	st := d.b.store(n.Addr)
+	sched := d.m.rt.Net.Scheduler()
+	st := d.m.states[n.Addr]
 	processed := 0
 	var delta int64
 	for {
@@ -246,7 +247,7 @@ func (d *queryDispatcher) continueAt(n *engine.Node, q *walkQuery) {
 			continue
 		}
 		q.visited[ref] = true
-		nexts, bytes := d.s.collectEntry(n, st, ref, q)
+		nexts, bytes := d.collect(n, st, ref, q)
 		for _, nx := range nexts {
 			if !nx.IsNil() && !q.visited[nx] {
 				q.work = append(q.work, nx)
@@ -256,19 +257,19 @@ func (d *queryDispatcher) continueAt(n *engine.Node, q *walkQuery) {
 		delta += bytes
 	}
 	q.bytes += delta
-	cost := time.Duration(processed)*d.b.Cost.PerEntry + time.Duration(delta)*d.b.Cost.PerByte
+	cost := time.Duration(processed)*d.m.Cost.PerEntry + time.Duration(delta)*d.m.Cost.PerByte
 	sched.After(cost, func() {
 		if len(q.work) == 0 {
 			if n.Addr == q.querier {
 				d.finish(q)
 				return
 			}
-			d.b.rt.Net.Send(netsim.Message{
+			d.m.rt.Net.Send(netsim.Message{
 				From:    n.Addr,
 				To:      q.querier,
 				Kind:    msgResult,
 				Payload: q,
-				Size:    d.b.rt.HeaderSize + int(q.bytes),
+				Size:    d.m.rt.HeaderSize + int(q.bytes),
 			})
 			return
 		}
@@ -278,14 +279,61 @@ func (d *queryDispatcher) continueAt(n *engine.Node, q *walkQuery) {
 			d.continueAt(n, q)
 			return
 		}
-		d.b.rt.Net.Send(netsim.Message{
+		d.m.rt.Net.Send(netsim.Message{
 			From:    n.Addr,
 			To:      target,
 			Kind:    msgWalk,
 			Payload: q,
-			Size:    d.b.rt.HeaderSize + 64 + int(q.bytes),
+			Size:    d.m.rt.HeaderSize + 64 + int(q.bytes),
 		})
 	})
+}
+
+// collect fetches the rule-execution node behind ref from the node's state
+// into the query's accumulator, together with the tuple contents the walk
+// must pick up here — the entry's recorded VIDs and, at a chain leaf of an
+// EVID scheme, the input events of the derivations being queried
+// (Section 5.6) — and returns the next references to walk plus the bytes
+// fetched. Rows are priced by the scheme's table layout; a ruleExecLink
+// row is priced at its fixed columns.
+func (d *queryDispatcher) collect(n *engine.Node, st NodeState, ref Ref, q *walkQuery) ([]Ref, int64) {
+	ce, vids, provs, nexts, ok := st.Collect(ref)
+	if !ok {
+		return nil, 0
+	}
+	bytes := int64(ce.Entry.WireSize(d.m.layout.withNext))
+	if d.m.layout.useLinks {
+		bytes += int64(len(ce.Nexts) * (2 + len(ref.RID) + NilRef.WireSize()))
+	}
+	q.acc.addEntry(ce)
+	fetch := func(vid types.ID) {
+		if t, ok := n.DB.LookupVID(vid); ok && q.acc.addTuple(t) {
+			bytes += int64(t.EncodedSize())
+		}
+	}
+	for _, vid := range vids {
+		fetch(vid)
+	}
+	for _, p := range provs {
+		if q.acc.addProv(p) {
+			bytes += int64(p.WireSize(d.m.layout.withEvID))
+		}
+	}
+	if st.EventByEvID() && hasNilRef(ce.Nexts) {
+		for _, evid := range q.eventIDs() {
+			fetch(evid)
+		}
+	}
+	return nexts, bytes
+}
+
+func hasNilRef(refs []Ref) bool {
+	for _, r := range refs {
+		if r.IsNil() {
+			return true
+		}
+	}
+	return false
 }
 
 // handle processes walk and result messages on behalf of the maintainer.
@@ -308,15 +356,19 @@ func (d *queryDispatcher) handle(n *engine.Node, msg netsim.Message) bool {
 
 // finish charges the reconstruction cost at the querier, then completes.
 func (d *queryDispatcher) finish(q *walkQuery) {
-	cost := time.Duration(len(q.acc.Entries))*d.b.Cost.PerRederive +
-		time.Duration(q.bytes)*d.b.Cost.PerByte
-	d.b.rt.Net.Scheduler().After(cost, func() { d.complete(q) })
+	cost := time.Duration(len(q.acc.Entries))*d.m.Cost.PerRederive +
+		time.Duration(q.bytes)*d.m.Cost.PerByte
+	d.m.rt.Net.Scheduler().After(cost, func() { d.complete(q) })
 }
 
-// complete assembles the trees, applies the event filter, and delivers the
-// result.
+// complete reconstructs the trees at the querier's state, applies the
+// event filter, and delivers the result.
 func (d *queryDispatcher) complete(q *walkQuery) {
-	trees := d.s.assemble(q)
+	var trees []*Tree
+	if st, ok := d.m.states[q.querier]; ok {
+		trees = st.Reconstruct(d.m.rt.Prog, d.m.rt.Funcs, q.root, q.rootProvs,
+			q.acc.entryIndex(), q.acc.tupleIndex(), q.acc.provIndex())
+	}
 	if !q.evid.IsZero() {
 		kept := trees[:0]
 		for _, t := range trees {
@@ -335,7 +387,7 @@ func (d *queryDispatcher) complete(q *walkQuery) {
 	cb(QueryResult{
 		Root:    q.root,
 		Trees:   trees,
-		Latency: d.b.rt.Net.Scheduler().Now() - q.start,
+		Latency: d.m.rt.Net.Scheduler().Now() - q.start,
 		Hops:    q.hops,
 		Bytes:   q.bytes,
 	})

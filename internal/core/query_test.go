@@ -32,7 +32,7 @@ func TestQueryMatchesReferenceAllSchemes(t *testing.T) {
 	evAck := packet("n2", "n2", "n3", "ack")
 	rec := referenceTrees(t, evData, evURL, evAck)
 
-	schemes := []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced(), NewAdvancedInterClass()}
+	schemes := []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced), mustScheme(SchemeAdvancedInterClass)}
 	for _, m := range schemes {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt := fig2Runtime(t, m)
@@ -76,7 +76,7 @@ func TestQueryWithoutEvidReturnsAllDerivations(t *testing.T) {
 	// Two packets in the same class produce two distinct recv tuples; a
 	// query without evid on one output returns just that output's
 	// derivation (distinct payloads -> distinct outputs).
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	injectSpaced(rt, packet("n1", "n1", "n3", "data"), packet("n1", "n1", "n3", "url"))
 	rt.Run()
@@ -90,7 +90,7 @@ func TestQueryWithoutEvidReturnsAllDerivations(t *testing.T) {
 }
 
 func TestQueryUnknownTuple(t *testing.T) {
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced)} {
 		rt := fig2Runtime(t, m)
 		rt.Inject(packet("n1", "n1", "n3", "data"))
 		rt.Run()
@@ -107,7 +107,7 @@ func TestQueryLatencyOrdering(t *testing.T) {
 	// intermediate tuples.
 	evData := packet("n1", "n1", "n3", "data500_"+string(make([]byte, 0)))
 	lat := make(map[string]time.Duration)
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced)} {
 		rt := fig2Runtime(t, m)
 		rt.Inject(evData)
 		rt.Run()
@@ -130,7 +130,7 @@ func TestQueryBytesOrdering(t *testing.T) {
 	// than Advanced's (Advanced ships no per-hop event VIDs).
 	ev := packet("n1", "n1", "n3", "payloadpayloadpayload")
 	bytes := make(map[string]int64)
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced)} {
 		rt := fig2Runtime(t, m)
 		rt.Inject(ev)
 		rt.Run()
@@ -148,7 +148,7 @@ func TestQueryBytesOrdering(t *testing.T) {
 func TestQueryHops(t *testing.T) {
 	// The walk crosses n3 -> n2 -> n1 and the result returns n1 -> n3:
 	// 2 walk messages + 1 result message.
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	ev := packet("n1", "n1", "n3", "data")
 	rt.Inject(ev)
@@ -162,7 +162,7 @@ func TestQueryHops(t *testing.T) {
 func TestQuerySecondClassMemberReconstructs(t *testing.T) {
 	// The "url" packet maintained no provenance of its own; its tree must
 	// still be fully reconstructible from the shared chain + its EVID.
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	evURL := packet("n1", "n1", "n3", "url")
 	injectSpaced(rt, packet("n1", "n1", "n3", "data"), evURL)
@@ -187,7 +187,7 @@ func TestConcurrentQueries(t *testing.T) {
 	// Several queries issued before the simulation runs: their walks
 	// interleave in virtual time and every one completes with its own
 	// result.
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	evs := []types.Tuple{
 		packet("n1", "n1", "n3", "a"),

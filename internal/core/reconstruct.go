@@ -6,24 +6,15 @@ import (
 	"provcompress/internal/types"
 )
 
-// reconstructChains rebuilds full provenance trees from a completed walk
-// under the Basic and Advanced schemes: it enumerates root-to-leaf chains
-// through the collected rule-execution nodes, obtains the input event of
-// each derivation (scheme-specific, via eventFor), and re-derives the
+// AssembleChains rebuilds full provenance trees from a completed walk
+// under the Basic and Advanced schemes: given the anchor prov rows and the
+// collected entries and tuple contents, it enumerates root-to-leaf chains
+// through the rule-execution nodes, obtains the input event of each
+// derivation (scheme-specific, via eventFor), and re-derives the
 // intermediate tuples bottom-up by re-executing the rules (Section 4
 // step 2 / TRANSFORM_TO_D of Appendix E). Candidate chains that do not
 // re-derive the queried output are discarded — the validation that gives
 // Theorem 5 its set semantics under inter-class sharing.
-func (b *base) reconstructChains(q *walkQuery, eventFor func(leaf RuleExec, evid types.ID) (types.Tuple, bool)) []*Tree {
-	return AssembleChains(b.rt.Prog, b.rt.Funcs, q.root, q.rootProvs,
-		q.acc.entryIndex(), q.acc.tupleIndex(), eventFor)
-}
-
-// AssembleChains is the transport-agnostic form of the Basic/Advanced
-// reconstruction: given the anchor prov rows and the collected entries and
-// tuple contents of a completed walk, it enumerates the chains, re-derives
-// each one bottom-up, and keeps the derivations of root. Exported for
-// transport implementations (internal/cluster).
 func AssembleChains(prog *ndlog.Program, funcs ndlog.FuncMap, root types.Tuple, rootProvs []Prov,
 	entries map[Ref]CollectedEntry, tuples map[types.ID]types.Tuple,
 	eventFor func(leaf RuleExec, evid types.ID) (types.Tuple, bool)) []*Tree {
@@ -155,4 +146,69 @@ func rebuildChain(prog *ndlog.Program, funcs ndlog.FuncMap, chain []CollectedEnt
 		out = append(out, f.tr)
 	}
 	return out
+}
+
+// AssembleExSPAN reconstructs provenance trees from an uncompressed
+// (ExSPAN) walk: entries carry every body VID, tuples their contents, and
+// the prov rows link each derived tuple to the execution that produced it
+// — no re-execution needed, since ExSPAN materialized everything.
+func AssembleExSPAN(prog *ndlog.Program, root types.Tuple, rootProvs []Prov,
+	entries map[Ref]CollectedEntry, tuples map[types.ID]types.Tuple, provs map[types.ID][]Prov) []*Tree {
+	var build func(ref Ref, output types.Tuple, depth int) []*Tree
+	build = func(ref Ref, output types.Tuple, depth int) []*Tree {
+		if depth > maxQueryDepth {
+			return nil
+		}
+		ce, ok := entries[ref]
+		if !ok {
+			return nil
+		}
+		rule := prog.Rule(ce.Entry.Rule)
+		if rule == nil {
+			return nil
+		}
+		var slow []types.Tuple
+		var event types.Tuple
+		haveEvent := false
+		for _, vid := range ce.Entry.VIDs {
+			t, ok := tuples[vid]
+			if !ok {
+				return nil
+			}
+			if t.Rel == rule.Event.Rel {
+				event, haveEvent = t, true
+			} else {
+				slow = append(slow, t)
+			}
+		}
+		if !haveEvent {
+			return nil
+		}
+		var childRefs []Ref
+		for _, p := range provs[types.HashTuple(event)] {
+			if !p.Ref.IsNil() {
+				childRefs = append(childRefs, p.Ref)
+			}
+		}
+		if len(childRefs) == 0 {
+			ev := event
+			return []*Tree{{Rule: rule.Label, Output: output, Event: &ev, Slow: slow}}
+		}
+		var out []*Tree
+		for _, cr := range childRefs {
+			for _, sub := range build(cr, event, depth+1) {
+				out = append(out, &Tree{Rule: rule.Label, Output: output, Child: sub, Slow: slow})
+			}
+		}
+		return out
+	}
+
+	var trees []*Tree
+	for _, p := range rootProvs {
+		if p.Ref.IsNil() {
+			continue
+		}
+		trees = append(trees, build(p.Ref, root, 0)...)
+	}
+	return trees
 }

@@ -13,12 +13,12 @@ import (
 // under Advanced — the htequi and hmap entries. The length of the returned
 // buffer equals StorageBytes for the node, which
 // TestSerializedSizeMatchesAccounting pins.
-func (b *base) SerializeNode(addr types.NodeAddr) []byte {
-	s, ok := b.stores[addr]
+func (s *SimMaintainer) SerializeNode(addr types.NodeAddr) []byte {
+	st, ok := s.states[addr]
 	if !ok {
 		return nil
 	}
-	return s.serialize()
+	return st.tables().serialize()
 }
 
 // serialize writes the store's rows deterministically.

@@ -22,7 +22,7 @@ func TestSerializedSizeMatchesAccounting(t *testing.T) {
 		packet("n1", "n1", "n3", "url"),
 		packet("n2", "n2", "n3", "ack"),
 	}
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced(), NewAdvancedInterClass()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced), mustScheme(SchemeAdvancedInterClass)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt := fig2Runtime(t, m)
 			injectSpaced(rt, evs...)
@@ -53,7 +53,7 @@ func TestSerializedSizeMatchesAccounting(t *testing.T) {
 // TestSerializeDeterministic: the serialization is byte-stable across
 // calls (required for reproducible measurements).
 func TestSerializeDeterministic(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	injectSpaced(rt, packet("n1", "n1", "n3", "x"), packet("n1", "n1", "n3", "y"))
 	rt.Run()

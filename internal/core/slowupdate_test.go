@@ -34,7 +34,7 @@ func fig7Runtime(t *testing.T, maint engine.Maintainer) *engine.Runtime {
 // re-maintains provenance along the new path — and its queried tree shows
 // the n1 -> n4 -> n3 traversal.
 func TestSlowUpdateScenario(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig7Runtime(t, a)
 
 	evOld := packet("n1", "n1", "n3", "before")
@@ -42,8 +42,8 @@ func TestSlowUpdateScenario(t *testing.T) {
 	rt.Run()
 	checkNoErrors(t, rt)
 
-	if len(a.store("n1").htequi) != 1 {
-		t.Fatalf("htequi at n1 = %d, want 1", len(a.store("n1").htequi))
+	if len(a.states["n1"].tables().htequi) != 1 {
+		t.Fatalf("htequi at n1 = %d, want 1", len(a.states["n1"].tables().htequi))
 	}
 
 	// The administrator redirects traffic: delete route(@n1,n3,n2), insert
@@ -53,7 +53,7 @@ func TestSlowUpdateScenario(t *testing.T) {
 	rt.Run() // deliver the broadcast
 
 	for _, addr := range []types.NodeAddr{"n1", "n2", "n3", "n4"} {
-		if n := len(a.store(addr).htequi); n != 0 {
+		if n := len(a.states[addr].tables().htequi); n != 0 {
 			t.Errorf("%s: htequi = %d after sig, want 0", addr, n)
 		}
 	}
@@ -101,7 +101,7 @@ func TestSlowUpdateScenario(t *testing.T) {
 // broadcast sig nor clear htequi (Section 5.5: stored provenance is
 // monotone).
 func TestDeletionDoesNotBroadcast(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig7Runtime(t, a)
 	rt.Inject(packet("n1", "n1", "n3", "x"))
 	rt.Run()
@@ -112,7 +112,7 @@ func TestDeletionDoesNotBroadcast(t *testing.T) {
 	if rt.Net.TotalMessages() != msgsBefore {
 		t.Error("deletion sent messages")
 	}
-	if len(a.store("n1").htequi) != 1 {
+	if len(a.states["n1"].tables().htequi) != 1 {
 		t.Error("deletion cleared htequi")
 	}
 }
@@ -120,7 +120,7 @@ func TestDeletionDoesNotBroadcast(t *testing.T) {
 // TestSigBroadcastCost measures that the sig broadcast reaches every node
 // and costs one message per node.
 func TestSigBroadcastCost(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig7Runtime(t, a)
 	rt.Run()
 	before := rt.Net.TotalMessages()
@@ -136,7 +136,7 @@ func TestSigBroadcastCost(t *testing.T) {
 // post-sig member is in flight still get associated once the new chain
 // completes (the pending-output path).
 func TestStaleClassAfterUpdateStillMaintained(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig7Runtime(t, a)
 	// Two packets injected back-to-back before any execution completes: the
 	// second sees existFlag=true but arrives at n3 after the first, so the

@@ -56,7 +56,7 @@ func TestTransitStubSoakLossless(t *testing.T) {
 		t.Fatalf("reference trees = %d, want %d", len(rec.Trees()), len(evs))
 	}
 
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt, _ := transitRuntime(t, a)
 	injectSpaced(rt, evs...)
 	rt.Run()

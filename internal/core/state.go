@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"provcompress/internal/engine"
 	"provcompress/internal/ndlog"
 	"provcompress/internal/types"
@@ -32,11 +29,14 @@ func (m AdvMeta) WireSize() int {
 	return n
 }
 
-// NodeState is a transport-agnostic per-node provenance state machine: the
-// same maintenance and query-walk logic the simulated maintainers run,
-// exposed so a real-socket deployment (internal/cluster) can drive it from
-// its own message loop. Implementations are not safe for concurrent use;
-// callers serialize access per node.
+// NodeState is one node's provenance state machine under one maintenance
+// scheme: the paper's maintenance steps (Inject, FireAt, Output, the sig
+// reset) and the per-node half of the query walk (ProvRows, Collect,
+// Reconstruct), with no transport in it. It is the only implementation of
+// the schemes: the cluster transport (internal/cluster) drives it from its
+// message loop, and the simulator drives the same machines through
+// SimMaintainer. Implementations are not safe for concurrent use; callers
+// serialize access per node.
 type NodeState interface {
 	// Scheme names the maintenance scheme.
 	Scheme() string
@@ -84,71 +84,152 @@ type NodeState interface {
 	// handoff or read-repair payload over state that may already hold
 	// replicated records for the same partition.
 	Merge(d *wire.Decoder) error
+
+	// tables exposes the backing store to the simulator adapter (table
+	// dumps, measurement serialization).
+	tables() *store
 }
 
-// NewNodeState builds the per-node state machine for a scheme name
-// (SchemeExSPAN, SchemeBasic, SchemeAdvanced, case-insensitive); keys are
-// the program's equivalence keys (used by Advanced only).
-func NewNodeState(scheme string, keys []int) (NodeState, error) {
-	switch strings.ToLower(scheme) {
-	case "exspan":
-		return NewExSPANState(), nil
-	case "basic":
-		return NewBasicState(), nil
-	case "advanced":
-		return NewAdvancedState(keys), nil
-	default:
-		if _, err := NewScheme(scheme); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: scheme %s is not available on the cluster transport", scheme)
+// stored is what the three schemes' states share: the node's tables, their
+// size accounting, and the persistence codec over them (persist.go).
+type stored struct{ st *store }
+
+func (s stored) tables() *store { return s.st }
+
+// StorageBytes returns the serialized size of the node's tables.
+func (s stored) StorageBytes() int64 { return s.st.bytes() }
+
+// collectChain processes one walk reference under the chained schemes
+// (Basic, Advanced): the row, its recorded VIDs, and its live next links.
+func (s stored) collectChain(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
+	entry, ok := s.st.getRuleExec(ref.RID)
+	if !ok {
+		return CollectedEntry{}, nil, nil, nil, false
 	}
+	nexts := s.st.nexts(ref.RID)
+	return CollectedEntry{Entry: entry, Nexts: nexts}, entry.VIDs, nil, liveRefs(nexts), true
+}
+
+// slowVIDs hashes the slow tuples of a firing in body order.
+func slowVIDs(f engine.Firing) []types.ID {
+	vids := make([]types.ID, len(f.Slow))
+	for i, s := range f.Slow {
+		vids[i] = types.HashTuple(s)
+	}
+	return vids
 }
 
 // --- Advanced ---
 
-// AdvancedState is the Advanced scheme's per-node state machine
-// (Sections 5.2-5.3, chained RIDs).
+// AdvancedState is the Advanced scheme's per-node state machine, the
+// equivalence-based online compression of Section 5: the origin node
+// checks each input event's key valuation against htequi (Stage 1), rule
+// executions maintain the shared provenance chain only for the first
+// execution of a class (Stage 2), and every output tuple is associated to
+// its class's shared chain through hmap, with the input event recoverable
+// through the EVID column (Stage 3).
+//
+// In the inter-class variant (the store's useLinks layout) the ruleExec
+// table is split into ruleExecNode / ruleExecLink (Section 5.4), letting
+// different equivalence classes share identical rule-execution nodes;
+// queries may then encounter several next links per node and validate
+// candidate derivations during reconstruction (the set semantics of
+// Theorem 5).
+//
+// RID construction: the paper hashes the rule name and slow-changing VIDs
+// (Table 3). The default (chained) mode additionally folds in the child
+// RID so that (Loc, RID) keeps the uniqueness property Lemma 6 relies on
+// when chains of different classes overlap; the inter-class mode uses the
+// paper's location-free hash and resolves the resulting link ambiguity
+// through validation, as Theorem 5 prescribes.
 type AdvancedState struct {
+	stored
+	// keys are the equivalence-key attribute indexes of every input event
+	// when keysByEvent is nil (a single-program deployment).
 	keys []int
-	st   *store
+	// keysByEvent holds the keys per input event relation; a multi-program
+	// deployment has one entry per constituent program. Events of a
+	// relation it does not list fall back to treating every attribute as a
+	// key: no compression, but correct.
+	keysByEvent map[string][]int
 }
 
 // NewAdvancedState builds the state for one node given the program's
 // equivalence-key indexes (from analysis.EquivalenceKeys).
 func NewAdvancedState(keys []int) *AdvancedState {
+	return newAdvancedState(append([]int(nil), keys...), nil, false)
+}
+
+func newAdvancedState(keys []int, keysByEvent map[string][]int, interClass bool) *AdvancedState {
 	return &AdvancedState{
-		keys: append([]int(nil), keys...),
-		st:   newStore(true, true, false),
+		stored:      stored{newStore(!interClass, true, interClass)},
+		keys:        keys,
+		keysByEvent: keysByEvent,
 	}
 }
 
 // Scheme names the scheme.
-func (s *AdvancedState) Scheme() string { return SchemeAdvanced }
-
-// Inject performs Stage 1 at the event's origin node.
-func (s *AdvancedState) Inject(ev types.Tuple) AdvMeta {
-	vals := make([]types.Value, len(s.keys))
-	for i, k := range s.keys {
-		vals[i] = ev.Args[k]
+func (s *AdvancedState) Scheme() string {
+	if s.st.useLinks {
+		return SchemeAdvancedInterClass
 	}
-	eq := types.HashValues(vals)
+	return SchemeAdvanced
+}
+
+// Inject performs Stage 1 (equivalence keys checking) at the event's
+// origin node.
+func (s *AdvancedState) Inject(ev types.Tuple) AdvMeta {
+	eq := types.HashValues(s.keyValues(ev))
 	return AdvMeta{Eq: eq, Exist: s.st.seenEquiKey(eq), EvID: types.HashTuple(ev), Prev: NilRef}
 }
 
-// FireAt performs Stage 2 for one rule firing at the named node.
+// keyValues returns the event's values at its relation's equivalence keys.
+// A key index outside the event's arity is skipped rather than trusted:
+// transports reject such events, and one that slips through must not take
+// the node down.
+func (s *AdvancedState) keyValues(ev types.Tuple) []types.Value {
+	keys := s.keys
+	if s.keysByEvent != nil {
+		var ok bool
+		if keys, ok = s.keysByEvent[ev.Rel]; !ok {
+			return ev.Args
+		}
+	}
+	vals := make([]types.Value, 0, len(keys))
+	for _, k := range keys {
+		if uint(k) < uint(len(ev.Args)) {
+			vals = append(vals, ev.Args[k])
+		}
+	}
+	return vals
+}
+
+// FireAt performs Stage 2 (online provenance maintenance) for one rule
+// firing at the named node: nothing is stored when existFlag is true;
+// otherwise the shared chain grows by one rule-execution node.
 func (s *AdvancedState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) AdvMeta {
 	if m.Exist {
 		return m
 	}
 	svids := slowVIDs(f)
-	rid := types.RuleExecID(f.Rule.Label, "", append(append([]types.ID(nil), svids...), m.Prev.RID))
-	s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: svids, Next: m.Prev})
+	var rid types.ID
+	if s.st.useLinks {
+		rid = types.RuleExecID(f.Rule.Label, "", svids)
+		s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: svids})
+		s.st.addLink(rid, m.Prev)
+	} else {
+		rid = types.RuleExecID(f.Rule.Label, "", append(append([]types.ID(nil), svids...), m.Prev.RID))
+		s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: svids, Next: m.Prev})
+	}
 	m.Prev = Ref{Loc: addr, RID: rid}
 	return m
 }
 
-// Output performs Stage 3 at the output tuple's node.
+// Output performs Stage 3 (output tuple provenance maintenance) at the
+// output tuple's node: the class's first execution installs the
+// shared-chain reference in hmap and releases any outputs that arrived
+// before it; later executions associate their output through hmap, or park
+// it while the first execution's chain-building messages are in flight.
 func (s *AdvancedState) Output(out types.Tuple, m AdvMeta) []types.ID {
 	vid := types.HashTuple(out)
 	if !m.Exist {
@@ -206,11 +287,6 @@ func (s *AdvancedState) Stats() AdvancedStats {
 	}
 }
 
-// RuleExec fetches a rule-execution row by RID.
-func (s *AdvancedState) RuleExec(rid types.ID) (RuleExec, bool) {
-	return s.st.getRuleExec(rid)
-}
-
 // ProvRows anchors a query at an output VID.
 func (s *AdvancedState) ProvRows(vid, evid types.ID) []Prov {
 	return s.st.provRows(vid, evid)
@@ -218,12 +294,7 @@ func (s *AdvancedState) ProvRows(vid, evid types.ID) []Prov {
 
 // Collect processes one walk reference.
 func (s *AdvancedState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
-	entry, ok := s.st.getRuleExec(ref.RID)
-	if !ok {
-		return CollectedEntry{}, nil, nil, nil, false
-	}
-	nexts := s.st.nexts(ref.RID)
-	return CollectedEntry{Entry: entry, Nexts: nexts}, entry.VIDs, nil, liveRefs(nexts), true
+	return s.collectChain(ref)
 }
 
 // EventByEvID reports that leaf events resolve through EVID lookups.
@@ -235,19 +306,24 @@ func (s *AdvancedState) Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, ro
 	return AssembleChains(prog, funcs, root, rootProvs, entries, tuples, EvIDLeafEvent(tuples))
 }
 
-// StorageBytes returns the serialized size of the node's tables.
-func (s *AdvancedState) StorageBytes() int64 { return s.st.bytes() }
-
 // --- Basic ---
 
-// BasicState is the Basic scheme's per-node state machine (Section 4).
-type BasicState struct {
-	st *store
-}
+// BasicState is the Basic scheme's per-node state machine, the storage
+// optimization of Section 4: provenance nodes for intermediate event
+// tuples are removed. Each ruleExec row records only the slow-changing
+// body VIDs (plus the input-event VID at the leaf) and an (NLoc, NRID) link
+// to the previous rule execution; the prov table holds a single row per
+// output tuple. Querying re-derives the intermediate tuples bottom-up
+// (Section 4, step 2).
+//
+// RIDs hash the rule name, location, and all body VIDs, so they equal
+// ExSPAN's RIDs for the same execution — exactly the relationship between
+// the paper's Tables 1 and 2.
+type BasicState struct{ stored }
 
 // NewBasicState builds the state for one node.
 func NewBasicState() *BasicState {
-	return &BasicState{st: newStore(true, false, false)}
+	return &BasicState{stored{newStore(true, false, false)}}
 }
 
 // Scheme names the scheme.
@@ -258,15 +334,21 @@ func (s *BasicState) Inject(ev types.Tuple) AdvMeta {
 	return AdvMeta{EvID: types.HashTuple(ev), Prev: NilRef}
 }
 
-// FireAt stores the optimized ruleExec row.
+// FireAt stores the optimized ruleExec row (Table 2): slow-changing VIDs
+// only — plus the input event's VID at the chain's first rule, which the
+// bottom-up re-derivation starts from — linked to the previous execution.
 func (s *BasicState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) AdvMeta {
-	stored := slowVIDs(f)
-	allVids := append(append([]types.ID(nil), stored...), types.HashTuple(f.Event))
+	kept := slowVIDs(f)
+	allVids := append(append([]types.ID(nil), kept...), types.HashTuple(f.Event))
 	if m.Prev.IsNil() {
-		stored = allVids
+		kept = allVids // leaf keeps the event VID too
 	}
 	rid := types.RuleExecID(f.Rule.Label, addr, allVids)
-	if !s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: stored, Next: m.Prev}) {
+	if !s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: kept, Next: m.Prev}) {
+		// The same rule execution already chains to another derivation of
+		// this event tuple (converging derivations). Record the extra
+		// predecessor as a link row; queries enumerate both chains and
+		// validate during re-derivation (as in Section 5.4's split tables).
 		if prev, ok := s.st.getRuleExec(rid); ok && prev.Next != m.Prev {
 			s.st.addLink(rid, m.Prev)
 		}
@@ -292,12 +374,7 @@ func (s *BasicState) ProvRows(vid, _ types.ID) []Prov {
 
 // Collect processes one walk reference.
 func (s *BasicState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
-	entry, ok := s.st.getRuleExec(ref.RID)
-	if !ok {
-		return CollectedEntry{}, nil, nil, nil, false
-	}
-	nexts := s.st.nexts(ref.RID)
-	return CollectedEntry{Entry: entry, Nexts: nexts}, entry.VIDs, nil, liveRefs(nexts), true
+	return s.collectChain(ref)
 }
 
 // EventByEvID reports that leaf events come from the recorded VIDs.
@@ -309,20 +386,19 @@ func (s *BasicState) Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, root 
 	return AssembleChains(prog, funcs, root, rootProvs, entries, tuples, BasicLeafEvent(prog, tuples))
 }
 
-// StorageBytes returns the serialized size of the node's tables.
-func (s *BasicState) StorageBytes() int64 { return s.st.bytes() }
-
 // --- ExSPAN ---
 
-// ExSPANState is the uncompressed scheme's per-node state machine
-// (Section 2.2).
-type ExSPANState struct {
-	st *store
-}
+// ExSPANState is the uncompressed scheme's per-node state machine, in the
+// style of the ExSPAN system (Section 2.2, Table 1): every rule execution
+// stores a ruleExec row with the VIDs of all its body tuples, and every
+// tuple node of every provenance tree — derived tuples, intermediate event
+// tuples, and the base tuples they joined with — gets a prov row at its
+// location.
+type ExSPANState struct{ stored }
 
 // NewExSPANState builds the state for one node.
 func NewExSPANState() *ExSPANState {
-	return &ExSPANState{st: newStore(false, false, false)}
+	return &ExSPANState{stored{newStore(false, false, false)}}
 }
 
 // Scheme names the scheme.
@@ -393,9 +469,6 @@ func (s *ExSPANState) Reconstruct(prog *ndlog.Program, _ ndlog.FuncMap, root typ
 	return AssembleExSPAN(prog, root, rootProvs, entries, tuples, provs)
 }
 
-// StorageBytes returns the serialized size of the node's tables.
-func (s *ExSPANState) StorageBytes() int64 { return s.st.bytes() }
-
 // liveRefs filters NULL references out of a next-list.
 func liveRefs(nexts []Ref) []Ref {
 	var out []Ref
@@ -405,18 +478,4 @@ func liveRefs(nexts []Ref) []Ref {
 		}
 	}
 	return out
-}
-
-// EnumerateChains lists every root-to-leaf path through collected
-// rule-execution nodes — exported for transport implementations that run
-// the Section 5.6 query over their own protocol.
-func EnumerateChains(entries map[Ref]CollectedEntry, root Ref) [][]CollectedEntry {
-	return enumerateChains(entries, root)
-}
-
-// RebuildChain re-derives a full provenance tree from one chain, the input
-// event, and the referenced tuple contents (Section 4 step 2 /
-// TRANSFORM_TO_D) — exported for transport implementations.
-func RebuildChain(prog *ndlog.Program, funcs ndlog.FuncMap, chain []CollectedEntry, event types.Tuple, tuples map[types.ID]types.Tuple) []*Tree {
-	return rebuildChain(prog, funcs, chain, event, tuples)
 }

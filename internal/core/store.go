@@ -96,14 +96,20 @@ type hmapEntry struct {
 	refs []Ref
 }
 
+// layout says which optional columns and tables a scheme's storage carries;
+// it decides what a row costs on disk and on the wire.
+type layout struct {
+	withNext bool // ruleExec has NLoc/NRID columns (Basic, chained Advanced)
+	withEvID bool // prov has an EVID column (the Advanced schemes)
+	useLinks bool // Section 5.4: next refs live in a separate ruleExecLink table
+}
+
 // store holds one node's provenance state for one maintenance scheme, with
 // running serialized-size accounting in the paper's measurement style
 // (Section 6: "we serialize the per-node provenance tables ... and measure
 // the size").
 type store struct {
-	withNext bool // scheme has NLoc/NRID columns
-	withEvID bool // scheme has an EVID column
-	useLinks bool // Section 5.4: next refs live in a separate ruleExecLink table
+	layout
 
 	ruleExec map[types.ID]*RuleExec
 	// links holds additional next-references per RID for the
@@ -136,9 +142,7 @@ type store struct {
 
 func newStore(withNext, withEvID, useLinks bool) *store {
 	return &store{
-		withNext: withNext,
-		withEvID: withEvID,
-		useLinks: useLinks,
+		layout:   layout{withNext: withNext, withEvID: withEvID, useLinks: useLinks},
 		ruleExec: make(map[types.ID]*RuleExec),
 		prov:     make(map[types.ID][]Prov),
 	}

@@ -176,3 +176,17 @@ func TestStoreBytesComposition(t *testing.T) {
 		t.Errorf("bytes = %d, want %d", s.bytes(), want)
 	}
 }
+
+// TestAdvancedInjectShortEvent: an event with fewer arguments than the
+// equivalence keys index must hash what it has, not index out of range —
+// the keys come from the program, the event from outside.
+func TestAdvancedInjectShortEvent(t *testing.T) {
+	s := NewAdvancedState([]int{0, 2})
+	short := types.NewTuple("packet", types.String("n0"))
+	if m := s.Inject(short); m.Exist {
+		t.Error("first short event reported as seen")
+	}
+	if m := s.Inject(short); !m.Exist {
+		t.Error("repeated short event not recognised as the same class")
+	}
+}

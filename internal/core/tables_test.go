@@ -11,7 +11,7 @@ import (
 // ExSPAN maintains for the provenance tree of Figure 3 after
 // packet(@n1, n1, n3, "data") traverses n1 -> n2 -> n3.
 func TestTable1ExspanTables(t *testing.T) {
-	e := NewExSPAN()
+	e := mustScheme(SchemeExSPAN)
 	rt := fig2Runtime(t, e)
 	ev := packet("n1", "n1", "n3", "data")
 	rt.Inject(ev)
@@ -108,7 +108,7 @@ func TestTable1ExspanTables(t *testing.T) {
 // holds only the output row; NLoc/NRID link the chain; intermediate event
 // VIDs are dropped except at the leaf.
 func TestTable2BasicTables(t *testing.T) {
-	b := NewBasic()
+	b := mustScheme(SchemeBasic)
 	rt := fig2Runtime(t, b)
 	rt.Inject(packet("n1", "n1", "n3", "data"))
 	rt.Run()
@@ -167,7 +167,7 @@ func TestTable2BasicTables(t *testing.T) {
 	}
 
 	// Basic must store strictly less than ExSPAN for the same run.
-	e := NewExSPAN()
+	e := mustScheme(SchemeExSPAN)
 	rte := fig2Runtime(t, e)
 	rte.Inject(packet("n1", "n1", "n3", "data"))
 	rte.Run()
@@ -181,7 +181,7 @@ func TestTable2BasicTables(t *testing.T) {
 // rule-execution nodes exists, and the prov table holds two rows pointing
 // at the same chain with distinct EVIDs.
 func TestTable3AdvancedTables(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	evData := packet("n1", "n1", "n3", "data")
 	evURL := packet("n1", "n1", "n3", "url")
@@ -255,11 +255,11 @@ func TestTable3AdvancedTables(t *testing.T) {
 	}
 
 	// Stage 1 state: one equivalence class seen at the origin.
-	if st := a.store("n1"); len(st.htequi) != 1 {
+	if st := a.states["n1"].tables(); len(st.htequi) != 1 {
 		t.Errorf("htequi size = %d, want 1", len(st.htequi))
 	}
 	// Stage 3 state: the shared-chain reference installed at the output node.
-	refs := a.store("n3").hmapRefs(hashKeys(a, evData), "recv")
+	refs := a.states["n3"].tables().hmapRefs(hashKeys(a, evData), "recv")
 	if len(refs) != 1 || refs[0] != sharedRef {
 		t.Errorf("hmap = %v; want [%v]", refs, sharedRef)
 	}
@@ -268,7 +268,7 @@ func TestTable3AdvancedTables(t *testing.T) {
 // TestDumpTables renders the Table 3 scenario and checks the paper-style
 // layout.
 func TestDumpTables(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := fig2Runtime(t, a)
 	injectSpaced(rt, packet("n1", "n1", "n3", "data"), packet("n1", "n1", "n3", "url"))
 	rt.Run()
@@ -294,9 +294,10 @@ func TestDumpTables(t *testing.T) {
 
 // hashKeys computes the equivalence-key hash of an event the way the
 // Advanced maintainer does.
-func hashKeys(a *Advanced, ev types.Tuple) types.ID {
-	vals := make([]types.Value, len(a.keys))
-	for i, k := range a.keys {
+func hashKeys(a *SimMaintainer, ev types.Tuple) types.ID {
+	keys := a.Keys()
+	vals := make([]types.Value, len(keys))
+	for i, k := range keys {
 		vals[i] = ev.Args[k]
 	}
 	return types.HashValues(vals)
@@ -307,7 +308,7 @@ func hashKeys(a *Advanced, ev types.Tuple) types.ID {
 // equivalence class — shares the rule-execution nodes of the data packet's
 // tree at n2 and n3, adding only link rows.
 func TestTable4InterClassSharing(t *testing.T) {
-	a := NewAdvancedInterClass()
+	a := mustScheme(SchemeAdvancedInterClass)
 	rt := fig2Runtime(t, a)
 	evData := packet("n1", "n1", "n3", "data")
 	evAck := packet("n2", "n2", "n3", "ack")
@@ -329,7 +330,7 @@ func TestTable4InterClassSharing(t *testing.T) {
 	// Links at n2: the r1 node is both an interior node (-> n1) for the
 	// data tree and a leaf (NULL) for the ack tree.
 	n2rid := a.RuleExecRows("n2")[0].RID
-	nexts := a.store("n2").nexts(n2rid)
+	nexts := a.states["n2"].tables().nexts(n2rid)
 	if len(nexts) != 2 {
 		t.Fatalf("n2 links = %v, want 2 (interior + leaf)", nexts)
 	}
@@ -368,7 +369,7 @@ func TestTable4InterClassSharing(t *testing.T) {
 	}
 
 	// Inter-class storage is at most the chained scheme's for this workload.
-	chained := NewAdvanced()
+	chained := mustScheme(SchemeAdvanced)
 	rtc := fig2Runtime(t, chained)
 	injectSpaced(rtc, evData, evAck)
 	rtc.Run()

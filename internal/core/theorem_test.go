@@ -114,7 +114,7 @@ func TestCompressionLosslessRandomWorkload(t *testing.T) {
 	rrt.Run()
 	checkNoErrors(t, rrt)
 
-	for _, m := range []queryMaintainer{NewExSPAN(), NewBasic(), NewAdvanced(), NewAdvancedInterClass()} {
+	for _, m := range []queryMaintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced), mustScheme(SchemeAdvancedInterClass)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rt := lineRuntime(t, nodes, m)
 			injectSpaced(rt, evs...)
@@ -166,7 +166,7 @@ func TestCompressionLosslessRandomWorkload(t *testing.T) {
 // under Advanced, the number of stored rule-execution nodes depends on the
 // number of equivalence classes, not the number of events.
 func TestAdvancedStorageInvariant(t *testing.T) {
-	a := NewAdvanced()
+	a := mustScheme(SchemeAdvanced)
 	rt := lineRuntime(t, 5, a)
 	// 30 packets, all in one equivalence class (same origin, same dest).
 	var evs []types.Tuple
@@ -199,7 +199,7 @@ func TestEquivalenceStorageComparison(t *testing.T) {
 		evs = append(evs, packet("n0", "n0", "n6", fmt.Sprintf("payload-%04d", i)))
 	}
 	totals := make(map[string]int64)
-	for _, m := range []engine.Maintainer{NewExSPAN(), NewBasic(), NewAdvanced()} {
+	for _, m := range []engine.Maintainer{mustScheme(SchemeExSPAN), mustScheme(SchemeBasic), mustScheme(SchemeAdvanced)} {
 		rt := lineRuntime(t, 7, m)
 		injectSpaced(rt, evs...)
 		rt.Run()

@@ -26,12 +26,8 @@ func (f Firing) String() string {
 // against the database db. It evaluates through the rule's compiled join
 // plan (compiled and cached on first use — deployed runtimes compile all
 // plans up front via CompileProgram), probing secondary hash indexes per
-// join step. Set PROVCOMPRESS_SCAN_EVAL=1 to force the scan-based
-// reference path instead.
+// join step.
 func EvalRule(r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
-	if scanEvalOnly {
-		return EvalRuleScan(r, db, ev, funcs)
-	}
 	return planFor(r).Eval(db, ev, funcs)
 }
 

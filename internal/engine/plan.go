@@ -10,7 +10,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 
@@ -232,12 +231,8 @@ func (ps *Plans) For(r *ndlog.Rule) *RulePlan {
 	return planFor(r)
 }
 
-// Eval evaluates a rule through its compiled plan (or the scan-based
-// reference path when the oracle flag is set).
+// Eval evaluates a rule through its compiled plan.
 func (ps *Plans) Eval(r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
-	if scanEvalOnly {
-		return EvalRuleScan(r, db, ev, funcs)
-	}
 	return ps.For(r).Eval(db, ev, funcs)
 }
 
@@ -255,11 +250,6 @@ func (ps *Plans) EvalObserved(r *ndlog.Rule, db *Database, ev types.Tuple, funcs
 	}
 	return fs, err
 }
-
-// scanEvalOnly forces every evaluation through the scan-based reference
-// path. It exists as the oracle switch: set PROVCOMPRESS_SCAN_EVAL=1 to
-// A/B the indexed pipeline against the original evaluator end to end.
-var scanEvalOnly = os.Getenv("PROVCOMPRESS_SCAN_EVAL") != ""
 
 // planCache caches compiled plans for rules evaluated outside a deployed
 // program (replay, reconstruction), keyed by rule identity.

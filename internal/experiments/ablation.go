@@ -65,10 +65,7 @@ func AblationInterClass(nodes, packetsPerClass int) (*AblationICResult, error) {
 		rt.Run()
 		execRows := 0
 		for _, addr := range g.Nodes() {
-			switch m := maint.(type) {
-			case *core.Advanced:
-				execRows += len(m.RuleExecRows(addr))
-			}
+			execRows += len(maint.RuleExecRows(addr))
 		}
 		return maint.TotalStorageBytes(), execRows, nil
 	}
@@ -202,16 +199,9 @@ func AblationGzip(packets int) (*AblationGzipResult, error) {
 				workload.PacketEvent(workload.Pair{Src: "n0", Dst: "n5"}, int64(i), 64))
 		}
 		rt.Run()
-		type serializer interface {
-			SerializeNode(types.NodeAddr) []byte
-		}
-		sz, ok := maint.(serializer)
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s does not serialize", scheme)
-		}
 		var all []byte
 		for _, addr := range g.Nodes() {
-			all = append(all, sz.SerializeNode(addr)...)
+			all = append(all, maint.SerializeNode(addr)...)
 		}
 		return all, nil
 	}

@@ -60,8 +60,14 @@ func TestQueryCostModelSensitivity(t *testing.T) {
 	}
 	_ = base
 	// Indirect check through core: double the per-entry cost, latency grows.
-	m1 := core.NewAdvanced()
-	m2 := core.NewAdvanced()
+	m1, err := core.NewScheme(core.SchemeAdvanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := core.NewScheme(core.SchemeAdvanced)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m2.Cost.PerEntry *= 10
 
 	lat := func(m core.Maintainer) float64 {

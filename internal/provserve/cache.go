@@ -37,7 +37,6 @@ type answer struct {
 const (
 	invalClass    = "class"    // an equivalence-class key fired (fresh injection)
 	invalVID      = "vid"      // a VID key fired (output landing, slow insert/delete, graveyard eviction)
-	invalEpoch    = "epoch"    // legacy mode: any event evicts everything
 	invalInflight = "inflight" // answer raced a key firing mid-walk and was dropped at Put
 	invalLRU      = "lru"      // capacity eviction
 )
@@ -176,22 +175,6 @@ func (c *depCache) Invalidate(keys []uint64) int {
 	if len(c.lastInval) > lastInvalCap {
 		c.lastInval = make(map[uint64]uint64)
 		c.floor = c.seq
-	}
-	return evicted
-}
-
-// InvalidateAll evicts every entry (the legacy epoch discipline) and
-// raises the floor so every in-flight answer is dropped at Put.
-func (c *depCache) InvalidateAll(reason string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	c.floor = c.seq
-	c.lastInval = make(map[uint64]uint64)
-	evicted := 0
-	for c.ll.Len() > 0 {
-		c.removeLocked(c.ll.Back(), reason)
-		evicted++
 	}
 	return evicted
 }

@@ -244,13 +244,13 @@ func hammer(client *http.Client, cfg LoadConfig, urls []string) *LoadReport {
 type MixedLoadConfig struct {
 	LoadConfig
 	// WriteInterval is the gap between injected writer events (default
-	// 1ms — sustained writes, the regime where epoch invalidation's hit
-	// rate collapses).
+	// 1ms — sustained writes, the regime where evicting everything per
+	// event zeroes the hit rate).
 	WriteInterval time.Duration
 	// WriteSrc/WriteDst name the packet class the writer injects into
 	// (default n0 -> n1). Keep it disjoint from the hot query targets to
 	// measure what fine-grained invalidation buys: keyed caching rides
-	// through unrelated writes, epoch caching does not.
+	// through unrelated writes.
 	WriteSrc, WriteDst string
 }
 
@@ -259,8 +259,7 @@ type MixedLoadReport struct {
 	LoadReport
 	Writes      int
 	WriteErrors int
-	// HitRate is CacheHits / Requests — the headline A/B number against
-	// the epoch baseline (BENCH_serve.json "cache" records).
+	// HitRate is CacheHits / Requests (BENCH_serve.json "cache" records).
 	HitRate float64
 }
 

@@ -23,9 +23,7 @@
 //     every entry is tagged with the invalidation-key set its walk
 //     touched, the cluster event hook delivers the keys each accepted
 //     event fires, and only dependent entries are evicted — unrelated
-//     queries stay hot under sustained writes. The pre-keyed global
-//     epoch discipline survives behind Config.LegacyEpochInvalidation
-//     (every event evicts everything) as the A/B baseline.
+//     queries stay hot under sustained writes.
 //   - Cancellation: the request context is threaded into
 //     Cluster.QueryContext, so a disconnected client aborts its in-flight
 //     distributed query instead of burning the timeout.
@@ -87,12 +85,6 @@ type Config struct {
 	// default. Empty means single-tenant: everything is "default",
 	// unlimited (the global queue is still the backstop).
 	Tenants []TenantConfig
-	// LegacyEpochInvalidation restores the pre-keyed cache discipline:
-	// every accepted event evicts the whole cache, regardless of which
-	// invalidation keys it fired. It exists as the A/B baseline for the
-	// mixed-workload benchmark (cmd/provload, cmd/provsim) and costs the
-	// hit rate its near-zero value under sustained writes.
-	LegacyEpochInvalidation bool
 
 	// beforeQuery, when set, runs on the worker goroutine before each
 	// admitted query executes. Test hook: lets tests hold workers busy to
@@ -186,18 +178,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.schemes = append(s.schemes, name)
 		// Every accepted state change delivers the invalidation keys it
-		// fired; evict exactly the cached results tagged with them (or
-		// everything, in the legacy A/B mode). The epoch still counts
-		// events for response compatibility. Events are injected per
-		// cluster, so one logical event may fire more than once — firing
-		// is idempotent on an already-evicted entry.
+		// fired; evict exactly the cached results tagged with them. The
+		// epoch still counts events for response compatibility. Events are
+		// injected per cluster, so one logical event may fire more than
+		// once — firing is idempotent on an already-evicted entry.
 		c.SetEventHook(func(keys []cluster.InvalKey) {
 			s.epoch.Add(1)
-			if cfg.LegacyEpochInvalidation {
-				s.cache.InvalidateAll(invalEpoch)
-			} else {
-				s.cache.Invalidate(keys)
-			}
+			s.cache.Invalidate(keys)
 		})
 	}
 	s.tenants = make(map[string]*tenant, len(cfg.Tenants)+1)
@@ -788,7 +775,7 @@ func (s *Server) serverCounters() *metrics.Counters {
 	c.Add("cache-stale-drops", stale)
 	c.Add("cache-evictions", evictions)
 	// Per-reason invalidation counters (entries dropped): which kind of
-	// key firing — or legacy epoch sweep, or mid-walk race — killed them.
+	// key firing — or mid-walk race, or capacity pressure — killed them.
 	for reason, n := range s.cache.Invalidations() {
 		c.Add("cache-invalidated-"+reason, n)
 	}
@@ -905,7 +892,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteGauge(w, "provd_cache_entries", "", float64(s.cache.Len()))
 	metrics.WriteGauge(w, "provd_cache_dep_keys", "", float64(s.cache.DepKeys()))
 	invals := s.cache.Invalidations()
-	for _, reason := range []string{invalClass, invalVID, invalEpoch, invalInflight, invalLRU} {
+	for _, reason := range []string{invalClass, invalVID, invalInflight, invalLRU} {
 		metrics.WriteCounter(w, "provd_cache_invalidations_total",
 			metrics.PromLabel("reason", reason), invals[reason])
 	}

@@ -356,6 +356,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestWrongArityEventRejected: an event whose argument count disagrees
+// with its relation in the program is refused with 400 at the door — it
+// used to reach a shard worker, index past its arguments there, and panic
+// the daemon — and the server keeps serving afterwards.
+func TestWrongArityEventRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"events":[{"rel":"packet","args":["n0"]}]}`,
+		`{"events":[{"rel":"packet","args":["n0","n0","n2","x","extra"]}],"wait_ms":2000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/events", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	postEvents(t, ts.URL, 5000, packetSpec("n0", "n2", "ok"))
+	qr, resp := get(t, ts.URL, tupleSpec{Rel: "recv", Args: []any{"n2", "n0", "n2", "ok"}})
+	if resp.StatusCode != http.StatusOK || len(qr.Trees) != 1 {
+		t.Errorf("query after rejected events: status %d, %d trees", resp.StatusCode, len(qr.Trees))
+	}
+}
+
 // TestMetricsAndStats checks both observability surfaces expose the
 // serving counters.
 func TestMetricsAndStats(t *testing.T) {
