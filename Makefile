@@ -17,11 +17,12 @@
 #   bench-smoke  the benchmark harness at reduced scale, written to a
 #                scratch directory (committed BENCH_*.json baselines stay
 #                untouched) — proves the perf suite itself still runs
-#   ingest-smoke the ingest fast path A/B at reduced scale: wire-tier
-#                per-tuple vs batched+pooled throughput (batched must be
-#                >=2x events/s with >=4x fewer allocs/event) and full
-#                cluster runs per scheme, every record required to show
-#                zero byte-class accounting drift
+#   ingest-smoke the ingest fast path at reduced scale: the wire-tier A/B
+#                of per-tuple framing against batched+pooled frames
+#                (batched must be >=2x events/s with >=4x fewer
+#                allocs/event) and one cluster run per scheme on the
+#                production transport (batches must form), every record
+#                required to show zero byte-class accounting drift
 #   recover-smoke  crash-recovery end to end against real processes: boot a
 #                child provd on a temp -data-dir, inject + record every
 #                provenance tree, kill -9 mid-load, reboot and require WAL

@@ -29,7 +29,7 @@ import (
 type ingestBenchRecord struct {
 	Tier           string  `json:"tier"`             // "wire" or "cluster"
 	Scheme         string  `json:"scheme,omitempty"` // cluster tier only
-	Mode           string  `json:"mode"`             // per-tuple | batched | batched-nocompress | unbatched
+	Mode           string  `json:"mode"`             // per-tuple | batched | batched-nocompress
 	Events         int     `json:"events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	BytesPerEvent  float64 `json:"bytes_per_event"`
@@ -172,15 +172,14 @@ func ingestWireRun(mode string, events int) (ingestBenchRecord, error) {
 // across a 4-node chain, then quiesced — every derivation shipped,
 // every frame settled. The byte attribution is read back and checked
 // for drift right here, per link and in aggregate.
-func ingestClusterRun(scheme, mode string, events int, tcfg cluster.TransportConfig) (ingestBenchRecord, error) {
-	rec := ingestBenchRecord{Tier: "cluster", Scheme: scheme, Mode: mode, Events: events}
+func ingestClusterRun(scheme string, events int) (ingestBenchRecord, error) {
+	rec := ingestBenchRecord{Tier: "cluster", Scheme: scheme, Mode: "batched", Events: events}
 	g := topo.Line(4, "n")
 	c, err := cluster.New(cluster.Config{
-		Prog:      apps.Forwarding(),
-		Funcs:     apps.Funcs(),
-		Nodes:     g.Nodes(),
-		Scheme:    scheme,
-		Transport: tcfg,
+		Prog:   apps.Forwarding(),
+		Funcs:  apps.Funcs(),
+		Nodes:  g.Nodes(),
+		Scheme: scheme,
 	})
 	if err != nil {
 		return rec, err
@@ -246,10 +245,9 @@ func ingestClusterRun(scheme, mode string, events int, tcfg cluster.TransportCon
 	return rec, nil
 }
 
-// benchIngest runs the full ingest matrix: the wire-tier A/B plus one
-// cluster run per (scheme, batching mode), with the compression knob
-// isolated on the advanced scheme where the AdvMeta piggyback makes
-// consecutive frames most self-similar.
+// benchIngest runs the full ingest matrix: the wire-tier A/B (per-tuple
+// framing against the batched path, with and without delta compression)
+// plus one cluster run per scheme on the production transport.
 func benchIngest(smoke bool) ([]ingestBenchRecord, error) {
 	wireEvents, clusterEvents := 2_000_000, 5_000
 	if smoke {
@@ -263,20 +261,8 @@ func benchIngest(smoke bool) ([]ingestBenchRecord, error) {
 		}
 		out = append(out, rec)
 	}
-	runs := []struct {
-		scheme, mode string
-		tcfg         cluster.TransportConfig
-	}{
-		{core.SchemeExSPAN, "batched", cluster.TransportConfig{}},
-		{core.SchemeExSPAN, "unbatched", cluster.TransportConfig{DisableBatch: true}},
-		{core.SchemeBasic, "batched", cluster.TransportConfig{}},
-		{core.SchemeBasic, "unbatched", cluster.TransportConfig{DisableBatch: true}},
-		{core.SchemeAdvanced, "batched", cluster.TransportConfig{}},
-		{core.SchemeAdvanced, "batched-nocompress", cluster.TransportConfig{DisableCompress: true}},
-		{core.SchemeAdvanced, "unbatched", cluster.TransportConfig{DisableBatch: true}},
-	}
-	for _, r := range runs {
-		rec, err := ingestClusterRun(r.scheme, r.mode, clusterEvents, r.tcfg)
+	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		rec, err := ingestClusterRun(scheme, clusterEvents)
 		if err != nil {
 			return nil, err
 		}
@@ -317,11 +303,8 @@ func runIngest(w io.Writer, smoke bool) error {
 			return fmt.Errorf("ingest: %s/%s/%s has %d bytes of accounting drift, want 0",
 				r.Tier, r.Scheme, r.Mode, r.AccountingDrift)
 		}
-		if r.Tier == "cluster" && r.Mode != "unbatched" && r.Batches == 0 {
-			return fmt.Errorf("ingest: %s/%s formed no batches; coalescing never engaged", r.Scheme, r.Mode)
-		}
-		if r.Tier == "cluster" && r.Mode == "unbatched" && r.Batches != 0 {
-			return fmt.Errorf("ingest: %s/unbatched still wrote %d batches", r.Scheme, r.Batches)
+		if r.Tier == "cluster" && r.Batches == 0 {
+			return fmt.Errorf("ingest: %s formed no batches; coalescing never engaged", r.Scheme)
 		}
 	}
 	fmt.Fprintf(w, "ingest: batched wire path %.1fx per-tuple throughput, zero accounting drift\n",

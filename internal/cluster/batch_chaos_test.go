@@ -19,16 +19,14 @@ import (
 // and the transport stats. The retry budget is sized so the restart
 // lands inside the retry window (no frame is ever dropped), which is
 // what makes the outcome comparable byte-for-byte against a clean run.
-func batchedBurstOutcome(t *testing.T, plan *FaultPlan, tcfg TransportConfig, killRestart bool) ([]string, map[string]string, TransportStats, *Cluster) {
+func batchedBurstOutcome(t *testing.T, plan *FaultPlan, killRestart bool) ([]string, map[string]string, TransportStats, *Cluster) {
 	t.Helper()
 	g := topo.Line(4, "n")
-	tcfg.RetryBudget = 12
-	tcfg.BackoffMax = 100 * time.Millisecond
 	c, err := New(Config{
 		Prog:      apps.Forwarding(),
 		Funcs:     apps.Funcs(),
 		Nodes:     g.Nodes(),
-		Transport: tcfg,
+		Transport: TransportConfig{RetryBudget: 12, BackoffMax: 100 * time.Millisecond},
 		Faults:    plan,
 	})
 	if err != nil {
@@ -111,15 +109,15 @@ func checkByteClassesExact(t *testing.T, c *Cluster, when string) {
 }
 
 // TestChaosBatchedIngestFaults is the chaos property for the ingest fast
-// path: with frame coalescing and delta compression on, a seeded plan of
-// drops, stalls, and mid-stream resets — faults landing between and
-// inside batches — plus a Kill/Restart of a mid-chain node must leave
-// outputs and provenance trees identical to a clean unbatched run, with
-// the per-class byte accounting still exact to the byte.
+// path: a seeded plan of drops, stalls, and mid-stream resets — faults
+// landing between and inside the coalesced, delta-compressed batches —
+// plus a Kill/Restart of a mid-chain node must leave outputs and
+// provenance trees identical to a clean run of the same burst, with the
+// per-class byte accounting still exact to the byte.
 func TestChaosBatchedIngestFaults(t *testing.T) {
-	wantOut, wantTrees, clean, _ := batchedBurstOutcome(t, nil, TransportConfig{DisableBatch: true}, false)
+	wantOut, wantTrees, clean, _ := batchedBurstOutcome(t, nil, false)
 	if clean.Drops > 0 || clean.QueueDrops > 0 {
-		t.Fatalf("clean unbatched run lost frames: %+v", clean)
+		t.Fatalf("clean run lost frames: %+v", clean)
 	}
 
 	plan := &FaultPlan{
@@ -129,7 +127,7 @@ func TestChaosBatchedIngestFaults(t *testing.T) {
 		DelayFor:   2 * time.Millisecond,
 		ResetAfter: 5,
 	}
-	gotOut, gotTrees, stats, c := batchedBurstOutcome(t, plan, TransportConfig{}, true)
+	gotOut, gotTrees, stats, c := batchedBurstOutcome(t, plan, true)
 
 	if strings.Join(gotOut, "\n") != strings.Join(wantOut, "\n") {
 		t.Errorf("batched outputs diverged under faults:\ngot:\n%s\nwant:\n%s",
@@ -154,22 +152,4 @@ func TestChaosBatchedIngestFaults(t *testing.T) {
 		t.Error("fault plan injected nothing; chaos run was vacuous")
 	}
 	checkByteClassesExact(t, c, "after chaos burst")
-}
-
-// TestBatchedDisableMatchesUnbatched pins the A/B knob itself: the same
-// workload with batching disabled produces the same outputs and keeps
-// the batch counters at exactly zero (the knob really selects the
-// legacy wire path).
-func TestBatchedDisableMatchesUnbatched(t *testing.T) {
-	wantOut, _, _, _ := batchedBurstOutcome(t, nil, TransportConfig{}, false)
-	gotOut, _, stats, c := batchedBurstOutcome(t, nil, TransportConfig{DisableBatch: true}, false)
-	if strings.Join(gotOut, "\n") != strings.Join(wantOut, "\n") {
-		t.Errorf("unbatched outputs diverged from batched:\ngot:\n%s\nwant:\n%s",
-			strings.Join(gotOut, "\n"), strings.Join(wantOut, "\n"))
-	}
-	if stats.Batches != 0 || stats.BatchFrames != 0 || stats.BytesBatch != 0 {
-		t.Errorf("DisableBatch still produced batches: %d batches, %d sub-frames, %d batch bytes",
-			stats.Batches, stats.BatchFrames, stats.BytesBatch)
-	}
-	checkByteClassesExact(t, c, "unbatched run")
 }

@@ -7,9 +7,6 @@ import (
 
 	"provcompress/internal/apps"
 	"provcompress/internal/core"
-	"provcompress/internal/engine"
-	"provcompress/internal/netsim"
-	"provcompress/internal/sim"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
 )
@@ -56,78 +53,6 @@ func TestClusterForwardingOverTCP(t *testing.T) {
 	}
 	if c.TotalStorageBytes() <= 0 {
 		t.Error("no provenance stored")
-	}
-}
-
-func TestClusterQueryMatchesSimulation(t *testing.T) {
-	// Ground truth from the simulated Recorder.
-	var sched sim.Scheduler
-	net := netsim.New(&sched, topo.Fig2())
-	rec := core.NewRecorder()
-	rrt := engine.NewRuntime(net, apps.Forwarding(), apps.Funcs(), rec)
-	if err := rrt.LoadBase(topo.Fig2Routes()); err != nil {
-		t.Fatal(err)
-	}
-	evData := pkt("n1", "n1", "n3", "data")
-	evURL := pkt("n1", "n1", "n3", "url")
-	rrt.InjectAt(0, evData)
-	rrt.InjectAt(time.Millisecond, evURL)
-	rrt.Run()
-
-	// The cluster transport supports all three schemes; each must return
-	// the exact simulated trees over the real wire.
-	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
-		t.Run(scheme, func(t *testing.T) {
-			c, err := New(Config{
-				Prog:   apps.Forwarding(),
-				Funcs:  apps.Funcs(),
-				Nodes:  []types.NodeAddr{"n1", "n2", "n3"},
-				Scheme: scheme,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.LoadBase(topo.Fig2Routes()); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Inject(evData); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Quiesce(5 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Inject(evURL); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Quiesce(5 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, ev := range []types.Tuple{evData, evURL} {
-				out := recvT("n3", "n1", "n3", ev.Args[3].AsString())
-				res, err := c.Query(out, types.HashTuple(ev), 5*time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Trees) != 1 {
-					t.Fatalf("trees = %d for %v", len(res.Trees), out)
-				}
-				want := rec.TreesFor(types.HashTuple(out), types.HashTuple(ev))
-				if len(want) != 1 || !res.Trees[0].Equal(want[0]) {
-					t.Errorf("cluster tree differs from simulation:\ngot:\n%s\nwant:\n%s", res.Trees[0], want[0])
-				}
-				if res.Latency <= 0 || res.Hops == 0 {
-					t.Errorf("latency = %v, hops = %d", res.Latency, res.Hops)
-				}
-			}
-
-			// Storage ordering across schemes is covered by the simulated
-			// experiments; here just confirm the scheme stored something.
-			if c.TotalStorageBytes() <= 0 {
-				t.Error("no provenance stored")
-			}
-		})
 	}
 }
 

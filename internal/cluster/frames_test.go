@@ -119,14 +119,28 @@ func TestMalformedFrameAccountingUnderLoad(t *testing.T) {
 	}
 }
 
-// sampleWalk builds a small well-formed walk frame to truncate/corrupt.
+// sampleWalk builds a small well-formed walk frame, every list populated,
+// to truncate/corrupt.
 func sampleWalk() *walkFrame {
+	vid := types.HashTuple(pkt("n2", "n1", "n3", "w"))
+	ref := core.Ref{Loc: "n2", RID: types.HashBytes([]byte("rid"))}
+	prov := core.Prov{Loc: "n1", VID: vid, Ref: ref, EvID: vid}
 	return &walkFrame{
 		QID:     42,
 		Querier: "n1",
-		Root:    pkt("n1", "n1", "n3", "w"),
-		Work:    []core.Ref{{Loc: "n2"}},
-		Hops:    3,
+		Walk: core.Walk{
+			Root:      pkt("n1", "n1", "n3", "w"),
+			EvID:      vid,
+			RootProvs: []core.Prov{prov},
+			Work:      []core.Ref{{Loc: "n2"}},
+			Entries: []core.CollectedEntry{{
+				Entry: core.RuleExec{Loc: "n2", RID: ref.RID, Rule: "r1", VIDs: []types.ID{vid}, Next: core.NilRef},
+				Nexts: []core.Ref{core.NilRef},
+			}},
+			Provs:  []core.Prov{prov},
+			Tuples: []types.Tuple{pkt("n2", "n1", "n3", "w")},
+		},
+		Hops: 3,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"provcompress/internal/apps"
+	"provcompress/internal/core"
 	"provcompress/internal/topo"
 	"provcompress/internal/wire"
 )
@@ -145,20 +146,16 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkIngestCluster measures the full pipeline — inject, route,
-// derive, ship, settle — across a 4-node chain with batching on and off.
+// derive, ship, settle — across a 4-node chain, one row per scheme.
 func BenchmarkIngestCluster(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"unbatched", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		b.Run(scheme, func(b *testing.B) {
 			g := topo.Line(4, "n")
 			c, err := New(Config{
-				Prog:      apps.Forwarding(),
-				Funcs:     apps.Funcs(),
-				Nodes:     g.Nodes(),
-				Scheme:    "advanced",
-				Transport: TransportConfig{DisableBatch: mode.disable},
+				Prog:   apps.Forwarding(),
+				Funcs:  apps.Funcs(),
+				Nodes:  g.Nodes(),
+				Scheme: scheme,
 			})
 			if err != nil {
 				b.Fatal(err)

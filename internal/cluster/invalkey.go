@@ -74,7 +74,7 @@ func (c *Cluster) EventClassKey(t types.Tuple) InvalKey {
 func IsVIDKey(k InvalKey) bool { return k&1 == 1 }
 
 // addInvalKey inserts k into a small sorted key set, keeping it sorted
-// and duplicate-free (the canonical form the wire codec expects).
+// and duplicate-free (the canonical form cache entries are tagged with).
 func addInvalKey(set []uint64, k uint64) []uint64 {
 	i := 0
 	for i < len(set) && set[i] < k {

@@ -691,6 +691,18 @@ func (p *partition) install(payload []byte) error {
 	return d.Err()
 }
 
+// appendTupleOnce adds t to a partition's (or repaired node's) output list
+// unless it is already there: handoff and repair snapshots overlap what
+// replication already delivered.
+func appendTupleOnce(ts []types.Tuple, t types.Tuple) []types.Tuple {
+	for _, u := range ts {
+		if u.Equal(t) {
+			return ts
+		}
+	}
+	return append(ts, t)
+}
+
 // processHosted applies a redirected tuple (addressed to a Left member)
 // into that member's hosted partition, shipping the derived heads as the
 // acting owner. Hosted applies are RAM-only at the host: the departed

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 	"time"
 
 	"provcompress/internal/core"
@@ -388,29 +387,15 @@ func (n *Node) applyTuple(f *tupleFrame) []outShip {
 // and returns Partial instead of orbiting forever.
 const maxWalkHops = 1024
 
-// handleWalk advances a traveling provenance query: it collects every
-// worklist reference this node can serve — its own refs always, a held
-// partition's refs while the owner is unreachable — then forwards the
-// walk (routing around dead members) or returns the result. A walk that
-// needs a member nobody reachable can stand in for returns Partial, so
-// the querier fails fast instead of spending its retry budget.
+// handleWalk advances a traveling provenance query: it steps the walk
+// through every worklist reference this node can serve, then forwards it
+// (routing around dead members) or returns the result. A walk that needs a
+// member nobody reachable can stand in for returns Partial, so the querier
+// fails fast instead of spending its retry budget.
 func (n *Node) handleWalk(f *walkFrame) {
 	sp := n.c.startSpan(f.Trace, n.addr, "walk", "walk "+f.Root.Rel)
-	for {
-		idx := -1
-		for i := len(f.Work) - 1; i >= 0; i-- {
-			if n.canServe(f.Work[i].Loc) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			break
-		}
-		ref := f.Work[idx]
-		f.Work = append(f.Work[:idx], f.Work[idx+1:]...)
-		n.collectRef(ref, f)
-	}
+	defer sp.End()
+	f.Step(n.walkHost)
 
 	f.Hops++
 	if sp != nil {
@@ -422,7 +407,6 @@ func (n *Node) handleWalk(f *walkFrame) {
 	}
 	if len(f.Work) == 0 {
 		n.sendOwned(f.Querier, f.encode(frameResult), classQuery, 0) //nolint:errcheck
-		sp.End()
 		return
 	}
 	target := n.routeWalk(f.Work[len(f.Work)-1].Loc)
@@ -433,98 +417,23 @@ func (n *Node) handleWalk(f *walkFrame) {
 			sp.SetAttr("partial", "true")
 		}
 		n.sendOwned(f.Querier, f.encode(frameResult), classQuery, 0) //nolint:errcheck
-		sp.End()
 		return
 	}
 	n.sendOwned(target, f.encode(frameWalk), classQuery, 0) //nolint:errcheck
-	sp.End()
 }
 
-// collectRef serves one worklist reference from whichever state holds it:
-// the node's own (ref.Loc == n.addr) or a held partition's. The caller
-// already established servability via canServe.
-func (n *Node) collectRef(ref core.Ref, f *walkFrame) {
-	var (
-		st core.NodeState
-		db *engine.Database
-		mu *sync.Mutex
-	)
-	if ref.Loc == n.addr {
-		st, db, mu = n.state, n.db, &n.mu
-	} else {
-		p := n.partitionFor(ref.Loc, false)
-		if p == nil {
-			return
-		}
-		st, db, mu = p.state, p.db, &p.mu
+// walkHost is this node's serve predicate for a walk step: its own refs
+// always, a held partition's refs while the owner is unreachable (canServe)
+// — each with the state, database and mutex of whichever copy holds them.
+func (n *Node) walkHost(loc types.NodeAddr) (core.WalkHost, bool) {
+	if loc == n.addr {
+		return core.WalkHost{State: n.state, DB: n.db, Mu: &n.mu}, true
 	}
-	mu.Lock()
-	ce, vids, provs, nexts, ok := st.Collect(ref)
-	evByID := st.EventByEvID()
-	mu.Unlock()
-	if !ok {
-		return
+	if !n.canServe(loc) {
+		return core.WalkHost{}, false
 	}
-	f.Entries = append(f.Entries, ce)
-	f.Provs = append(f.Provs, provs...)
-	for _, vid := range vids {
-		// Tag the walk with every VID it depended on here, resolved or not
-		// — a later insert/delete/graveyard eviction of that VID fires the
-		// same key (invalkey.go), evicting the answer this walk produces.
-		f.EqKeys = addInvalKey(f.EqKeys, VIDInvalKey(vid))
-		if t, ok := db.LookupVID(vid); ok {
-			f.Tuples = appendTupleOnce(f.Tuples, t)
-		}
-	}
-	if evByID && hasNilRef(ce.Nexts) {
-		// Chain leaf: resolve the event tuples by EVID (Section 5.6).
-		for _, evid := range walkEventIDs(f) {
-			f.EqKeys = addInvalKey(f.EqKeys, VIDInvalKey(evid))
-			if t, ok := db.LookupVID(evid); ok {
-				f.Tuples = appendTupleOnce(f.Tuples, t)
-				// A leaf event also ties the answer to its §5.2 equivalence
-				// class: a fresh injection of the same class changes the
-				// derivations this tree belongs to.
-				f.EqKeys = addInvalKey(f.EqKeys, n.c.EventClassKey(t))
-			}
-		}
-	}
-	for _, nx := range nexts {
-		f.Work = append(f.Work, nx)
-	}
-}
-
-func hasNilRef(refs []core.Ref) bool {
-	for _, r := range refs {
-		if r.IsNil() {
-			return true
-		}
-	}
-	return false
-}
-
-func appendTupleOnce(ts []types.Tuple, t types.Tuple) []types.Tuple {
-	for _, u := range ts {
-		if u.Equal(t) {
-			return ts
-		}
-	}
-	return append(ts, t)
-}
-
-func walkEventIDs(f *walkFrame) []types.ID {
-	if !f.EvID.IsZero() {
-		return []types.ID{f.EvID}
-	}
-	var out []types.ID
-	seen := make(map[types.ID]bool)
-	for _, p := range f.RootProvs {
-		if !p.EvID.IsZero() && !seen[p.EvID] {
-			seen[p.EvID] = true
-			out = append(out, p.EvID)
-		}
-	}
-	return out
+	p := n.partitionFor(loc, false)
+	return core.WalkHost{State: p.state, DB: p.db, Mu: &p.mu}, true
 }
 
 // send hands a frame to the fault-tolerant transport for the peer,
@@ -702,28 +611,18 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 		querier.pendMu.Unlock()
 	}
 
-	f := &walkFrame{QID: qid, Querier: querier.addr, Root: out, EvID: evid, Trace: qctx}
+	state, mu := querier.state, &querier.mu
 	if ps != nil {
-		ps.mu.Lock()
-		f.RootProvs = ps.state.ProvRows(types.HashTuple(out), evid)
-		ps.mu.Unlock()
-	} else {
-		querier.mu.Lock()
-		f.RootProvs = querier.state.ProvRows(types.HashTuple(out), evid)
-		querier.mu.Unlock()
+		state, mu = ps.state, &ps.mu
 	}
-	seen := make(map[core.Ref]bool)
-	for _, p := range f.RootProvs {
-		if !p.Ref.IsNil() && !seen[p.Ref] {
-			seen[p.Ref] = true
-			f.Work = append(f.Work, p.Ref)
-		}
-	}
+	mu.Lock()
+	f := &walkFrame{QID: qid, Querier: querier.addr, Trace: qctx, Walk: core.StartWalk(state, out, evid)}
+	mu.Unlock()
 	if len(f.Work) == 0 {
 		unregister()
 		// An empty answer is still cacheable: its key set ties it to the
 		// root output's VID, which fires when provenance eventually lands.
-		return QueryResult{InvalKeys: c.walkInvalKeys(out, evid, f, nil)}, true, nil
+		return QueryResult{InvalKeys: c.walkInvalKeys(&f.Walk, nil)}, true, nil
 	}
 	// Start the walk by sending it to the first target (possibly self),
 	// routed around members the view knows are out. An unroutable first
@@ -752,14 +651,10 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 		// The reconstruction span parents under the last hop's span, so
 		// the tree reads inject→walk…walk→reconstruct end to end.
 		rsp := c.startSpan(res.Trace, querier.addr, "reconstruct", "reconstruct "+res.Root.Rel)
-		state := querier.state
-		if ps != nil {
-			state = ps.state
-		}
-		trees := reconstructWalk(c, querier, state, res)
+		trees := res.Trees(state, c.prog, c.funcs)
 		rsp.SetAttr("trees", strconv.Itoa(len(trees)))
 		rsp.End()
-		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: c.walkInvalKeys(out, evid, res, trees)}, true, nil
+		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: c.walkInvalKeys(&res.Walk, trees)}, true, nil
 	case <-timer.C:
 		unregister()
 		return QueryResult{}, false, nil
@@ -769,22 +664,29 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 	}
 }
 
-// walkInvalKeys assembles a query answer's invalidation-key set from the
-// completed walk frame and the reconstructed trees: the keys the walk's
-// serving nodes accumulated in EqKeys, the root output's VID key, the
-// anchoring prov rows' VIDs and EvIDs, and each tree's leaf-event class
-// and EvID keys. The set stays sorted/deduplicated (addInvalKey), i.e.
-// canonical for the wire codec and for tagging cache entries.
-func (c *Cluster) walkInvalKeys(out types.Tuple, evid types.ID, f *walkFrame, trees []*core.Tree) []uint64 {
-	keys := append([]uint64(nil), f.EqKeys...)
-	keys = addInvalKey(keys, VIDInvalKey(types.HashTuple(out)))
-	if !evid.IsZero() {
-		keys = addInvalKey(keys, VIDInvalKey(evid))
-	}
-	for _, p := range f.RootProvs {
+// walkInvalKeys derives a query answer's invalidation-key set at the
+// querier, from the completed walk and the reconstructed trees alone: the
+// root output's VID key, the anchoring prov rows' VIDs, every VID a
+// collected rule execution recorded (resolved or not — a later
+// insert/delete/graveyard eviction of that VID fires the same key,
+// invalkey.go), the walk's event IDs with the §5.2 class of each leaf event
+// a serving node resolved (a fresh injection of that class changes the
+// derivations the tree belongs to), and each tree's leaf-event class and
+// EvID. The set is sorted and duplicate-free (addInvalKey).
+func (c *Cluster) walkInvalKeys(w *core.Walk, trees []*core.Tree) []uint64 {
+	keys := []uint64{VIDInvalKey(types.HashTuple(w.Root))}
+	for _, p := range w.RootProvs {
 		keys = addInvalKey(keys, VIDInvalKey(p.VID))
-		if !p.EvID.IsZero() {
-			keys = addInvalKey(keys, VIDInvalKey(p.EvID))
+	}
+	for _, ce := range w.Entries {
+		for _, vid := range ce.Entry.VIDs {
+			keys = addInvalKey(keys, VIDInvalKey(vid))
+		}
+	}
+	for _, evid := range w.EventIDs() {
+		keys = addInvalKey(keys, VIDInvalKey(evid))
+		if ev, ok := w.Tuple(evid); ok {
+			keys = addInvalKey(keys, c.EventClassKey(ev))
 		}
 	}
 	for _, t := range trees {
@@ -792,40 +694,4 @@ func (c *Cluster) walkInvalKeys(out types.Tuple, evid types.ID, f *walkFrame, tr
 		keys = addInvalKey(keys, VIDInvalKey(t.EvID()))
 	}
 	return keys
-}
-
-// reconstructWalk rebuilds the provenance trees from a completed walk
-// using the given scheme state (the querier's own, or the partition
-// shadow's when the query failed over to a replica).
-func reconstructWalk(c *Cluster, querier *Node, state core.NodeState, f *walkFrame) []*core.Tree {
-	entries := make(map[core.Ref]core.CollectedEntry, len(f.Entries))
-	for _, ce := range f.Entries {
-		entries[core.Ref{Loc: ce.Entry.Loc, RID: ce.Entry.RID}] = ce
-	}
-	tuples := make(map[types.ID]types.Tuple, len(f.Tuples))
-	for _, t := range f.Tuples {
-		tuples[types.HashTuple(t)] = t
-	}
-	provs := make(map[types.ID][]core.Prov, len(f.Provs))
-	for _, p := range f.Provs {
-		provs[p.VID] = append(provs[p.VID], p)
-	}
-	raw := state.Reconstruct(c.prog, c.funcs, f.Root, f.RootProvs, entries, tuples, provs)
-	var trees []*core.Tree
-	for _, t := range raw {
-		if !f.EvID.IsZero() && t.EvID() != f.EvID {
-			continue
-		}
-		dup := false
-		for _, u := range trees {
-			if u.Equal(t) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			trees = append(trees, t)
-		}
-	}
-	return trees
 }

@@ -150,33 +150,21 @@ func encodeSig() []byte {
 	return e.Bytes()
 }
 
-// walkFrame is the traveling provenance query: the anchor rows, the DFS
-// worklist, and everything collected so far. The same layout returns to
-// the querier as a result frame.
+// walkFrame is the traveling provenance query: the transport-free walk
+// (core.Walk — anchor rows, DFS worklist, everything collected so far) next
+// to what the TCP transport adds around it. The same layout returns to the
+// querier as a result frame.
 type walkFrame struct {
 	QID     uint64
 	Querier types.NodeAddr
-	Root    types.Tuple
-	EvID    types.ID
 	// Trace is the span context of the previous hop (or the query root);
 	// each node re-parents it to its own walk span before forwarding, so
 	// the walk's spans chain hop to hop.
 	Trace trace.SpanContext
 
-	RootProvs []core.Prov
-	Work      []core.Ref
-	Entries   []core.CollectedEntry
-	// Provs carries the prov rows collected along the walk (ExSPAN needs
-	// them to follow derivations during reconstruction).
-	Provs  []core.Prov
-	Tuples []types.Tuple
-	// EqKeys is the sorted invalidation-key set (invalkey.go) the walk
-	// accumulated: the VID keys of every tuple/EvID a serving node
-	// resolved for it plus the class keys of leaf events. It travels in
-	// the canonical key-set codec (wire.AppendKeySet), so a corrupt or
-	// hostile frame cannot smuggle a non-canonical set into a cache tag.
-	EqKeys []uint64
-	Hops   uint32
+	core.Walk
+
+	Hops uint32
 	// Partial marks a walk that could not finish because a node it needed
 	// was unreachable. The querier fails the query immediately instead of
 	// burning its retry budget re-walking into the same outage — with
@@ -196,17 +184,8 @@ func (f *walkFrame) encode(kind uint8) []byte {
 	e.Str(string(f.Querier))
 	e.Tuple(f.Root)
 	e.ID(f.EvID)
-	e.U32(uint32(len(f.RootProvs)))
-	for _, p := range f.RootProvs {
-		e.Str(string(p.Loc))
-		e.ID(p.VID)
-		encodeRef(e, p.Ref)
-		e.ID(p.EvID)
-	}
-	e.U32(uint32(len(f.Work)))
-	for _, r := range f.Work {
-		encodeRef(e, r)
-	}
+	encodeProvs(e, f.RootProvs)
+	encodeRefs(e, f.Work)
 	e.U32(uint32(len(f.Entries)))
 	for _, ce := range f.Entries {
 		e.Str(string(ce.Entry.Loc))
@@ -217,29 +196,75 @@ func (f *walkFrame) encode(kind uint8) []byte {
 			e.ID(v)
 		}
 		encodeRef(e, ce.Entry.Next)
-		e.U32(uint32(len(ce.Nexts)))
-		for _, r := range ce.Nexts {
-			encodeRef(e, r)
-		}
+		encodeRefs(e, ce.Nexts)
 	}
-	e.U32(uint32(len(f.Provs)))
-	for _, p := range f.Provs {
-		e.Str(string(p.Loc))
-		e.ID(p.VID)
-		encodeRef(e, p.Ref)
-		e.ID(p.EvID)
-	}
+	encodeProvs(e, f.Provs)
 	e.U32(uint32(len(f.Tuples)))
 	for _, t := range f.Tuples {
 		e.Tuple(t)
 	}
-	e.AppendKeySet(f.EqKeys)
 	e.U32(f.Hops)
 	e.Bool(f.Partial)
 	return e.Bytes()
 }
 
+func encodeProvs(e *wire.Encoder, ps []core.Prov) {
+	e.U32(uint32(len(ps)))
+	for _, p := range ps {
+		e.Str(string(p.Loc))
+		e.ID(p.VID)
+		encodeRef(e, p.Ref)
+		e.ID(p.EvID)
+	}
+}
+
+func encodeRefs(e *wire.Encoder, refs []core.Ref) {
+	e.U32(uint32(len(refs)))
+	for _, r := range refs {
+		encodeRef(e, r)
+	}
+}
+
 const maxWalkItems = 1 << 20
+
+// walkCount reads one of a walk frame's item counts, refusing a count no
+// walk can legitimately reach before anything is sized by it.
+func walkCount(d *wire.Decoder, what string) (uint32, error) {
+	n := d.U32()
+	if n > maxWalkItems {
+		return 0, fmt.Errorf("cluster: walk frame with %d %s", n, what)
+	}
+	return n, nil
+}
+
+func decodeProvs(d *wire.Decoder, what string) ([]core.Prov, error) {
+	n, err := walkCount(d, what)
+	if err != nil {
+		return nil, err
+	}
+	var ps []core.Prov
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		var p core.Prov
+		p.Loc = types.NodeAddr(d.Str())
+		p.VID = d.ID()
+		p.Ref = decodeRef(d)
+		p.EvID = d.ID()
+		ps = append(ps, p)
+	}
+	return ps, nil
+}
+
+func decodeRefs(d *wire.Decoder, what string) ([]core.Ref, error) {
+	n, err := walkCount(d, what)
+	if err != nil {
+		return nil, err
+	}
+	var refs []core.Ref
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		refs = append(refs, decodeRef(d))
+	}
+	return refs, nil
+}
 
 func decodeWalkFrame(d *wire.Decoder) (*walkFrame, error) {
 	f := &walkFrame{}
@@ -248,76 +273,43 @@ func decodeWalkFrame(d *wire.Decoder) (*walkFrame, error) {
 	f.Querier = types.NodeAddr(d.Str())
 	f.Root = d.Tuple()
 	f.EvID = d.ID()
-	n := d.U32()
-	if n > maxWalkItems {
-		return nil, fmt.Errorf("cluster: walk frame with %d prov rows", n)
+	var err error
+	if f.RootProvs, err = decodeProvs(d, "prov rows"); err != nil {
+		return nil, err
 	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var p core.Prov
-		p.Loc = types.NodeAddr(d.Str())
-		p.VID = d.ID()
-		p.Ref = decodeRef(d)
-		p.EvID = d.ID()
-		f.RootProvs = append(f.RootProvs, p)
+	if f.Work, err = decodeRefs(d, "work refs"); err != nil {
+		return nil, err
 	}
-	n = d.U32()
-	if n > maxWalkItems {
-		return nil, fmt.Errorf("cluster: walk frame with %d work refs", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		f.Work = append(f.Work, decodeRef(d))
-	}
-	n = d.U32()
-	if n > maxWalkItems {
-		return nil, fmt.Errorf("cluster: walk frame with %d entries", n)
+	n, err := walkCount(d, "entries")
+	if err != nil {
+		return nil, err
 	}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		var ce core.CollectedEntry
 		ce.Entry.Loc = types.NodeAddr(d.Str())
 		ce.Entry.RID = d.ID()
 		ce.Entry.Rule = d.Str()
-		vn := d.U32()
-		if vn > maxWalkItems {
-			return nil, fmt.Errorf("cluster: entry with %d vids", vn)
+		vn, err := walkCount(d, "entry vids")
+		if err != nil {
+			return nil, err
 		}
 		for j := uint32(0); j < vn && d.Err() == nil; j++ {
 			ce.Entry.VIDs = append(ce.Entry.VIDs, d.ID())
 		}
 		ce.Entry.Next = decodeRef(d)
-		ln := d.U32()
-		if ln > maxWalkItems {
-			return nil, fmt.Errorf("cluster: entry with %d links", ln)
-		}
-		for j := uint32(0); j < ln && d.Err() == nil; j++ {
-			ce.Nexts = append(ce.Nexts, decodeRef(d))
+		if ce.Nexts, err = decodeRefs(d, "entry links"); err != nil {
+			return nil, err
 		}
 		f.Entries = append(f.Entries, ce)
 	}
-	n = d.U32()
-	if n > maxWalkItems {
-		return nil, fmt.Errorf("cluster: walk frame with %d collected prov rows", n)
+	if f.Provs, err = decodeProvs(d, "collected prov rows"); err != nil {
+		return nil, err
 	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var p core.Prov
-		p.Loc = types.NodeAddr(d.Str())
-		p.VID = d.ID()
-		p.Ref = decodeRef(d)
-		p.EvID = d.ID()
-		f.Provs = append(f.Provs, p)
-	}
-	n = d.U32()
-	if n > maxWalkItems {
-		return nil, fmt.Errorf("cluster: walk frame with %d tuples", n)
+	if n, err = walkCount(d, "tuples"); err != nil {
+		return nil, err
 	}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		f.Tuples = append(f.Tuples, d.Tuple())
-	}
-	if d.Err() == nil {
-		keys, err := d.DecodeKeySet()
-		if err != nil {
-			return nil, err
-		}
-		f.EqKeys = keys
 	}
 	f.Hops = d.U32()
 	f.Partial = d.Bool()

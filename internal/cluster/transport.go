@@ -54,15 +54,6 @@ type TransportConfig struct {
 	// 1ms), bounding the latency cost under light load. A batch of one
 	// falls back to the classic single-frame envelope.
 	BatchFlush time.Duration
-	// DisableBatch delivers every frame in its own envelope — the
-	// per-tuple baseline the ingest benchmarks A/B against.
-	DisableBatch bool
-	// DisableCompress turns off the delta compression of batched
-	// sub-frames (on by default: consecutive tuple shipments repeat
-	// relation names, equivalence keys, and AdvMeta piggybacks, so the
-	// wire encoding compresses for the same reason the paper's storage
-	// does).
-	DisableCompress bool
 }
 
 func (tc TransportConfig) withDefaults() TransportConfig {
@@ -395,11 +386,7 @@ func (t *transport) run() {
 			t.drain()
 			return
 		case f := <-t.queue:
-			if t.cfg.DisableBatch {
-				t.deliver(f)
-			} else {
-				t.deliverBatch(t.collect(f))
-			}
+			t.deliverBatch(t.collect(f))
 			if idle != nil {
 				if !idle.Stop() {
 					select {
@@ -630,7 +617,7 @@ func (t *transport) deliverBatch(batch []outFrame) {
 	e.U8(frameBatch)
 	e.Str(string(t.owner.addr))
 	e.U64(t.owner.incarnation.Load())
-	env, sizes := wire.AppendBatch(e.Bytes(), entries, !t.cfg.DisableCompress, t.sizes[:0])
+	env, sizes := wire.AppendBatch(e.Bytes(), entries, true, t.sizes[:0])
 	t.sizes = sizes
 	for i := range entries {
 		entries[i].Payload = nil

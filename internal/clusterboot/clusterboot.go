@@ -58,13 +58,6 @@ type Flags struct {
 	// SnapshotEvery checkpoints a node after this many WAL records
 	// (0 = only explicit checkpoints, e.g. clean shutdown).
 	SnapshotEvery int
-	// WireBatch enables frame coalescing on the transport (the ingest
-	// fast path: many sub-frames per delivery, one write syscall per
-	// flush). On by default; off selects the per-tuple wire format.
-	WireBatch bool
-	// WireCompress delta-encodes batched sub-frames against their
-	// predecessor (on by default; only meaningful with -wire-batch).
-	WireCompress bool
 	// Tracer, when set programmatically by the binary (the -trace flags
 	// differ per cmd, so it is not a shared flag), enables distributed
 	// span collection on the booted cluster.
@@ -90,8 +83,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Fsync, "fsync", "always", "WAL fsync policy: always (per record), interval, or off")
 	fs.DurationVar(&f.FsyncInterval, "fsync-interval", 50*time.Millisecond, "flush period under -fsync=interval")
 	fs.IntVar(&f.SnapshotEvery, "snapshot-every", 10000, "checkpoint a node after this many WAL records (0 = only on clean shutdown)")
-	fs.BoolVar(&f.WireBatch, "wire-batch", true, "coalesce outbound frames into batched deliveries (the ingest fast path)")
-	fs.BoolVar(&f.WireCompress, "wire-compress", true, "delta-compress batched sub-frames against their predecessor")
 	return f
 }
 
@@ -154,10 +145,6 @@ func (f *Flags) Boot(scheme string) (*cluster.Cluster, *topo.Graph, error) {
 		Tracer:       f.Tracer,
 		GraveyardCap: f.GraveyardCap,
 		Replicas:     f.Replicas,
-		Transport: cluster.TransportConfig{
-			DisableBatch:    !f.WireBatch,
-			DisableCompress: !f.WireCompress,
-		},
 	}
 	// Validate the policy spelling even on a volatile run, so a typo'd
 	// -fsync fails fast instead of being discovered the day -data-dir is
