@@ -3,6 +3,12 @@
 #   vet          go vet ./..., and gofmt -l . must list no file
 #   build        go build ./...
 #   test         go test -race ./... (full suite under the race detector)
+#   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
+#                skip themselves under the race detector: types.HashTuple
+#                and a warmed wire.Encoder.Tuple allocate 0, a rule
+#                evaluation 0 unless it fires and <=3 per firing, one
+#                untraced applyTuple hop stays under its stated budget,
+#                and the pooled batch encode path stays at 0
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
 #   serve-smoke  provd end to end over real HTTP: boot on a random port
 #                with tracing on, inject a workload, cold + cached query
@@ -55,9 +61,9 @@ GO ?= go
 BENCH_SMOKE_DIR := $(or $(TMPDIR),/tmp)/provcompress-bench-smoke
 TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
-.PHONY: verify vet build test chaos serve-smoke trace-smoke bench bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs chaos serve-smoke trace-smoke bench bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
 
-verify: vet build test chaos serve-smoke trace-smoke bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs chaos serve-smoke trace-smoke bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -69,6 +75,9 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/cluster/
 
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Malformed|Quiesce|Restart|LateResult' ./internal/cluster/ ./internal/provserve/

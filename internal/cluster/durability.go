@@ -167,7 +167,7 @@ func (n *Node) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("cluster: corrupt event record: %w", err)
 		}
-		n.applyTuple(f)
+		n.applyTuple(f, nil)
 	case recInsert:
 		t := d.Tuple()
 		if err := d.Err(); err != nil {

@@ -637,10 +637,7 @@ func (p *partition) applyTuple(c *Cluster, f *tupleFrame, ship bool) []outShip {
 	}
 	var out []outShip
 	for _, r := range rules {
-		firings, err := c.plans.EvalObserved(r, p.db, f.Tuple, c.funcs, nil)
-		if err != nil || len(firings) == 0 {
-			continue
-		}
+		firings, _ := c.plans.Eval(r, p.db, f.Tuple, c.funcs) //nolint:errcheck // a rule that errors derives nothing, as in Node.applyTuple
 		for _, fr := range firings {
 			m := p.state.FireAt(p.owner, fr, meta)
 			if ship {

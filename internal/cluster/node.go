@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"provcompress/internal/core"
-	"provcompress/internal/engine"
 	"provcompress/internal/trace"
 	"provcompress/internal/types"
 	"provcompress/internal/wire"
@@ -266,8 +265,11 @@ func (n *Node) processTuple(f *tupleFrame) {
 		n.processHosted(loc, f)
 		return
 	}
+	// One hop rarely derives more heads than this; they ship from the
+	// stack.
+	var shipBuf [4]outShip
 	if !n.durable() {
-		ships := n.applyTuple(f)
+		ships := n.applyTuple(f, shipBuf[:0])
 		if n.c.replicas > 0 {
 			n.replicate(encodeDurEvent(f))
 		}
@@ -277,7 +279,7 @@ func (n *Node) processTuple(f *tupleFrame) {
 	n.durMu.Lock()
 	rec := encodeDurEvent(f)
 	want := n.logApply(rec)
-	ships := n.applyTuple(f)
+	ships := n.applyTuple(f, shipBuf[:0])
 	if want {
 		n.checkpointLocked()
 	}
@@ -306,7 +308,9 @@ func (n *Node) shipAll(ships []outShip) {
 
 // applyTuple is the pipeline step proper: join the local slow tables, fire
 // the matching rules, maintain provenance via the scheme's state machine,
-// and return the heads to ship. The join runs against the database's own
+// and append the heads to ship, each encoded as its firing is maintained,
+// to out (the caller's buffer, so a hop's shipments need no slice of
+// their own). The join runs against the database's own
 // read-write lock — outside n.mu — so shards evaluate concurrently; only
 // the provenance state transitions serialize on n.mu. Events of one
 // equivalence class are processed by one shard in arrival order, which is
@@ -314,8 +318,8 @@ func (n *Node) shipAll(ships []outShip) {
 // this same function and discards the returned shipments: each node's log
 // holds exactly the frames it processed, so nothing re-travels the
 // network.
-func (n *Node) applyTuple(f *tupleFrame) []outShip {
-	sp := n.c.startSpan(f.Trace, n.addr, "process", "process "+f.Tuple.Rel)
+func (n *Node) applyTuple(f *tupleFrame, out []outShip) []outShip {
+	sp := n.c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
 	defer sp.End()
 	n.db.Insert(f.Tuple)
 	meta := f.Meta
@@ -338,46 +342,30 @@ func (n *Node) applyTuple(f *tupleFrame) []outShip {
 			// evicted now that their derivations changed.
 			n.c.fireEventHook(vidKeysOf(landed)...)
 		}
-		return nil
+		return out
 	}
-	type shipment struct {
-		head types.Tuple
-		meta core.AdvMeta
-	}
-	var ships []shipment
 	for _, r := range rules {
-		// The rule span brackets the join itself; the EvalObserved hook
-		// annotates it with the firing count the plan produced.
-		rsp := n.c.startSpan(sp.Context(), n.addr, "rule", "rule "+r.Label)
-		var obs engine.EvalObserver
+		// The rule span brackets the join itself, annotated with the
+		// firing count the plan produced.
+		rsp := n.c.startSpan(sp.Context(), n.addr, "rule", r.Label)
+		firings, err := n.c.plans.Eval(r, n.db, f.Tuple, n.c.funcs)
 		if rsp != nil {
-			obs = func(rule string, firings int, evalErr error) {
-				rsp.SetAttr("firings", strconv.Itoa(firings))
-				if evalErr != nil {
-					rsp.SetAttr("error", evalErr.Error())
-				}
+			rsp.SetAttr("firings", strconv.Itoa(len(firings)))
+			if err != nil {
+				rsp.SetAttr("error", err.Error())
 			}
+			rsp.End()
 		}
-		firings, err := n.c.plans.EvalObserved(r, n.db, f.Tuple, n.c.funcs, obs)
-		rsp.End()
-		if err != nil || len(firings) == 0 {
-			continue
-		}
-		n.mu.Lock()
 		for _, fr := range firings {
-			out := n.state.FireAt(n.addr, fr, meta)
-			ships = append(ships, shipment{head: fr.Head, meta: out})
+			n.mu.Lock()
+			m := n.state.FireAt(n.addr, fr, meta)
+			n.mu.Unlock()
+			// The shipped head carries this process span's context so the
+			// next hop's span parents under it; the metadata piggyback
+			// bytes are attributed to the provenance class.
+			frame, metaBytes := (&tupleFrame{Tuple: fr.Head, Meta: m, Trace: sp.Context()}).encodeSized()
+			out = append(out, outShip{to: fr.Head.Loc(), frame: frame, provBytes: metaBytes})
 		}
-		n.mu.Unlock()
-	}
-
-	out := make([]outShip, 0, len(ships))
-	for _, s := range ships {
-		// Shipped heads carry this process span's context so the next
-		// hop's span parents under it; the metadata piggyback bytes are
-		// attributed to the provenance class.
-		frame, metaBytes := (&tupleFrame{Tuple: s.head, Meta: s.meta, Trace: sp.Context()}).encodeSized()
-		out = append(out, outShip{to: s.head.Loc(), frame: frame, provBytes: metaBytes})
 	}
 	return out
 }
@@ -393,7 +381,7 @@ const maxWalkHops = 1024
 // member nobody reachable can stand in for returns Partial, so the querier
 // fails fast instead of spending its retry budget.
 func (n *Node) handleWalk(f *walkFrame) {
-	sp := n.c.startSpan(f.Trace, n.addr, "walk", "walk "+f.Root.Rel)
+	sp := n.c.startSpan(f.Trace, n.addr, "walk", f.Root.Rel)
 	defer sp.End()
 	f.Step(n.walkHost)
 
@@ -477,14 +465,15 @@ func (n *Node) sendFrame(to types.NodeAddr, frame []byte, class uint8, provBytes
 	return nil
 }
 
-// startSpan opens a child span under a propagated context; it returns
-// nil (a no-op span) when tracing is off or the incoming frame was
-// untraced, so untraced traffic never fabricates single-hop traces.
-func (c *Cluster) startSpan(parent trace.SpanContext, node types.NodeAddr, kind, name string) *trace.ActiveSpan {
+// startSpan opens a child span named "<kind> <subject>" under a propagated
+// context; it returns nil (a no-op span) when tracing is off or the
+// incoming frame was untraced, so untraced traffic never fabricates
+// single-hop traces — and never pays for building the name.
+func (c *Cluster) startSpan(parent trace.SpanContext, node types.NodeAddr, kind, subject string) *trace.ActiveSpan {
 	if c.tracer == nil || !parent.Valid() {
 		return nil
 	}
-	return c.tracer.StartSpan(parent, string(node), kind, name)
+	return c.tracer.StartSpan(parent, string(node), kind, kind+" "+subject)
 }
 
 // transportTo returns (creating on first use) the outbound link to a peer.
@@ -650,7 +639,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 		}
 		// The reconstruction span parents under the last hop's span, so
 		// the tree reads inject→walk…walk→reconstruct end to end.
-		rsp := c.startSpan(res.Trace, querier.addr, "reconstruct", "reconstruct "+res.Root.Rel)
+		rsp := c.startSpan(res.Trace, querier.addr, "reconstruct", res.Root.Rel)
 		trees := res.Trees(state, c.prog, c.funcs)
 		rsp.SetAttr("trees", strconv.Itoa(len(trees)))
 		rsp.End()

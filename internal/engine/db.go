@@ -10,10 +10,13 @@
 // metadata along each shipped tuple, which is how the three provenance
 // schemes of the paper are realized without duplicating the evaluator.
 //
-// Rule evaluation is index-driven: rules are compiled into join plans
-// (plan.go) whose steps probe per-relation secondary hash indexes
+// Rule evaluation is compiled and index-driven: each rule becomes a plan
+// (plan.go) that evaluates over a flat frame of value slots — variables
+// are resolved to slot reads, writes and equality checks at compile time —
+// and whose join steps probe per-relation secondary hash indexes
 // (index.go) instead of scanning candidate tables, turning the per-event
-// join from O(Π|rel_i|) into a sequence of bucket probes.
+// join from O(Π|rel_i|) into a sequence of bucket probes that allocates
+// only for the firings it returns.
 package engine
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"provcompress/internal/apps"
 	"provcompress/internal/ndlog"
+	"provcompress/internal/raceflag"
 	"provcompress/internal/types"
 )
 
@@ -171,17 +172,30 @@ func TestEvalRuleErrors(t *testing.T) {
 	}
 }
 
+// frameOf lays a name→value binding out as a compile scope and the frame
+// it describes, so single expressions can be compiled and evaluated
+// outside a rule.
+func frameOf(b map[string]types.Value) (map[string]int, []types.Value) {
+	slots := make(map[string]int, len(b))
+	frame := make([]types.Value, 0, len(b))
+	for name, v := range b {
+		slots[name] = len(frame)
+		frame = append(frame, v)
+	}
+	return slots, frame
+}
+
 func TestEvalExprStringConcat(t *testing.T) {
-	b := Binding{"A": types.String("foo"), "B": types.String("bar")}
-	e := ndlog.BinExpr{Op: ndlog.OpAdd, L: ndlog.VarExpr{Name: "A"}, R: ndlog.VarExpr{Name: "B"}}
-	v, err := EvalExpr(e, b, nil)
+	slots, frame := frameOf(map[string]types.Value{"A": types.String("foo"), "B": types.String("bar")})
+	e := compileExpr(ndlog.BinExpr{Op: ndlog.OpAdd, L: ndlog.VarExpr{Name: "A"}, R: ndlog.VarExpr{Name: "B"}}, slots)
+	v, err := e.eval(frame, nil)
 	if err != nil || v.AsString() != "foobar" {
 		t.Errorf("concat = %v, %v", v, err)
 	}
 }
 
 func TestEvalConstraintOperators(t *testing.T) {
-	b := Binding{"X": types.Int(3), "Y": types.Int(5), "S": types.String("abc")}
+	slots, frame := frameOf(map[string]types.Value{"X": types.Int(3), "Y": types.Int(5), "S": types.String("abc")})
 	cases := []struct {
 		src  string
 		want bool
@@ -191,7 +205,9 @@ func TestEvalConstraintOperators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := ndlog.MustParse(fmt.Sprintf(`r1 out(@L, X, Y, S) :- e(@L, X, Y, S), %s.`, tc.src))
-		got, err := EvalConstraint(prog.Rules[0].Constraints[0], b, nil)
+		c := prog.Rules[0].Constraints[0]
+		cc := constraint{op: c.Op, l: compileExpr(c.L, slots), r: compileExpr(c.R, slots)}
+		got, err := cc.eval(frame, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
@@ -202,7 +218,7 @@ func TestEvalConstraintOperators(t *testing.T) {
 }
 
 func TestEvalArithOperators(t *testing.T) {
-	b := Binding{"X": types.Int(7), "Y": types.Int(2)}
+	slots, frame := frameOf(map[string]types.Value{"X": types.Int(7), "Y": types.Int(2)})
 	cases := []struct {
 		src  string
 		want int64
@@ -211,7 +227,8 @@ func TestEvalArithOperators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := ndlog.MustParse(fmt.Sprintf(`r1 out(@L, N) :- e(@L, X, Y), N := %s.`, tc.src))
-		got, err := EvalExpr(prog.Rules[0].Assigns[0].Expr, b, nil)
+		e := compileExpr(prog.Rules[0].Assigns[0].Expr, slots)
+		got, err := e.eval(frame, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
@@ -222,7 +239,55 @@ func TestEvalArithOperators(t *testing.T) {
 }
 
 func TestEvalExprUnbound(t *testing.T) {
-	if _, err := EvalExpr(ndlog.VarExpr{Name: "Z"}, Binding{}, nil); err == nil {
+	e := compileExpr(ndlog.VarExpr{Name: "Z"}, nil)
+	if _, err := e.eval(nil, nil); err == nil {
 		t.Error("unbound variable accepted")
+	}
+}
+
+// TestEvalAllocs pins the evaluator's allocation budget on a Forwarding and
+// a BGP arrival: a rule that does not fire allocates nothing (no probe
+// hit, a failed constraint, or an event the atom rejects), and one that
+// fires allocates at most three times per firing — the returned slice, the
+// head's Args and the Slow copy.
+func TestEvalAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := types.String
+	db := NewDatabase()
+	db.Insert(rt3("n1", "n3", "n2"))
+	db.Insert(types.NewTuple("bgpRoute", s("n1"), s("p1"), s("n2")))
+	db.Insert(types.NewTuple("bgpRoute", s("n1"), s("p1"), s("n4")))
+	advert := types.NewTuple("advert", s("n1"), s("p1"), s("n0"), types.Int(1))
+	fprog, bprog := apps.Forwarding(), apps.BGP()
+	fwd, bgp := CompileProgram(fprog), CompileProgram(bprog)
+	cases := []struct {
+		name    string
+		plans   *Plans
+		rule    *ndlog.Rule
+		ev      types.Tuple
+		firings int
+	}{
+		{"forwarding r1 fires", fwd, fprog.Rule("r1"), pktT("n1", "n1", "n3", "data"), 1},
+		{"forwarding r1 no route", fwd, fprog.Rule("r1"), pktT("n1", "n1", "n9", "data"), 0},
+		{"forwarding r2 constraint fails", fwd, fprog.Rule("r2"), pktT("n1", "n1", "n3", "data"), 0},
+		{"forwarding r2 fires", fwd, fprog.Rule("r2"), pktT("n3", "n1", "n3", "data"), 1},
+		{"forwarding r1 wrong arity", fwd, fprog.Rule("r1"), types.NewTuple("packet", s("n1")), 0},
+		{"bgp b1 fires twice", bgp, bprog.Rule("b1"), advert, 2},
+		{"bgp b2 no owner", bgp, bprog.Rule("b2"), advert, 0},
+	}
+	for _, tc := range cases {
+		// The first evaluation builds the indexes it probes.
+		fs, err := tc.plans.Eval(tc.rule, db, tc.ev, nil)
+		if err != nil || len(fs) != tc.firings {
+			t.Fatalf("%s: %d firings, err %v; want %d", tc.name, len(fs), err, tc.firings)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			fs, _ = tc.plans.Eval(tc.rule, db, tc.ev, nil)
+		})
+		if budget := float64(3 * tc.firings); got > budget {
+			t.Errorf("%s: %.0f allocs per evaluation, budget %.0f", tc.name, got, budget)
+		}
 	}
 }

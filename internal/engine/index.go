@@ -18,13 +18,16 @@ const maxIndexedPos = 64
 // of scanning the relation.
 type hashIndex struct {
 	positions []int // sorted attribute indexes the key covers
-	buckets   map[string][]types.Tuple
+	// buckets hold their rows behind a pointer so growing or shrinking one
+	// never re-assigns the map entry: only a new bucket pays for turning
+	// the key bytes into a string.
+	buckets map[string]*[]types.Tuple
 }
 
 func newHashIndex(positions []int) *hashIndex {
 	return &hashIndex{
 		positions: append([]int(nil), positions...),
-		buckets:   make(map[string][]types.Tuple),
+		buckets:   make(map[string]*[]types.Tuple),
 	}
 }
 
@@ -52,8 +55,14 @@ func (ix *hashIndex) add(t types.Tuple) {
 	if !ix.covers(t) {
 		return
 	}
-	key := appendIndexKey(nil, t.Args, ix.positions)
-	ix.buckets[string(key)] = append(ix.buckets[string(key)], t)
+	var kb [64]byte
+	key := appendIndexKey(kb[:0], t.Args, ix.positions)
+	bucket := ix.buckets[string(key)]
+	if bucket == nil {
+		bucket = new([]types.Tuple)
+		ix.buckets[string(key)] = bucket
+	}
+	*bucket = append(*bucket, t)
 }
 
 // remove deletes a tuple from its bucket (swap-remove; buckets are sets
@@ -65,17 +74,19 @@ func (ix *hashIndex) remove(t types.Tuple) {
 	}
 	var kb [64]byte
 	key := appendIndexKey(kb[:0], t.Args, ix.positions)
-	bucket := ix.buckets[string(key)]
+	slot := ix.buckets[string(key)]
+	if slot == nil {
+		return
+	}
+	bucket := *slot
 	for i := range bucket {
 		if bucket[i].Equal(t) {
 			last := len(bucket) - 1
 			bucket[i] = bucket[last]
 			bucket[last] = types.Tuple{}
-			bucket = bucket[:last]
-			if len(bucket) == 0 {
+			*slot = bucket[:last]
+			if last == 0 {
 				delete(ix.buckets, string(key))
-			} else {
-				ix.buckets[string(key)] = bucket
 			}
 			return
 		}
@@ -85,7 +96,10 @@ func (ix *hashIndex) remove(t types.Tuple) {
 // probe returns the bucket for the key encoding, without copying. The
 // string conversion in the map lookup does not allocate.
 func (ix *hashIndex) probe(key []byte) []types.Tuple {
-	return ix.buckets[string(key)]
+	if bucket := ix.buckets[string(key)]; bucket != nil {
+		return *bucket
+	}
+	return nil
 }
 
 // posMask encodes a sorted position set as a bitmask, the identity of a

@@ -1,10 +1,18 @@
-// Rule compilation: at deploy time each rule's slow-changing atoms are
-// ordered and annotated with the attribute positions that are bound when
-// the atom is joined, so evaluation probes one hash-index bucket per join
-// step instead of scanning the relation. The bound-position information is
-// the same attribute-level structure the Section 5.2 dependency graph
-// (internal/analysis) derives; here it is specialized to the operational
-// question "which values are known by step i".
+// Rule compilation: at deploy time each rule's variables are assigned
+// slots in a flat frame of values, and its event atom, slow-changing atoms,
+// assignments, constraints and head are rewritten as reads and writes of
+// those slots. The first occurrence of a variable (in evaluation order)
+// binds its slot, every later occurrence is an equality check against it,
+// and constants are compared in place; which of the two an occurrence is
+// is fixed at compile time, so evaluation never looks a name up and
+// backtracking has nothing to undo — the next candidate simply overwrites
+// the slots its atom binds. The slow atoms are ordered and annotated with
+// the attribute positions bound when the atom is joined, so evaluation
+// probes one hash-index bucket per join step instead of scanning the
+// relation. The bound-position information is the same attribute-level
+// structure the Section 5.2 dependency graph (internal/analysis) derives;
+// here it is specialized to the operational question "which values are
+// known by step i".
 
 package engine
 
@@ -17,13 +25,54 @@ import (
 	"provcompress/internal/types"
 )
 
+// argKind says what matching one atom argument against a tuple value does.
+type argKind uint8
+
+const (
+	argConst argKind = iota // compare the value with a constant
+	argBind                 // first occurrence of a variable: write its slot
+	argCheck                // later occurrence: compare with its slot
+)
+
+// argOp is one compiled atom argument.
+type argOp struct {
+	kind argKind
+	slot int         // argBind, argCheck
+	val  types.Value // argConst
+}
+
+// match unifies a compiled atom with a tuple's values over the frame: it
+// binds the slots the atom introduces and reports whether every constant
+// and every already-bound variable agrees. A tuple of another arity never
+// matches.
+func match(ops []argOp, args []types.Value, frame []types.Value) bool {
+	if len(ops) != len(args) {
+		return false
+	}
+	for i := range ops {
+		switch op := &ops[i]; op.kind {
+		case argBind:
+			frame[op.slot] = args[i]
+		case argCheck:
+			if !frame[op.slot].Equal(args[i]) {
+				return false
+			}
+		default:
+			if !op.val.Equal(args[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // KeySource says how to produce one component of a join step's probe key:
-// either a constant baked in at compile time or the value of a variable
+// either a constant baked in at compile time or the slot of a variable
 // bound by the event atom or an earlier join step.
 type KeySource struct {
 	Pos   int         // attribute position in the slow atom
-	Var   string      // bound variable name; empty for a constant
-	Const types.Value // the constant, when Var is empty
+	Slot  int         // frame slot of the bound variable; -1 for a constant
+	Const types.Value // the constant, when Slot is -1
 }
 
 // JoinStep is one compiled join of a rule plan: the slow atom, its
@@ -37,56 +86,136 @@ type JoinStep struct {
 	// positions caches the sorted Pos list of Keys — the identity of the
 	// secondary index this step probes.
 	positions []int
+	args      []argOp
 }
 
-// RulePlan is a rule compiled for indexed evaluation.
+// assign is a compiled assignment: evaluate e, write slot.
+type assign struct {
+	slot int
+	e    expr
+}
+
+// headArg produces one head attribute: a slot read, or the constant when
+// slot is -1.
+type headArg struct {
+	slot int
+	val  types.Value
+}
+
+// RulePlan is a rule compiled for evaluation.
 type RulePlan struct {
 	Rule  *ndlog.Rule
 	Steps []JoinStep
+
+	slots       int // frame size: one per atom variable plus one per assignment
+	event       []argOp
+	assigns     []assign
+	constraints []constraint
+	head        []headArg
+	// unboundHead names the first head variable nothing binds; firing such
+	// a rule is an error.
+	unboundHead string
 }
 
-// CompileRule builds the join plan of a rule: slow atoms are ordered
-// greedily by how many of their attribute positions are bound (constants,
+// CompileRule builds the plan of a rule: slow atoms are ordered greedily
+// by how many of their attribute positions are bound (constants,
 // event-atom variables, and variables bound by already-placed atoms), ties
 // broken by body order so plans are deterministic.
-func CompileRule(r *ndlog.Rule) *RulePlan {
-	bound := make(map[string]bool)
-	for v := range r.Event.Vars() {
-		bound[v] = true
-	}
-	placed := make([]bool, len(r.Slow))
+func CompileRule(r *ndlog.Rule) *RulePlan { return compileRule(r, true) }
+
+// compileRule compiles r. With indexed false the slow atoms stay in body
+// order and no step gets a probe key, so every candidate comes from a
+// relation scan — the plan of the EvalRuleScan oracle.
+func compileRule(r *ndlog.Rule, indexed bool) *RulePlan {
+	// slots is the compile-time scope: the frame slot of every variable
+	// bound so far.
+	slots := make(map[string]int)
 	plan := &RulePlan{Rule: r, Steps: make([]JoinStep, 0, len(r.Slow))}
+	slotOf := func(name string) int {
+		s := plan.slots
+		plan.slots++
+		slots[name] = s
+		return s
+	}
+	compileAtom := func(atom ndlog.Atom) []argOp {
+		ops := make([]argOp, len(atom.Args))
+		for i, term := range atom.Args {
+			switch term := term.(type) {
+			case ndlog.Const:
+				ops[i] = argOp{kind: argConst, val: term.Val}
+			case ndlog.Var:
+				if s, ok := slots[term.Name]; ok {
+					ops[i] = argOp{kind: argCheck, slot: s}
+				} else {
+					ops[i] = argOp{kind: argBind, slot: slotOf(term.Name)}
+				}
+			}
+		}
+		return ops
+	}
+
+	plan.event = compileAtom(r.Event)
+	placed := make([]bool, len(r.Slow))
 	for len(plan.Steps) < len(r.Slow) {
 		best, bestScore := -1, -1
 		for i, atom := range r.Slow {
 			if placed[i] {
 				continue
 			}
-			score := boundPositions(atom, bound)
+			score := 0
+			if indexed {
+				score = boundPositions(atom, slots)
+			}
 			if score > bestScore {
 				best, bestScore = i, score
 			}
 		}
-		atom := r.Slow[best]
 		placed[best] = true
-		plan.Steps = append(plan.Steps, compileStep(atom, best, bound))
-		for v := range atom.Vars() {
-			bound[v] = true
+		st := JoinStep{Atom: r.Slow[best], SlowIdx: best}
+		if indexed {
+			st.Keys, st.positions = probeKeys(st.Atom, slots)
+		}
+		st.args = compileAtom(st.Atom)
+		plan.Steps = append(plan.Steps, st)
+	}
+
+	// Assignments run in order, each seeing the ones before it. An
+	// assignment always gets a fresh slot, even for a name an atom already
+	// bound: the atom's slot must survive for the next join candidate.
+	for _, a := range r.Assigns {
+		e := compileExpr(a.Expr, slots)
+		plan.assigns = append(plan.assigns, assign{slot: slotOf(a.Var), e: e})
+	}
+	for _, c := range r.Constraints {
+		plan.constraints = append(plan.constraints,
+			constraint{op: c.Op, l: compileExpr(c.L, slots), r: compileExpr(c.R, slots)})
+	}
+	plan.head = make([]headArg, len(r.Head.Args))
+	for i, term := range r.Head.Args {
+		switch term := term.(type) {
+		case ndlog.Const:
+			plan.head[i] = headArg{slot: -1, val: term.Val}
+		case ndlog.Var:
+			s, ok := slots[term.Name]
+			if !ok && plan.unboundHead == "" {
+				plan.unboundHead = term.Name
+			}
+			plan.head[i] = headArg{slot: s}
 		}
 	}
 	return plan
 }
 
 // boundPositions counts the attribute positions of an atom whose value is
-// known given the bound variable set.
-func boundPositions(atom ndlog.Atom, bound map[string]bool) int {
+// known given the variables bound so far.
+func boundPositions(atom ndlog.Atom, bound map[string]int) int {
 	n := 0
 	for _, term := range atom.Args {
 		switch term := term.(type) {
 		case ndlog.Const:
 			n++
 		case ndlog.Var:
-			if bound[term.Name] {
+			if _, ok := bound[term.Name]; ok {
 				n++
 			}
 		}
@@ -94,29 +223,30 @@ func boundPositions(atom ndlog.Atom, bound map[string]bool) int {
 	return n
 }
 
-// compileStep derives the probe-key recipe for an atom joined with the
-// given variables bound. Positions beyond the index mask width are left to
-// unification (they cannot occur at realistic arities).
-func compileStep(atom ndlog.Atom, slowIdx int, bound map[string]bool) JoinStep {
-	st := JoinStep{Atom: atom, SlowIdx: slowIdx}
+// probeKeys derives the probe-key recipe for an atom joined with the given
+// variables bound, and the position list identifying the index it probes.
+// Positions beyond the index mask width are left to matching (they cannot
+// occur at realistic arities).
+func probeKeys(atom ndlog.Atom, bound map[string]int) ([]KeySource, []int) {
+	var keys []KeySource
 	for i, term := range atom.Args {
 		if i >= maxIndexedPos {
 			break
 		}
 		switch term := term.(type) {
 		case ndlog.Const:
-			st.Keys = append(st.Keys, KeySource{Pos: i, Const: term.Val})
+			keys = append(keys, KeySource{Pos: i, Slot: -1, Const: term.Val})
 		case ndlog.Var:
-			if bound[term.Name] {
-				st.Keys = append(st.Keys, KeySource{Pos: i, Var: term.Name})
+			if s, ok := bound[term.Name]; ok {
+				keys = append(keys, KeySource{Pos: i, Slot: s})
 			}
 		}
 	}
-	st.positions = make([]int, len(st.Keys))
-	for i, k := range st.Keys {
-		st.positions[i] = k.Pos
+	positions := make([]int, len(keys))
+	for i, k := range keys {
+		positions[i] = k.Pos
 	}
-	return st
+	return keys, positions
 }
 
 // String renders the plan for logs and tests: each step as rel[p0,p1,...]
@@ -139,72 +269,145 @@ func (p *RulePlan) String() string {
 	return b.String()
 }
 
+// Frames up to these sizes live on the evaluating goroutine's stack; a
+// rule with more variables or slow atoms gets heap ones.
+const (
+	stackSlots = 16
+	stackSlow  = 4
+)
+
+// joinState is what one evaluation of a plan reads and produces. These
+// fields reach the heap (the event and the rule are copied into firings,
+// the database takes locks), which is why the stack buffers live apart in
+// scratch: escape analysis does not tell the fields of a struct apart, so
+// one struct holding both would drag the buffers off the stack.
+type joinState struct {
+	plan    *RulePlan
+	db      *Database
+	ev      types.Tuple
+	funcs   ndlog.FuncMap
+	firings []Firing
+}
+
+// scratch is the working memory of one evaluation: the frame and the slow
+// tuples joined so far (by body position).
+type scratch struct {
+	frame []types.Value
+	slow  []types.Tuple
+}
+
 // Eval computes every firing of the compiled rule triggered by the event
-// tuple ev against db. Each join step probes the secondary hash index for
-// its bound positions (building it on first use); candidates from the
-// bucket still pass through full unification, which re-checks the bound
-// positions and handles repeated variables. The database read lock is held
-// for the whole join, so concurrent inserts and deletes cannot disturb the
-// buckets mid-evaluation.
+// tuple ev against db, in candidate order. Each join step probes the
+// secondary hash index for its bound positions (building it on first use);
+// candidates from the bucket still pass through the full match, which
+// re-checks the bound positions and handles repeated variables. The
+// database read lock is held for the whole join, so concurrent inserts and
+// deletes cannot disturb the buckets mid-evaluation. An evaluation that
+// does not fire allocates nothing; one that does allocates the returned
+// slice and, per firing, the head's Args and the Slow copy (a user-defined
+// function call additionally allocates its argument list).
 func (p *RulePlan) Eval(db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
-	r := p.Rule
-	if ev.Rel != r.Event.Rel {
+	if ev.Rel != p.Rule.Event.Rel {
 		return nil, nil
 	}
-	base, ok := unify(r.Event, ev, Binding{})
-	if !ok {
+	var (
+		frameBuf [stackSlots]types.Value
+		slowBuf  [stackSlow]types.Tuple
+		sc       scratch
+	)
+	if p.slots <= stackSlots {
+		sc.frame = frameBuf[:p.slots]
+	} else {
+		sc.frame = make([]types.Value, p.slots)
+	}
+	if len(p.Steps) <= stackSlow {
+		sc.slow = slowBuf[:len(p.Steps)]
+	} else {
+		sc.slow = make([]types.Tuple, len(p.Steps))
+	}
+	if !match(p.event, ev.Args, sc.frame) {
 		return nil, nil
 	}
+	st := joinState{plan: p, db: db, ev: ev, funcs: funcs}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if err := st.join(0, &sc); err != nil {
+		return nil, err
+	}
+	return st.firings, nil
+}
 
-	slow := make([]types.Tuple, len(r.Slow))
-	var firings []Firing
-	var joinErr error
-	var keyBuf []byte
-	var rec func(i int, b Binding)
-	rec = func(i int, b Binding) {
-		if joinErr != nil {
-			return
-		}
-		if i == len(p.Steps) {
-			f, ok, err := finishFiring(r, ev, b, append([]types.Tuple(nil), slow...), funcs)
-			if err != nil {
-				joinErr = err
-				return
+// join extends the partial match with the candidates of step i and
+// recurses; past the last step it fires.
+func (st *joinState) join(i int, sc *scratch) error {
+	if i == len(st.plan.Steps) {
+		return st.fire(sc)
+	}
+	step := &st.plan.Steps[i]
+	var cands []types.Tuple
+	if len(step.Keys) == 0 {
+		cands = st.db.scanLocked(step.Atom.Rel)
+	} else {
+		var keyBuf [64]byte
+		key := keyBuf[:0]
+		for _, k := range step.Keys {
+			if k.Slot >= 0 {
+				key = sc.frame[k.Slot].AppendEncode(key)
+			} else {
+				key = k.Const.AppendEncode(key)
 			}
-			if ok {
-				firings = append(firings, f)
-			}
-			return
 		}
-		st := &p.Steps[i]
-		var cands []types.Tuple
-		if len(st.Keys) == 0 {
-			cands = db.scanLocked(st.Atom.Rel)
+		cands = st.db.probeLocked(step.Atom.Rel, step.positions, key)
+	}
+	for _, cand := range cands {
+		if match(step.args, cand.Args, sc.frame) {
+			sc.slow[step.SlowIdx] = cand
+			if err := st.join(i+1, sc); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fire completes a full join: run the assignments, filter on the
+// constraints, and instantiate the head from the frame.
+func (st *joinState) fire(sc *scratch) error {
+	p, r := st.plan, st.plan.Rule
+	for i := range p.assigns {
+		v, err := p.assigns[i].e.eval(sc.frame, st.funcs)
+		if err != nil {
+			return fmt.Errorf("engine: rule %s: %s: %w", r.Label, r.Assigns[i], err)
+		}
+		sc.frame[p.assigns[i].slot] = v
+	}
+	for i := range p.constraints {
+		ok, err := p.constraints[i].eval(sc.frame, st.funcs)
+		if err != nil {
+			return fmt.Errorf("engine: rule %s: %s: %w", r.Label, r.Constraints[i], err)
+		}
+		if !ok {
+			return nil
+		}
+	}
+	if p.unboundHead != "" {
+		return fmt.Errorf("engine: rule %s: unbound head variable %s", r.Label, p.unboundHead)
+	}
+	args := make([]types.Value, len(p.head))
+	for i, h := range p.head {
+		if h.slot >= 0 {
+			args[i] = sc.frame[h.slot]
 		} else {
-			keyBuf = keyBuf[:0]
-			for _, k := range st.Keys {
-				if k.Var != "" {
-					keyBuf = b[k.Var].AppendEncode(keyBuf)
-				} else {
-					keyBuf = k.Const.AppendEncode(keyBuf)
-				}
-			}
-			cands = db.probeLocked(st.Atom.Rel, st.positions, keyBuf)
-		}
-		for _, cand := range cands {
-			if nb, ok := unify(st.Atom, cand, b); ok {
-				slow[st.SlowIdx] = cand
-				rec(i+1, nb)
-			}
+			args[i] = h.val
 		}
 	}
-	rec(0, base)
-	if joinErr != nil {
-		return nil, joinErr
-	}
-	return firings, nil
+	st.firings = append(st.firings, Firing{
+		Rule:  r,
+		Event: st.ev,
+		Slow:  append([]types.Tuple(nil), sc.slow...),
+		Head:  types.Tuple{Rel: r.Head.Rel, Args: args},
+	})
+	return nil
 }
 
 // Plans is the compiled form of a program: one join plan per rule,
@@ -234,21 +437,6 @@ func (ps *Plans) For(r *ndlog.Rule) *RulePlan {
 // Eval evaluates a rule through its compiled plan.
 func (ps *Plans) Eval(r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
 	return ps.For(r).Eval(db, ev, funcs)
-}
-
-// EvalObserver is notified after one rule evaluation with the number of
-// firings it produced. The cluster runtime hangs its per-rule tracing
-// spans off this hook; a nil observer costs one comparison.
-type EvalObserver func(rule string, firings int, err error)
-
-// EvalObserved is Eval plus an observation callback — kept separate so
-// the unobserved hot path stays branch-free.
-func (ps *Plans) EvalObserved(r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap, obs EvalObserver) ([]Firing, error) {
-	fs, err := ps.Eval(r, db, ev, funcs)
-	if obs != nil {
-		obs(r.Label, len(fs), err)
-	}
-	return fs, err
 }
 
 // planCache caches compiled plans for rules evaluated outside a deployed

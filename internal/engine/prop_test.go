@@ -49,57 +49,116 @@ func TestIndexedEvalMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestIndexedEvalMatchesScanOracleAppRules runs the same indexed-vs-scan
-// equivalence property over every rule of the bundled application DELPs —
-// including the BGP and gossip scenarios — with the real UDF registry, so
-// the shapes the scenario zoo actually deploys (constraint-gated DNS
-// delegation, deep BGP chains, fan-out gossip rules) are pinned against
-// the scan oracle, not just the synthetic grammar above.
+// edgeRules are the unifier's corner cases, evaluated next to the bundled
+// DELPs by TestIndexedEvalMatchesScanOracleAppRules.
+// Each is its own program: a program fixes one arity per relation.
+var edgeRules = []string{
+	`e1 out(@L, X, Y) :- e(@L, X, X), s0(@L, Y, Y).`,
+	`e2 out(@L, X, V) :- e(@L, 1, X), s0(@L, X, V).`,
+	`e3 out(@L, N)    :- e(@L, X), s0(@L, X, V), N := V + 1, N > 1.`,
+	`e4 out(@L, Q)    :- e(@L, X), s0(@L, X, V).`,
+	`e5 out(@L, X, V) :- e(@L, X), s0(@L, X, V), X := V, X != 0.`,
+	`e6 out(@L, X, W) :- e(@L, X), s2(@M, X, V), s1(@L, V, W), s0(@L, W, "a").`,
+}
+
+// TestIndexedEvalMatchesScanOracleAppRules is the differential test of the
+// slot-compiled evaluator against the map-based one it replaced
+// (ref_test.go), over every rule of the bundled application DELPs —
+// including the BGP and gossip scenarios — with the real UDF registry, plus
+// the edge rules above: a variable repeated inside one atom, a constant in
+// the event atom, an assignment feeding a constraint (and type-erroring on
+// some rows), an unbound head variable, an assignment shadowing a join
+// variable, and a reordered three-way join. Events of the right arity and
+// of one attribute more and fewer run against seeded random databases
+// holding ~10% wrong-arity rows. The plan must produce the reference's
+// firings in the reference's order with the reference's error, on the
+// indexed path and on the scan oracle alike, and the two paths must agree
+// as sets.
 func TestIndexedEvalMatchesScanOracleAppRules(t *testing.T) {
 	progs := []*ndlog.Program{
 		apps.Forwarding(), apps.DNS(), apps.ARP(), apps.DHCP(), apps.BGP(), apps.Gossip(),
 	}
+	for _, src := range edgeRules {
+		p := ndlog.MustParse(src)
+		p.Name = "edge"
+		progs = append(progs, p)
+	}
 	funcs := apps.Funcs()
+	same := func(what string, got []Firing, gotErr error, want []Firing, wantErr error) {
+		t.Helper()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: err = %v, reference err = %v", what, gotErr, wantErr)
+		}
+		gs, ws := firingSeq(got), firingSeq(want)
+		if strings.Join(gs, "\n") != strings.Join(ws, "\n") {
+			t.Fatalf("%s: firings differ\nreference (%d):\n%s\nslots (%d):\n%s",
+				what, len(ws), strings.Join(ws, "\n"), len(gs), strings.Join(gs, "\n"))
+		}
+	}
 	for _, prog := range progs {
 		for _, r := range prog.Rules {
 			plan := CompileRule(r)
+			fired, errored := 0, 0
 			for seed := int64(0); seed < 150; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				db := genDatabase(rng, r)
 				ev := genEvent(rng, r)
+				long := types.Tuple{Rel: ev.Rel, Args: append(ev.Args[:len(ev.Args):len(ev.Args)], genValue(rng))}
+				short := types.Tuple{Rel: ev.Rel, Args: ev.Args[:len(ev.Args)-1]}
+				for _, ev := range []types.Tuple{ev, long, short} {
+					what := fmt.Sprintf("%s/%s seed %d event %v", prog.Name, r.Label, seed, ev)
 
-				want, errScan := EvalRuleScan(r, db, ev, funcs)
-				got, errPlan := plan.Eval(db, ev, funcs)
+					got, errPlan := plan.Eval(db, ev, funcs)
+					want, errRef := refEval(plan, db, ev, funcs)
+					same(what+" indexed", got, errPlan, want, errRef)
+					fired += len(got)
+					if errPlan != nil {
+						errored++
+					}
 
-				if (errScan != nil) != (errPlan != nil) {
-					t.Fatalf("%s/%s seed %d: event %v:\nscan err = %v\nplan err = %v",
-						prog.Name, r.Label, seed, ev, errScan, errPlan)
+					gotScan, errScan := EvalRuleScan(r, db, ev, funcs)
+					wantScan, errRefScan := refEvalScan(r, db, ev, funcs)
+					same(what+" scan", gotScan, errScan, wantScan, errRefScan)
+
+					if (errScan != nil) != (errPlan != nil) {
+						t.Fatalf("%s:\nscan err = %v\nplan err = %v", what, errScan, errPlan)
+					}
+					if errScan != nil {
+						continue
+					}
+					wk, gk := firingKeys(gotScan), firingKeys(got)
+					if strings.Join(wk, "\n") != strings.Join(gk, "\n") {
+						t.Fatalf("%s: firings differ\nscan (%d):\n%s\nindexed (%d):\n%s",
+							what, len(wk), strings.Join(wk, "\n"), len(gk), strings.Join(gk, "\n"))
+					}
 				}
-				if errScan != nil {
-					continue
-				}
-				wk, gk := firingKeys(want), firingKeys(got)
-				if strings.Join(wk, "\n") != strings.Join(gk, "\n") {
-					t.Fatalf("%s/%s seed %d: event %v: firings differ\nscan (%d):\n%s\nindexed (%d):\n%s",
-						prog.Name, r.Label, seed, ev, len(wk), strings.Join(wk, "\n"), len(gk), strings.Join(gk, "\n"))
-				}
+			}
+			if prog.Name == "edge" && fired+errored == 0 {
+				t.Errorf("edge rule %s neither fired nor failed on any seed: the case is not exercised", r.Label)
 			}
 		}
 	}
 }
 
-// firingKeys canonicalizes firings (head plus slow tuples in body order)
-// into a sorted string list, so set comparison ignores enumeration order.
-func firingKeys(fs []Firing) []string {
+// firingSeq renders firings (rule, event, head, slow tuples in body order)
+// as strings in the order they were produced.
+func firingSeq(fs []Firing) []string {
 	keys := make([]string, len(fs))
 	for i, f := range fs {
 		var b strings.Builder
-		fmt.Fprintf(&b, "%v", f.Head)
+		fmt.Fprintf(&b, "%s %v => %v", f.Rule.Label, f.Event, f.Head)
 		for _, s := range f.Slow {
 			fmt.Fprintf(&b, " | %v", s)
 		}
 		keys[i] = b.String()
 	}
+	return keys
+}
+
+// firingKeys is firingSeq sorted, so set comparison ignores enumeration
+// order.
+func firingKeys(fs []Firing) []string {
+	keys := firingSeq(fs)
 	sort.Strings(keys)
 	return keys
 }

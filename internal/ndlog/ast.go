@@ -239,10 +239,24 @@ func (r *Rule) String() string {
 }
 
 // Program is an ordered list of rules, the unit that the DELP validator and
-// the static analysis operate on.
+// the static analysis operate on. Programs come from Parse and
+// MergePrograms, which index the finished rule list; Rules is not modified
+// afterwards.
 type Program struct {
 	Name  string
 	Rules []*Rule
+
+	// byEvent is RulesForEvent precomputed: every arriving tuple asks for
+	// the rules its relation triggers.
+	byEvent map[string][]*Rule
+}
+
+// indexEvents builds byEvent from the finished rule list.
+func (p *Program) indexEvents() {
+	p.byEvent = make(map[string][]*Rule)
+	for _, r := range p.Rules {
+		p.byEvent[r.Event.Rel] = append(p.byEvent[r.Event.Rel], r)
+	}
 }
 
 // String renders the program in concrete syntax, one rule per line.
@@ -313,15 +327,10 @@ func (p *Program) OutputRelations() map[string]bool {
 
 // RulesForEvent returns the rules whose event relation is rel, in program
 // order. Several rules may share an event relation (e.g. r1/r2 of packet
-// forwarding are both triggered by packet tuples).
+// forwarding are both triggered by packet tuples). The slice is shared;
+// callers must not modify it.
 func (p *Program) RulesForEvent(rel string) []*Rule {
-	var rs []*Rule
-	for _, r := range p.Rules {
-		if r.Event.Rel == rel {
-			rs = append(rs, r)
-		}
-	}
-	return rs
+	return p.byEvent[rel]
 }
 
 // Arities returns the arity of every relation mentioned in the program, or

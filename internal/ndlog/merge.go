@@ -56,6 +56,7 @@ func MergePrograms(progs ...*Program) (*Program, error) {
 			}
 		}
 	}
+	merged.indexEvents()
 	return merged, nil
 }
 

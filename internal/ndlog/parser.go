@@ -31,6 +31,7 @@ func Parse(src string) (*Program, error) {
 	if _, err := prog.Arities(); err != nil {
 		return nil, err
 	}
+	prog.indexEvents()
 	return prog, nil
 }
 

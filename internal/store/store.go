@@ -79,6 +79,13 @@ type NodeStore struct {
 	lastSnapshot time.Time
 	closed       bool
 
+	// The SyncInterval flusher (flushLoop); nil channels under the other
+	// policies. flushErr holds a failed background fsync until the next
+	// Append reports it.
+	flushStop chan struct{}
+	flushDone chan struct{}
+	flushErr  error
+
 	walRecords    int64
 	walBytes      int64
 	snapshots     int64
@@ -103,12 +110,56 @@ func Open(dir string, opts Options, restore func(snapshot []byte) error, apply f
 	}
 	ns.recovery.WallTime = time.Since(start)
 
-	w, err := openWAL(walPath(dir, ns.gen), ns.opts.Fsync, ns.opts.FsyncInterval)
+	w, err := openWAL(walPath(dir, ns.gen), ns.opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
 	ns.w = w
+	if ns.opts.Fsync == SyncInterval {
+		ns.flushStop = make(chan struct{})
+		ns.flushDone = make(chan struct{})
+		go ns.flushLoop()
+	}
 	return ns, nil
+}
+
+// flushLoop is the SyncInterval flusher: once per interval it fsyncs the
+// open WAL if it has unsynced appends. The fsync runs outside ns.mu, so an
+// Append — and the cluster's per-node durability lock around it — never
+// waits for the disk: how long an fsync takes, which on a shared disk
+// varies by an order of magnitude from one minute to the next, no longer
+// decides how fast a durable node applies events. Close stops the loop
+// before the final flush.
+func (ns *NodeStore) flushLoop() {
+	defer close(ns.flushDone)
+	t := time.NewTicker(ns.opts.FsyncInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ns.flushStop:
+			return
+		case <-t.C:
+		}
+		ns.mu.Lock()
+		w := ns.w
+		appends, dirty := w.appends, w.dirty
+		ns.mu.Unlock()
+		if !dirty {
+			continue
+		}
+		err := w.f.Sync()
+		ns.mu.Lock()
+		switch {
+		case ns.w != w:
+			// A checkpoint sealed (synced and closed) this generation
+			// meanwhile; its records are inside the snapshot.
+		case err != nil:
+			ns.flushErr = err
+		case w.appends == appends:
+			w.dirty = false
+		}
+		ns.mu.Unlock()
+	}
 }
 
 // recover restores the newest valid snapshot and replays the WAL
@@ -173,9 +224,11 @@ func (ns *NodeStore) recover(restore func([]byte) error, apply func([]byte) erro
 }
 
 // Append logs one record. The record is durable according to the sync
-// policy once Append returns. It reports whether the store now wants a
-// checkpoint (SnapshotEvery records have accumulated); the caller decides
-// when to actually Checkpoint.
+// policy once Append returns (under SyncInterval: within one interval).
+// It reports whether the store now wants a checkpoint (SnapshotEvery
+// records have accumulated); the caller decides when to actually
+// Checkpoint. An fsync the flusher failed since the last Append is
+// reported here, once, after the record is written.
 func (ns *NodeStore) Append(rec []byte) (wantSnapshot bool, err error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -189,6 +242,10 @@ func (ns *NodeStore) Append(rec []byte) (wantSnapshot bool, err error) {
 	ns.walRecords++
 	ns.walBytes += int64(n)
 	ns.sinceSnap++
+	if err := ns.flushErr; err != nil {
+		ns.flushErr = nil
+		return false, fmt.Errorf("store: interval fsync: %w", err)
+	}
 	return ns.opts.SnapshotEvery > 0 && ns.sinceSnap >= ns.opts.SnapshotEvery, nil
 }
 
@@ -210,7 +267,7 @@ func (ns *NodeStore) Checkpoint(payload []byte) error {
 	if _, err := writeSnapshotFile(ns.dir, newGen, payload); err != nil {
 		return err
 	}
-	w, err := openWAL(walPath(ns.dir, newGen), ns.opts.Fsync, ns.opts.FsyncInterval)
+	w, err := openWAL(walPath(ns.dir, newGen), ns.opts.Fsync)
 	if err != nil {
 		return err
 	}
@@ -260,11 +317,18 @@ func (ns *NodeStore) Sync() error {
 // the directory with Open to recover.
 func (ns *NodeStore) Close() error {
 	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if ns.closed {
+		ns.mu.Unlock()
 		return nil
 	}
 	ns.closed = true
+	ns.mu.Unlock()
+	if ns.flushStop != nil {
+		close(ns.flushStop)
+		<-ns.flushDone
+	}
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
 	return ns.w.close()
 }
 

@@ -327,3 +327,61 @@ func TestStoreClosedRefusesAppend(t *testing.T) {
 		t.Errorf("double close: %v", err)
 	}
 }
+
+// walDirty reports whether the open generation has unsynced appends.
+func walDirty(ns *NodeStore) bool {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.w.dirty
+}
+
+// TestIntervalFlusherSyncsWithoutAppends pins the SyncInterval contract:
+// records reach the disk within an interval of being appended even when
+// no later Append arrives to trigger the flush, and Close ends the
+// flusher.
+func TestIntervalFlusherSyncsWithoutAppends(t *testing.T) {
+	ns, _, _ := openCollecting(t, t.TempDir(), Options{Fsync: SyncInterval, FsyncInterval: time.Millisecond})
+	for round := 0; round < 3; round++ {
+		appendAll(t, ns, testRecords(10))
+		deadline := time.Now().Add(5 * time.Second)
+		for walDirty(ns) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: appends still unsynced after 5s of 1ms intervals", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ns.flushDone:
+	default:
+		t.Error("flusher still running after Close")
+	}
+}
+
+// TestIntervalFlusherAcrossCheckpoints runs the flusher against appends
+// and WAL rotations at once (the race detector checks the hand-over of
+// the open generation) and requires the usual recovery result.
+func TestIntervalFlusherAcrossCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: SyncInterval, FsyncInterval: 100 * time.Microsecond}
+	ns, _, _ := openCollecting(t, dir, opts)
+	recs := testRecords(50)
+	for i := 0; i < 20; i++ {
+		appendAll(t, ns, recs)
+		if err := ns.Checkpoint([]byte(fmt.Sprintf("snap-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAll(t, ns, recs[:7])
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ns2, got, snap := openCollecting(t, dir, opts)
+	defer ns2.Close()
+	if string(snap) != "snap-19" || len(got) != 7 {
+		t.Errorf("recovered snapshot %q and %d records, want snap-19 and 7", snap, len(got))
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 )
 
 // SyncPolicy selects when WAL appends reach stable storage.
@@ -37,10 +36,12 @@ const (
 	// SyncAlways fsyncs after every appended record: no accepted event is
 	// ever lost, at the price of one fsync per event.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per configured interval (on the
-	// first append after it elapses) and on close/checkpoint: a crash can
-	// lose up to one interval of tail records, all of which the transport
-	// retry budget may still redeliver.
+	// SyncInterval fsyncs once per configured interval, from the store's
+	// flusher goroutine rather than inside an append, and on
+	// close/checkpoint: an append never waits for the disk, and a crash
+	// can lose up to one interval (plus the fsync then in flight) of tail
+	// records, all of which the transport retry budget may still
+	// redeliver.
 	SyncInterval
 	// SyncOff never fsyncs explicitly; the OS flushes on its own schedule.
 	// Fastest, and still torn-record-safe (the checksum catches partial
@@ -85,20 +86,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // wal is one open write-ahead log file.
 type wal struct {
-	f        *os.File
-	policy   SyncPolicy
-	interval time.Duration
-	lastSync time.Time
-	dirty    bool
-	hdr      [walHeaderSize]byte
+	f      *os.File
+	policy SyncPolicy
+	dirty  bool
+	// appends counts records written; the store's flusher compares it
+	// across an fsync to tell whether that fsync covered every append.
+	appends uint64
+	hdr     [walHeaderSize]byte
 }
 
-func openWAL(path string, policy SyncPolicy, interval time.Duration) (*wal, error) {
+func openWAL(path string, policy SyncPolicy) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{f: f, policy: policy, interval: interval, lastSync: time.Now()}, nil
+	return &wal{f: f, policy: policy}, nil
 }
 
 // append frames and writes one record, then applies the sync policy. It
@@ -118,16 +120,10 @@ func (w *wal) append(payload []byte) (int, error) {
 		return 0, err
 	}
 	w.dirty = true
-	switch w.policy {
-	case SyncAlways:
+	w.appends++
+	if w.policy == SyncAlways {
 		if err := w.sync(); err != nil {
 			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(w.lastSync) >= w.interval {
-			if err := w.sync(); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return walHeaderSize + len(payload), nil
@@ -142,7 +138,6 @@ func (w *wal) sync() error {
 		return err
 	}
 	w.dirty = false
-	w.lastSync = time.Now()
 	return nil
 }
 

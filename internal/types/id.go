@@ -30,9 +30,16 @@ func (id ID) String() string {
 func (id ID) Hex() string { return hex.EncodeToString(id[:]) }
 
 // HashTuple computes the VID of a tuple: sha1 over its canonical encoding,
-// matching the sha1(recv(@n3, n1, n3, "data")) entries of Table 1.
+// matching the sha1(recv(@n3, n1, n3, "data")) entries of Table 1. Every
+// hop hashes its arriving tuple, so the encoding is staged in a stack
+// buffer; only a tuple too large for it pays for a heap one.
 func HashTuple(t Tuple) ID {
-	return sha1.Sum(t.Encode())
+	var stack [256]byte
+	buf := stack[:0]
+	if n := t.EncodedSize(); n > len(stack) {
+		buf = make([]byte, 0, n)
+	}
+	return sha1.Sum(t.AppendEncode(buf))
 }
 
 // HashBytes computes the ID of an arbitrary byte string.

@@ -1,10 +1,14 @@
 package types
 
 import (
+	"crypto/sha1"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"provcompress/internal/raceflag"
 )
 
 func TestIDZeroAndString(t *testing.T) {
@@ -111,4 +115,26 @@ func TestHashTupleQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestHashTupleAllocs pins HashTuple's two contracts: the VID is sha1 over
+// the canonical encoding whatever buffer stages it (a tuple that fits the
+// stack buffer, and one that does not), and hashing an ordinary tuple
+// allocates nothing.
+func TestHashTupleAllocs(t *testing.T) {
+	small := pkt("n1", "n1", "n3", "data")
+	big := pkt("n1", "n1", "n3", strings.Repeat("x", 1000))
+	for _, tu := range []Tuple{small, big, {Rel: "empty"}} {
+		if got, want := HashTuple(tu), ID(sha1.Sum(tu.Encode())); got != want {
+			t.Errorf("HashTuple(%s) = %s, want sha1 of the encoding %s", tu.Rel, got.Hex(), want.Hex())
+		}
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var sink ID
+	if n := testing.AllocsPerRun(200, func() { sink = HashTuple(small) }); n != 0 {
+		t.Errorf("HashTuple allocates %.0f times per tuple, want 0", n)
+	}
+	_ = sink
 }

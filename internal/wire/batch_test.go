@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"provcompress/internal/raceflag"
 )
 
 func batchOf(payloads ...[]byte) []BatchEntry {
@@ -147,10 +149,10 @@ func buildBadDelta() []byte {
 // steady state, and decoding it must cost O(1) allocations per batch,
 // not per entry.
 func TestPooledEncodeAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		// The race detector randomly drops sync.Pool items to widen
 		// interleaving coverage, so the zero-alloc contract is not
-		// measurable here; `make ingest-smoke` enforces it race-free.
+		// measurable here; `make allocs` enforces it race-free.
 		t.Skip("sync.Pool reuse is randomized under the race detector")
 	}
 	payload := bytes.Repeat([]byte{0xC3}, 128)

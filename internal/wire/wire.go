@@ -126,11 +126,11 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Tuple appends a tuple in its canonical encoding, length-prefixed.
+// Tuple appends a tuple in its canonical encoding, length-prefixed. The
+// encoding goes straight into the encoder's buffer, no staging copy.
 func (e *Encoder) Tuple(t types.Tuple) {
-	enc := t.Encode()
-	e.U32(uint32(len(enc)))
-	e.buf = append(e.buf, enc...)
+	e.U32(uint32(t.EncodedSize()))
+	e.buf = t.AppendEncode(e.buf)
 }
 
 // Decoder consumes primitive values from a buffer. The first error sticks;

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"provcompress/internal/raceflag"
 	"provcompress/internal/types"
 )
 
@@ -125,5 +126,28 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	raw := buf.Bytes()[:6] // header + 2 of 5 payload bytes
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Error("truncated payload accepted")
+	}
+}
+
+// TestEncoderTupleAllocs pins Encoder.Tuple: the bytes are the length
+// prefix plus the tuple's canonical encoding, and appending to an encoder
+// whose buffer already has room allocates nothing.
+func TestEncoderTupleAllocs(t *testing.T) {
+	tu := types.NewTuple("packet", types.String("n1"), types.String("n1"), types.String("n3"), types.Int(7))
+	e := NewEncoder(256)
+	e.Tuple(tu)
+	want := NewEncoder(0)
+	want.Blob(tu.Encode())
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("Encoder.Tuple = %x, want length-prefixed canonical encoding %x", e.Bytes(), want.Bytes())
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.SetBuf(e.Bytes()[:0])
+		e.Tuple(tu)
+	}); n != 0 {
+		t.Errorf("Encoder.Tuple on a warmed encoder allocates %.0f times, want 0", n)
 	}
 }
