@@ -9,6 +9,11 @@
 #                evaluation 0 unless it fires and <=3 per firing, one
 #                untraced applyTuple hop stays under its stated budget,
 #                and the pooled batch encode path stays at 0
+#   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
+#                outside the process (types, wire, cluster, ndlog), a few
+#                seconds each from its seeded corpus — the decoders behind
+#                the socket, the WAL and the parser must not panic, and
+#                what the wire decoders accept must re-encode to itself
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
 #   serve-smoke  provd end to end over real HTTP: boot on a random port
 #                with tracing on, inject a workload, cold + cached query
@@ -61,9 +66,9 @@ GO ?= go
 BENCH_SMOKE_DIR := $(or $(TMPDIR),/tmp)/provcompress-bench-smoke
 TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
-.PHONY: verify vet build test allocs chaos serve-smoke trace-smoke bench bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
 
-verify: vet build test allocs chaos serve-smoke trace-smoke bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -78,6 +83,15 @@ test:
 
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/cluster/
+
+# go test -fuzz takes one package and one target at a time.
+fuzz-smoke:
+	@set -e; for pkg in internal/types internal/wire internal/cluster internal/ndlog; do \
+		for target in $$($(GO) test -list '^Fuzz' ./$$pkg | grep '^Fuzz'); do \
+			echo "fuzz ./$$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 3s ./$$pkg; \
+		done; \
+	done
 
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Malformed|Quiesce|Restart|LateResult' ./internal/cluster/ ./internal/provserve/

@@ -36,6 +36,14 @@ const (
 	recSig    = 4 // equivalence-table reset broadcast (Section 5.5)
 )
 
+// walFormatVersion names the layout of the records above as this file
+// encodes them; every node directory is stamped with it (store.CheckFormat)
+// and a directory stamped otherwise is refused at recovery rather than
+// replayed through the wrong decoder. Bump it with any change to a
+// record's bytes. Version 1 wrote an event's metadata as Eq, Exist, EvID
+// and an unconditional Prev; version 2 writes encodeMeta's order.
+const walFormatVersion = 2
+
 // nodeSnapVersion tags the per-node snapshot payload layout: the database
 // snapshot, the scheme state, and the node's output list.
 const nodeSnapVersion = 1
@@ -68,7 +76,11 @@ func sanitizeAddr(addr string) string {
 // caller guarantees no apply is running (boot, or a restart with the node
 // dead and durMu held).
 func (c *Cluster) openStore(n *Node) error {
-	ns, err := store.Open(c.nodeDataDir(n.addr), c.dopts, n.restoreSnapshot, n.applyRecord)
+	dir := c.nodeDataDir(n.addr)
+	if err := store.CheckFormat(dir, walFormatVersion); err != nil {
+		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
+	}
+	ns, err := store.Open(dir, c.dopts, n.restoreSnapshot, n.applyRecord)
 	if err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}
@@ -195,22 +207,13 @@ func (n *Node) applyRecord(rec []byte) error {
 func encodeDurEvent(f *tupleFrame) []byte {
 	e := wire.NewEncoder(128)
 	e.U8(recEvent)
-	e.Tuple(f.Tuple)
-	e.Bool(f.Fresh)
-	if !f.Fresh {
-		encodeMeta(e, f.Meta)
-	}
+	f.encodeBody(e)
 	return e.Bytes()
 }
 
 func decodeDurEvent(d *wire.Decoder) (*tupleFrame, error) {
 	f := &tupleFrame{}
-	f.Tuple = d.Tuple()
-	f.Fresh = d.Bool()
-	if !f.Fresh {
-		f.Meta = decodeMeta(d)
-	}
-	return f, d.Err()
+	return f, f.decodeBody(d)
 }
 
 func encodeDurTuple(kind uint8, t types.Tuple) []byte {

@@ -61,9 +61,11 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 			}
 			buf = payload[:cap(payload)]
 			d := wire.NewDecoder(payload)
-			if d.U8() == frameBatch {
-				d.Str() // from
-				d.U64() // incarnation
+			h, err := decodeDeliveryHeader(d)
+			if err != nil {
+				break
+			}
+			if h.kind == frameBatch {
 				entries, err := wire.DecodeBatch(d)
 				if err != nil {
 					break
@@ -96,12 +98,8 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 				seq++
 				entries = append(entries, wire.BatchEntry{Seq: seq, Epoch: 1, Payload: payloads[int(seq)%len(payloads)]})
 			}
-			var e wire.Encoder
-			e.SetBuf(wire.GetBuf())
-			e.U8(frameBatch)
-			e.Str("n0")
-			e.U64(1)
-			env, s := wire.AppendBatch(e.Bytes(), entries, compress, sizes[:0])
+			hdr := appendDeliveryHeader(wire.GetBuf(), frameBatch, "n0", 1)
+			env, s := wire.AppendBatch(hdr, entries, compress, sizes[:0])
 			sizes = s
 			if err := wire.WriteFrame(conn, env); err != nil {
 				b.Fatal(err)
@@ -113,17 +111,11 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 	} else {
 		for sent := 0; sent < b.N; sent++ {
 			seq++
-			e := wire.NewEncoder(0)
-			e.U8(frameEnvelope)
-			e.Str("n0")
-			e.U64(1)
-			e.U64(seq)
-			e.U64(1)
-			e.Raw(payloads[int(seq)%len(payloads)])
-			if err := wire.WriteFrame(conn, e.Bytes()); err != nil {
+			env := encodeEnvelope("n0", 1, seq, 1, payloads[int(seq)%len(payloads)])
+			if err := wire.WriteFrame(conn, env); err != nil {
 				b.Fatal(err)
 			}
-			bytesPerEvent += e.Len() + 4
+			bytesPerEvent += len(env) + 4
 		}
 	}
 	conn.Close()

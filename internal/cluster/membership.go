@@ -45,6 +45,7 @@ import (
 	"provcompress/internal/engine"
 	"provcompress/internal/membership"
 	"provcompress/internal/metrics"
+	"provcompress/internal/trace"
 	"provcompress/internal/types"
 	"provcompress/internal/wire"
 )
@@ -641,8 +642,7 @@ func (p *partition) applyTuple(c *Cluster, f *tupleFrame, ship bool) []outShip {
 		for _, fr := range firings {
 			m := p.state.FireAt(p.owner, fr, meta)
 			if ship {
-				frame, metaBytes := (&tupleFrame{Tuple: fr.Head, Meta: m}).encodeSized()
-				out = append(out, outShip{to: fr.Head.Loc(), frame: frame, provBytes: metaBytes})
+				out = append(out, shipHead(fr.Head, m, trace.SpanContext{}))
 			}
 		}
 	}

@@ -107,34 +107,34 @@ func (n *Node) seenDuplicate(from types.NodeAddr, inc, seq uint64) bool {
 // copy arrived is N suppressed duplicates, never a double apply.
 func (n *Node) handleFrame(payload []byte) {
 	d := wire.NewDecoder(payload)
-	switch d.U8() {
-	case frameEnvelope:
-		from := types.NodeAddr(d.Str())
-		inc := d.U64()
-		seq := d.U64()
-		epoch := d.U64()
-		if d.Err() != nil {
-			return // malformed envelope: the epoch is unreadable, floor guards the counter
+	h, err := decodeDeliveryHeader(d)
+	if err != nil {
+		// Malformed header: the epoch is unreadable, floor guards the
+		// counter. A delivery of another format version is the one kind
+		// worth telling apart — it means a peer runs different code.
+		if errors.Is(err, errFormatVersion) {
+			n.stats.versionDrops.Add(1)
 		}
-		if n.seenDuplicate(from, inc, seq) {
+		return
+	}
+	if h.kind == frameEnvelope {
+		if n.seenDuplicate(h.from, h.inc, h.seq) {
 			n.stats.dups.Add(1)
 			return
 		}
-		n.dispatch(from, d, epoch)
-	case frameBatch:
-		from := types.NodeAddr(d.Str())
-		inc := d.U64()
-		entries, err := wire.DecodeBatch(d)
-		if err != nil {
-			return // malformed batch: nothing was counted for it
+		n.dispatch(h.from, d, h.epoch)
+		return
+	}
+	entries, err := wire.DecodeBatch(d)
+	if err != nil {
+		return // malformed batch: nothing was counted for it
+	}
+	for _, ent := range entries {
+		if n.seenDuplicate(h.from, h.inc, ent.Seq) {
+			n.stats.dups.Add(1)
+			continue
 		}
-		for _, ent := range entries {
-			if n.seenDuplicate(from, inc, ent.Seq) {
-				n.stats.dups.Add(1)
-				continue
-			}
-			n.dispatch(from, wire.NewDecoder(ent.Payload), ent.Epoch)
-		}
+		n.dispatch(h.from, wire.NewDecoder(ent.Payload), ent.Epoch)
 	}
 }
 
@@ -289,12 +289,19 @@ func (n *Node) processTuple(f *tupleFrame) {
 }
 
 // outShip is a derived head ready to travel: its destination, the encoded
-// frame, and the piggybacked provenance metadata size for byte
-// attribution.
+// frame, the piggybacked provenance metadata size for byte attribution,
+// and the head's equivalence class as its batch delta group.
 type outShip struct {
 	to        types.NodeAddr
 	frame     []byte
 	provBytes int
+	group     uint64
+}
+
+// shipHead encodes one derived head with the metadata its firing produced.
+func shipHead(head types.Tuple, m core.AdvMeta, tc trace.SpanContext) outShip {
+	frame, metaBytes := (&tupleFrame{Tuple: head, Meta: m, Trace: tc}).encodeSized()
+	return outShip{to: head.Loc(), frame: frame, provBytes: metaBytes, group: classGroup(m)}
 }
 
 // shipAll sends the derived heads of one apply. Ship frames are pooled
@@ -302,7 +309,8 @@ type outShip struct {
 // recycles.
 func (n *Node) shipAll(ships []outShip) {
 	for _, s := range ships {
-		n.sendOwned(s.to, s.frame, classBase, s.provBytes) //nolint:errcheck // a send the node cannot even enqueue is a drop
+		f := outFrame{payload: s.frame, class: classBase, provBytes: s.provBytes, group: s.group, pooled: true}
+		n.sendFrame(s.to, f) //nolint:errcheck // a send the node cannot even enqueue is a drop
 	}
 }
 
@@ -363,8 +371,7 @@ func (n *Node) applyTuple(f *tupleFrame, out []outShip) []outShip {
 			// The shipped head carries this process span's context so the
 			// next hop's span parents under it; the metadata piggyback
 			// bytes are attributed to the provenance class.
-			frame, metaBytes := (&tupleFrame{Tuple: fr.Head, Meta: m, Trace: sp.Context()}).encodeSized()
-			out = append(out, outShip{to: fr.Head.Loc(), frame: frame, provBytes: metaBytes})
+			out = append(out, shipHead(fr.Head, m, sp.Context()))
 		}
 	}
 	return out
@@ -431,7 +438,7 @@ func (n *Node) walkHost(loc types.NodeAddr) (core.WalkHost, bool) {
 // never block on the network; every counted frame is settled exactly
 // once, by whichever side finishes with it.
 func (n *Node) send(to types.NodeAddr, frame []byte, class uint8, provBytes int) error {
-	return n.sendFrame(to, frame, class, provBytes, false)
+	return n.sendFrame(to, outFrame{payload: frame, class: class, provBytes: provBytes})
 }
 
 // sendOwned is send for a frame whose buffer came from the wire buffer
@@ -439,10 +446,11 @@ func (n *Node) send(to types.NodeAddr, frame []byte, class uint8, provBytes int)
 // frames): the transport recycles it once the frame settles. Broadcast
 // frames shared across peers must use send.
 func (n *Node) sendOwned(to types.NodeAddr, frame []byte, class uint8, provBytes int) error {
-	return n.sendFrame(to, frame, class, provBytes, true)
+	return n.sendFrame(to, outFrame{payload: frame, class: class, provBytes: provBytes, pooled: true})
 }
 
-func (n *Node) sendFrame(to types.NodeAddr, frame []byte, class uint8, provBytes int, pooled bool) error {
+// sendFrame enqueues f (everything but its epoch filled in) for to.
+func (n *Node) sendFrame(to types.NodeAddr, f outFrame) error {
 	if n.c.closed.Load() {
 		return fmt.Errorf("cluster: send on closed cluster")
 	}
@@ -460,8 +468,8 @@ func (n *Node) sendFrame(to types.NodeAddr, frame []byte, class uint8, provBytes
 		return fmt.Errorf("cluster: send to unknown node %s", to)
 	}
 	t := n.transportTo(to)
-	epoch := n.c.acctEnqueue(to)
-	t.enqueue(outFrame{payload: frame, epoch: epoch, class: class, provBytes: provBytes, pooled: pooled})
+	f.epoch = n.c.acctEnqueue(to)
+	t.enqueue(f)
 	return nil
 }
 

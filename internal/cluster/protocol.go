@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"provcompress/internal/core"
@@ -49,6 +51,13 @@ const (
 	frameBatch = 11
 )
 
+// Every delivery — a single-frame envelope or a batch — opens with
+//
+//	u8 kind, u8 wire.FormatVersion, str sender, u64 incarnation
+//
+// followed for an envelope by (u64 seq, u64 epoch, the frame) and for a
+// batch by the wire.AppendBatch body.
+
 // encodeEnvelope wraps an already-encoded frame in the transport delivery
 // envelope. The (sender, incarnation, seq) triple lets the receiver drop
 // redelivered duplicates — a retried send whose first write actually
@@ -62,19 +71,60 @@ func encodeEnvelope(from types.NodeAddr, incarnation, seq, epoch uint64, inner [
 // pooled one), so the transport's write path allocates nothing per frame.
 func appendEnvelope(dst []byte, from types.NodeAddr, incarnation, seq, epoch uint64, inner []byte) []byte {
 	var e wire.Encoder
-	e.SetBuf(dst)
-	e.U8(frameEnvelope)
-	e.Str(string(from))
-	e.U64(incarnation)
+	e.SetBuf(appendDeliveryHeader(dst, frameEnvelope, from, incarnation))
 	e.U64(seq)
 	e.U64(epoch)
 	e.Raw(inner)
 	return e.Bytes()
 }
 
+func appendDeliveryHeader(dst []byte, kind uint8, from types.NodeAddr, incarnation uint64) []byte {
+	var e wire.Encoder
+	e.SetBuf(dst)
+	e.U8(kind)
+	e.U8(wire.FormatVersion)
+	e.Str(string(from))
+	e.U64(incarnation)
+	return e.Bytes()
+}
+
+// deliveryHeader is the decoded head of a delivery; seq and epoch are the
+// envelope's own and stay zero for a batch, whose entries carry theirs.
+type deliveryHeader struct {
+	kind       uint8
+	from       types.NodeAddr
+	inc        uint64
+	seq, epoch uint64
+}
+
+// errFormatVersion reports a delivery written in another wire format.
+// Nothing past the version byte of such a delivery may be interpreted.
+var errFormatVersion = errors.New("cluster: delivery of another wire format version")
+
+func decodeDeliveryHeader(d *wire.Decoder) (deliveryHeader, error) {
+	h := deliveryHeader{kind: d.U8()}
+	if d.Err() == nil && h.kind != frameEnvelope && h.kind != frameBatch {
+		return h, fmt.Errorf("cluster: delivery of kind %d", h.kind)
+	}
+	if v := d.U8(); d.Err() == nil && v != wire.FormatVersion {
+		return h, fmt.Errorf("%w: got %d, speak %d", errFormatVersion, v, wire.FormatVersion)
+	}
+	h.from = types.NodeAddr(d.Str())
+	h.inc = d.U64()
+	if h.kind == frameEnvelope {
+		h.seq = d.U64()
+		h.epoch = d.U64()
+	}
+	return h, d.Err()
+}
+
 // tupleFrame ships a tuple plus the Advanced metadata. Fresh marks an
 // injected input event whose Stage 1 runs at the receiver. Trace is the
 // span context the shipment is causally under (zero when untraced).
+//
+// Layout: u8 frameTuple, the trace context, then the body the WAL's
+// event record shares — the tuple, u8 fresh (0 or 1) and, unless fresh,
+// the metadata (encodeMeta).
 type tupleFrame struct {
 	Tuple types.Tuple
 	Fresh bool
@@ -87,50 +137,106 @@ func (f *tupleFrame) encode() []byte {
 	return b
 }
 
-// encodeSized also reports how many of the payload bytes carry the
+// encodeSized also reports how many trailing bytes of the frame carry the
 // piggybacked provenance metadata, which the transport attributes to
 // the provenance byte class (the rest of a tuple frame is base-tuple
 // shipping). The buffer is pooled: callers hand the frame to sendOwned
 // (or release it themselves), and the transport recycles it on settle.
 func (f *tupleFrame) encodeSized() ([]byte, int) {
 	e := new(wire.Encoder)
-	e.SetBuf(wire.GetBuf())
+	e.SetBuf(wire.GetFrameBuf())
 	e.U8(frameTuple)
 	encodeTraceCtx(e, f.Trace)
+	metaBytes := f.encodeBody(e)
+	return e.Bytes(), metaBytes
+}
+
+func decodeTupleFrame(d *wire.Decoder) (*tupleFrame, error) {
+	f := &tupleFrame{}
+	f.Trace = decodeTraceCtx(d)
+	return f, f.decodeBody(d)
+}
+
+// encodeBody appends what a tuple frame and a WAL event record have in
+// common and returns the size of the metadata at its end.
+func (f *tupleFrame) encodeBody(e *wire.Encoder) int {
 	e.Tuple(f.Tuple)
 	e.Bool(f.Fresh)
 	metaStart := e.Len()
 	if !f.Fresh {
 		encodeMeta(e, f.Meta)
 	}
-	return e.Bytes(), e.Len() - metaStart
+	return e.Len() - metaStart
 }
 
-func decodeTupleFrame(d *wire.Decoder) (*tupleFrame, error) {
-	f := &tupleFrame{}
-	f.Trace = decodeTraceCtx(d)
+func (f *tupleFrame) decodeBody(d *wire.Decoder) error {
 	f.Tuple = d.Tuple()
-	f.Fresh = d.Bool()
-	if !f.Fresh {
-		f.Meta = decodeMeta(d)
+	fresh := d.U8()
+	if d.Err() != nil {
+		return d.Err()
 	}
-	return f, d.Err()
+	switch fresh {
+	case 0:
+		var err error
+		f.Meta, err = decodeMeta(d)
+		return err
+	case 1:
+		f.Fresh = true
+		return nil
+	}
+	return fmt.Errorf("cluster: tuple frame with fresh byte %d", fresh)
 }
 
+// Metadata flag bits. Any other bit set marks a frame this code does not
+// understand, and is refused.
+const (
+	metaExist = 1 << 0 // AdvMeta.Exist (the paper's existFlag)
+	metaPrev  = 1 << 1 // a non-nil Prev follows
+)
+
+// encodeMeta writes EvID, Eq, flags and — only when it is not nil — Prev.
+// The order puts what every event of a class changes (the tuple's payload
+// before it, then EvID) ahead of what the class fixes (Eq, flags, Prev),
+// so a batch entry delta-coded against an earlier event of its class
+// (wire.BatchEntry.Group) shares that whole suffix.
 func encodeMeta(e *wire.Encoder, m core.AdvMeta) {
-	e.ID(m.Eq)
-	e.Bool(m.Exist)
 	e.ID(m.EvID)
-	encodeRef(e, m.Prev)
+	e.ID(m.Eq)
+	var flags uint8
+	if m.Exist {
+		flags |= metaExist
+	}
+	if !m.Prev.IsNil() {
+		flags |= metaPrev
+	}
+	e.U8(flags)
+	if flags&metaPrev != 0 {
+		encodeRef(e, m.Prev)
+	}
 }
 
-func decodeMeta(d *wire.Decoder) core.AdvMeta {
+func decodeMeta(d *wire.Decoder) (core.AdvMeta, error) {
 	var m core.AdvMeta
-	m.Eq = d.ID()
-	m.Exist = d.Bool()
 	m.EvID = d.ID()
-	m.Prev = decodeRef(d)
-	return m
+	m.Eq = d.ID()
+	flags := d.U8()
+	if flags&^(metaExist|metaPrev) != 0 {
+		return m, fmt.Errorf("cluster: tuple metadata with unknown flags %#x", flags)
+	}
+	m.Exist = flags&metaExist != 0
+	if flags&metaPrev != 0 {
+		m.Prev = decodeRef(d)
+		if d.Err() == nil && m.Prev.IsNil() {
+			return m, fmt.Errorf("cluster: tuple metadata flags a nil Prev as present")
+		}
+	}
+	return m, d.Err()
+}
+
+// classGroup is the batch delta group of a shipped tuple: its equivalence
+// class, when the scheme ships one (zero — no group — otherwise).
+func classGroup(m core.AdvMeta) uint64 {
+	return binary.BigEndian.Uint64(m.Eq[:8])
 }
 
 func encodeRef(e *wire.Encoder, r core.Ref) {

@@ -103,6 +103,7 @@ type transportStats struct {
 	drops        atomic.Int64
 	queueDrops   atomic.Int64
 	dups         atomic.Int64
+	versionDrops atomic.Int64
 	lateResults  atomic.Int64
 	queryRetries atomic.Int64
 	faultDrops   atomic.Int64
@@ -179,6 +180,7 @@ type TransportStats struct {
 	Drops        int64 // frames abandoned after the retry budget
 	QueueDrops   int64 // frames dropped on a persistently full queue
 	Dups         int64 // redelivered duplicates suppressed by the receiver
+	VersionDrops int64 // deliveries of another wire.FormatVersion, dropped undecoded
 	LateResults  int64 // query results that arrived after the query timed out
 	QueryRetries int64 // Query walks re-issued after a result timeout
 	FaultDrops   int64 // writes discarded by the fault plan
@@ -207,6 +209,7 @@ func (s *TransportStats) accumulate(ts *transportStats) {
 	s.Drops += ts.drops.Load()
 	s.QueueDrops += ts.queueDrops.Load()
 	s.Dups += ts.dups.Load()
+	s.VersionDrops += ts.versionDrops.Load()
 	s.LateResults += ts.lateResults.Load()
 	s.QueryRetries += ts.queryRetries.Load()
 	s.FaultDrops += ts.faultDrops.Load()
@@ -229,6 +232,7 @@ func (s TransportStats) Counters() *metrics.Counters {
 	c.Add("drops", s.Drops)
 	c.Add("queue-drops", s.QueueDrops)
 	c.Add("dups-suppressed", s.Dups)
+	c.Add("version-drops", s.VersionDrops)
 	c.Add("late-results", s.LateResults)
 	c.Add("query-retries", s.QueryRetries)
 	c.Add("fault-drops", s.FaultDrops)
@@ -249,14 +253,17 @@ func (s TransportStats) String() string { return s.Counters().String() }
 
 // outFrame is one queued delivery: the encoded inner frame plus the
 // destination accounting epoch captured at enqueue time, the byte class
-// of the payload, and how many payload bytes are piggybacked provenance
-// metadata (for class base frames carrying Advanced metadata). pooled
-// marks a payload the transport owns exclusively (drawn from the wire
-// buffer pool by the encode fast path) and recycles once the frame
+// of the payload, and how many trailing payload bytes are piggybacked
+// provenance metadata (for class base frames carrying Advanced
+// metadata). group, when non-zero, is the frame's batch delta group
+// (wire.BatchEntry.Group): the equivalence class of a shipped tuple.
+// pooled marks a payload the transport owns exclusively (drawn from the
+// wire buffer pool by the encode fast path) and recycles once the frame
 // settles; broadcast frames shared across links must not set it.
 type outFrame struct {
 	payload   []byte
 	epoch     uint64
+	group     uint64
 	class     uint8
 	provBytes int
 	pooled    bool
@@ -610,14 +617,13 @@ func (t *transport) deliverBatch(batch []outFrame) {
 	entries := t.entries[:0]
 	for i := range batch {
 		t.seq++
-		entries = append(entries, wire.BatchEntry{Seq: t.seq, Epoch: batch[i].epoch, Payload: batch[i].payload})
+		entries = append(entries, wire.BatchEntry{
+			Seq: t.seq, Epoch: batch[i].epoch, Payload: batch[i].payload,
+			Group: batch[i].group, Tail: batch[i].provBytes,
+		})
 	}
-	var e wire.Encoder
-	e.SetBuf(wire.GetBuf())
-	e.U8(frameBatch)
-	e.Str(string(t.owner.addr))
-	e.U64(t.owner.incarnation.Load())
-	env, sizes := wire.AppendBatch(e.Bytes(), entries, true, t.sizes[:0])
+	hdr := appendDeliveryHeader(wire.GetBuf(), frameBatch, t.owner.addr, t.owner.incarnation.Load())
+	env, sizes := wire.AppendBatch(hdr, entries, true, t.sizes[:0])
 	t.sizes = sizes
 	for i := range entries {
 		entries[i].Payload = nil
@@ -631,14 +637,16 @@ func (t *transport) deliverBatch(batch []outFrame) {
 	}
 	if t.writeEnv(env) {
 		// Per-class attribution stays exact under coalescing: each
-		// sub-frame's encoded payload section goes to its own class, and
-		// the remaining bytes — length prefix, batch header, per-entry
-		// seq/epoch headers, delta framing — are the batch class, so the
+		// sub-frame's encoded section goes to its own class — of a tuple
+		// frame's section, the bytes that came out of its metadata tail
+		// (what the delta did not elide, entries[i].Tail) to prov and the
+		// rest to base — and the remaining bytes — length prefix, delivery
+		// header, per-entry seq/epoch deltas — are the batch class, so the
 		// class sums still reconcile with the link totals byte for byte.
 		lb := t.owner.linkBytesTo(t.to)
 		payloadBytes := 0
 		for i := range batch {
-			lb.add(batch[i].class, sizes[i], batch[i].provBytes)
+			lb.add(batch[i].class, sizes[i], entries[i].Tail)
 			payloadBytes += sizes[i]
 		}
 		lb.add(classBatch, len(env)+4-payloadBytes, 0)

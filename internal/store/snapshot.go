@@ -26,27 +26,37 @@ func writeSnapshotFile(dir string, gen uint64, payload []byte) (string, error) {
 	buf = append(buf, payload...)
 
 	path := snapPath(dir, gen)
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
-	if err != nil {
+	if err := writeFileAtomic(dir, "snap-*.tmp", path, buf); err != nil {
 		return "", err
 	}
+	return path, nil
+}
+
+// writeFileAtomic durably writes data as path, inside dir: to a temp file
+// (named by tmpPattern) that is fsynced and then renamed into place, so a
+// crash leaves either no file under that name or a whole one.
+func writeFileAtomic(dir, tmpPattern, path string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return err
+	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return "", err
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return "", err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return "", err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", err
+		return err
 	}
 	syncDir(dir)
-	return path, nil
+	return nil
 }
 
 // readSnapshotFile loads and verifies one snapshot file.

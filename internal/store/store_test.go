@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -383,5 +384,50 @@ func TestIntervalFlusherAcrossCheckpoints(t *testing.T) {
 	defer ns2.Close()
 	if string(snap) != "snap-19" || len(got) != 7 {
 		t.Errorf("recovered snapshot %q and %d records, want snap-19 and 7", snap, len(got))
+	}
+}
+
+// TestCheckFormatRefusesOtherVersion: a directory is stamped with the
+// record-format version of its first user, survives checkpoints with the
+// stamp intact, and refuses any other version — including a directory
+// from before stamps existed — with an error naming both.
+func TestCheckFormatRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	if err := CheckFormat(dir, 7); err != nil {
+		t.Fatal(err)
+	}
+	ns, _, _ := openCollecting(t, dir, Options{Fsync: SyncOff})
+	appendAll(t, ns, testRecords(3))
+	if err := ns.Checkpoint([]byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFormat(dir, 7); err != nil {
+		t.Fatalf("same version refused after a checkpoint: %v", err)
+	}
+	err := CheckFormat(dir, 8)
+	if err == nil || !strings.Contains(err.Error(), "version 7") || !strings.Contains(err.Error(), "version 8") {
+		t.Fatalf("version 8 against a version-7 directory: %v", err)
+	}
+
+	// Logs but no stamp: written before stamps existed, i.e. version 1.
+	if err := os.Remove(filepath.Join(dir, formatFile)); err != nil {
+		t.Fatal(err)
+	}
+	err = CheckFormat(dir, 8)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 8") {
+		t.Fatalf("version 8 against an unstamped directory: %v", err)
+	}
+	if err := CheckFormat(dir, unversionedFormat); err != nil {
+		t.Fatalf("version 1 against an unstamped directory: %v", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, formatFile), []byte("seven"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFormat(dir, 7); err == nil {
+		t.Fatal("garbled stamp accepted")
 	}
 }

@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Batch codec: the body of a frameBatch delivery. A batch carries N
 // already-encoded sub-frames, each with the (seq, epoch) pair it would
@@ -9,40 +13,65 @@ import "fmt"
 // for singles — a redelivered batch is N individually-suppressed
 // duplicates, never a double apply.
 //
-// Layout after the sender header (kind, from, incarnation):
+// Layout after the delivery header (kind, version, from, incarnation),
+// every integer a canonical uvarint:
 //
-//	u32 count
-//	count × { u64 seq, u64 epoch, payload section }
+//	count
+//	count × { seq − previous seq, zigzag(epoch − previous epoch), section }
 //
-// where a payload section is either raw
+// with both "previous" values 0 for the first entry and the differences
+// taken modulo 2^64. A section is either raw
 //
-//	u8 0, u32 len, len bytes
+//	0, len, len bytes
 //
-// or delta-encoded against the previous sub-frame's payload
+// or delta-encoded against the payload of an earlier entry of this batch
 //
-//	u8 1, u32 prefixLen, u32 suffixLen, u32 midLen, midLen bytes
+//	back (≥ 1), prefixLen, suffixLen, midLen, midLen bytes
 //
-// meaning: the first prefixLen and last suffixLen bytes equal the
-// previous payload's, with midLen fresh bytes between. Consecutive tuple
-// shipments of one link share relation names, trace headers, and (per
-// the paper's observation) near-identical equivalence keys and AdvMeta
-// piggybacks, so the delta routinely removes most of a sub-frame.
+// meaning: the first prefixLen and last suffixLen bytes equal those of
+// entry i−back's payload, with midLen fresh bytes between. References
+// never leave the batch, so a dropped, retried or redelivered batch
+// decodes on its own.
+//
+// Which entry to reference is the encoder's choice and invisible to the
+// decoder: an entry with a non-zero Group references the latest earlier
+// entry of the same group, any other entry the one just before it. The
+// cluster sets Group to the equivalence class of a shipped tuple (§5.2):
+// two events of one class differ only in payload and evid, so with the
+// class-invariant bytes laid out as the frame's suffix a same-class
+// reference leaves little more than those to send, however many other
+// classes interleave on the link.
 
 // MaxBatchEntries bounds the sub-frame count one batch may carry; larger
 // counts indicate corruption.
 const MaxBatchEntries = 1 << 12
+
+// minEntryBytes is the smallest encoded entry: one-byte seq and epoch
+// deltas and a raw section with an empty payload.
+const minEntryBytes = 4
 
 // BatchEntry is one sub-frame of a batch.
 type BatchEntry struct {
 	Seq     uint64
 	Epoch   uint64
 	Payload []byte
+	// Group, when non-zero, names the entries worth delta-coding against
+	// each other. It steers the encoder only and is not transmitted;
+	// decoded entries carry zero.
+	Group uint64
+	// Tail asks AppendBatch how much of the payload's last Tail bytes the
+	// encoded section still carries: on return it holds that count (all of
+	// them in a raw section, those outside the shared prefix and suffix in
+	// a delta). The sender uses it to attribute section bytes to the part
+	// of the frame they came from.
+	Tail int
 }
 
-const (
-	batchRaw   = 0
-	batchDelta = 1
-)
+// groupSlots sizes the encoder's direct-mapped group table. A link
+// carries the classes of the flows routed over it — tens, not
+// thousands — and a collision only costs the colliding entries their
+// same-group reference.
+const groupSlots = 64
 
 // deltaSplit returns the length of the longest common prefix and suffix
 // between prev and cur, with prefix+suffix never exceeding either length
@@ -61,43 +90,73 @@ func deltaSplit(prev, cur []byte) (prefix, suffix int) {
 	return prefix, suffix
 }
 
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag folds a two's-complement difference so small negative values
+// stay short; unzigzag undoes it.
+func zigzag(v uint64) uint64   { return v<<1 ^ uint64(int64(v)>>63) }
+func unzigzag(v uint64) uint64 { return v>>1 ^ -(v & 1) }
+
 // AppendBatch appends the batch body for entries to dst and returns the
-// grown buffer plus the encoded payload-section size of each entry
-// (appended to sizes), which is what the sender attributes to the
-// entry's byte class — everything else in the delivery is batch framing
-// overhead. With compress set, each payload after the first is delta
-// encoded against its predecessor when that is smaller than raw.
+// grown buffer plus the encoded section size of each entry (appended to
+// sizes), which is what the sender attributes to the entry's byte class
+// — everything else in the delivery is batch framing overhead. With
+// compress set, each payload is delta encoded against its reference
+// entry when that is smaller than raw. Each entry's Tail is rewritten as
+// documented on the field.
 func AppendBatch(dst []byte, entries []BatchEntry, compress bool, sizes []int) ([]byte, []int) {
-	dst = appendU32(dst, uint32(len(entries)))
-	var prev []byte
-	for _, ent := range entries {
-		dst = appendU64(dst, ent.Seq)
-		dst = appendU64(dst, ent.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	// latest[slot] is 1 + the index of the newest entry whose group maps
+	// to slot; the stored entry's own Group tells a hit from a collision.
+	var latest [groupSlots]int32
+	var prevSeq, prevEpoch uint64
+	for i := range entries {
+		ent := &entries[i]
+		dst = binary.AppendUvarint(dst, ent.Seq-prevSeq)
+		dst = binary.AppendUvarint(dst, zigzag(ent.Epoch-prevEpoch))
+		prevSeq, prevEpoch = ent.Seq, ent.Epoch
 		start := len(dst)
-		if compress && prev != nil {
-			prefix, suffix := deltaSplit(prev, ent.Payload)
-			// The delta section costs 13 header bytes against raw's 5;
-			// take it only when the shared regions pay for the difference.
-			if prefix+suffix >= 8 {
-				mid := ent.Payload[prefix : len(ent.Payload)-suffix]
-				dst = append(dst, batchDelta)
-				dst = appendU32(dst, uint32(prefix))
-				dst = appendU32(dst, uint32(suffix))
-				dst = appendU32(dst, uint32(len(mid)))
+
+		ref := i - 1
+		if ent.Group != 0 {
+			slot := &latest[ent.Group%groupSlots]
+			if j := int(*slot) - 1; j >= 0 && entries[j].Group == ent.Group {
+				ref = j
+			}
+			*slot = int32(i + 1)
+		}
+		size := len(ent.Payload)
+		tail := min(ent.Tail, size)
+		if compress && ref >= 0 {
+			prefix, suffix := deltaSplit(entries[ref].Payload, ent.Payload)
+			mid := ent.Payload[prefix : size-suffix]
+			back := uint64(i - ref)
+			deltaHdr := uvarintLen(back) + uvarintLen(uint64(prefix)) + uvarintLen(uint64(suffix)) + uvarintLen(uint64(len(mid)))
+			if deltaHdr+len(mid) < 1+uvarintLen(uint64(size))+size {
+				dst = binary.AppendUvarint(dst, back)
+				dst = binary.AppendUvarint(dst, uint64(prefix))
+				dst = binary.AppendUvarint(dst, uint64(suffix))
+				dst = binary.AppendUvarint(dst, uint64(len(mid)))
 				dst = append(dst, mid...)
 				sizes = append(sizes, len(dst)-start)
-				prev = ent.Payload
+				// The part of mid that lies in the payload's last tail bytes.
+				ent.Tail = max(0, size-suffix-max(prefix, size-tail))
 				continue
 			}
 		}
-		dst = append(dst, batchRaw)
-		dst = appendU32(dst, uint32(len(ent.Payload)))
+		dst = append(dst, 0)
+		dst = binary.AppendUvarint(dst, uint64(size))
 		dst = append(dst, ent.Payload...)
 		sizes = append(sizes, len(dst)-start)
-		prev = ent.Payload
+		ent.Tail = tail
 	}
 	return dst, sizes
 }
+
+// scanStackEntries is how many entry lengths DecodeBatch keeps on its
+// stack; the transport never batches more, so only a foreign or corrupt
+// batch pays for a heap slice.
+const scanStackEntries = 512
 
 // DecodeBatch decodes a batch body in two passes: a validating scan
 // that sizes the delta arena, then materialization — so a whole batch
@@ -105,91 +164,89 @@ func AppendBatch(dst []byte, entries []BatchEntry, compress bool, sizes []int) (
 // entry. Raw payloads alias the decoder's buffer; either way the
 // returned entries are only valid until the caller reuses that buffer.
 func DecodeBatch(d *Decoder) ([]BatchEntry, error) {
-	count := int(d.U32())
+	n := d.Uvarint()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if count < 0 || count > MaxBatchEntries {
-		return nil, fmt.Errorf("wire: batch with %d entries", count)
+	if n > MaxBatchEntries || n > uint64(d.Remaining()/minEntryBytes) {
+		return nil, fmt.Errorf("wire: batch of %d entries in %d bytes", n, d.Remaining())
+	}
+	count := int(n)
+	var stack [scanStackEntries]int32
+	lens := stack[:0]
+	if count > len(stack) {
+		lens = make([]int32, 0, count)
 	}
 	scan := *d
-	arenaSize, err := scanBatch(&scan, count)
+	arenaSize, err := scanBatch(&scan, lens[:count])
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]BatchEntry, 0, count)
+	entries := make([]BatchEntry, count)
 	arena := make([]byte, 0, arenaSize)
-	var prev []byte
-	for i := 0; i < count; i++ {
-		seq := d.U64()
-		epoch := d.U64()
+	var seq, epoch uint64
+	for i := range entries {
+		seq += d.Uvarint()
+		epoch += unzigzag(d.Uvarint())
 		var payload []byte
-		if d.U8() == batchRaw {
-			payload = d.Blob()
+		if back := d.Uvarint(); back == 0 {
+			payload = d.Take(d.Uvarint())
 		} else {
-			prefix := int(d.U32())
-			suffix := int(d.U32())
-			mid := d.Blob()
+			ref := entries[i-int(back)].Payload
+			prefix := d.Uvarint()
+			suffix := d.Uvarint()
+			mid := d.Take(d.Uvarint())
 			start := len(arena)
-			arena = append(arena, prev[:prefix]...)
+			arena = append(arena, ref[:prefix]...)
 			arena = append(arena, mid...)
-			arena = append(arena, prev[len(prev)-suffix:]...)
+			arena = append(arena, ref[uint64(len(ref))-suffix:]...)
 			payload = arena[start:len(arena):len(arena)]
 		}
-		entries = append(entries, BatchEntry{Seq: seq, Epoch: epoch, Payload: payload})
-		prev = payload
+		entries[i] = BatchEntry{Seq: seq, Epoch: epoch, Payload: payload}
 	}
 	return entries, nil
 }
 
-// scanBatch validates every entry header of a batch body and returns how
-// many bytes the delta payloads will materialize to. Only payload
-// lengths need tracking: a delta's (prefix, suffix) are valid against
-// the previous payload's length regardless of its contents.
-func scanBatch(d *Decoder, count int) (int, error) {
-	arenaSize, prevLen, decoded := 0, 0, 0
-	for i := 0; i < count; i++ {
-		d.U64() // seq
-		d.U64() // epoch
-		switch flag := d.U8(); flag {
-		case batchRaw:
-			b := d.Blob()
+// scanBatch validates every entry of a batch body, records the decoded
+// payload length of each in lens, and returns how many bytes the delta
+// payloads will materialize to. Only lengths need tracking: a delta's
+// (prefix, suffix) are valid against its reference's length regardless
+// of the contents.
+func scanBatch(d *Decoder, lens []int32) (int, error) {
+	arenaSize, decoded := 0, 0
+	for i := range lens {
+		d.Uvarint() // seq delta
+		d.Uvarint() // epoch delta
+		back := d.Uvarint()
+		var size uint64
+		if back == 0 {
+			size = uint64(len(d.Take(d.Uvarint())))
+		} else {
+			prefix := d.Uvarint()
+			suffix := d.Uvarint()
+			mid := d.Take(d.Uvarint())
 			if d.Err() != nil {
 				return 0, d.Err()
 			}
-			prevLen = len(b)
-		case batchDelta:
-			prefix := int(d.U32())
-			suffix := int(d.U32())
-			mid := d.Blob()
-			if d.Err() != nil {
-				return 0, d.Err()
+			if back > uint64(i) {
+				return 0, fmt.Errorf("wire: batch entry %d refers %d entries back", i, back)
 			}
-			if prefix < 0 || suffix < 0 || prefix+suffix > prevLen {
-				return 0, fmt.Errorf("wire: batch delta (%d,%d) against %d-byte base", prefix, suffix, prevLen)
+			refLen := uint64(lens[i-int(back)])
+			// Compared one at a time: the sum of two hostile lengths can wrap.
+			if prefix > refLen || suffix > refLen-prefix {
+				return 0, fmt.Errorf("wire: batch delta (%d,%d) against %d-byte base", prefix, suffix, refLen)
 			}
-			if i == 0 {
-				return 0, fmt.Errorf("wire: batch opens with a delta entry")
-			}
-			prevLen = prefix + len(mid) + suffix
-			arenaSize += prevLen
-		default:
-			return 0, fmt.Errorf("wire: batch entry with unknown encoding %d", flag)
+			size = prefix + uint64(len(mid)) + suffix
+			arenaSize += int(size)
 		}
-		decoded += prevLen
+		if d.Err() != nil {
+			return 0, d.Err()
+		}
+		decoded += int(size)
 		if decoded > MaxFrameSize {
 			return 0, fmt.Errorf("wire: batch decodes past the frame limit")
 		}
+		lens[i] = int32(size)
 	}
 	return arenaSize, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 
@@ -35,16 +37,18 @@ func checkRoundTrip(t *testing.T, in []BatchEntry, compress bool) []int {
 	if len(sizes) != len(in) {
 		t.Fatalf("%d sizes for %d entries", len(sizes), len(in))
 	}
-	// The per-entry payload sections plus the fixed framing must account
-	// for every encoded byte — this is the attribution invariant the
-	// transport relies on to keep class sums equal to link totals.
-	framing := 4 + 16*len(in)
-	total := framing
-	for _, s := range sizes {
-		total += s
+	// The per-entry payload sections plus the framing (count, then each
+	// entry's seq and epoch deltas) must account for every encoded byte —
+	// this is the attribution invariant the transport relies on to keep
+	// class sums equal to link totals.
+	total := uvarintLen(uint64(len(in)))
+	var prevSeq, prevEpoch uint64
+	for i, ent := range in {
+		total += uvarintLen(ent.Seq-prevSeq) + uvarintLen(zigzag(ent.Epoch-prevEpoch)) + sizes[i]
+		prevSeq, prevEpoch = ent.Seq, ent.Epoch
 	}
 	if total != len(body) {
-		t.Fatalf("sizes sum %d + framing != body %d", total, len(body))
+		t.Fatalf("sizes sum + framing = %d, body %d", total, len(body))
 	}
 	out := decodeBody(t, body)
 	if len(out) != len(in) {
@@ -103,45 +107,137 @@ func TestBatchDeltaCompresses(t *testing.T) {
 	checkRoundTrip(t, entries, true)
 }
 
-func TestBatchDecodeRejectsCorruption(t *testing.T) {
-	deltaNoBase := appendU32(nil, 1)
-	deltaNoBase = appendU64(deltaNoBase, 1)
-	deltaNoBase = appendU64(deltaNoBase, 1)
-	deltaNoBase = append(deltaNoBase, batchDelta)
-	deltaNoBase = appendU32(deltaNoBase, 4) // prefix vs an empty base
-	deltaNoBase = appendU32(deltaNoBase, 0)
-	deltaNoBase = appendU32(deltaNoBase, 0)
-	unknownFlag := appendU32(nil, 1)
-	unknownFlag = appendU64(unknownFlag, 1)
-	unknownFlag = appendU64(unknownFlag, 1)
-	unknownFlag = append(unknownFlag, 99)
-	cases := map[string][]byte{
-		"huge count":     appendU32(nil, MaxBatchEntries+1),
-		"truncated":      appendU32(nil, 2),
-		"unknown flag":   unknownFlag,
-		"delta no base":  deltaNoBase,
-		"delta oversize": buildBadDelta(),
+// uvs concatenates the canonical uvarints of vals: the way to spell a
+// batch body by hand.
+func uvs(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
 	}
-	for name, body := range cases {
+	return b
+}
+
+// malformedBatches are bodies DecodeBatch must refuse; FuzzBatchDecode
+// starts from them too. An entry reads seq, epoch, back, then either
+// (len, bytes) or (prefix, suffix, midLen, bytes).
+func malformedBatches() map[string][]byte {
+	raw4 := append(uvs(1, 0, 0, 4), "base"...) // seq 1, epoch 0, raw "base"
+	withRaw := func(count uint64, rest []byte) []byte {
+		return append(append(uvs(count), raw4...), rest...)
+	}
+	return map[string][]byte{
+		"huge count":            uvs(MaxBatchEntries + 1),
+		"truncated":             uvs(2),
+		"count past the bytes":  withRaw(3, uvs(1, 0, 0)),
+		"delta as first entry":  uvs(1, 1, 0, 1, 0, 0, 0),
+		"back past the start":   withRaw(2, uvs(1, 0, 2, 1, 1, 0)),
+		"prefix+suffix too big": withRaw(2, uvs(1, 0, 1, 3, 3, 0)),
+		"suffix wraps":          withRaw(2, uvs(1, 0, 1, 2, 1<<64-1, 0)),
+		"mid past the end":      withRaw(2, uvs(1, 0, 1, 1, 1, 9)),
+		"raw past the end":      uvs(1, 1, 0, 0, 9),
+		"padded uvarint":        append([]byte{1, 0x81, 0x00, 0, 0, 4}, "base"...),
+		"eleven-byte uvarint":   append(append([]byte{1}, bytes.Repeat([]byte{0xFF}, 10)...), 0x01, 0, 0, 0),
+		"uvarint overflow":      append(append([]byte{1}, bytes.Repeat([]byte{0xFF}, 9)...), 0x02, 0, 0, 0),
+	}
+}
+
+func TestBatchDecodeRejectsCorruption(t *testing.T) {
+	for name, body := range malformedBatches() {
 		if _, err := DecodeBatch(NewDecoder(body)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 }
 
-// buildBadDelta encodes a raw entry then a delta whose prefix+suffix
-// exceed the base payload's length.
-func buildBadDelta() []byte {
-	body, _ := AppendBatch(nil, batchOf([]byte("base")), false, nil)
-	body = appendU64(appendU64(body, 2), 2)
-	body = append(body, batchDelta)
-	body = appendU32(body, 3) // prefix
-	body = appendU32(body, 3) // suffix: 3+3 > len("base")
-	body = appendU32(body, 0) // mid
-	// Patch the count to 2.
-	count := appendU32(nil, 2)
-	copy(body, count)
-	return body
+// TestBatchSeqEpochDeltas pins the entry framing at its ends: ascending
+// seqs and a steady epoch cost one byte each, and values that run
+// backwards or span the whole range still round trip.
+func TestBatchSeqEpochDeltas(t *testing.T) {
+	steady := []BatchEntry{{Seq: 1000, Epoch: 7}, {Seq: 1001, Epoch: 7}, {Seq: 1002, Epoch: 6}}
+	body, sizes := AppendBatch(nil, steady, true, nil)
+	// count + (2-byte seq, 1-byte epoch) + 2 × (1, 1), then the sections.
+	if want := 1 + 3 + 2 + 2 + sizes[0] + sizes[1] + sizes[2]; len(body) != want {
+		t.Fatalf("steady batch is %d bytes, want %d", len(body), want)
+	}
+	checkRoundTrip(t, steady, true)
+	checkRoundTrip(t, []BatchEntry{{Seq: 5, Epoch: 1<<64 - 1}, {Seq: 2, Epoch: 0}, {Seq: 1<<64 - 1, Epoch: 1 << 63}}, true)
+}
+
+// classFrame mimics a tuple frame of the cluster: a header and key fields
+// fixed by the class, a per-event payload and evid, then the class's
+// invariant metadata.
+func classFrame(class, event int) []byte {
+	b := []byte(fmt.Sprintf("\x01................packet:n%d:n%d:", class, class+4))
+	b = append(b, fmt.Sprintf("payload-%032d", event*7919+class)...)
+	b = append(b, bytes.Repeat([]byte{byte(event), byte(class), byte(event >> 3)}, 7)[:20]...) // evid
+	b = append(b, bytes.Repeat([]byte{byte(0xA0 + class)}, 20)...)                             // eq
+	return append(b, 1)                                                                        // flags
+}
+
+// TestBatchGroupedDelta pins the class-grouped delta: with three classes
+// interleaved on one link, every second-and-later frame of a class costs
+// at most its per-event bytes (payload and evid) plus eight, where a
+// previous-entry delta would resend the class's key fields and metadata
+// every time.
+func TestBatchGroupedDelta(t *testing.T) {
+	const perEvent = 40 + 20
+	var grouped, ungrouped []BatchEntry
+	for i := 0; i < 30; i++ {
+		class := []int{0, 1, 2, 1, 0, 2}[i%6]
+		ent := BatchEntry{Seq: uint64(i + 1), Epoch: 3, Payload: classFrame(class, i), Group: uint64(class + 1)}
+		grouped = append(grouped, ent)
+		ent.Group = 0
+		ungrouped = append(ungrouped, ent)
+	}
+	sizes := checkRoundTrip(t, grouped, true)
+	seen := map[uint64]bool{}
+	total := 0
+	for i, ent := range grouped {
+		if seen[ent.Group] && sizes[i] > perEvent+8 {
+			t.Errorf("entry %d (class %d) took %d bytes, want <= %d", i, ent.Group, sizes[i], perEvent+8)
+		}
+		seen[ent.Group] = true
+		total += sizes[i]
+	}
+	plain := 0
+	for _, s := range checkRoundTrip(t, ungrouped, true) {
+		plain += s
+	}
+	if total >= plain {
+		t.Fatalf("grouping saved nothing: %d bytes grouped, %d against the previous entry", total, plain)
+	}
+}
+
+// TestBatchGroupCollision: two groups sharing a table slot evict each
+// other and fall back to the previous entry; the batch still round trips.
+func TestBatchGroupCollision(t *testing.T) {
+	var entries []BatchEntry
+	for i := 0; i < 8; i++ {
+		group := uint64(5 + groupSlots*(i%2))
+		entries = append(entries, BatchEntry{Seq: uint64(i), Payload: classFrame(int(group), i), Group: group})
+	}
+	checkRoundTrip(t, entries, true)
+}
+
+// TestBatchTail pins the in/out Tail contract the transport's byte
+// attribution rests on: of the payload's last Tail bytes, how many the
+// section carries.
+func TestBatchTail(t *testing.T) {
+	a := []byte("head-AAAA-evid1-classmeta")
+	b := []byte("head-BBBB-evid2-classmeta") // differs in [5,9) and at 14
+	entries := []BatchEntry{
+		{Seq: 1, Payload: a, Tail: 15},                        // raw: the whole tail
+		{Seq: 2, Payload: b, Tail: 15},                        // mid = [5,15), tail = [10,25): 5 bytes
+		{Seq: 3, Payload: b, Tail: 15},                        // identical to its reference: nothing
+		{Seq: 4, Payload: []byte("x"), Tail: 9},               // tail longer than the payload
+		{Seq: 5, Payload: []byte("head-BBBB-evid2"), Tail: 0}, // no tail asked for
+	}
+	AppendBatch(nil, entries, true, nil)
+	for i, want := range []int{15, 5, 0, 1, 0} {
+		if entries[i].Tail != want {
+			t.Errorf("entry %d: Tail = %d, want %d", i, entries[i].Tail, want)
+		}
+	}
 }
 
 // TestPooledEncodeAllocs pins the pooled hot path: staging a batch into

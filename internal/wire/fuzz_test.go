@@ -40,7 +40,16 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add(seed)
 	raw, _ := AppendBatch(nil, []BatchEntry{{Seq: 7, Epoch: 0, Payload: []byte{}}}, false, nil)
 	f.Add(raw)
-	f.Add([]byte{0, 0, 0, 0})
+	grouped, _ := AppendBatch(nil, []BatchEntry{
+		{Seq: 1, Epoch: 9, Payload: []byte("tuple:packet:n0:n4:a:eq-04"), Group: 4},
+		{Seq: 2, Epoch: 9, Payload: []byte("tuple:packet:n1:n5:b:eq-15"), Group: 15},
+		{Seq: 3, Epoch: 8, Payload: []byte("tuple:packet:n0:n4:c:eq-04"), Group: 4},
+	}, true, nil)
+	f.Add(grouped)
+	for _, body := range malformedBatches() {
+		f.Add(body)
+	}
+	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeBatch(NewDecoder(data))
@@ -71,12 +80,14 @@ func FuzzBatchDecode(f *testing.F) {
 
 // FuzzBatchRoundTrip drives the encoder from fuzzed payload material:
 // data is chopped into chunks (so neighbors share prefixes and suffixes,
-// exercising the delta path) and the batch must round trip under both
-// compression settings.
+// exercising the delta path), each chunk drawing its group from its own
+// first byte (zero, a few shared groups, and colliding table slots all
+// occur), and the batch must round trip under both compression settings.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add([]byte("aaaa-bbbb-cccc-dddd-aaaa-bbbb"), uint8(5), true)
 	f.Add([]byte{}, uint8(0), false)
 	f.Add(bytes.Repeat([]byte{0xEE}, 300), uint8(1), true)
+	f.Add([]byte("\x01key-a:1\x02key-b:1\x01key-a:2\x42key-c:1\x02key-b:2\x00plain:1"), uint8(7), true)
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, compress bool) {
 		size := int(chunk)%32 + 1
 		var entries []BatchEntry
@@ -89,9 +100,16 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				Seq:     uint64(len(entries)),
 				Epoch:   uint64(off),
 				Payload: data[off:end],
+				Group:   uint64(data[off] % 67), // 67 > groupSlots: slots collide
+				Tail:    int(data[end-1]) % (size + 2),
 			})
 		}
-		body, _ := AppendBatch(nil, entries, compress, nil)
+		body, sizes := AppendBatch(nil, entries, compress, nil)
+		for i, ent := range entries {
+			if ent.Tail < 0 || ent.Tail > len(ent.Payload) || ent.Tail > sizes[i] {
+				t.Fatalf("entry %d: Tail %d of a %d-byte payload in a %d-byte section", i, ent.Tail, len(ent.Payload), sizes[i])
+			}
+		}
 		out, err := DecodeBatch(NewDecoder(body))
 		if err != nil {
 			t.Fatalf("decode of encoder output: %v", err)
@@ -100,8 +118,9 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			t.Fatalf("decoded %d entries, want %d", len(out), len(entries))
 		}
 		for i := range entries {
-			if !bytes.Equal(out[i].Payload, entries[i].Payload) {
-				t.Fatalf("entry %d payload mismatch", i)
+			if out[i].Seq != entries[i].Seq || out[i].Epoch != entries[i].Epoch ||
+				!bytes.Equal(out[i].Payload, entries[i].Payload) {
+				t.Fatalf("entry %d did not round trip", i)
 			}
 		}
 	})

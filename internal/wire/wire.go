@@ -17,20 +17,38 @@ import (
 // MaxFrameSize bounds a single frame; larger frames indicate corruption.
 const MaxFrameSize = 64 << 20
 
-// bufPool recycles encode/staging buffers for the ingest hot path; it
-// stores *[]byte slots so the slice headers themselves are recycled too
+// FormatVersion names the byte layout of everything this package and the
+// cluster protocol put on a socket: delivery headers, the batch body
+// (batch.go) and the frames inside it. Every delivery carries it in one
+// byte; a receiver drops a delivery of another version instead of
+// decoding it as its own. Bump it with any layout change — the cluster's
+// golden-bytes test fails until you do. Version 1 was the unversioned
+// fixed-width layout.
+const FormatVersion = 2
+
+// Buffers come in two capacities: frame-sized ones for single tuple
+// frames, which sit in transport queues by the thousand, and
+// delivery-sized ones for envelopes, batches and walk frames.
+const (
+	frameBufCap    = 256
+	deliveryBufCap = 4 << 10
+)
+
+// The pools recycle encode/staging buffers for the ingest hot path; they
+// store *[]byte slots so the slice headers themselves are recycled too
 // (Put(&local) would heap-allocate a header per cycle). Empty slots
-// released by GetBuf wait in slotPool for the next PutBuf, so a
+// released by a Get wait in slotPool for the next PutBuf, so a
 // steady-state Get/Put cycle allocates nothing at all.
 var (
-	bufPool = sync.Pool{
-		New: func() any {
-			b := make([]byte, 0, 4<<10)
-			return &b
-		},
-	}
-	slotPool = sync.Pool{New: func() any { return new([]byte) }}
+	bufPool      = sync.Pool{New: func() any { return newBuf(deliveryBufCap) }}
+	frameBufPool = sync.Pool{New: func() any { return newBuf(frameBufCap) }}
+	slotPool     = sync.Pool{New: func() any { return new([]byte) }}
 )
+
+func newBuf(capacity int) *[]byte {
+	b := make([]byte, 0, capacity)
+	return &b
+}
 
 // maxPooledCap is the largest buffer the pool retains. Occasional giants
 // (a partition handoff snapshot, a huge walk result) are left to the GC
@@ -41,23 +59,36 @@ const maxPooledCap = 1 << 20
 // append to it directly) and hand it back with PutBuf once the bytes are
 // no longer referenced; each cycle through the pool is an allocation the
 // hot path does not make.
-func GetBuf() []byte {
-	slot := bufPool.Get().(*[]byte)
+func GetBuf() []byte { return getBuf(&bufPool) }
+
+// GetFrameBuf is GetBuf for one tuple frame: a buffer of a few hundred
+// bytes, so the thousands of frames waiting in transport queues do not
+// each pin (and, on a pool miss, allocate and zero) a delivery-sized one.
+// A frame that outgrows it grows by append and keeps the larger buffer.
+func GetFrameBuf() []byte { return getBuf(&frameBufPool) }
+
+func getBuf(pool *sync.Pool) []byte {
+	slot := pool.Get().(*[]byte)
 	b := (*slot)[:0]
 	*slot = nil
 	slotPool.Put(slot)
 	return b
 }
 
-// PutBuf recycles a buffer obtained from GetBuf. The caller must not
-// touch the slice (or anything aliasing it) afterwards.
+// PutBuf recycles a buffer obtained from GetBuf or GetFrameBuf, to the
+// pool its capacity belongs to. The caller must not touch the slice (or
+// anything aliasing it) afterwards.
 func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledCap {
 		return
 	}
 	slot := slotPool.Get().(*[]byte)
 	*slot = b[:0]
-	bufPool.Put(slot)
+	if cap(b) < deliveryBufCap {
+		frameBufPool.Put(slot)
+	} else {
+		bufPool.Put(slot)
+	}
 }
 
 // Encoder appends primitive values to a growing buffer.
@@ -187,6 +218,39 @@ func (d *Decoder) U64() uint64 {
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
+}
+
+// Uvarint reads an unsigned varint in its one canonical encoding: a value
+// that overflows 64 bits, runs past ten bytes, or is padded with a
+// trailing zero group (0x80 0x00 for 0) is refused, so every accepted
+// byte string re-encodes to itself.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
+		d.fail("uvarint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// Take reads n raw bytes. The returned slice aliases the decoder's
+// buffer, like Blob's.
+func (d *Decoder) Take(n uint64) []byte {
+	if d.err != nil || n > uint64(len(d.buf)-d.off) {
+		d.fail("bytes")
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
 }
 
 // Str reads a length-prefixed string.
