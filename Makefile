@@ -1,14 +1,19 @@
 # Tier-1 gate: `make verify` must pass before merging.
 #
-#   vet          go vet ./..., and gofmt -l . must list no file
+#   vet          go vet ./..., gofmt -l . must list no file, and the count
+#                of //nolint:errcheck sites in non-test code outside bench/
+#                must not exceed NOLINT_MAX (a ratchet: lower it with every
+#                site handled, never raise it)
 #   build        go build ./...
 #   test         go test -race ./... (full suite under the race detector)
 #   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
 #                skip themselves under the race detector: types.HashTuple
 #                and a warmed wire.Encoder.Tuple allocate 0, a rule
 #                evaluation 0 unless it fires and <=3 per firing, one
-#                untraced applyTuple hop stays under its stated budget,
-#                and the pooled batch encode path stays at 0
+#                untraced pipeline step stays under its stated budget
+#                and, run with ship=false as WAL replay and shadow applies
+#                run it, encodes nothing, and the pooled batch encode path
+#                stays at 0
 #   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
 #                outside the process (types, wire, cluster, ndlog), a few
 #                seconds each from its seeded corpus — the decoders behind
@@ -25,9 +30,6 @@
 #                parent-linked span tree and the written Chrome trace
 #                JSON must validate (provquery self-checks both and
 #                exits non-zero otherwise)
-#   bench-smoke  the benchmark harness at reduced scale, written to a
-#                scratch directory (committed BENCH_*.json baselines stay
-#                untouched) — proves the perf suite itself still runs
 #   ingest-smoke the ingest fast path at reduced scale: the wire-tier A/B
 #                of per-tuple framing against batched+pooled frames
 #                (batched must be >=2x events/s with >=4x fewer
@@ -58,22 +60,27 @@
 #                the graveyard, cache-entry, dep-key, and trace-span
 #                gauges must all be back at their baselines
 #
+# `make bench` is not part of the gate: it runs the Go microbenchmarks and
+# the benchmark BENCHMARK.json declares (go run ./bench; see bench/README.md).
+#
 # The chaos tests use fixed FaultPlan seeds, so a failure reproduces
 # deterministically; -count=1 defeats the test cache to make sure the
 # transport actually runs every time.
 
 GO ?= go
-BENCH_SMOKE_DIR := $(or $(TMPDIR),/tmp)/provcompress-bench-smoke
+NOLINT_MAX := 47
 TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
-.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
 
-verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
+	@n=$$(grep -r --include='*.go' --exclude='*_test.go' --exclude-dir=bench -c 'nolint:errcheck' . | awk -F: '{s+=$$2} END {print s}'); \
+	if [ "$$n" -gt $(NOLINT_MAX) ]; then echo "$$n //nolint:errcheck sites, ratchet is $(NOLINT_MAX)"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -102,14 +109,10 @@ serve-smoke:
 trace-smoke:
 	$(GO) run ./cmd/provquery -nodes 5 -packets 4 -pairs 2 -trace $(TRACE_SMOKE_FILE)
 
-# Full benchmark run: Go microbenchmarks plus the provsim suite, which
-# refreshes the committed BENCH_engine.json / BENCH_serve.json baselines.
+# Go microbenchmarks plus the repo's benchmark (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./internal/engine/ ./internal/cluster/
-	$(GO) run ./cmd/provsim -bench-out .
-
-bench-smoke:
-	$(GO) run ./cmd/provsim -bench-out $(BENCH_SMOKE_DIR) -bench-smoke
+	$(GO) run ./bench
 
 ingest-smoke:
 	$(GO) run ./cmd/provsim -bench-smoke ingest

@@ -203,7 +203,7 @@ var (
 )
 
 // Serving layer (cmd/provd): a long-lived HTTP/JSON daemon over live
-// clusters with an epoch-invalidated result cache, a bounded query worker
+// clusters with a key-invalidated result cache, a bounded query worker
 // pool with admission control (429 + Retry-After on overload), Prometheus
 // /metrics, and pprof.
 type (

@@ -17,21 +17,17 @@ import (
 
 // cacheBenchRecord is one measured mixed read/write cache run: Zipf
 // readers over a preloaded output frame racing a writer that injects a
-// fresh event every 500µs into a class the readers never target. Mode is
-// always "keyed", the dependency-indexed invalidation the daemon ships
-// with; the field stays so records line up with the committed
-// BENCH_serve.json, which also holds the retired epoch baseline's last run.
+// fresh event every 500µs into a class the readers never target.
 type cacheBenchRecord struct {
-	Mode      string  `json:"mode"`
-	Nodes     int     `json:"nodes"`
-	Events    int     `json:"events"` // preloaded read targets
-	Queries   int     `json:"queries"`
-	Writes    int     `json:"writes"` // events landed during the read phase
-	CacheHits int     `json:"cache_hits"`
-	HitRate   float64 `json:"hit_rate"`
-	P50MS     float64 `json:"p50_ms"`
-	P99MS     float64 `json:"p99_ms"`
-	QPS       float64 `json:"qps"`
+	Nodes     int
+	Events    int // preloaded read targets
+	Queries   int
+	Writes    int // events landed during the read phase
+	CacheHits int
+	HitRate   float64
+	P50MS     float64
+	P99MS     float64
+	QPS       float64
 }
 
 // cacheBenchRun boots a fresh chain cluster + daemon, preloads a packet
@@ -42,7 +38,7 @@ func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 	if smoke {
 		nodes, events, queries = 5, 12, 800
 	}
-	rec := cacheBenchRecord{Mode: "keyed", Nodes: nodes, Events: events, Queries: queries}
+	rec := cacheBenchRecord{Nodes: nodes, Events: events, Queries: queries}
 
 	g := topo.Line(nodes, "n")
 	c, err := cluster.New(cluster.Config{
@@ -125,16 +121,6 @@ func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 	rec.P99MS = float64(rep.P99.Microseconds()) / 1000
 	rec.QPS = rep.QPS
 	return rec, nil
-}
-
-// benchCache runs the mixed workload and returns its record for
-// BENCH_serve.json.
-func benchCache(smoke bool) ([]cacheBenchRecord, error) {
-	rec, err := cacheBenchRun(smoke)
-	if err != nil {
-		return nil, err
-	}
-	return []cacheBenchRecord{rec}, nil
 }
 
 // runCacheSmoke executes the mixed workload, prints it, and enforces the

@@ -5,9 +5,8 @@
 // with pooled buffers and delta compression — and the cluster tier runs
 // the full inject/derive/ship/settle pipeline per provenance scheme with
 // batching on and off, reading the byte attribution back from the
-// transport counters. The same records land in BENCH_serve.json via
-// -bench-out; `make ingest-smoke` runs this target and fails the build
-// on a slow fast path or any accounting drift.
+// transport counters. `make ingest-smoke` runs this target and fails the
+// build on a slow fast path or any accounting drift.
 package main
 
 import (
@@ -27,19 +26,19 @@ import (
 
 // ingestBenchRecord is one measured ingest run.
 type ingestBenchRecord struct {
-	Tier           string  `json:"tier"`             // "wire" or "cluster"
-	Scheme         string  `json:"scheme,omitempty"` // cluster tier only
-	Mode           string  `json:"mode"`             // per-tuple | batched | batched-nocompress
-	Events         int     `json:"events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	Batches        int64   `json:"batches,omitempty"`
-	BatchFrames    int64   `json:"batch_frames,omitempty"`
+	Tier           string // "wire" or "cluster"
+	Scheme         string // cluster tier only
+	Mode           string // per-tuple | batched | batched-nocompress
+	Events         int
+	EventsPerSec   float64
+	BytesPerEvent  float64
+	AllocsPerEvent float64
+	Batches        int64
+	BatchFrames    int64
 	// AccountingDrift is the absolute difference between the per-class
 	// byte sums and the wire byte totals, aggregate plus per-link. The
 	// exactly-once attribution invariant demands zero.
-	AccountingDrift int64 `json:"accounting_drift"`
+	AccountingDrift int64
 }
 
 // mallocs reads the cumulative allocation count.

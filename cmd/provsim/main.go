@@ -5,8 +5,9 @@
 // Usage:
 //
 //	provsim [flags] fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|all
+//	provsim tables
 //	provsim [-elastic-nodes N] [-elastic-replicas K] elastic
-//	provsim [-bench-smoke] soak
+//	provsim [-bench-smoke] ingest|cache|soak
 //
 // By default the experiments run at a reduced scale that finishes in
 // seconds; -paper selects the paper's full parameters (100 pairs at 100
@@ -39,21 +40,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	ic := flag.Bool("ic", false, "add the Section 5.4 inter-class variant as a fourth series")
-	benchOut := flag.String("bench-out", "", "run the benchmark suite and write BENCH_engine.json and BENCH_serve.json into this directory")
-	benchSmoke := flag.Bool("bench-smoke", false, "with -bench-out: shrink the benchmark workloads to finish in seconds")
+	benchSmoke := flag.Bool("bench-smoke", false, "shrink the ingest, cache and soak checks to finish in seconds")
 	elasticNodes := flag.Int("elastic-nodes", 1000, "live cluster size for the elastic target")
 	elasticReplicas := flag.Int("elastic-replicas", 2, "replication factor for the elastic target")
 	flag.Parse()
-
-	if *benchOut != "" {
-		fcfg := experiments.DefaultForwardingConfig()
-		dcfg := experiments.DefaultDNSConfig()
-		if err := runBench(*benchOut, *benchSmoke, fcfg, dcfg); err != nil {
-			fmt.Fprintf(os.Stderr, "provsim: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: provsim [flags] fig8..fig16 | all")

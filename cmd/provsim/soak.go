@@ -4,9 +4,9 @@
 // an over-quota tenant, a slow-state deletion storm with restore — and
 // then leak-checks the daemon's gauges against their baseline: graveyard
 // tuples, cache entries, dependency keys, and the trace span budget must
-// all come back to where they started. The per-scenario measurements
-// (events/sec, bytes/event, sig resets, deferred landings, cache
-// invalidation counts) land in BENCH_serve.json as the "scenarios" array.
+// all come back to where they started, printing the per-scenario
+// measurements (events/sec, bytes/event, sig resets, deferred landings,
+// 429s) as a table.
 package main
 
 import (
@@ -38,32 +38,32 @@ const soakClasses = 4
 
 // scenarioBenchRecord is one scenario's soak measurement.
 type scenarioBenchRecord struct {
-	Scenario     string  `json:"scenario"`
-	Nodes        int     `json:"nodes"`
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Scenario     string
+	Nodes        int
+	Events       int
+	EventsPerSec float64
 	// BytesPerEvent is the transport bytes (all classes) the ingest phase
 	// moved per injected event.
-	BytesPerEvent float64 `json:"bytes_per_event"`
-	Outputs       int     `json:"outputs"`
-	Queries       int     `json:"queries"`
-	HitRate       float64 `json:"hit_rate"`
+	BytesPerEvent float64
+	Outputs       int
+	Queries       int
+	HitRate       float64
 	// Storm accounting: waves of slow-state churn, the graveyard high-water
 	// mark they buried, and where the gauge ended after the restore pass.
-	StormWaves    int `json:"storm_waves"`
-	GraveyardPeak int `json:"graveyard_peak"`
-	GraveyardEnd  int `json:"graveyard_end"`
+	StormWaves    int
+	GraveyardPeak int
+	GraveyardEnd  int
 	// Advanced-scheme §5.5/§5.3 counters over the whole soak.
-	SigClears        int64 `json:"sig_clears"`
-	DeferredOutputs  int64 `json:"deferred_outputs"`
-	DeferredLandings int64 `json:"deferred_landings"`
+	SigClears        int64
+	DeferredOutputs  int64
+	DeferredLandings int64
 	// CacheInvalidations is the daemon's per-reason eviction accounting
 	// (entries dropped by class key, VID key, mid-walk race, LRU).
-	CacheInvalidations map[string]int64 `json:"cache_invalidations"`
+	CacheInvalidations map[string]int64
 	// GreedyRejected429 is how many of the over-quota tenant's requests
 	// were shed; the std tenant's count must be zero and is asserted, not
 	// recorded.
-	GreedyRejected429 int64 `json:"greedy_rejected_429"`
+	GreedyRejected429 int64
 }
 
 // soakGauges is the leak-check snapshot, read over HTTP like an operator
@@ -412,7 +412,7 @@ func cutPrefix(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
-// benchScenarios soaks every registered scenario for BENCH_serve.json.
+// benchScenarios soaks every registered scenario.
 func benchScenarios(smoke bool) ([]scenarioBenchRecord, error) {
 	var out []scenarioBenchRecord
 	for _, name := range scenario.Names() {

@@ -159,8 +159,9 @@ type Cluster struct {
 	eventHook atomic.Value // of func([]InvalKey)
 }
 
-// Node is one cluster member: a listener, a database, and the scheme's
-// provenance state, all driven by its message loop.
+// Node is one cluster member: a listener, the partition it owns, and the
+// copies of other members' partitions it holds, all driven by its message
+// loop.
 type Node struct {
 	c    *Cluster
 	addr types.NodeAddr
@@ -173,19 +174,18 @@ type Node struct {
 	alive       atomic.Bool
 	incarnation atomic.Uint64
 
-	mu      sync.Mutex
-	db      *engine.Database
-	state   core.NodeState
-	outputs []types.Tuple
+	// self is the partition this node owns (partition.go). The pointer is
+	// fixed for the node's life; a durable Restart empties it in place.
+	self *partition
 
 	// dur is set at boot when the cluster has a data dir; durMu then
 	// serializes every {WAL append + apply} pair so log order equals apply
 	// order (see durability.go). dstore is only swapped on Restart, under
 	// durMu, with the node dead.
-	dur       bool
-	durMu     sync.Mutex
-	dstore    *store.NodeStore
-	durErrors atomic.Int64
+	dur      bool
+	durMu    sync.Mutex
+	dstore   *store.NodeStore
+	failures atomic.Int64 // errors survived (Node.fail)
 
 	transMu sync.Mutex
 	trans   map[types.NodeAddr]*transport
@@ -327,7 +327,7 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen for %s: %w", addr, err)
 	}
-	state, err := core.NewNodeState(c.scheme, c.keys)
+	self, err := c.newPartition(addr)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -337,8 +337,7 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 		addr:         addr,
 		ln:           ln,
 		tcpAddr:      ln.Addr().String(),
-		db:           engine.NewDatabase(),
-		state:        state,
+		self:         self,
 		trans:        make(map[types.NodeAddr]*transport),
 		links:        make(map[types.NodeAddr]*linkBytes),
 		inConns:      make(map[net.Conn]struct{}),
@@ -352,12 +351,9 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 		n.memberEpoch.Store(row.Epoch)
 	}
 	n.refreshViewLocked(false)
-	if c.graveyardCap > 0 {
-		n.db.SetGraveyardCap(c.graveyardCap)
-	}
 	if c.dataDir != "" {
 		// Recover before anything runs: the restore/replay callbacks
-		// rebuild db, state, and outputs with the node still quiescent.
+		// rebuild the partition with the node still quiescent.
 		n.dur = true
 		if err := c.openStore(n); err != nil {
 			ln.Close()
@@ -689,9 +685,9 @@ func (c *Cluster) Outputs(addr types.NodeAddr) []types.Tuple {
 	if n == nil {
 		return nil
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]types.Tuple(nil), n.outputs...)
+	n.self.mu.Lock()
+	defer n.self.mu.Unlock()
+	return append([]types.Tuple(nil), n.self.outputs...)
 }
 
 // AllOutputs returns every output across the cluster.
@@ -709,9 +705,9 @@ func (c *Cluster) StorageBytes(addr types.NodeAddr) int64 {
 	if n == nil {
 		return 0
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state.StorageBytes()
+	n.self.mu.Lock()
+	defer n.self.mu.Unlock()
+	return n.self.state.StorageBytes()
 }
 
 // TotalStorageBytes sums provenance storage across members.
@@ -729,11 +725,11 @@ func (c *Cluster) TotalStorageBytes() int64 {
 func (c *Cluster) AdvancedStats() core.AdvancedStats {
 	var total core.AdvancedStats
 	for _, n := range c.nodeMap() {
-		n.mu.Lock()
-		if adv, ok := n.state.(*core.AdvancedState); ok {
+		n.self.mu.Lock()
+		if adv, ok := n.self.state.(*core.AdvancedState); ok {
 			total.Add(adv.Stats())
 		}
-		n.mu.Unlock()
+		n.self.mu.Unlock()
 	}
 	return total
 }
@@ -825,7 +821,7 @@ func (c *Cluster) LinkByteStats() []LinkByteStats {
 func (c *Cluster) GraveyardSize() int {
 	total := 0
 	for _, n := range c.nodeMap() {
-		total += n.db.GraveyardSize()
+		total += n.self.db.GraveyardSize()
 	}
 	return total
 }

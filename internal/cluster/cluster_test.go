@@ -119,9 +119,9 @@ func TestClusterCompressionSharing(t *testing.T) {
 		}
 	}
 	n3 := c.Node("n3")
-	n3.mu.Lock()
-	rows := n3.state.ProvRows(types.HashTuple(recvT("n3", "n1", "n3", "p0")), types.ZeroID)
-	n3.mu.Unlock()
+	n3.self.mu.Lock()
+	rows := n3.self.state.ProvRows(types.HashTuple(recvT("n3", "n1", "n3", "p0")), types.ZeroID)
+	n3.self.mu.Unlock()
 	if len(rows) != 1 {
 		t.Fatalf("prov rows for p0 = %d", len(rows))
 	}
@@ -162,9 +162,9 @@ func TestClusterSlowUpdateSig(t *testing.T) {
 	// Reroute through n4: delete old route locally, insert the new one
 	// (sig broadcast resets htequi cluster-wide).
 	n1 := c.Node("n1")
-	n1.mu.Lock()
-	n1.db.Delete(types.NewTuple("route", types.String("n1"), types.String("n3"), types.String("n2")))
-	n1.mu.Unlock()
+	n1.self.mu.Lock()
+	n1.self.db.Delete(types.NewTuple("route", types.String("n1"), types.String("n3"), types.String("n2")))
+	n1.self.mu.Unlock()
 	if err := c.InsertSlow(types.NewTuple("route",
 		types.String("n1"), types.String("n3"), types.String("n4"))); err != nil {
 		t.Fatal(err)

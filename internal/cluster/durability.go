@@ -16,12 +16,12 @@ import (
 // Durability glue: when Config.DataDir is set, every node owns a
 // store.NodeStore (WAL + snapshots) in its own subdirectory. The write
 // discipline is log-then-apply under the node's durMu: the WAL record is
-// appended first, then the in-memory apply runs, and no other apply can
-// interleave — so WAL order equals apply order, and replaying the log
-// through the same apply path (with head-shipping disabled) rebuilds the
-// exact pre-crash state. A crash between append and apply just means the
-// record replays on recovery, which is idempotent against the snapshot it
-// follows.
+// appended first, then the in-memory apply runs against the node's own
+// partition, and no other apply can interleave — so WAL order equals apply
+// order, and replaying the log through partition.applyRecord (the same
+// step, shipping nothing) rebuilds the exact pre-crash state. A crash
+// between append and apply just means the record replays on recovery,
+// which is idempotent against the snapshot it follows.
 //
 // The durMu serialization is the durability tradeoff: shards that would
 // evaluate concurrently on a volatile node serialize their applies on a
@@ -80,7 +80,11 @@ func (c *Cluster) openStore(n *Node) error {
 	if err := store.CheckFormat(dir, walFormatVersion); err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}
-	ns, err := store.Open(dir, c.dopts, n.restoreSnapshot, n.applyRecord)
+	// Recovery runs with the node quiescent (boot, or dead): the newest
+	// snapshot replaces the partition, then the WAL tail replays into it.
+	restore := func(snap []byte) error { return n.self.load(snap, false) }
+	apply := func(rec []byte) error { return n.self.applyRecord(n, rec) }
+	ns, err := store.Open(dir, c.dopts, restore, apply)
 	if err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}
@@ -88,14 +92,16 @@ func (c *Cluster) openStore(n *Node) error {
 	return nil
 }
 
-// durFail records a durability error. The node keeps running on its
-// in-memory state — an engine that stops accepting events because a disk
+// fail records an error the node survives: a WAL append or checkpoint that
+// could not reach disk, a replicated record or handoff payload that does
+// not decode, a rule whose evaluation errored. The node keeps running on
+// the state it has — an engine that stops accepting events because a disk
 // write failed would violate the availability the rest of the fault model
-// works for — but the error is counted, logged, and surfaced in stats so
-// operators see the durability guarantee is degraded.
-func (n *Node) durFail(op string, err error) {
-	if n.durErrors.Add(1) <= 3 {
-		log.Printf("cluster: %s: durability %s failed: %v", n.addr, op, err)
+// works for — but the error is counted, the first few are logged, and the
+// count is surfaced in stats so operators see the guarantee is degraded.
+func (n *Node) fail(op string, err error) {
+	if n.failures.Add(1) <= 3 {
+		log.Printf("cluster: %s: %s failed: %v", n.addr, op, err)
 	}
 }
 
@@ -107,7 +113,7 @@ func (n *Node) logApply(rec []byte) bool {
 	}
 	want, err := n.dstore.Append(rec)
 	if err != nil {
-		n.durFail("append", err)
+		n.fail("WAL append", err)
 		return false
 	}
 	return want
@@ -119,87 +125,9 @@ func (n *Node) checkpointLocked() {
 	if n.dstore == nil {
 		return
 	}
-	if err := n.dstore.Checkpoint(n.snapshotPayload()); err != nil {
-		n.durFail("checkpoint", err)
+	if err := n.dstore.Checkpoint(n.self.snapshot()); err != nil {
+		n.fail("checkpoint", err)
 	}
-}
-
-// snapshotPayload serializes the node's full recoverable state: the
-// database (live tuples + graveyard), the scheme's provenance tables, and
-// the output tuples that arrived here.
-func (n *Node) snapshotPayload() []byte {
-	e := wire.NewEncoder(4096)
-	e.U8(nodeSnapVersion)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.db.EncodeSnapshot(e)
-	n.state.Persist(e)
-	e.U32(uint32(len(n.outputs)))
-	for _, t := range n.outputs {
-		e.Tuple(t)
-	}
-	return e.Bytes()
-}
-
-// restoreSnapshot is the recovery callback: it rebuilds the node from a
-// snapshot payload. It runs with the node quiescent (boot or dead).
-func (n *Node) restoreSnapshot(payload []byte) error {
-	d := wire.NewDecoder(payload)
-	if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
-		return fmt.Errorf("cluster: unsupported node snapshot version %d", v)
-	}
-	if err := n.db.RestoreSnapshot(d); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.state.Restore(d); err != nil {
-		return err
-	}
-	nOut := d.U32()
-	if nOut > maxDurItems {
-		return fmt.Errorf("cluster: node snapshot with %d outputs", nOut)
-	}
-	n.outputs = n.outputs[:0]
-	for i := uint32(0); i < nOut && d.Err() == nil; i++ {
-		n.outputs = append(n.outputs, d.Tuple())
-	}
-	return d.Err()
-}
-
-// applyRecord is the recovery callback: it re-runs one WAL record through
-// the same apply path the live node used, with head-shipping disabled —
-// each node's log holds exactly the frames it processed, so per-node
-// replay is independent and nothing travels the network.
-func (n *Node) applyRecord(rec []byte) error {
-	d := wire.NewDecoder(rec)
-	switch kind := d.U8(); kind {
-	case recEvent:
-		f, err := decodeDurEvent(d)
-		if err != nil {
-			return fmt.Errorf("cluster: corrupt event record: %w", err)
-		}
-		n.applyTuple(f, nil)
-	case recInsert:
-		t := d.Tuple()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("cluster: corrupt insert record: %w", err)
-		}
-		n.db.Insert(t)
-	case recDelete:
-		t := d.Tuple()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("cluster: corrupt delete record: %w", err)
-		}
-		n.db.Delete(t)
-	case recSig:
-		n.mu.Lock()
-		n.state.ClearEquiKeys()
-		n.mu.Unlock()
-	default:
-		return fmt.Errorf("cluster: unknown WAL record kind %d", kind)
-	}
-	return nil
 }
 
 // encodeDurEvent frames a processed tuple for the WAL. The trace context
@@ -229,7 +157,7 @@ var recSigPayload = []byte{recSig}
 // durable node. It reports whether the tuple was new.
 func (n *Node) insertDurable(t types.Tuple) bool {
 	if !n.durable() {
-		if !n.db.Insert(t) {
+		if !n.self.db.Insert(t) {
 			return false
 		}
 		if n.c.replicas > 0 {
@@ -238,13 +166,13 @@ func (n *Node) insertDurable(t types.Tuple) bool {
 		return true
 	}
 	n.durMu.Lock()
-	if n.db.Contains(t) {
+	if n.self.db.Contains(t) {
 		n.durMu.Unlock()
 		return false // already stored; no record, matching the volatile path
 	}
 	rec := encodeDurTuple(recInsert, t)
 	want := n.logApply(rec)
-	n.db.Insert(t)
+	n.self.db.Insert(t)
 	if want {
 		n.checkpointLocked()
 	}
@@ -260,7 +188,7 @@ func (n *Node) insertDurable(t types.Tuple) bool {
 // resolved them.
 func (n *Node) deleteDurable(t types.Tuple) (bool, []types.ID) {
 	if !n.durable() {
-		ok, evicted := n.db.DeleteEvicted(t)
+		ok, evicted := n.self.db.DeleteEvicted(t)
 		if !ok {
 			return false, nil
 		}
@@ -270,13 +198,13 @@ func (n *Node) deleteDurable(t types.Tuple) (bool, []types.ID) {
 		return true, evicted
 	}
 	n.durMu.Lock()
-	if !n.db.Contains(t) {
+	if !n.self.db.Contains(t) {
 		n.durMu.Unlock()
 		return false, nil
 	}
 	rec := encodeDurTuple(recDelete, t)
 	want := n.logApply(rec)
-	_, evicted := n.db.DeleteEvicted(t)
+	_, evicted := n.self.db.DeleteEvicted(t)
 	if want {
 		n.checkpointLocked()
 	}
@@ -289,25 +217,17 @@ func (n *Node) deleteDurable(t types.Tuple) (bool, []types.ID) {
 // so a replayed log clears the equivalence table at the same point in the
 // apply order the live node did.
 func (n *Node) applySig() {
-	if !n.durable() {
-		n.mu.Lock()
-		n.state.ClearEquiKeys()
-		n.mu.Unlock()
-		if n.c.replicas > 0 {
-			n.replicate(recSigPayload)
+	if n.durable() {
+		n.durMu.Lock()
+		want := n.logApply(recSigPayload)
+		n.self.clearEquiKeys()
+		if want {
+			n.checkpointLocked()
 		}
-		n.clearHostedSig()
-		return
+		n.durMu.Unlock()
+	} else {
+		n.self.clearEquiKeys()
 	}
-	n.durMu.Lock()
-	want := n.logApply(recSigPayload)
-	n.mu.Lock()
-	n.state.ClearEquiKeys()
-	n.mu.Unlock()
-	if want {
-		n.checkpointLocked()
-	}
-	n.durMu.Unlock()
 	n.replicate(recSigPayload)
 	n.clearHostedSig()
 }
@@ -331,18 +251,16 @@ func (n *Node) clearHostedSig() {
 		if n.viewAlive(p.owner) {
 			continue
 		}
-		p.mu.Lock()
-		p.state.ClearEquiKeys()
-		p.mu.Unlock()
+		p.clearEquiKeys()
 	}
 }
 
 // recoverForRestart rebuilds a dead durable node from disk: the crashed
-// in-memory state is discarded — database, scheme state, outputs — and the
-// newest snapshot plus WAL tail replayed in its place, so Restart proves
-// the durability path instead of relying on RAM survival. Any apply still
-// in flight from before the kill finishes (or lands in the old WAL
-// generation) before the lock admits us.
+// partition is emptied in place — shard workers and walk handlers keep the
+// pointer — and the newest snapshot plus WAL tail replayed into it, so
+// Restart proves the durability path instead of relying on RAM survival.
+// Any apply still in flight from before the kill finishes (or lands in the
+// old WAL generation) before the lock admits us.
 func (c *Cluster) recoverForRestart(n *Node) error {
 	n.durMu.Lock()
 	defer n.durMu.Unlock()
@@ -354,11 +272,12 @@ func (c *Cluster) recoverForRestart(n *Node) error {
 	if err != nil {
 		return err
 	}
-	n.db.Reset()
-	n.mu.Lock()
-	n.state = state
-	n.outputs = nil
-	n.mu.Unlock()
+	p := n.self
+	p.db.Reset()
+	p.mu.Lock()
+	p.state = state
+	p.outputs = nil
+	p.mu.Unlock()
 	return c.openStore(n)
 }
 
@@ -373,7 +292,7 @@ func (c *Cluster) Checkpoint() error {
 	for _, n := range c.nodeMap() {
 		n.durMu.Lock()
 		if n.dstore != nil {
-			if err := n.dstore.Checkpoint(n.snapshotPayload()); err != nil && firstErr == nil {
+			if err := n.dstore.Checkpoint(n.self.snapshot()); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("cluster: checkpoint %s: %w", n.addr, err)
 			}
 		}
@@ -426,8 +345,9 @@ type DurabilityStats struct {
 	RecoveredNodes int
 	// RecoverySeconds sums the members' recovery wall times.
 	RecoverySeconds float64
-	// Errors counts durability failures the cluster survived (appends or
-	// checkpoints that could not reach disk).
+	// Errors counts the failures the members survived (Node.fail): appends
+	// or checkpoints that could not reach disk, corrupt replicated records
+	// or handoff payloads, rule evaluations that errored.
 	Errors int64
 }
 
@@ -440,7 +360,7 @@ func (c *Cluster) DurabilityStats() DurabilityStats {
 	var age time.Duration
 	neverSnapped := false
 	for _, n := range c.nodeMap() {
-		ds.Errors += n.durErrors.Load()
+		ds.Errors += n.failures.Load()
 		n.durMu.Lock()
 		dstore := n.dstore
 		n.durMu.Unlock()

@@ -24,7 +24,7 @@
 //     stream through the same code path recovery uses. Shadows never ship
 //     derived heads — the owner already did.
 //
-//   - Handoff (frameHandoff) streams snapshotPayload — the exact codec
+//   - Handoff (frameHandoff) streams partition.snapshot — the exact codec
 //     checkpoints use — and installs it by merging, not restoring, so a
 //     replicated record that raced ahead of the snapshot is kept and one
 //     the snapshot already contains is a no-op, in either arrival order.
@@ -37,32 +37,13 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"provcompress/internal/core"
-	"provcompress/internal/engine"
 	"provcompress/internal/membership"
 	"provcompress/internal/metrics"
-	"provcompress/internal/trace"
 	"provcompress/internal/types"
-	"provcompress/internal/wire"
 )
-
-// partition is a local copy of another member's state: a replica shadow
-// while the owner is alive, a hosted partition once the owner has Left.
-// It carries the same (database, scheme state, outputs) triple a Node
-// does, so the snapshot/merge codecs and the walk-serving code apply to
-// both unchanged.
-type partition struct {
-	owner types.NodeAddr
-
-	mu      sync.Mutex
-	db      *engine.Database
-	state   core.NodeState
-	outputs []types.Tuple
-}
 
 // membStats are the cluster-wide membership counters. Everything here is
 // off the hot path of a fixed-membership run: the counters only move when
@@ -264,9 +245,9 @@ func (n *Node) viewAlive(addr types.NodeAddr) bool {
 // It returns the targets that need a bootstrap snapshot — peers that just
 // became replica targets (or came back from Down and need their shadow
 // refreshed). Callers hold viewMu and must send the bootstraps after
-// releasing it (the snapshot takes n.mu). newNode passes bootstrap=false:
-// at boot everyone is empty, so the record stream alone builds a complete
-// shadow and no frames flow.
+// releasing it (the snapshot takes the partition lock). newNode passes
+// bootstrap=false: at boot everyone is empty, so the record stream alone
+// builds a complete shadow and no frames flow.
 func (n *Node) refreshViewLocked(bootstrap bool) []types.NodeAddr {
 	alive := n.view.AliveAddrs()
 	n.downLeft.Store(int64(n.view.Len() - len(alive)))
@@ -523,26 +504,6 @@ func (n *Node) canServe(loc types.NodeAddr) bool {
 	return n.partitionFor(loc, false) != nil
 }
 
-// partitionFor returns (optionally creating) the local copy of owner's
-// partition.
-func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
-	n.partsMu.Lock()
-	defer n.partsMu.Unlock()
-	p := n.parts[owner]
-	if p == nil && create {
-		st, err := core.NewNodeState(n.c.scheme, n.c.keys)
-		if err != nil {
-			return nil
-		}
-		p = &partition{owner: owner, db: engine.NewDatabase(), state: st}
-		if n.c.graveyardCap > 0 {
-			p.db.SetGraveyardCap(n.c.graveyardCap)
-		}
-		n.parts[owner] = p
-	}
-	return p
-}
-
 // --- Replication ---
 
 // replicate ships one durable-format record to this member's replica
@@ -566,7 +527,8 @@ func (n *Node) replicate(rec []byte) {
 }
 
 // handleRepl applies one replicated record into the shadow of owner's
-// partition, through the same per-kind switch recovery uses.
+// partition, through the same record switch recovery uses. A record that
+// does not decode only degrades this shadow, and is counted.
 func (n *Node) handleRepl(owner types.NodeAddr, rec []byte) {
 	if owner == n.addr {
 		return // a confused echo; our own state is authoritative
@@ -575,145 +537,9 @@ func (n *Node) handleRepl(owner types.NodeAddr, rec []byte) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.applyRecord(n.c, rec) //nolint:errcheck // a corrupt record only degrades this shadow
-	p.mu.Unlock()
-}
-
-// applyRecord replays one durable-format record into the partition —
-// the shadow-side mirror of Node.applyRecord. Derived heads are never
-// shipped: the owner already shipped them.
-func (p *partition) applyRecord(c *Cluster, rec []byte) error {
-	d := wire.NewDecoder(rec)
-	switch kind := d.U8(); kind {
-	case recEvent:
-		f, err := decodeDurEvent(d)
-		if err != nil {
-			return err
-		}
-		p.applyTuple(c, f, false)
-	case recInsert:
-		t := d.Tuple()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		p.db.Insert(t)
-	case recDelete:
-		t := d.Tuple()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		p.db.Delete(t)
-	case recSig:
-		p.state.ClearEquiKeys()
-	default:
-		return fmt.Errorf("cluster: unknown replicated record kind %d", kind)
+	if err := p.applyRecord(n, rec); err != nil {
+		n.fail("replicated record of "+string(owner), err)
 	}
-	return nil
-}
-
-// applyTuple runs the pipeline step against the partition's own database
-// and state, mirroring Node.applyTuple without tracing. FireAt uses the
-// owner's address so the shadow's provenance rows carry the same
-// (Loc, RID) identities the owner's do — a walk served from the shadow
-// resolves the same refs. ship=true (hosted partitions, owner Left)
-// returns the derived heads for the host to ship on the owner's behalf.
-func (p *partition) applyTuple(c *Cluster, f *tupleFrame, ship bool) []outShip {
-	p.db.Insert(f.Tuple)
-	meta := f.Meta
-	if f.Fresh {
-		meta = p.state.Inject(f.Tuple)
-	}
-	rules := c.prog.RulesForEvent(f.Tuple.Rel)
-	if len(rules) == 0 {
-		landed := p.state.Output(f.Tuple, meta)
-		p.outputs = appendTupleOnce(p.outputs, f.Tuple)
-		if ship && len(landed) > 0 {
-			// Acting owner: fire the landing like Node.applyTuple would
-			// have. Shadow applies (ship=false) stay silent — the owner
-			// fired the same keys when it applied the record itself.
-			c.fireEventHook(vidKeysOf(landed)...)
-		}
-		return nil
-	}
-	var out []outShip
-	for _, r := range rules {
-		firings, _ := c.plans.Eval(r, p.db, f.Tuple, c.funcs) //nolint:errcheck // a rule that errors derives nothing, as in Node.applyTuple
-		for _, fr := range firings {
-			m := p.state.FireAt(p.owner, fr, meta)
-			if ship {
-				out = append(out, shipHead(fr.Head, m, trace.SpanContext{}))
-			}
-		}
-	}
-	return out
-}
-
-// snapshotPayload serializes the partition in the node-snapshot layout,
-// so handoff payloads and checkpoint payloads share one codec.
-func (p *partition) snapshotPayload() []byte {
-	e := wire.NewEncoder(4096)
-	e.U8(nodeSnapVersion)
-	p.db.EncodeSnapshot(e)
-	p.state.Persist(e)
-	e.U32(uint32(len(p.outputs)))
-	for _, t := range p.outputs {
-		e.Tuple(t)
-	}
-	return e.Bytes()
-}
-
-// install merges a snapshot payload into the partition. Merge, not
-// restore: replicated records that arrived before the snapshot survive,
-// and rows the snapshot duplicates are no-ops — so bootstrap is gap-free
-// without any freeze window at the owner.
-func (p *partition) install(payload []byte) error {
-	d := wire.NewDecoder(payload)
-	if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
-		return fmt.Errorf("cluster: unsupported handoff snapshot version %d", v)
-	}
-	if err := p.db.MergeSnapshot(d); err != nil {
-		return err
-	}
-	if err := p.state.Merge(d); err != nil {
-		return err
-	}
-	nOut := d.U32()
-	if nOut > maxDurItems {
-		return fmt.Errorf("cluster: handoff snapshot with %d outputs", nOut)
-	}
-	for i := uint32(0); i < nOut && d.Err() == nil; i++ {
-		p.outputs = appendTupleOnce(p.outputs, d.Tuple())
-	}
-	return d.Err()
-}
-
-// appendTupleOnce adds t to a partition's (or repaired node's) output list
-// unless it is already there: handoff and repair snapshots overlap what
-// replication already delivered.
-func appendTupleOnce(ts []types.Tuple, t types.Tuple) []types.Tuple {
-	for _, u := range ts {
-		if u.Equal(t) {
-			return ts
-		}
-	}
-	return append(ts, t)
-}
-
-// processHosted applies a redirected tuple (addressed to a Left member)
-// into that member's hosted partition, shipping the derived heads as the
-// acting owner. Hosted applies are RAM-only at the host: the departed
-// owner's WAL is closed, and re-replicating on its behalf would need its
-// identity — the cooperative-leave caveat DESIGN.md documents.
-func (n *Node) processHosted(owner types.NodeAddr, f *tupleFrame) {
-	p := n.partitionFor(owner, true)
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	ships := p.applyTuple(n.c, f, true)
-	p.mu.Unlock()
-	n.shipAll(ships)
 }
 
 // --- Handoff and read-repair ---
@@ -768,22 +594,25 @@ func (n *Node) sendBootstrap(to types.NodeAddr) {
 	if !n.alive.Load() {
 		return
 	}
-	n.sendHandoff(to, n.addr, n.snapshotPayload(), true)
+	n.sendHandoff(to, n.addr, n.self.snapshot(), true)
 }
 
-// handleHandoff installs a streamed partition. A payload for our own
-// address is a read-repair reply: it merges into the node's primary
-// state. Anything else merges into the partition shadow. Acked handoffs
-// confirm back to the sender, whose routing flip waits on it.
+// handleHandoff installs a streamed partition by merging it into the copy
+// held here. A payload for our own address is a read-repair reply and goes
+// through the owner's durability wrapper. A payload that does not decode
+// only degrades this copy, and is counted. Acked handoffs confirm back to
+// the sender, whose routing flip waits on it.
 func (n *Node) handleHandoff(from, owner types.NodeAddr, hid uint64, acked bool, snap []byte) {
+	var err error
 	if owner == n.addr {
-		if err := n.mergeSelf(snap); err == nil {
+		if err = n.mergeSelf(snap); err == nil {
 			n.c.memb.repairs.Add(1)
 		}
 	} else if p := n.partitionFor(owner, true); p != nil {
-		p.mu.Lock()
-		p.install(snap) //nolint:errcheck // a corrupt payload only degrades this copy
-		p.mu.Unlock()
+		err = p.load(snap, true)
+	}
+	if err != nil {
+		n.fail("handoff install of "+string(owner), err)
 	}
 	if acked {
 		n.send(from, encodeHandoffAck(hid, owner), classProv, 0) //nolint:errcheck
@@ -817,41 +646,18 @@ func (n *Node) waitHandoffs(timeout time.Duration) bool {
 	return true
 }
 
-// mergeSelf folds a snapshot payload into this node's own primary state
+// mergeSelf folds a snapshot payload into this node's own partition
 // (read-repair). On a durable node the merged rows are forced into a
 // checkpoint immediately: they never passed through the WAL, so only the
 // snapshot can make them survive the next crash.
 func (n *Node) mergeSelf(payload []byte) error {
-	apply := func() error {
-		d := wire.NewDecoder(payload)
-		if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
-			return fmt.Errorf("cluster: unsupported repair snapshot version %d", v)
-		}
-		if err := n.db.MergeSnapshot(d); err != nil {
-			return err
-		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if err := n.state.Merge(d); err != nil {
-			return err
-		}
-		nOut := d.U32()
-		if nOut > maxDurItems {
-			return fmt.Errorf("cluster: repair snapshot with %d outputs", nOut)
-		}
-		for i := uint32(0); i < nOut && d.Err() == nil; i++ {
-			n.outputs = appendTupleOnce(n.outputs, d.Tuple())
-		}
-		return d.Err()
+	if n.durable() {
+		n.durMu.Lock()
+		defer n.durMu.Unlock()
 	}
-	if !n.durable() {
-		return apply()
-	}
-	n.durMu.Lock()
-	defer n.durMu.Unlock()
-	err := apply()
+	err := n.self.load(payload, true)
 	if err == nil {
-		n.checkpointLocked()
+		n.checkpointLocked() // a no-op without a store
 	}
 	return err
 }
@@ -863,10 +669,7 @@ func (n *Node) handleRepairReq(from, owner types.NodeAddr) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	snap := p.snapshotPayload()
-	p.mu.Unlock()
-	n.sendHandoff(from, owner, snap, false)
+	n.sendHandoff(from, owner, p.snapshot(), false)
 }
 
 // requestRepair asks every reachable rendezvous server for this node's
@@ -948,7 +751,7 @@ func (c *Cluster) Leave(addr types.NodeAddr) error {
 	n.announce(membership.Leaving)
 	c.Quiesce(2 * time.Second) //nolint:errcheck // best-effort drain; handoff covers what settled
 	start := time.Now()
-	snap := n.snapshotPayload()
+	snap := n.self.snapshot()
 	for _, s := range n.serversFor(n.addr) {
 		if n.viewAlive(s) {
 			n.sendHandoff(s, n.addr, snap, true)
@@ -966,24 +769,24 @@ func (c *Cluster) Leave(addr types.NodeAddr) error {
 // walking L's rendezvous servers in placement order so every caller picks
 // the same acting querier. nil when replication is off or nobody holds a
 // copy.
-func (c *Cluster) failoverQuerier(L types.NodeAddr) (*Node, *partition) {
+func (c *Cluster) failoverQuerier(L types.NodeAddr) *Node {
 	if c.replicas <= 0 {
-		return nil, nil
+		return nil
 	}
 	probe := c.firstAlive()
 	if probe == nil {
-		return nil, nil
+		return nil
 	}
 	for _, s := range probe.serversFor(L) {
 		sn := c.node(s)
 		if sn == nil || !sn.Alive() {
 			continue
 		}
-		if p := sn.partitionFor(L, false); p != nil {
-			return sn, p
+		if sn.partitionFor(L, false) != nil {
+			return sn
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // announceRestart is the membership half of Cluster.Restart: the revived

@@ -253,23 +253,28 @@ func (n *Node) shardWorker(ch chan shardWork) {
 	}
 }
 
-// processTuple runs the DELP pipeline step for an arriving tuple. On a
-// volatile node the apply runs directly; on a durable one the frame is
-// logged to the WAL first and {append + apply} hold durMu so log order
-// equals apply order (durability.go). Shipping the derived heads happens
-// outside the lock either way.
+// processTuple runs the pipeline step for an arriving tuple and ships the
+// heads it derived. On a volatile node the step runs directly; on a durable
+// one the frame is logged to the WAL first and {append + step} hold durMu
+// so log order equals apply order (durability.go). Shipping happens outside
+// the lock either way.
 func (n *Node) processTuple(f *tupleFrame) {
-	if loc := f.Tuple.Loc(); loc != n.addr {
-		// A redirected tuple: its owner has Left and this node is the
-		// acting owner of the partition (membership.go).
-		n.processHosted(loc, f)
-		return
-	}
 	// One hop rarely derives more heads than this; they ship from the
 	// stack.
 	var shipBuf [4]outShip
+	if loc := f.Tuple.Loc(); loc != n.addr {
+		// A redirected tuple: its owner has Left and this node is the
+		// acting owner of the partition (membership.go). Hosted applies are
+		// RAM-only: the departed owner's WAL is closed, and re-replicating
+		// on its behalf would need its identity — the cooperative-leave
+		// caveat DESIGN.md documents.
+		if p := n.partitionFor(loc, true); p != nil {
+			n.shipAll(p.step(n, f, true, shipBuf[:0]))
+		}
+		return
+	}
 	if !n.durable() {
-		ships := n.applyTuple(f, shipBuf[:0])
+		ships := n.self.step(n, f, true, shipBuf[:0])
 		if n.c.replicas > 0 {
 			n.replicate(encodeDurEvent(f))
 		}
@@ -279,7 +284,7 @@ func (n *Node) processTuple(f *tupleFrame) {
 	n.durMu.Lock()
 	rec := encodeDurEvent(f)
 	want := n.logApply(rec)
-	ships := n.applyTuple(f, shipBuf[:0])
+	ships := n.self.step(n, f, true, shipBuf[:0])
 	if want {
 		n.checkpointLocked()
 	}
@@ -304,7 +309,7 @@ func shipHead(head types.Tuple, m core.AdvMeta, tc trace.SpanContext) outShip {
 	return outShip{to: head.Loc(), frame: frame, provBytes: metaBytes, group: classGroup(m)}
 }
 
-// shipAll sends the derived heads of one apply. Ship frames are pooled
+// shipAll sends the derived heads of one step. Ship frames are pooled
 // (encodeSized), so each travels as an owned buffer the transport
 // recycles.
 func (n *Node) shipAll(ships []outShip) {
@@ -312,69 +317,6 @@ func (n *Node) shipAll(ships []outShip) {
 		f := outFrame{payload: s.frame, class: classBase, provBytes: s.provBytes, group: s.group, pooled: true}
 		n.sendFrame(s.to, f) //nolint:errcheck // a send the node cannot even enqueue is a drop
 	}
-}
-
-// applyTuple is the pipeline step proper: join the local slow tables, fire
-// the matching rules, maintain provenance via the scheme's state machine,
-// and append the heads to ship, each encoded as its firing is maintained,
-// to out (the caller's buffer, so a hop's shipments need no slice of
-// their own). The join runs against the database's own
-// read-write lock — outside n.mu — so shards evaluate concurrently; only
-// the provenance state transitions serialize on n.mu. Events of one
-// equivalence class are processed by one shard in arrival order, which is
-// what keeps per-class provenance chains consistent. WAL replay re-runs
-// this same function and discards the returned shipments: each node's log
-// holds exactly the frames it processed, so nothing re-travels the
-// network.
-func (n *Node) applyTuple(f *tupleFrame, out []outShip) []outShip {
-	sp := n.c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
-	defer sp.End()
-	n.db.Insert(f.Tuple)
-	meta := f.Meta
-	if f.Fresh {
-		n.mu.Lock()
-		meta = n.state.Inject(f.Tuple)
-		n.mu.Unlock()
-	}
-	rules := n.c.prog.RulesForEvent(f.Tuple.Rel)
-	if len(rules) == 0 {
-		n.mu.Lock()
-		landed := n.state.Output(f.Tuple, meta)
-		n.outputs = append(n.outputs, f.Tuple)
-		n.mu.Unlock()
-		sp.SetAttr("output", "true")
-		if len(landed) > 0 {
-			// Provenance landed on these outputs (possibly deferred outputs
-			// of earlier events, under Advanced): fire their VID keys so
-			// cached trees for them — including cached empty answers — are
-			// evicted now that their derivations changed.
-			n.c.fireEventHook(vidKeysOf(landed)...)
-		}
-		return out
-	}
-	for _, r := range rules {
-		// The rule span brackets the join itself, annotated with the
-		// firing count the plan produced.
-		rsp := n.c.startSpan(sp.Context(), n.addr, "rule", r.Label)
-		firings, err := n.c.plans.Eval(r, n.db, f.Tuple, n.c.funcs)
-		if rsp != nil {
-			rsp.SetAttr("firings", strconv.Itoa(len(firings)))
-			if err != nil {
-				rsp.SetAttr("error", err.Error())
-			}
-			rsp.End()
-		}
-		for _, fr := range firings {
-			n.mu.Lock()
-			m := n.state.FireAt(n.addr, fr, meta)
-			n.mu.Unlock()
-			// The shipped head carries this process span's context so the
-			// next hop's span parents under it; the metadata piggyback
-			// bytes are attributed to the provenance class.
-			out = append(out, shipHead(fr.Head, m, sp.Context()))
-		}
-	}
-	return out
 }
 
 // maxWalkHops caps a walk's node visits; a walk still traveling past it
@@ -418,12 +360,10 @@ func (n *Node) handleWalk(f *walkFrame) {
 }
 
 // walkHost is this node's serve predicate for a walk step: its own refs
-// always, a held partition's refs while the owner is unreachable (canServe)
-// — each with the state, database and mutex of whichever copy holds them.
+// always, another member's while that owner is unreachable and a copy of
+// its partition is held here (canServe) — each with the state, database
+// and mutex of the partition holding them.
 func (n *Node) walkHost(loc types.NodeAddr) (core.WalkHost, bool) {
-	if loc == n.addr {
-		return core.WalkHost{State: n.state, DB: n.db, Mu: &n.mu}, true
-	}
 	if !n.canServe(loc) {
 		return core.WalkHost{}, false
 	}
@@ -540,13 +480,12 @@ func (c *Cluster) Query(out types.Tuple, evid types.ID, timeout time.Duration) (
 // delivered to the canceled waiter.
 func (c *Cluster) QueryContext(ctx context.Context, out types.Tuple, evid types.ID, timeout time.Duration) (QueryResult, error) {
 	querier := c.node(out.Loc())
-	var ps *partition
 	if querier == nil || !querier.Alive() {
 		// The owner is unreachable: with replication on, a rendezvous
 		// replica holding its partition shadow acts as the querier; the
 		// suspicion teaches the acting querier's view so walk routing and
 		// serving agree the owner is out.
-		acting, p := c.failoverQuerier(out.Loc())
+		acting := c.failoverQuerier(out.Loc())
 		if acting == nil {
 			if querier == nil {
 				return QueryResult{}, fmt.Errorf("cluster: query at unknown node %s", out)
@@ -555,7 +494,7 @@ func (c *Cluster) QueryContext(ctx context.Context, out types.Tuple, evid types.
 		}
 		acting.suspect(out.Loc())
 		c.memb.failovers.Add(1)
-		querier, ps = acting, p
+		querier = acting
 	}
 	// The query root span anchors the whole distributed walk's tree; a
 	// nil tracer makes qsp a no-op and qctx the zero (untraced) context.
@@ -575,7 +514,7 @@ func (c *Cluster) QueryContext(ctx context.Context, out types.Tuple, evid types.
 			querier.stats.queryRetries.Add(1)
 			qsp.SetAttr("retried", "true")
 		}
-		res, done, err := c.tryQuery(ctx, querier, ps, out, evid, timeout, qctx)
+		res, done, err := c.tryQuery(ctx, querier, out, evid, timeout, qctx)
 		if err != nil {
 			qsp.End()
 			return QueryResult{}, err
@@ -593,10 +532,10 @@ func (c *Cluster) QueryContext(ctx context.Context, out types.Tuple, evid types.
 
 // tryQuery issues one walk and waits for its result; done=false means the
 // attempt timed out and the caller may retry. qctx is the query root
-// span's context (zero when untraced) the walk frames travel under. A
-// non-nil ps means querier is acting for a dead owner and anchors the
-// walk in its partition shadow instead of its own state.
-func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, out types.Tuple, evid types.ID, timeout time.Duration, qctx trace.SpanContext) (QueryResult, bool, error) {
+// span's context (zero when untraced) the walk frames travel under. The
+// walk anchors in the querier's copy of the output's partition: its own,
+// or the shadow it holds when it is acting for a dead owner.
+func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, evid types.ID, timeout time.Duration, qctx trace.SpanContext) (QueryResult, bool, error) {
 	qid := c.nextQID.Add(1)
 	ch := make(chan *walkFrame, 1)
 	querier.pendMu.Lock()
@@ -608,13 +547,10 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 		querier.pendMu.Unlock()
 	}
 
-	state, mu := querier.state, &querier.mu
-	if ps != nil {
-		state, mu = ps.state, &ps.mu
-	}
-	mu.Lock()
-	f := &walkFrame{QID: qid, Querier: querier.addr, Trace: qctx, Walk: core.StartWalk(state, out, evid)}
-	mu.Unlock()
+	p := querier.partitionFor(out.Loc(), false)
+	p.mu.Lock()
+	f := &walkFrame{QID: qid, Querier: querier.addr, Trace: qctx, Walk: core.StartWalk(p.state, out, evid)}
+	p.mu.Unlock()
 	if len(f.Work) == 0 {
 		unregister()
 		// An empty answer is still cacheable: its key set ties it to the
@@ -648,7 +584,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, ps *partition, ou
 		// The reconstruction span parents under the last hop's span, so
 		// the tree reads inject→walk…walk→reconstruct end to end.
 		rsp := c.startSpan(res.Trace, querier.addr, "reconstruct", res.Root.Rel)
-		trees := res.Trees(state, c.prog, c.funcs)
+		trees := res.Trees(p.state, c.prog, c.funcs)
 		rsp.SetAttr("trees", strconv.Itoa(len(trees)))
 		rsp.End()
 		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: c.walkInvalKeys(&res.Walk, trees)}, true, nil

@@ -1,0 +1,254 @@
+package cluster
+
+import (
+	"fmt"
+	"strconv"
+	"sync"
+
+	"provcompress/internal/core"
+	"provcompress/internal/engine"
+	"provcompress/internal/types"
+	"provcompress/internal/wire"
+)
+
+// partition is one member's recoverable state — its database, the scheme's
+// provenance tables (Section 5.3) and the output tuples that arrived —
+// wherever a copy of it lives: at the owner itself (Node.self), at a
+// replica as the shadow the owner's record stream maintains, or at the
+// acting owner hosting it after the owner Left. Every role runs the same
+// pipeline step, replays the same records and speaks the same snapshot
+// codec; only the durability wrapper around them (durability.go) belongs
+// to the owner alone.
+type partition struct {
+	owner types.NodeAddr
+
+	// mu guards state and outputs. The database carries its own read-write
+	// lock, so joins run outside mu.
+	mu      sync.Mutex
+	db      *engine.Database
+	state   core.NodeState
+	outputs []types.Tuple
+}
+
+// newPartition builds an empty copy of owner's partition.
+func (c *Cluster) newPartition(owner types.NodeAddr) (*partition, error) {
+	st, err := core.NewNodeState(c.scheme, c.keys)
+	if err != nil {
+		return nil, err
+	}
+	p := &partition{owner: owner, db: engine.NewDatabase(), state: st}
+	if c.graveyardCap > 0 {
+		p.db.SetGraveyardCap(c.graveyardCap)
+	}
+	return p, nil
+}
+
+// partitionFor returns the copy of owner's partition this node holds — its
+// own for its own address — optionally creating a missing one.
+func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
+	if owner == n.addr {
+		return n.self
+	}
+	n.partsMu.Lock()
+	defer n.partsMu.Unlock()
+	p := n.parts[owner]
+	if p == nil && create {
+		var err error
+		if p, err = n.c.newPartition(owner); err != nil {
+			return nil
+		}
+		n.parts[owner] = p
+	}
+	return p
+}
+
+// step is the pipeline step (Section 2.1), run at node n against this
+// partition: materialize the arriving tuple, join the slow tables, fire
+// the matching rules and maintain provenance through the scheme's state
+// machine. The join runs against the database's own read-write lock —
+// outside mu — so shards evaluate concurrently; only the provenance state
+// transitions serialize on mu. Events of one equivalence class are
+// processed by one shard in arrival order, which is what keeps per-class
+// provenance chains consistent. FireAt uses the owner's address, so every
+// copy's provenance rows carry the same (Loc, RID) identities and a walk
+// served from any of them resolves the same refs.
+//
+// ship says the caller acts for the owner on a live arrival: each derived
+// head is encoded as its firing is maintained and appended to out (the
+// caller's buffer, so a hop's shipments need no slice of their own), and
+// provenance landing on an output fires its invalidation keys. WAL replay
+// and shadow applies pass false and encode nothing — the log and the
+// record stream hold exactly the frames the owner processed, and it
+// shipped their heads and fired their keys when it did.
+func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []outShip {
+	c := n.c
+	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
+	defer sp.End()
+	isNew := p.db.Insert(f.Tuple)
+	meta := f.Meta
+	if f.Fresh {
+		p.mu.Lock()
+		meta = p.state.Inject(f.Tuple)
+		p.mu.Unlock()
+	}
+	rules := c.prog.RulesForEvent(f.Tuple.Rel)
+	if len(rules) == 0 {
+		p.mu.Lock()
+		landed := p.state.Output(f.Tuple, meta)
+		if isNew {
+			// Outputs are a set: a second arrival of the same tuple (the
+			// event injected twice, a gossip multi-path) adds provenance
+			// rows, not a second entry.
+			p.outputs = append(p.outputs, f.Tuple)
+		}
+		p.mu.Unlock()
+		sp.SetAttr("output", "true")
+		if ship && len(landed) > 0 {
+			// Provenance landed on these outputs (possibly deferred outputs
+			// of earlier events, under Advanced): fire their VID keys so
+			// cached trees for them — including cached empty answers — are
+			// evicted now that their derivations changed.
+			c.fireEventHook(vidKeysOf(landed)...)
+		}
+		return out
+	}
+	for _, r := range rules {
+		// The rule span brackets the join itself, annotated with the
+		// firing count the plan produced.
+		rsp := c.startSpan(sp.Context(), n.addr, "rule", r.Label)
+		firings, err := c.plans.Eval(r, p.db, f.Tuple, c.funcs)
+		if rsp != nil {
+			rsp.SetAttr("firings", strconv.Itoa(len(firings)))
+			if err != nil {
+				rsp.SetAttr("error", err.Error())
+			}
+			rsp.End()
+		}
+		if err != nil {
+			// A rule that errors derives nothing; the rest still fire.
+			n.fail("rule "+r.Label, err)
+		}
+		for _, fr := range firings {
+			p.mu.Lock()
+			m := p.state.FireAt(p.owner, fr, meta)
+			p.mu.Unlock()
+			if ship {
+				// The shipped head carries this process span's context so
+				// the next hop's span parents under it; the metadata
+				// piggyback bytes are attributed to the provenance class.
+				out = append(out, shipHead(fr.Head, m, sp.Context()))
+			}
+		}
+	}
+	return out
+}
+
+// applyRecord applies one durable-format record (durability.go): WAL
+// recovery replays the owner's log through it and handleRepl the owner's
+// record stream, so a rebooted owner and a shadow rebuild the state the
+// live owner reached by the same code.
+func (p *partition) applyRecord(n *Node, rec []byte) error {
+	d := wire.NewDecoder(rec)
+	switch kind := d.U8(); kind {
+	case recEvent:
+		f, err := decodeDurEvent(d)
+		if err != nil {
+			return fmt.Errorf("cluster: corrupt event record: %w", err)
+		}
+		p.step(n, f, false, nil)
+	case recInsert, recDelete:
+		t := d.Tuple()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("cluster: corrupt slow-tuple record: %w", err)
+		}
+		if kind == recInsert {
+			p.db.Insert(t)
+		} else {
+			p.db.Delete(t)
+		}
+	case recSig:
+		p.clearEquiKeys()
+	default:
+		return fmt.Errorf("cluster: unknown record kind %d", kind)
+	}
+	return nil
+}
+
+// clearEquiKeys handles a sig broadcast (Section 5.5).
+func (p *partition) clearEquiKeys() {
+	p.mu.Lock()
+	p.state.ClearEquiKeys()
+	p.mu.Unlock()
+}
+
+// snapshot serializes the partition's full recoverable state: the database
+// (live tuples + graveyard), the scheme's provenance tables, and the
+// output tuples that arrived. Checkpoints, bootstrap and leave handoffs
+// and read-repair replies all carry this one layout.
+func (p *partition) snapshot() []byte {
+	e := wire.NewEncoder(4096)
+	e.U8(nodeSnapVersion)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.db.EncodeSnapshot(e)
+	p.state.Persist(e)
+	e.U32(uint32(len(p.outputs)))
+	for _, t := range p.outputs {
+		e.Tuple(t)
+	}
+	return e.Bytes()
+}
+
+// load decodes a snapshot payload into the partition. Boot recovery
+// restores: the payload replaces whatever was there. Handoff installs and
+// read-repair merge: replicated records that arrived before the snapshot
+// survive and rows the snapshot duplicates are no-ops, in either arrival
+// order — so bootstrap is gap-free without a freeze window at the owner.
+func (p *partition) load(payload []byte, merge bool) error {
+	d := wire.NewDecoder(payload)
+	if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
+		return fmt.Errorf("cluster: unsupported node snapshot version %d", v)
+	}
+	loadDB := p.db.RestoreSnapshot
+	if merge {
+		loadDB = p.db.MergeSnapshot
+	}
+	if err := loadDB(d); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	loadState := p.state.Restore
+	if merge {
+		loadState = p.state.Merge
+	}
+	if err := loadState(d); err != nil {
+		return err
+	}
+	nOut := d.U32()
+	if nOut > maxDurItems {
+		return fmt.Errorf("cluster: node snapshot with %d outputs", nOut)
+	}
+	if !merge {
+		p.outputs = p.outputs[:0]
+	}
+	for i := uint32(0); i < nOut && d.Err() == nil; i++ {
+		if t := d.Tuple(); merge {
+			p.outputs = appendTupleOnce(p.outputs, t)
+		} else {
+			p.outputs = append(p.outputs, t)
+		}
+	}
+	return d.Err()
+}
+
+// appendTupleOnce adds t to an output list unless it is already there: a
+// merged snapshot overlaps what replication already delivered.
+func appendTupleOnce(ts []types.Tuple, t types.Tuple) []types.Tuple {
+	for _, u := range ts {
+		if u.Equal(t) {
+			return ts
+		}
+	}
+	return append(ts, t)
+}

@@ -1,0 +1,233 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"provcompress/internal/apps"
+	"provcompress/internal/core"
+	"provcompress/internal/topo"
+	"provcompress/internal/types"
+)
+
+// rolesHistory is the one history every role of the partition step is
+// given: Fig. 2 forwarding, a second arrival of the same output (the event
+// injected twice), a slow insert — a sig — between two events of one class,
+// and a slow delete. The slow tuple lives at n1, which never leaves.
+func rolesHistory(t *testing.T, c *Cluster) {
+	t.Helper()
+	slow := types.NewTuple("route", types.String("n1"), types.String("n9"), types.String("n2"))
+	steps := []func() error{
+		func() error { return c.Inject(pkt("n1", "n1", "n3", "a")) },
+		func() error { return c.Inject(pkt("n1", "n1", "n3", "a")) },
+		func() error { return c.InsertSlow(slow) },
+		func() error { return c.Inject(pkt("n1", "n1", "n3", "b")) },
+		func() error { return c.DeleteSlow(slow) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("history step %d: %v", i, err)
+		}
+		if err := c.Quiesce(10 * time.Second); err != nil {
+			t.Fatalf("history step %d: %v", i, err)
+		}
+	}
+}
+
+// rolesCluster boots Fig. 2 for the role table; an empty dir is volatile,
+// and load is false for a durable re-open that must recover its routes.
+func rolesCluster(t *testing.T, scheme, dir string, replicas int, load bool) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		Prog:      apps.Forwarding(),
+		Funcs:     apps.Funcs(),
+		Nodes:     []types.NodeAddr{"n1", "n2", "n3"},
+		Scheme:    scheme,
+		DataDir:   dir,
+		Replicas:  replicas,
+		Transport: TransportConfig{RetryBudget: 3, BackoffMax: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if load {
+		if err := c.LoadBase(topo.Fig2Routes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// decodedSnapshot loads a snapshot payload into an empty partition — the
+// one decoder — and lists what it holds in a canonical order: the database
+// rows and graveyard, the outputs as a multiset, and the scheme tables as
+// every read the query protocol can make of them (the storage accounting,
+// the prov rows of every stored tuple, and every rule execution reachable
+// from those at this owner).
+func decodedSnapshot(t *testing.T, c *Cluster, owner types.NodeAddr, snap []byte) []string {
+	t.Helper()
+	p, err := c.newPartition(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.load(snap, false); err != nil {
+		t.Fatalf("decode snapshot of %s: %v", owner, err)
+	}
+	sorted := func(prefix string, items []string) []string {
+		sort.Strings(items)
+		for i := range items {
+			items[i] = prefix + " " + items[i]
+		}
+		return items
+	}
+	var rows, outs, grave, provs, execs []string
+	var work []core.Ref
+	for rel := range c.arities {
+		for _, tup := range p.db.Scan(rel) {
+			rows = append(rows, tup.String())
+			for _, pr := range p.state.ProvRows(types.HashTuple(tup), types.ZeroID) {
+				provs = append(provs, fmt.Sprintf("%v", pr))
+				work = append(work, pr.Ref)
+			}
+		}
+	}
+	for _, vid := range p.db.GraveyardVIDs() {
+		grave = append(grave, vid.String())
+	}
+	for _, tup := range p.outputs {
+		outs = append(outs, tup.String())
+	}
+	seen := make(map[core.Ref]bool)
+	for len(work) > 0 {
+		ref := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[ref] || ref.Loc != owner {
+			continue
+		}
+		seen[ref] = true
+		ce, vids, prs, nexts, ok := p.state.Collect(ref)
+		execs = append(execs, fmt.Sprintf("%v: %v %v %v %v %v", ref, ce, vids, prs, nexts, ok))
+		work = append(work, nexts...)
+	}
+	lines := []string{fmt.Sprintf("storage %d", p.state.StorageBytes())}
+	for _, part := range [][]string{sorted("row", rows), sorted("grave", grave), sorted("output", outs), sorted("prov", provs), sorted("exec", execs)} {
+		lines = append(lines, part...)
+	}
+	return lines
+}
+
+// rolesTrees answers, for both outputs of the history, the derivation of
+// each event and the all-derivations query.
+func rolesTrees(t *testing.T, c *Cluster) []string {
+	t.Helper()
+	var lines []string
+	for _, dt := range []string{"a", "b"} {
+		out := recvT("n3", "n1", "n3", dt)
+		for _, evid := range []types.ID{types.HashTuple(pkt("n1", "n1", "n3", dt)), types.ZeroID} {
+			res, err := c.QueryContext(context.Background(), out, evid, 10*time.Second)
+			if err != nil {
+				t.Fatalf("query %v: %v", out, err)
+			}
+			var trees []string
+			for _, tr := range res.Trees {
+				trees = append(trees, tr.String())
+			}
+			sort.Strings(trees)
+			lines = append(lines, fmt.Sprintf("%v evid %v: %d trees\n%s", out, evid, len(trees), strings.Join(trees, "\n")))
+		}
+	}
+	return lines
+}
+
+func sameLines(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("%s differs from the live owner's:\n--- got\n%s\n--- want\n%s", what, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestPartitionRolesAgree gives one history to every role a partition can
+// be held in and requires them to agree: the owner applying it live, the
+// owner's WAL replayed into a rebooted node, and the replication stream
+// applied into a shadow must decode to equal snapshots and answer queries
+// with equal trees; a host acting for an owner that Left must ship the
+// heads the owner would have, so the outputs and trees downstream of it
+// are the live cluster's too.
+func TestPartitionRolesAgree(t *testing.T) {
+	members := []types.NodeAddr{"n1", "n2", "n3"}
+	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		t.Run(scheme, func(t *testing.T) {
+			dir := t.TempDir()
+
+			// (a) live at the owner, (c) through the replication stream: a
+			// durable cluster where every member shadows the other two.
+			live := rolesCluster(t, scheme, dir, 2, true)
+			rolesHistory(t, live)
+			owner := make(map[types.NodeAddr][]string)
+			for _, addr := range members {
+				owner[addr] = decodedSnapshot(t, live, addr, live.node(addr).self.snapshot())
+				for _, at := range members {
+					if at == addr {
+						continue
+					}
+					shadow := live.node(at).partitionFor(addr, false)
+					if shadow == nil {
+						t.Fatalf("%s holds no shadow of %s", at, addr)
+					}
+					sameLines(t, fmt.Sprintf("shadow of %s at %s", addr, at), decodedSnapshot(t, live, addr, shadow.snapshot()), owner[addr])
+				}
+			}
+			liveOutputs := decodedOutputs(live)
+			liveTrees := rolesTrees(t, live)
+			// With the outputs' owner dead the same queries anchor in, and
+			// walk, a shadow.
+			live.node("n3").Kill()
+			sameLines(t, "trees served from n3's shadow", rolesTrees(t, live), liveTrees)
+			if live.MembershipStats().Failovers == 0 {
+				t.Error("queries at a dead owner counted no failover")
+			}
+			live.Close()
+
+			// (b) the WAL the owners wrote, replayed into rebooted nodes.
+			// No replication, so nothing but the log rebuilds them.
+			rebooted := rolesCluster(t, scheme, dir, 0, false)
+			if ds := rebooted.DurabilityStats(); ds.ReplayedRecords == 0 {
+				t.Fatalf("reboot replayed nothing: %+v", ds)
+			}
+			for _, addr := range members {
+				sameLines(t, "replayed "+string(addr), decodedSnapshot(t, rebooted, addr, rebooted.node(addr).self.snapshot()), owner[addr])
+			}
+			sameLines(t, "trees after replay", rolesTrees(t, rebooted), liveTrees)
+
+			// (d) a host acting for n2 after it Left.
+			hosted := rolesCluster(t, scheme, "", 1, true)
+			if err := hosted.Leave("n2"); err != nil {
+				t.Fatal(err)
+			}
+			rolesHistory(t, hosted)
+			host := hosted.node(hosted.OwnerOf("n2"))
+			if host == nil || host.partitionFor("n2", false) == nil {
+				t.Fatalf("no member hosts n2's partition (owner %q)", hosted.OwnerOf("n2"))
+			}
+			sameLines(t, "n2's partition at its host", decodedSnapshot(t, hosted, "n2", host.partitionFor("n2", false).snapshot()), owner["n2"])
+			sameLines(t, "outputs downstream of the host", decodedOutputs(hosted), liveOutputs)
+			sameLines(t, "trees through the host", rolesTrees(t, hosted), liveTrees)
+		})
+	}
+}
+
+// decodedOutputs is the public view of every member's output list, as a
+// sorted multiset.
+func decodedOutputs(c *Cluster) []string {
+	var outs []string
+	for _, tup := range c.AllOutputs() {
+		outs = append(outs, tup.String())
+	}
+	sort.Strings(outs)
+	return outs
+}

@@ -452,7 +452,7 @@ func decodeReplFrame(d *wire.Decoder) (types.NodeAddr, []byte, error) {
 	return owner, rec, d.Err()
 }
 
-// encodeHandoff streams a whole partition — the snapshotPayload of
+// encodeHandoff streams a whole partition — partition.snapshot of
 // `owner`'s state — to a peer. HID correlates the final frame's ack;
 // final=false frames (replica bootstrap, read-repair replies) are not
 // acked. The same frame serves three flows: bootstrapping a new replica,

@@ -207,9 +207,9 @@ func runWalk(t *testing.T, c *Cluster, out types.Tuple, evid types.ID) *walkFram
 	q.pendMu.Lock()
 	q.pending[qid] = ch
 	q.pendMu.Unlock()
-	q.mu.Lock()
-	f := &walkFrame{QID: qid, Querier: q.addr, Walk: core.StartWalk(q.state, out, evid)}
-	q.mu.Unlock()
+	q.self.mu.Lock()
+	f := &walkFrame{QID: qid, Querier: q.addr, Walk: core.StartWalk(q.self.state, out, evid)}
+	q.self.mu.Unlock()
 	q.handleWalk(f)
 	select {
 	case res := <-ch:
@@ -246,7 +246,7 @@ func TestWalkVisitsSharedRuleExecOnce(t *testing.T) {
 		t.Errorf("distinct entries = %d, want 3 (two r1 executions, one r0)", len(seen))
 	}
 	q := c.Node("n1")
-	trees := res.Trees(q.state, c.prog, c.funcs)
+	trees := res.Trees(q.self.state, c.prog, c.funcs)
 	if want := rec.TreesFor(types.HashTuple(out), types.ZeroID); !sameTrees(trees, want) {
 		t.Errorf("trees differ from simulation:\ngot  %v\nwant %v", trees, want)
 	}

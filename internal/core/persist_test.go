@@ -34,8 +34,8 @@ func stateStore(t *testing.T, st NodeState) *store {
 }
 
 // driveForwarding pushes events through one NodeState with the same
-// frame discipline the cluster runtime uses (internal/cluster/node.go
-// applyTuple): insert the tuple at its location's database, Inject if
+// frame discipline the cluster runtime uses (internal/cluster/partition.go
+// step): insert the tuple at its location's database, Inject if
 // fresh, fire the matching rules threading the metadata, Output when no
 // rule consumes the relation. One state instance holds every node's rows
 // (keyed by Loc), exactly like the simulated maintainers.

@@ -15,10 +15,6 @@ type answer struct {
 	Trees  []string
 	Hops   int
 	ColdNS int64 // the cold query's cluster-side latency, nanoseconds
-	// Epoch is the global event epoch at admission. Deprecated: kept only
-	// for the /v1/query and /v1/stats response compatibility; invalidation
-	// is keyed (Keys), not epoch-based.
-	Epoch uint64
 	// Keys is the sorted invalidation-key set the answer's walk touched
 	// (cluster.QueryResult.InvalKeys); firing any of them evicts the
 	// entry.

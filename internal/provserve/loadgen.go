@@ -259,7 +259,7 @@ type MixedLoadReport struct {
 	LoadReport
 	Writes      int
 	WriteErrors int
-	// HitRate is CacheHits / Requests (BENCH_serve.json "cache" records).
+	// HitRate is CacheHits / Requests.
 	HitRate float64
 }
 

@@ -90,7 +90,7 @@ func SelfTest(cfg SelfTestConfig) error {
 	if evResp.Accepted != len(events) || !evResp.Quiesced {
 		return fmt.Errorf("selftest: inject accepted %d/%d, quiesced=%v", evResp.Accepted, len(events), evResp.Quiesced)
 	}
-	fmt.Fprintf(cfg.Out, "injected %d events over HTTP (epoch %d)\n", evResp.Accepted, evResp.Epoch)
+	fmt.Fprintf(cfg.Out, "injected %d events over HTTP\n", evResp.Accepted)
 
 	// 2. One cold query per scheme for the first end-to-end packet.
 	payload0 := workload.Payload(0, 48)

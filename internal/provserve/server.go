@@ -4,8 +4,8 @@
 // paper's point — compressed provenance makes distributed querying cheap
 // enough to use online (§5–§6) — needs a resident process to be visible:
 // cold-start CLI runs pay cluster bring-up on every query, while a daemon
-// pays it once and then serves queries from a worker pool fronted by an
-// epoch-invalidated result cache.
+// pays it once and then serves queries from a worker pool fronted by a
+// key-invalidated result cache.
 //
 // Serving discipline:
 //
@@ -103,10 +103,6 @@ type Server struct {
 	// /metrics and /v1/stats output.
 	tenants     map[string]*tenant
 	tenantNames []string
-	// epoch counts accepted events. Deprecated as an invalidation
-	// mechanism (the cache is key-invalidated); still exposed on
-	// /v1/query, /v1/events and /v1/stats for compatibility.
-	epoch atomic.Uint64
 
 	queue chan *queryJob
 	stop  chan struct{}
@@ -136,7 +132,6 @@ type queryJob struct {
 	c        *cluster.Cluster
 	out      types.Tuple
 	evid     types.ID
-	epoch    uint64 // event epoch at admission (response compatibility)
 	admitSeq uint64 // cache invalidation sequence at admission (depCache.Admit)
 	res      cluster.QueryResult
 	err      error
@@ -178,14 +173,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.schemes = append(s.schemes, name)
 		// Every accepted state change delivers the invalidation keys it
-		// fired; evict exactly the cached results tagged with them. The
-		// epoch still counts events for response compatibility. Events are
-		// injected per cluster, so one logical event may fire more than
+		// fired; evict exactly the cached results tagged with them. Events
+		// are injected per cluster, so one logical event may fire more than
 		// once — firing is idempotent on an already-evicted entry.
-		c.SetEventHook(func(keys []cluster.InvalKey) {
-			s.epoch.Add(1)
-			s.cache.Invalidate(keys)
-		})
+		c.SetEventHook(func(keys []cluster.InvalKey) { s.cache.Invalidate(keys) })
 	}
 	s.tenants = make(map[string]*tenant, len(cfg.Tenants)+1)
 	for _, tc := range cfg.Tenants {
@@ -242,9 +233,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Epoch returns the current cache epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // Close stops the worker pool and fails any queries still queued. It does
 // not close the clusters (the caller owns them) and is idempotent.
@@ -392,9 +380,8 @@ type eventsRequest struct {
 }
 
 type eventsResponse struct {
-	Accepted int    `json:"accepted"`
-	Epoch    uint64 `json:"epoch"`
-	Quiesced bool   `json:"quiesced"`
+	Accepted int  `json:"accepted"`
+	Quiesced bool `json:"quiesced"`
 }
 
 // handleEvents injects input events into every configured cluster (each
@@ -454,7 +441,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, eventsResponse{
 		Accepted: accepted,
-		Epoch:    s.epoch.Load(),
 		Quiesced: quiesced,
 	})
 }
@@ -465,13 +451,6 @@ type queryResponse struct {
 	Scheme string `json:"scheme"`
 	EvID   string `json:"evid,omitempty"`
 	Cached bool   `json:"cached"`
-	// Epoch is the global event count the answer was admitted under.
-	// Deprecated: it no longer governs invalidation (the cache is
-	// key-invalidated; see CacheKeys) and is kept for compatibility —
-	// a cached answer can legitimately carry an Epoch older than the
-	// server's current one when the intervening events touched none of
-	// its keys.
-	Epoch uint64 `json:"epoch"`
 	// CacheKeys is the size of the answer's invalidation-key set (the
 	// equivalence-class and VID keys its walk touched).
 	CacheKeys int      `json:"cache_keys"`
@@ -546,7 +525,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.hitLatency.ObserveDuration(time.Since(began))
 		writeJSON(w, http.StatusOK, queryResponse{
 			Tuple: out.String(), Scheme: scheme, EvID: q.Get("evid"),
-			Cached: true, Epoch: ans.Epoch, CacheKeys: len(ans.Keys),
+			Cached: true, CacheKeys: len(ans.Keys),
 			Trees: ans.Trees, Hops: ans.Hops,
 			QueryNS: ans.ColdNS, ServeNS: time.Since(began).Nanoseconds(),
 			TraceID: traceIDString(ans.TraceID),
@@ -568,7 +547,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The admission snapshot must precede the walk: a key firing between
 	// here and the walk's completion drops the answer at Put.
 	j := &queryJob{ctx: r.Context(), c: c, out: out, evid: evid,
-		epoch: s.epoch.Load(), admitSeq: s.cache.Admit(), done: make(chan struct{})}
+		admitSeq: s.cache.Admit(), done: make(chan struct{})}
 	select {
 	case s.queue <- j:
 	case <-s.stop:
@@ -602,12 +581,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		trees[i] = t.String()
 	}
 	ans := answer{Trees: trees, Hops: j.res.Hops, ColdNS: j.res.Latency.Nanoseconds(),
-		Epoch: j.epoch, Keys: j.res.InvalKeys, AdmitSeq: j.admitSeq, TraceID: j.res.TraceID}
+		Keys: j.res.InvalKeys, AdmitSeq: j.admitSeq, TraceID: j.res.TraceID}
 	s.cache.Put(key, ans)
 	s.coldLatency.ObserveDuration(time.Since(began))
 	writeJSON(w, http.StatusOK, queryResponse{
 		Tuple: out.String(), Scheme: scheme, EvID: q.Get("evid"),
-		Cached: false, Epoch: j.epoch, CacheKeys: len(j.res.InvalKeys),
+		Cached: false, CacheKeys: len(j.res.InvalKeys),
 		Trees: trees, Hops: j.res.Hops,
 		QueryNS: j.res.Latency.Nanoseconds(), ServeNS: time.Since(began).Nanoseconds(),
 		TraceID: traceIDString(j.res.TraceID),
@@ -695,10 +674,6 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the GET /v1/stats reply.
 type statsResponse struct {
-	// Epoch counts accepted events. Deprecated: invalidation is keyed,
-	// not epoch-based — see the cache-invalidated-* server counters for
-	// what actually evicts entries. Kept for scrape compatibility.
-	Epoch    uint64                 `json:"epoch"`
 	UptimeNS int64                  `json:"uptime_ns"`
 	Server   map[string]int64       `json:"server"`
 	Schemes  map[string]schemeStats `json:"schemes"`
@@ -791,7 +766,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := statsResponse{
-		Epoch:    s.epoch.Load(),
 		UptimeNS: time.Since(s.start).Nanoseconds(),
 		Server:   map[string]int64{},
 		Schemes:  map[string]schemeStats{},
@@ -885,7 +859,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePrometheus(w, s.serverCounters(), "provd", "")
-	metrics.WriteGauge(w, "provd_epoch", "", float64(s.epoch.Load()))
 	metrics.WriteGauge(w, "provd_inflight_queries", "", float64(s.inflight.Load()))
 	metrics.WriteGauge(w, "provd_queue_pending", "", float64(len(s.queue)))
 	metrics.WriteGauge(w, "provd_queue_capacity", "", float64(cap(s.queue)))

@@ -112,7 +112,7 @@ func get(t *testing.T, baseURL string, spec tupleSpec) (queryResponse, *http.Res
 }
 
 // TestServeQueryCycle drives the full serve path: inject, cold query,
-// cached re-query, epoch invalidation by a new event.
+// cached re-query, invalidation by a new event of the same class.
 func TestServeQueryCycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	er := postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "p-a"))
@@ -133,76 +133,81 @@ func TestServeQueryCycle(t *testing.T) {
 		t.Fatal("cached answer differs from cold answer")
 	}
 
-	// A new accepted event bumps the epoch; the cached entry must not be
-	// served again.
-	er2 := postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "p-b"))
-	if er2.Epoch <= er.Epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", er.Epoch, er2.Epoch)
-	}
+	// A new accepted event of the same class fires the entry's class key;
+	// the cached entry must not be served again.
+	postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "p-b"))
 	after, resp := get(t, ts.URL, target)
 	if resp.StatusCode != http.StatusOK || after.Cached {
 		t.Fatalf("query after event served stale cache: %+v (status %d)", after, resp.StatusCode)
 	}
-	if after.Epoch < er2.Epoch {
-		t.Fatalf("recomputed answer epoch %d predates event epoch %d", after.Epoch, er2.Epoch)
-	}
 }
 
-// TestQueryEventEpochRace is the required consistency hammer: queries and
-// events race, and the invariant checked is that a cache-served answer is
-// never from before an event whose acceptance the client had already
-// observed when it issued the query.
-func TestQueryEventEpochRace(t *testing.T) {
+// TestQueryEventRace is the required consistency hammer: queries and
+// events race, and the invariant checked is that an answer is never from
+// before an event whose acceptance the client had already observed when it
+// issued the query. Queriers keep asking for outputs of events not yet
+// injected, so empty answers are cached ahead of the events that fill
+// them; once an event's quiesced POST is acknowledged, its output's
+// provenance must be served.
+func TestQueryEventRace(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64, QueryTimeout: 10 * time.Second})
-	postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "seed"))
-	target := tupleSpec{Rel: "recv", Args: []any{"n2", "n0", "n2", "seed"}}
+	const queriers, injectors, eventsEach = 4, 2, 15
+	payload := func(i, k int) string { return fmt.Sprintf("r%d-%d", i, k) }
 
-	// floorEpoch is the newest epoch some completed event POST reported;
-	// a cached answer served after that must not predate it.
-	var floorEpoch atomic.Uint64
-	var wg sync.WaitGroup
+	// acked[i] counts injector i's acknowledged events: every output below
+	// it has landed.
+	var acked [injectors]atomic.Int64
+	var injecting, querying sync.WaitGroup
 	errCh := make(chan error, 64)
-	const queriers, queriesEach, injectors, eventsEach = 4, 40, 2, 15
+	done := make(chan struct{})
 
 	for i := 0; i < injectors; i++ {
-		wg.Add(1)
+		injecting.Add(1)
 		go func(i int) {
-			defer wg.Done()
+			defer injecting.Done()
 			for k := 0; k < eventsEach; k++ {
-				er := postEvents(t, ts.URL, 0, packetSpec("n0", "n2", fmt.Sprintf("r%d-%d", i, k)))
-				// Advance the floor to this event's epoch.
-				for {
-					cur := floorEpoch.Load()
-					if er.Epoch <= cur || floorEpoch.CompareAndSwap(cur, er.Epoch) {
-						break
-					}
-				}
+				postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", payload(i, k)))
+				acked[i].Store(int64(k + 1))
 			}
 		}(i)
 	}
-	for i := 0; i < queriers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < queriesEach; k++ {
-				floor := floorEpoch.Load()
-				qr, resp := get(t, ts.URL, target)
-				switch resp.StatusCode {
-				case http.StatusOK:
-					if qr.Cached && qr.Epoch < floor {
-						errCh <- fmt.Errorf("cache served epoch %d, but an event at epoch %d was already acknowledged", qr.Epoch, floor)
+	for q := 0; q < queriers; q++ {
+		querying.Add(1)
+		go func(q int) {
+			defer querying.Done()
+			for round := q; ; round++ {
+				final := false
+				select {
+				case <-done:
+					final = true // one last sweep with every event acknowledged
+				default:
+				}
+				i := round % injectors
+				for k := 0; k < eventsEach; k++ {
+					floor := acked[i].Load()
+					qr, resp := get(t, ts.URL, tupleSpec{Rel: "recv", Args: []any{"n2", "n0", "n2", payload(i, k)}})
+					switch resp.StatusCode {
+					case http.StatusOK:
+						if int64(k) < floor && len(qr.Trees) == 0 {
+							errCh <- fmt.Errorf("event %s was acknowledged, but its output's provenance came back empty (cached=%v)", payload(i, k), qr.Cached)
+							return
+						}
+					case http.StatusTooManyRequests:
+						// Overload shedding is legal under the hammer.
+					default:
+						errCh <- fmt.Errorf("query status %d", resp.StatusCode)
 						return
 					}
-				case http.StatusTooManyRequests:
-					// Overload shedding is legal under the hammer.
-				default:
-					errCh <- fmt.Errorf("query status %d", resp.StatusCode)
+				}
+				if final {
 					return
 				}
 			}
-		}()
+		}(q)
 	}
-	wg.Wait()
+	injecting.Wait()
+	close(done)
+	querying.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
