@@ -49,14 +49,16 @@
 #                answering and byte-class accounting exact at every step
 #   cache-smoke  the keyed-invalidation floor at reduced scale: a mixed
 #                read/write workload (Zipf readers racing a sustained
-#                writer into a class no reader targets) against the
-#                dependency-indexed cache, which must hold a hit rate
-#                > 0.5 with the writer landing events throughout
+#                writer into the very equivalence class every read
+#                target belongs to) against the dependency-indexed
+#                cache, which must hold a hit rate > 0.5 with the writer
+#                landing events throughout
 #   soak-smoke   the multi-tenant scenario soak at reduced scale: every
 #                registered DELP scenario (forwarding, bgp, gossip) runs
 #                bursty ingest, Zipf queries from a well-behaved and an
 #                over-quota tenant (only the greedy one may see 429s), a
-#                deletion storm with restore, and a cache drain — then
+#                deletion storm with restore, and a cache drain (one
+#                delete/restore wave over the injected events) — then
 #                the graveyard, cache-entry, dep-key, and trace-span
 #                gauges must all be back at their baselines
 #
@@ -68,7 +70,7 @@
 # transport actually runs every time.
 
 GO ?= go
-NOLINT_MAX := 47
+NOLINT_MAX := 41
 TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
 .PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke

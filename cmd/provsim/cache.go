@@ -17,7 +17,7 @@ import (
 
 // cacheBenchRecord is one measured mixed read/write cache run: Zipf
 // readers over a preloaded output frame racing a writer that injects a
-// fresh event every 500µs into a class the readers never target.
+// fresh event every 500µs into the readers' own equivalence class.
 type cacheBenchRecord struct {
 	Nodes     int
 	Events    int // preloaded read targets
@@ -31,8 +31,8 @@ type cacheBenchRecord struct {
 }
 
 // cacheBenchRun boots a fresh chain cluster + daemon, preloads a packet
-// workload into classes away from the writer's, then measures the mixed
-// workload.
+// workload into the one class the writer will keep writing to, then
+// measures the mixed workload.
 func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 	nodes, events, queries := 8, 40, 4000
 	if smoke {
@@ -63,16 +63,13 @@ func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
-	// Preload: packets n0 -> n<last> and n0 -> n<mid>, never n0 -> n1 —
-	// the writer's class stays disjoint from every read target.
-	last, mid := fmt.Sprintf("n%d", nodes-1), fmt.Sprintf("n%d", nodes/2)
+	// Preload: every packet travels n0 -> n<last>, the class the writer
+	// injects into. Each of its events lands a prov row under its own event
+	// ID and nothing else (§5.3), so no read target may lose its entry.
+	last := fmt.Sprintf("n%d", nodes-1)
 	specs := make([]map[string]any, events)
 	for i := range specs {
-		dst := last
-		if i%3 == 1 {
-			dst = mid
-		}
-		specs[i] = map[string]any{"rel": "packet", "args": []any{"n0", "n0", dst, fmt.Sprintf("pre-%d", i)}}
+		specs[i] = map[string]any{"rel": "packet", "args": []any{"n0", "n0", last, fmt.Sprintf("pre-%d", i)}}
 	}
 	body, err := json.Marshal(map[string]any{"events": specs, "wait_ms": 60_000})
 	if err != nil {
@@ -106,7 +103,7 @@ func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 		},
 		WriteInterval: 500 * time.Microsecond,
 		WriteSrc:      "n0",
-		WriteDst:      "n1",
+		WriteDst:      last,
 	})
 	if err != nil {
 		return rec, err
@@ -124,8 +121,9 @@ func cacheBenchRun(smoke bool) (cacheBenchRecord, error) {
 }
 
 // runCacheSmoke executes the mixed workload, prints it, and enforces the
-// floor the keyed cache was built for: under sustained writes the hit rate
-// must stay above 0.5, and the writer must actually have sustained writes.
+// floor the keyed cache was built for: under sustained writes — here into
+// the very class every cached answer belongs to — the hit rate must stay
+// above 0.5, and the writer must actually have sustained writes.
 func runCacheSmoke(w io.Writer, smoke bool) error {
 	r, err := cacheBenchRun(smoke)
 	if err != nil {
@@ -139,8 +137,8 @@ func runCacheSmoke(w io.Writer, smoke bool) error {
 		return fmt.Errorf("cache: writer landed no events; run degenerate")
 	}
 	if r.HitRate <= 0.5 {
-		return fmt.Errorf("cache: hit rate %.3f under sustained writes, want > 0.5", r.HitRate)
+		return fmt.Errorf("cache: hit rate %.3f under sustained same-class writes, want > 0.5", r.HitRate)
 	}
-	fmt.Fprintf(w, "cache: keyed invalidation holds %.0f%% hits under sustained writes\n", 100*r.HitRate)
+	fmt.Fprintf(w, "cache: keyed invalidation holds %.0f%% hits under sustained same-class writes\n", 100*r.HitRate)
 	return nil
 }

@@ -30,12 +30,6 @@ import (
 // never exceeds it.
 const soakSpanBudget = 4096
 
-// soakClasses is how many flush events the cache-drain phase injects: one
-// per equivalence class a scenario's events can map onto (bgp cycles four
-// prefixes; forwarding and gossip collapse onto one class, where the
-// extras are harmless fresh events).
-const soakClasses = 4
-
 // scenarioBenchRecord is one scenario's soak measurement.
 type scenarioBenchRecord struct {
 	Scenario     string
@@ -58,7 +52,7 @@ type scenarioBenchRecord struct {
 	DeferredOutputs  int64
 	DeferredLandings int64
 	// CacheInvalidations is the daemon's per-reason eviction accounting
-	// (entries dropped by class key, VID key, mid-walk race, LRU).
+	// (entries dropped by a fired key, mid-walk race, LRU).
 	CacheInvalidations map[string]int64
 	// GreedyRejected429 is how many of the over-quota tenant's requests
 	// were shed; the std tenant's count must be zero and is asserted, not
@@ -171,6 +165,23 @@ func soakPost(baseURL, tenant string, events []map[string]any) error {
 	return nil
 }
 
+// stormOps applies a deletion storm through the cluster's slow-update
+// path and returns the graveyard high-water mark it reached.
+func stormOps(c *cluster.Cluster, storm workload.DeletionStorm) (peak int, err error) {
+	for _, op := range storm.Ops() {
+		if op.Insert {
+			err = c.InsertSlow(op.Tuple)
+		} else {
+			err = c.DeleteSlow(op.Tuple)
+		}
+		if err != nil {
+			return peak, err
+		}
+		peak = max(peak, c.GraveyardSize())
+	}
+	return peak, c.Quiesce(time.Minute)
+}
+
 // soakScenario runs one scenario's full lifecycle and returns its record.
 func soakScenario(name string, smoke bool) (scenarioBenchRecord, error) {
 	nodes, queries, stormWaves := 9, 1200, 6
@@ -235,7 +246,7 @@ func soakScenario(name string, smoke bool) (scenarioBenchRecord, error) {
 	tsBefore := c.TransportStats()
 	ingestStart := time.Now()
 	var batch []map[string]any
-	seq := int64(0)
+	injected := make([]types.Tuple, 0, len(times))
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -250,8 +261,9 @@ func soakScenario(name string, smoke bool) (scenarioBenchRecord, error) {
 				return rec, err
 			}
 		}
-		batch = append(batch, soakSpec(sc.Event(g, seq)))
-		seq++
+		ev := sc.Event(g, int64(i))
+		injected = append(injected, ev)
+		batch = append(batch, soakSpec(ev))
 	}
 	if err := flush(); err != nil {
 		return rec, err
@@ -304,36 +316,20 @@ func soakScenario(name string, smoke bool) (scenarioBenchRecord, error) {
 	for i := range churn {
 		churn[i] = sc.Churn(g, i)
 	}
-	storm := workload.DeletionStorm{Tuples: churn, Waves: stormWaves, Restore: true}
-	for _, op := range storm.Ops() {
-		if op.Insert {
-			err = c.InsertSlow(op.Tuple)
-		} else {
-			err = c.DeleteSlow(op.Tuple)
-		}
-		if err != nil {
-			return rec, err
-		}
-		if n := c.GraveyardSize(); n > rec.GraveyardPeak {
-			rec.GraveyardPeak = n
-		}
-	}
-	if err := c.Quiesce(time.Minute); err != nil {
+	rec.GraveyardPeak, err = stormOps(c, workload.DeletionStorm{Tuples: churn, Waves: stormWaves, Restore: true})
+	if err != nil {
 		return rec, err
 	}
 	if rec.GraveyardPeak == 0 {
 		return rec, fmt.Errorf("soak %s: deletion storm buried nothing", name)
 	}
 
-	// Phase 4 — cache drain: land one fresh event per reachable
-	// equivalence class, evicting every cached answer whose walk touched
-	// those classes (all of them — the query frame came from phase 1's
-	// events). After this the cache gauges must be back at baseline.
-	var drain []map[string]any
-	for i := int64(0); i < soakClasses; i++ {
-		drain = append(drain, soakSpec(sc.Event(g, seq+i)))
-	}
-	if err := soakPost(hts.URL, "std", drain); err != nil {
+	// Phase 4 — cache drain: every cached answer carries the VID keys of
+	// the events its trees grew from (the query frame came from phase 1's
+	// outputs), so one delete/restore wave over the injected events fires
+	// a key of every entry. After this the cache gauges must be back at
+	// baseline — and so must the graveyard, again.
+	if _, err := stormOps(c, workload.DeletionStorm{Tuples: injected, Waves: 1, Restore: true}); err != nil {
 		return rec, err
 	}
 

@@ -442,12 +442,13 @@ func (c *Cluster) Shards() int { return c.nshards }
 // Node returns a member by address, or nil.
 func (c *Cluster) Node(addr types.NodeAddr) *Node { return c.node(addr) }
 
-// SetEventHook installs fn to run after every accepted state change
-// (successful Inject, InsertSlow, DeleteSlow, or provenance landing on
-// an output tuple) with the invalidation keys the change touched. Pass
-// nil to clear. The hook must be cheap and non-blocking; it runs on the
-// goroutine that applied the change — for output landings that is a
-// shard worker, so the hook must also be safe for concurrent calls.
+// SetEventHook installs fn to run after every accepted change a cached
+// answer can depend on — output landing, slow insert, slow delete,
+// graveyard eviction, and a re-derived tuple rejoining a stored rule
+// execution — with the invalidation keys the change touched. Pass nil to
+// clear. The hook must be cheap and non-blocking; it runs on the goroutine
+// that applied the change — for output landings that is a shard worker, so
+// the hook must also be safe for concurrent calls.
 func (c *Cluster) SetEventHook(fn func(keys []InvalKey)) {
 	if fn == nil {
 		fn = func([]InvalKey) {}
@@ -582,7 +583,6 @@ func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.fireEventHook(c.EventClassKey(ev))
 	return sp.Context().Trace, nil
 }
 
@@ -599,6 +599,10 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 	if !n.insertDurable(t) {
 		return nil
 	}
+	// The tuple is in the database from here on, whatever the broadcast
+	// below does: a cached answer that carried its VID as unresolved is
+	// stale now.
+	c.fireEventHook(VIDInvalKey(types.HashTuple(t)))
 	frame := encodeSig()
 	for addr := range c.nodeMap() {
 		// Sig broadcasts are provenance maintenance (Section 5.5).
@@ -606,7 +610,6 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 			return err
 		}
 	}
-	c.fireEventHook(VIDInvalKey(types.HashTuple(t)))
 	return nil
 }
 

@@ -447,11 +447,11 @@ type QueryResult struct {
 	// collector (zero when tracing is off).
 	TraceID trace.TraceID
 	// InvalKeys is the sorted, duplicate-free set of invalidation keys
-	// (invalkey.go) the answer depends on: the root output's VID key
-	// (always present, even for an empty answer), the VID keys of every
-	// tuple/EvID the walk touched, and the equivalence-class keys of the
-	// trees' leaf events. A cache storing this result must evict it when
-	// any of these keys fires through the cluster event hook.
+	// (invalkey.go) the answer depends on: the root output's (always
+	// present, even for an empty answer) and those of every rule
+	// execution, tuple and event ID the walk touched. A cache storing this
+	// result must evict it when any of these keys fires through the
+	// cluster event hook.
 	InvalKeys []uint64
 }
 
@@ -555,7 +555,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 		unregister()
 		// An empty answer is still cacheable: its key set ties it to the
 		// root output's VID, which fires when provenance eventually lands.
-		return QueryResult{InvalKeys: c.walkInvalKeys(&f.Walk, nil)}, true, nil
+		return QueryResult{InvalKeys: walkInvalKeys(&f.Walk, nil)}, true, nil
 	}
 	// Start the walk by sending it to the first target (possibly self),
 	// routed around members the view knows are out. An unroutable first
@@ -587,7 +587,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 		trees := res.Trees(p.state, c.prog, c.funcs)
 		rsp.SetAttr("trees", strconv.Itoa(len(trees)))
 		rsp.End()
-		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: c.walkInvalKeys(&res.Walk, trees)}, true, nil
+		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: walkInvalKeys(&res.Walk, trees)}, true, nil
 	case <-timer.C:
 		unregister()
 		return QueryResult{}, false, nil
@@ -599,31 +599,24 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 
 // walkInvalKeys derives a query answer's invalidation-key set at the
 // querier, from the completed walk and the reconstructed trees alone: the
-// root output's VID key, the anchoring prov rows' VIDs, every VID a
-// collected rule execution recorded (resolved or not — a later
-// insert/delete/graveyard eviction of that VID fires the same key,
-// invalkey.go), the walk's event IDs with the §5.2 class of each leaf event
-// a serving node resolved (a fresh injection of that class changes the
-// derivations the tree belongs to), and each tree's leaf-event class and
+// root output's VID key (the anchoring prov rows all sit on it); for every
+// collected rule execution its own key (it fires when the execution gains
+// a predecessor, partition.step) and that of every VID it recorded
+// (resolved or not — a later insert/delete/graveyard eviction of that VID
+// fires the same key, invalkey.go); the walk's event IDs and each tree's
 // EvID. The set is sorted and duplicate-free (addInvalKey).
-func (c *Cluster) walkInvalKeys(w *core.Walk, trees []*core.Tree) []uint64 {
+func walkInvalKeys(w *core.Walk, trees []*core.Tree) []uint64 {
 	keys := []uint64{VIDInvalKey(types.HashTuple(w.Root))}
-	for _, p := range w.RootProvs {
-		keys = addInvalKey(keys, VIDInvalKey(p.VID))
-	}
 	for _, ce := range w.Entries {
+		keys = addInvalKey(keys, VIDInvalKey(ce.Entry.RID))
 		for _, vid := range ce.Entry.VIDs {
 			keys = addInvalKey(keys, VIDInvalKey(vid))
 		}
 	}
 	for _, evid := range w.EventIDs() {
 		keys = addInvalKey(keys, VIDInvalKey(evid))
-		if ev, ok := w.Tuple(evid); ok {
-			keys = addInvalKey(keys, c.EventClassKey(ev))
-		}
 	}
 	for _, t := range trees {
-		keys = addInvalKey(keys, c.EventClassKey(t.EventOf()))
 		keys = addInvalKey(keys, VIDInvalKey(t.EvID()))
 	}
 	return keys

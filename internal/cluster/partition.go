@@ -112,6 +112,9 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 		}
 		return out
 	}
+	// rejoined collects the keys of the rule executions a tuple that has
+	// been here before reaches again (see below); empty on the usual path.
+	var rejoined []InvalKey
 	for _, r := range rules {
 		// The rule span brackets the join itself, annotated with the
 		// firing count the plan produced.
@@ -137,8 +140,21 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 				// the next hop's span parents under it; the metadata
 				// piggyback bytes are attributed to the provenance class.
 				out = append(out, shipHead(fr.Head, m, sp.Context()))
+				if !isNew && !m.Prev.IsNil() {
+					rejoined = append(rejoined, VIDInvalKey(m.Prev.RID))
+				}
 			}
 		}
+	}
+	if len(rejoined) > 0 {
+		// A second derivation of a tuple this node already processed
+		// reaches rule executions that are already stored, and may have
+		// given them another predecessor (ExSPAN: a further prov row on the
+		// tuple; Basic: a link row). A walk through such an execution now
+		// finds one more derivation, and nothing guarantees this one goes
+		// on to land — a slow tuple deleted downstream cuts it short — so
+		// the executions' own keys fire here.
+		c.fireEventHook(rejoined...)
 	}
 	return out
 }

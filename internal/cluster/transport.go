@@ -15,25 +15,13 @@ import (
 // TransportConfig tunes the fault-tolerant cluster transport. The zero
 // value selects the defaults noted on each field.
 type TransportConfig struct {
-	// QueueLen bounds the per-peer outbound queue drained by the link's
-	// writer goroutine (default 1024). Handlers never block on the network
-	// itself; at worst they block briefly on a full queue.
-	QueueLen int
-	// EnqueueTimeout is how long a sender blocks on a full queue before
-	// the frame is dropped and accounted (default 2s).
-	EnqueueTimeout time.Duration
 	// DialTimeout bounds one connection attempt (default 1s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-send write deadline, so a stalled peer
-	// cannot block a sender forever (default 2s).
-	WriteTimeout time.Duration
 	// RetryBudget is how many times a failed send is retried (with a
 	// fresh dial if needed) before the frame is dropped (default 4).
 	RetryBudget int
-	// BackoffBase is the first retry backoff; it doubles per attempt with
-	// jitter (default 2ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff growth (default 200ms).
+	// BackoffMax caps the retry backoff, which starts at backoffBase and
+	// doubles per attempt with jitter (default 200ms).
 	BackoffMax time.Duration
 	// IdleConnTimeout closes a link's connection after it has sent nothing
 	// for this long; the next frame transparently re-dials. Zero (the
@@ -43,12 +31,6 @@ type TransportConfig struct {
 	// per connection, both ends in this process — for the cluster's
 	// lifetime.
 	IdleConnTimeout time.Duration
-	// MaxBatchBytes flushes the writer's coalescing buffer once the queued
-	// sub-frame payloads reach this size (default 64KiB). Batching is the
-	// ingest fast path: the writer drains its queue into one frameBatch
-	// delivery per flush instead of one envelope (and one write syscall)
-	// per frame.
-	MaxBatchBytes int
 	// BatchFlush is the coalescing deadline: once the writer holds a frame
 	// it waits at most this long for companions before flushing (default
 	// 1ms), bounding the latency cost under light load. A batch of one
@@ -57,29 +39,14 @@ type TransportConfig struct {
 }
 
 func (tc TransportConfig) withDefaults() TransportConfig {
-	if tc.QueueLen <= 0 {
-		tc.QueueLen = 1024
-	}
-	if tc.EnqueueTimeout <= 0 {
-		tc.EnqueueTimeout = 2 * time.Second
-	}
 	if tc.DialTimeout <= 0 {
 		tc.DialTimeout = time.Second
-	}
-	if tc.WriteTimeout <= 0 {
-		tc.WriteTimeout = 2 * time.Second
 	}
 	if tc.RetryBudget <= 0 {
 		tc.RetryBudget = 4
 	}
-	if tc.BackoffBase <= 0 {
-		tc.BackoffBase = 2 * time.Millisecond
-	}
 	if tc.BackoffMax <= 0 {
 		tc.BackoffMax = 200 * time.Millisecond
-	}
-	if tc.MaxBatchBytes <= 0 {
-		tc.MaxBatchBytes = 64 << 10
 	}
 	if tc.BatchFlush <= 0 {
 		tc.BatchFlush = time.Millisecond
@@ -87,10 +54,31 @@ func (tc TransportConfig) withDefaults() TransportConfig {
 	return tc
 }
 
-// maxBatchFrames caps the sub-frame count of one batch. It stays well
-// under both the receiver's dedup window (so a redelivered batch's seqs
-// are all still tracked) and wire.MaxBatchEntries.
-const maxBatchFrames = 512
+// The transport's fixed parameters: no deployment, test or benchmark ever
+// needed another value.
+const (
+	// queueLen bounds the per-peer outbound queue drained by the link's
+	// writer goroutine. Handlers never block on the network itself; at
+	// worst they block briefly on a full queue.
+	queueLen = 1024
+	// enqueueTimeout is how long a sender blocks on a full queue before
+	// the frame is dropped and accounted.
+	enqueueTimeout = 2 * time.Second
+	// writeTimeout is the per-send write deadline, so a stalled peer
+	// cannot block a sender forever.
+	writeTimeout = 2 * time.Second
+	// backoffBase is the first retry backoff.
+	backoffBase = 2 * time.Millisecond
+	// maxBatchBytes flushes the writer's coalescing buffer once the queued
+	// sub-frame payloads reach this size. Batching is the ingest fast
+	// path: the writer drains its queue into one frameBatch delivery per
+	// flush instead of one envelope (and one write syscall) per frame.
+	maxBatchBytes = 64 << 10
+	// maxBatchFrames caps the sub-frame count of one batch. It stays well
+	// under both the receiver's dedup window (so a redelivered batch's
+	// seqs are all still tracked) and wire.MaxBatchEntries.
+	maxBatchFrames = 512
+)
 
 // transportStats holds the live per-node transport counters.
 type transportStats struct {
@@ -307,7 +295,7 @@ func newTransport(n *Node, to types.NodeAddr) *transport {
 		to:     to,
 		cfg:    n.c.tcfg,
 		stats:  &n.stats,
-		queue:  make(chan outFrame, n.c.tcfg.QueueLen),
+		queue:  make(chan outFrame, queueLen),
 		stop:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(linkSeed(1, n.addr, to))),
 		faults: n.c.faults.link(n.addr, to),
@@ -358,7 +346,7 @@ func (t *transport) enqueue(f outFrame) {
 	default:
 	}
 	t.qmu.Unlock()
-	timer := time.NewTimer(t.cfg.EnqueueTimeout)
+	timer := time.NewTimer(enqueueTimeout)
 	defer timer.Stop()
 	select {
 	case t.queue <- f:
@@ -464,7 +452,7 @@ func (t *transport) sleep(d time.Duration) bool {
 // backoff returns the jittered exponential backoff before retry #attempt
 // (attempt >= 1): half the doubled-and-capped base plus a random half.
 func (t *transport) backoff(attempt int) time.Duration {
-	d := t.cfg.BackoffBase
+	d := backoffBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
 		if d >= t.cfg.BackoffMax {
@@ -520,7 +508,7 @@ func (t *transport) writeEnv(env []byte) bool {
 			t.conn = conn
 			go watchConn(conn)
 		}
-		if err := t.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)); err != nil {
+		if err := t.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			// A connection that cannot even take a deadline is dead.
 			t.stats.sendErrors.Add(1)
 			t.closeConn()
@@ -571,7 +559,7 @@ func (t *transport) deliver(f outFrame) {
 func (t *transport) collect(first outFrame) []outFrame {
 	t.batch = append(t.batch[:0], first)
 	size := len(first.payload)
-	for size < t.cfg.MaxBatchBytes && len(t.batch) < maxBatchFrames {
+	for size < maxBatchBytes && len(t.batch) < maxBatchFrames {
 		select {
 		case f := <-t.queue:
 			t.batch = append(t.batch, f)
@@ -581,12 +569,12 @@ func (t *transport) collect(first outFrame) []outFrame {
 		}
 		break
 	}
-	if size >= t.cfg.MaxBatchBytes || len(t.batch) >= maxBatchFrames {
+	if size >= maxBatchBytes || len(t.batch) >= maxBatchFrames {
 		return t.batch
 	}
 	deadline := time.NewTimer(t.cfg.BatchFlush)
 	defer deadline.Stop()
-	for size < t.cfg.MaxBatchBytes && len(t.batch) < maxBatchFrames {
+	for size < maxBatchBytes && len(t.batch) < maxBatchFrames {
 		select {
 		case f := <-t.queue:
 			t.batch = append(t.batch, f)

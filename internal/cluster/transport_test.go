@@ -10,8 +10,7 @@ import (
 
 func TestTransportConfigDefaults(t *testing.T) {
 	tc := TransportConfig{}.withDefaults()
-	if tc.QueueLen <= 0 || tc.EnqueueTimeout <= 0 || tc.DialTimeout <= 0 ||
-		tc.WriteTimeout <= 0 || tc.RetryBudget <= 0 || tc.BackoffBase <= 0 || tc.BackoffMax <= 0 {
+	if tc.DialTimeout <= 0 || tc.RetryBudget <= 0 || tc.BackoffMax <= 0 || tc.BatchFlush <= 0 {
 		t.Errorf("defaults left a zero field: %+v", tc)
 	}
 	// Explicit settings survive.
@@ -34,7 +33,7 @@ func TestBackoffBoundedAndGrowing(t *testing.T) {
 			t.Fatalf("backoff(%d) = %v exceeds cap %v", attempt, d, tr.cfg.BackoffMax)
 		}
 		// The deterministic floor (half the doubled base) grows until the cap.
-		floor := tr.cfg.BackoffBase
+		floor := backoffBase
 		for i := 1; i < attempt; i++ {
 			floor *= 2
 			if floor >= tr.cfg.BackoffMax {

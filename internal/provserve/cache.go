@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"provcompress/internal/cluster"
 	"provcompress/internal/trace"
 )
 
@@ -31,8 +30,7 @@ type answer struct {
 // Invalidation reasons, the label values of
 // provd_cache_invalidations_total{reason}.
 const (
-	invalClass    = "class"    // an equivalence-class key fired (fresh injection)
-	invalVID      = "vid"      // a VID key fired (output landing, slow insert/delete, graveyard eviction)
+	invalVID      = "vid"      // a key fired (output landing, slow insert/delete, graveyard eviction, rejoined rule execution)
 	invalInflight = "inflight" // answer raced a key firing mid-walk and was dropped at Put
 	invalLRU      = "lru"      // capacity eviction
 )
@@ -67,8 +65,8 @@ type depCache struct {
 	lastInval map[uint64]uint64 // key -> seq of its last firing
 	floor     uint64            // assumed lastInval for keys absent from the map
 
-	hits, misses, stale, evictions int64
-	invalidations                  map[string]int64 // reason -> entries dropped
+	hits, misses  int64
+	invalidations map[string]int64 // reason -> entries dropped
 }
 
 // lastInvalCap bounds the lastInval map; past it the map is cleared and
@@ -125,7 +123,6 @@ func (c *depCache) Put(key string, ans answer) {
 	defer c.mu.Unlock()
 	for _, k := range ans.Keys {
 		if c.lastInvalOf(k) > ans.AdmitSeq {
-			c.stale++
 			c.invalidations[invalInflight]++
 			return
 		}
@@ -142,7 +139,6 @@ func (c *depCache) Put(key string, ans answer) {
 	c.index(el)
 	for c.ll.Len() > c.cap {
 		c.removeLocked(c.ll.Back(), invalLRU)
-		c.evictions++
 	}
 }
 
@@ -159,12 +155,8 @@ func (c *depCache) Invalidate(keys []uint64) int {
 	evicted := 0
 	for _, k := range keys {
 		c.lastInval[k] = c.seq
-		reason := invalClass
-		if cluster.IsVIDKey(k) {
-			reason = invalVID
-		}
 		for el := range c.deps[k] {
-			c.removeLocked(el, reason)
+			c.removeLocked(el, invalVID)
 			evicted++
 		}
 	}
@@ -232,12 +224,11 @@ func (c *depCache) DepKeys() int {
 	return len(c.deps)
 }
 
-// Stats returns the lookup counters: hits, misses, inflight stale drops,
-// LRU evictions.
-func (c *depCache) Stats() (hits, misses, stale, evictions int64) {
+// Stats returns the lookup counters.
+func (c *depCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.stale, c.evictions
+	return c.hits, c.misses
 }
 
 // Invalidations snapshots the per-reason eviction counters.

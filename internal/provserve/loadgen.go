@@ -248,9 +248,9 @@ type MixedLoadConfig struct {
 	// event zeroes the hit rate).
 	WriteInterval time.Duration
 	// WriteSrc/WriteDst name the packet class the writer injects into
-	// (default n0 -> n1). Keep it disjoint from the hot query targets to
-	// measure what fine-grained invalidation buys: keyed caching rides
-	// through unrelated writes.
+	// (default n0 -> n1). Point it at the read targets' own class for the
+	// hard case: a new event of a class evicts none of that class's cached
+	// answers.
 	WriteSrc, WriteDst string
 }
 
@@ -272,8 +272,8 @@ func (r *MixedLoadReport) String() string {
 // RunMixedLoad measures the cache under a mixed read/write workload: Zipf
 // readers over the daemon's current outputs race a writer that keeps
 // injecting fresh events into one equivalence class. The output frame is
-// sampled before the writer starts, so reads target pre-existing classes
-// and the writer's events are invalidation traffic, not new read targets.
+// sampled before the writer starts, so reads target pre-existing outputs
+// and the writer's events are write traffic, not new read targets.
 func RunMixedLoad(cfg MixedLoadConfig) (*MixedLoadReport, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("provserve: mixed load needs Requests > 0")

@@ -22,8 +22,9 @@
 //     with dependency-indexed invalidation (cache.go, DESIGN.md §14):
 //     every entry is tagged with the invalidation-key set its walk
 //     touched, the cluster event hook delivers the keys each accepted
-//     event fires, and only dependent entries are evicted — unrelated
-//     queries stay hot under sustained writes.
+//     change fires, and only dependent entries are evicted — a new event
+//     evicts nothing of its class's earlier events, so queries stay hot
+//     under sustained writes.
 //   - Cancellation: the request context is threaded into
 //     Cluster.QueryContext, so a disconnected client aborts its in-flight
 //     distributed query instead of burning the timeout.
@@ -114,8 +115,6 @@ type Server struct {
 	// Serving counters.
 	events      atomic.Int64
 	queries     atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 	rejected    atomic.Int64
 	queryErrors atomic.Int64
 	canceled    atomic.Int64
@@ -451,8 +450,9 @@ type queryResponse struct {
 	Scheme string `json:"scheme"`
 	EvID   string `json:"evid,omitempty"`
 	Cached bool   `json:"cached"`
-	// CacheKeys is the size of the answer's invalidation-key set (the
-	// equivalence-class and VID keys its walk touched).
+	// CacheKeys is the size of the answer's invalidation-key set (the keys
+	// of its root output and of every rule execution and tuple its walk
+	// touched).
 	CacheKeys int      `json:"cache_keys"`
 	Trees     []string `json:"trees"`
 	Hops      int      `json:"hops"`
@@ -521,7 +521,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey(scheme, out, evid)
 	if ans, ok := s.cache.Get(key); ok {
-		s.cacheHits.Add(1)
 		s.hitLatency.ObserveDuration(time.Since(began))
 		writeJSON(w, http.StatusOK, queryResponse{
 			Tuple: out.String(), Scheme: scheme, EvID: q.Get("evid"),
@@ -532,7 +531,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.cacheMisses.Add(1)
 
 	// The tenant's inflight quota guards the worker pool, not the cache:
 	// hits above never reach here. Released when the handler returns,
@@ -741,16 +739,14 @@ func durabilityOf(c *cluster.Cluster) *durabilityStats {
 }
 
 func (s *Server) serverCounters() *metrics.Counters {
-	_, _, stale, evictions := s.cache.Stats()
+	hits, misses := s.cache.Stats()
 	c := metrics.NewCounters()
 	c.Add("events", s.events.Load())
 	c.Add("queries", s.queries.Load())
-	c.Add("cache-hits", s.cacheHits.Load())
-	c.Add("cache-misses", s.cacheMisses.Load())
-	c.Add("cache-stale-drops", stale)
-	c.Add("cache-evictions", evictions)
-	// Per-reason invalidation counters (entries dropped): which kind of
-	// key firing — or mid-walk race, or capacity pressure — killed them.
+	c.Add("cache-hits", hits)
+	c.Add("cache-misses", misses)
+	// Per-reason invalidation counters (entries dropped): a key firing, a
+	// mid-walk race, or capacity pressure killed them.
 	for reason, n := range s.cache.Invalidations() {
 		c.Add("cache-invalidated-"+reason, n)
 	}
@@ -865,7 +861,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteGauge(w, "provd_cache_entries", "", float64(s.cache.Len()))
 	metrics.WriteGauge(w, "provd_cache_dep_keys", "", float64(s.cache.DepKeys()))
 	invals := s.cache.Invalidations()
-	for _, reason := range []string{invalClass, invalVID, invalInflight, invalLRU} {
+	for _, reason := range []string{invalVID, invalInflight, invalLRU} {
 		metrics.WriteCounter(w, "provd_cache_invalidations_total",
 			metrics.PromLabel("reason", reason), invals[reason])
 	}

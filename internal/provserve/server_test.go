@@ -87,8 +87,15 @@ func packetSpec(src, dst, payload string) tupleSpec {
 	return tupleSpec{Rel: "packet", Args: []any{src, src, dst, payload}}
 }
 
-// get issues a /v1/query and decodes the response (any status).
+// get issues a /v1/query for every derivation of an output and decodes
+// the response (any status).
 func get(t *testing.T, baseURL string, spec tupleSpec) (queryResponse, *http.Response) {
+	t.Helper()
+	return getEvID(t, baseURL, spec, types.ZeroID)
+}
+
+// getEvID is get filtered by an event ID (ZeroID = unfiltered).
+func getEvID(t *testing.T, baseURL string, spec tupleSpec, evid types.ID) (queryResponse, *http.Response) {
 	t.Helper()
 	args, err := json.Marshal(spec.Args)
 	if err != nil {
@@ -97,6 +104,9 @@ func get(t *testing.T, baseURL string, spec tupleSpec) (queryResponse, *http.Res
 	v := url.Values{}
 	v.Set("rel", spec.Rel)
 	v.Set("args", string(args))
+	if evid != types.ZeroID {
+		v.Set("evid", evid.Hex())
+	}
 	resp, err := http.Get(baseURL + "/v1/query?" + v.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +122,11 @@ func get(t *testing.T, baseURL string, spec tupleSpec) (queryResponse, *http.Res
 }
 
 // TestServeQueryCycle drives the full serve path: inject, cold query,
-// cached re-query, invalidation by a new event of the same class.
+// cached re-query, and a new event of the same class — which lands its own
+// output cold and leaves the earlier event's entry exactly as it was.
 func TestServeQueryCycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
+	c := s.cfg.Clusters["advanced"]
 	er := postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "p-a"))
 	if er.Accepted != 1 || !er.Quiesced {
 		t.Fatalf("inject = %+v", er)
@@ -133,12 +145,19 @@ func TestServeQueryCycle(t *testing.T) {
 		t.Fatal("cached answer differs from cold answer")
 	}
 
-	// A new accepted event of the same class fires the entry's class key;
-	// the cached entry must not be served again.
+	// A new accepted event of the same class adds a prov row under its own
+	// event ID and touches nothing p-a's answer was built from (§5.3): no
+	// entry is evicted, p-a is still served from the cache and still what
+	// a fresh walk returns, and p-b's own first query is cold.
 	postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", "p-b"))
-	after, resp := get(t, ts.URL, target)
-	if resp.StatusCode != http.StatusOK || after.Cached {
-		t.Fatalf("query after event served stale cache: %+v (status %d)", after, resp.StatusCode)
+	if got := s.cache.Invalidations()[invalVID]; got != 0 {
+		t.Fatalf("same-class write evicted %d entries, want 0", got)
+	}
+	if after := checkedQuery(t, c, ts.URL, "n0", "n2", "p-a"); !after.Cached {
+		t.Fatalf("same-class event evicted an entry it cannot have changed: %+v", after)
+	}
+	if fresh := checkedQuery(t, c, ts.URL, "n0", "n2", "p-b"); fresh.Cached || len(fresh.Trees) == 0 {
+		t.Fatalf("new event's first query = %+v, want cold with trees", fresh)
 	}
 }
 
