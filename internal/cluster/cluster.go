@@ -444,8 +444,8 @@ func (c *Cluster) Node(addr types.NodeAddr) *Node { return c.node(addr) }
 
 // SetEventHook installs fn to run after every accepted change a cached
 // answer can depend on — output landing, slow insert, slow delete,
-// graveyard eviction, and a re-derived tuple rejoining a stored rule
-// execution — with the invalidation keys the change touched. Pass nil to
+// graveyard eviction, and a second derivation giving a stored row another
+// predecessor — with the invalidation keys the change touched. Pass nil to
 // clear. The hook must be cheap and non-blocking; it runs on the goroutine
 // that applied the change — for output landings that is a shard worker, so
 // the hook must also be safe for concurrent calls.

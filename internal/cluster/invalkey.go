@@ -9,20 +9,22 @@ import (
 // Invalidation keys are the currency of the serving layer's dependency-
 // indexed result cache (internal/provserve, DESIGN.md §14). There is one
 // kind: the first eight bytes of a content hash — a tuple's VID or a rule
-// execution's RID. An answer is a function of the prov rows on its root
-// output's VID, of the rule executions its walk collected and of the
+// execution's RID. An answer is a function of the prov rows on the VIDs
+// its walk read (its root output's and, under ExSPAN, the recorded ones),
+// of the link rows on the rule executions it collected (Basic) and of the
 // tuples it resolved, so every cached answer is tagged with the keys of
-// its root output and of every rule execution, recorded VID and event ID
-// the walk touched (walkInvalKeys), and every change to one of those fires
-// the same key through the cluster event hook: provenance landing on an
-// output (Output returning the VID), a slow-changing tuple inserted or
-// deleted, the graveyard cap evicting a VID's contents, a re-derived tuple
-// reaching a stored rule execution again. Only cache entries tagged with a
-// fired key are evicted; an answer in flight when its key fires is dropped
-// by the admission check in provserve. An event of an equivalence class
-// the answer's events share fires nothing the answer carries — §5.3: it
-// adds one prov row under its own event ID and leaves what the class
-// stored untouched.
+// its root output, of every recorded VID and event ID the walk touched
+// and, where executions carry link rows, of their RIDs (walkInvalKeys),
+// and every change to one of those fires the same key through the cluster
+// event hook: provenance landing on an output (Output returning the VID),
+// a slow-changing tuple inserted or deleted, the graveyard cap evicting a
+// VID's contents, a second derivation adding a prov row to a tuple or a
+// link row to an execution already stored (NodeState.Regained). Only cache
+// entries tagged with a fired key are evicted; an answer in flight when
+// its key fires is dropped by the admission check in provserve. An event
+// of an equivalence class the answer's events share fires nothing the
+// answer carries — §5.3: it adds one prov row under its own event ID and
+// leaves what the class stored untouched.
 
 // InvalKey is a 64-bit cache-invalidation key.
 type InvalKey = uint64

@@ -33,28 +33,28 @@ func digestKeys(keys []uint64) goldenKeySet {
 // of the unfiltered query on its output — so a derivation that drops or
 // adds a key for any scheme fails here, not as a stale or over-evicted
 // cache entry. They were re-pinned when the §5.2 class keys left the key
-// space, a key became the first eight bytes of an ID, and every collected
-// rule execution began to carry its own key: against the sets pinned
-// before, each lost its class keys (one, and the second leaf event's in
-// proj's unfiltered sets) and gained one key per rule execution its walk
-// collected (five in forwarding and bgp; three, or two and four under
-// Advanced, in proj).
+// space and a key became the first eight bytes of an ID: against the sets
+// pinned before, each lost its class keys (one, and the second leaf
+// event's in proj's unfiltered sets), and Basic's — the one scheme here
+// that hangs predecessors off an execution as link rows — gained the RID
+// of every rule execution the walk collected (five in forwarding and bgp,
+// three in proj).
 var goldenInvalKeys = map[string][]goldenKeySet{
-	"forwarding/ExSPAN": {{15, 0x1f705cd5c6f26fb3}, {15, 0x1f705cd5c6f26fb3}, {15, 0xa6eaecd9dd4bd3d8}, {15, 0xa6eaecd9dd4bd3d8},
-		{15, 0x42dbbc9461d4587e}, {15, 0x42dbbc9461d4587e}, {15, 0xa4c641f1be130ccf}, {15, 0xa4c641f1be130ccf}},
+	"forwarding/ExSPAN": {{10, 0x5d4f0e59da461495}, {10, 0x5d4f0e59da461495}, {10, 0x98b86994e663c200}, {10, 0x98b86994e663c200},
+		{10, 0xb4218e13037d9b74}, {10, 0xb4218e13037d9b74}, {10, 0x33a0c10057cef647}, {10, 0x33a0c10057cef647}},
 	"forwarding/Basic": {{11, 0x2c079e78aeb5fe62}, {11, 0x2c079e78aeb5fe62}, {11, 0x11675ccf2df50804}, {11, 0x11675ccf2df50804},
 		{11, 0x235e4b2f45efa076}, {11, 0x235e4b2f45efa076}, {11, 0x155e7b656447e68d}, {11, 0x155e7b656447e68d}},
-	"forwarding/Advanced": {{11, 0x1dbc56e6f390f37}, {11, 0x1dbc56e6f390f37}, {11, 0xc538e47b479d0a0b}, {11, 0xc538e47b479d0a0b},
-		{11, 0xdb32ce2d5eab5cd3}, {11, 0xdb32ce2d5eab5cd3}, {11, 0x772c65211bd4c31a}, {11, 0x772c65211bd4c31a}},
-	"bgp/ExSPAN": {{16, 0x9bd1547d5708d0d2}, {16, 0x9bd1547d5708d0d2}, {16, 0xa1fe08fd336d7e3b}, {16, 0xa1fe08fd336d7e3b},
-		{16, 0x99d8087e8f2b333a}, {16, 0x99d8087e8f2b333a}, {16, 0x86d8f14758892443}, {16, 0x86d8f14758892443}},
+	"forwarding/Advanced": {{6, 0x3987dd23b997bac0}, {6, 0x3987dd23b997bac0}, {6, 0x1a56f88a1123da24}, {6, 0x1a56f88a1123da24},
+		{6, 0xe3b236394a5afc5c}, {6, 0xe3b236394a5afc5c}, {6, 0x488a52a6187e11d5}, {6, 0x488a52a6187e11d5}},
+	"bgp/ExSPAN": {{11, 0x75ada5716c1e3ae2}, {11, 0x75ada5716c1e3ae2}, {11, 0x8412318a6e004c10}, {11, 0x8412318a6e004c10},
+		{11, 0x4b54dd02cb7a588f}, {11, 0x4b54dd02cb7a588f}, {11, 0x1b535f0557ec1303}, {11, 0x1b535f0557ec1303}},
 	"bgp/Basic": {{12, 0x801e5b41ffd9e5d0}, {12, 0x801e5b41ffd9e5d0}, {12, 0x99cdd36fd6898e84}, {12, 0x99cdd36fd6898e84},
 		{12, 0xd9da8cbd46389cc5}, {12, 0xd9da8cbd46389cc5}, {12, 0x5cc1e9a3013979f3}, {12, 0x5cc1e9a3013979f3}},
-	"bgp/Advanced": {{12, 0x5547d5b0f3ae2e06}, {12, 0x5547d5b0f3ae2e06}, {12, 0x561089d0058eb8b9}, {12, 0x561089d0058eb8b9},
-		{12, 0xef6a19ef7828d28c}, {12, 0xef6a19ef7828d28c}, {12, 0x205f6179b4237d71}, {12, 0x205f6179b4237d71}},
-	"proj/ExSPAN":   {{10, 0x298d039f0b7affe8}, {10, 0x298d039f0b7affe8}, {10, 0x298d039f0b7affe8}, {10, 0x298d039f0b7affe8}},
+	"bgp/Advanced": {{7, 0xcfcd35fa2dfb62f8}, {7, 0xcfcd35fa2dfb62f8}, {7, 0x288ffb6e288a17fb}, {7, 0x288ffb6e288a17fb},
+		{7, 0xa85967a08fe7af7c}, {7, 0xa85967a08fe7af7c}, {7, 0xab4b8e09f8e5e2a7}, {7, 0xab4b8e09f8e5e2a7}},
+	"proj/ExSPAN":   {{7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}},
 	"proj/Basic":    {{9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}},
-	"proj/Advanced": {{6, 0xe53e68d7a347d6be}, {10, 0x4ca29d68cc94b277}, {6, 0xbd88c56bcdfcb069}, {10, 0x4ca29d68cc94b277}},
+	"proj/Advanced": {{4, 0x3caef7df5c9fe427}, {6, 0x51d997e96c7507ca}, {4, 0xa832737fe8080ad1}, {6, 0x51d997e96c7507ca}},
 }
 
 func TestInvalKeysGolden(t *testing.T) {

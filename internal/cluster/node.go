@@ -448,10 +448,10 @@ type QueryResult struct {
 	TraceID trace.TraceID
 	// InvalKeys is the sorted, duplicate-free set of invalidation keys
 	// (invalkey.go) the answer depends on: the root output's (always
-	// present, even for an empty answer) and those of every rule
-	// execution, tuple and event ID the walk touched. A cache storing this
-	// result must evict it when any of these keys fires through the
-	// cluster event hook.
+	// present, even for an empty answer) and those of every recorded
+	// tuple and event ID — under Basic also of every rule execution — the
+	// walk touched. A cache storing this result must evict it when any of
+	// these keys fires through the cluster event hook.
 	InvalKeys []uint64
 }
 
@@ -555,7 +555,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 		unregister()
 		// An empty answer is still cacheable: its key set ties it to the
 		// root output's VID, which fires when provenance eventually lands.
-		return QueryResult{InvalKeys: walkInvalKeys(&f.Walk, nil)}, true, nil
+		return QueryResult{InvalKeys: walkInvalKeys(&f.Walk, false)}, true, nil
 	}
 	// Start the walk by sending it to the first target (possibly self),
 	// routed around members the view knows are out. An unroutable first
@@ -587,7 +587,7 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 		trees := res.Trees(p.state, c.prog, c.funcs)
 		rsp.SetAttr("trees", strconv.Itoa(len(trees)))
 		rsp.End()
-		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: walkInvalKeys(&res.Walk, trees)}, true, nil
+		return QueryResult{Trees: trees, Hops: int(res.Hops), InvalKeys: walkInvalKeys(&res.Walk, p.state.GainsLinks())}, true, nil
 	case <-timer.C:
 		unregister()
 		return QueryResult{}, false, nil
@@ -598,26 +598,27 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 }
 
 // walkInvalKeys derives a query answer's invalidation-key set at the
-// querier, from the completed walk and the reconstructed trees alone: the
-// root output's VID key (the anchoring prov rows all sit on it); for every
-// collected rule execution its own key (it fires when the execution gains
-// a predecessor, partition.step) and that of every VID it recorded
-// (resolved or not — a later insert/delete/graveyard eviction of that VID
-// fires the same key, invalkey.go); the walk's event IDs and each tree's
-// EvID. The set is sorted and duplicate-free (addInvalKey).
-func walkInvalKeys(w *core.Walk, trees []*core.Tree) []uint64 {
+// querier, from the completed walk alone: the root output's VID key (the
+// anchoring prov rows all sit on it); for every collected rule execution
+// the key of every VID it recorded (resolved or not — a later
+// insert/delete/graveyard eviction of that VID fires the same key, as does
+// a further prov row on it, invalkey.go) and, where the scheme hangs
+// predecessors off the execution as link rows (linked), its own RID; and
+// the walk's event IDs, which Advanced resolves its leaf events by (the
+// other schemes record the leaf event's VID). The set is sorted and
+// duplicate-free (addInvalKey).
+func walkInvalKeys(w *core.Walk, linked bool) []uint64 {
 	keys := []uint64{VIDInvalKey(types.HashTuple(w.Root))}
 	for _, ce := range w.Entries {
-		keys = addInvalKey(keys, VIDInvalKey(ce.Entry.RID))
+		if linked {
+			keys = addInvalKey(keys, VIDInvalKey(ce.Entry.RID))
+		}
 		for _, vid := range ce.Entry.VIDs {
 			keys = addInvalKey(keys, VIDInvalKey(vid))
 		}
 	}
 	for _, evid := range w.EventIDs() {
 		keys = addInvalKey(keys, VIDInvalKey(evid))
-	}
-	for _, t := range trees {
-		keys = addInvalKey(keys, VIDInvalKey(t.EvID()))
 	}
 	return keys
 }

@@ -112,9 +112,9 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 		}
 		return out
 	}
-	// rejoined collects the keys of the rule executions a tuple that has
-	// been here before reaches again (see below); empty on the usual path.
-	var rejoined []InvalKey
+	// regained collects the keys of stored rows this arrival gave another
+	// predecessor (see below); empty on the usual path.
+	var regained []InvalKey
 	for _, r := range rules {
 		// The rule span brackets the join itself, annotated with the
 		// firing count the plan produced.
@@ -134,27 +134,27 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 		for _, fr := range firings {
 			p.mu.Lock()
 			m := p.state.FireAt(p.owner, fr, meta)
+			again := p.state.Regained()
 			p.mu.Unlock()
 			if ship {
 				// The shipped head carries this process span's context so
 				// the next hop's span parents under it; the metadata
 				// piggyback bytes are attributed to the provenance class.
 				out = append(out, shipHead(fr.Head, m, sp.Context()))
-				if !isNew && !m.Prev.IsNil() {
-					rejoined = append(rejoined, VIDInvalKey(m.Prev.RID))
+				if !again.IsZero() {
+					regained = append(regained, VIDInvalKey(again))
 				}
 			}
 		}
 	}
-	if len(rejoined) > 0 {
-		// A second derivation of a tuple this node already processed
-		// reaches rule executions that are already stored, and may have
-		// given them another predecessor (ExSPAN: a further prov row on the
-		// tuple; Basic: a link row). A walk through such an execution now
-		// finds one more derivation, and nothing guarantees this one goes
-		// on to land — a slow tuple deleted downstream cuts it short — so
-		// the executions' own keys fire here.
-		c.fireEventHook(rejoined...)
+	if len(regained) > 0 {
+		// A second derivation of a tuple this node already derived gave a
+		// stored row another predecessor (ExSPAN: a further prov row on the
+		// tuple; Basic: a link row on the execution). A walk through that
+		// row now finds one more derivation, and nothing guarantees this one
+		// goes on to land — a slow tuple deleted or rewritten downstream cuts
+		// it short or sends it elsewhere — so the row's own key fires here.
+		c.fireEventHook(regained...)
 	}
 	return out
 }

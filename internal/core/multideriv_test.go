@@ -113,3 +113,53 @@ func TestProjectionKeysIncludeY(t *testing.T) {
 		t.Errorf("keys = %v, want [0 1 2] (X joins sink downstream, Y joins hop)", keys)
 	}
 }
+
+// TestRegainedReportsSecondPredecessor drives one firing of r2 on mid(@n1,7)
+// three times — from a first derivation, from a second one, and from the
+// second one again — under every scheme the cluster serves. Only the second
+// call gives a row that was already stored another predecessor, and Regained
+// must name that row: the tuple's VID under ExSPAN, the execution's RID
+// under Basic, nothing under Advanced (its RID folds the predecessor in, so
+// the second derivation is a new execution).
+func TestRegainedReportsSecondPredecessor(t *testing.T) {
+	prog, err := ndlog.ParseDELP(projSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := types.NewTuple("mid", types.String("n1"), types.Int(7))
+	fr := engine.Firing{Rule: prog.Rules[1], Event: mid,
+		Slow: []types.Tuple{types.NewTuple("sink", types.String("n1"), types.Int(7))},
+		Head: types.NewTuple("out", types.String("n1"), types.Int(7))}
+	meta := func(y int64) AdvMeta {
+		ev := types.HashTuple(projEvent(y))
+		return AdvMeta{EvID: ev, Prev: Ref{Loc: "n0", RID: ev}}
+	}
+	for scheme, c := range map[string]struct{ vid, rid, links bool }{
+		SchemeExSPAN: {vid: true}, SchemeBasic: {rid: true, links: true}, SchemeAdvanced: {},
+	} {
+		st, err := NewNodeState(scheme, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.GainsLinks() != c.links {
+			t.Errorf("%s: GainsLinks = %v", scheme, st.GainsLinks())
+		}
+		st.FireAt("n1", fr, meta(1))
+		if got := st.Regained(); !got.IsZero() {
+			t.Errorf("%s: first derivation regained %s", scheme, got.Hex())
+		}
+		var want types.ID
+		if rid := st.FireAt("n1", fr, meta(2)).Prev.RID; c.rid {
+			want = rid
+		} else if c.vid {
+			want = types.HashTuple(mid)
+		}
+		if got := st.Regained(); got != want {
+			t.Errorf("%s: second derivation regained %s, want %s", scheme, got.Hex(), want.Hex())
+		}
+		st.FireAt("n1", fr, meta(2))
+		if got := st.Regained(); !got.IsZero() {
+			t.Errorf("%s: repeated derivation regained %s", scheme, got.Hex())
+		}
+	}
+}

@@ -65,6 +65,18 @@ type NodeState interface {
 	// lookups (Advanced) rather than through recorded VIDs (Basic) or prov
 	// rows (ExSPAN).
 	EventByEvID() bool
+	// Regained names the row, stored before the last FireAt, that the firing
+	// gave one more predecessor — a walk through it now finds a derivation
+	// it did not before — or ZeroID: under ExSPAN the VID of the event tuple
+	// when it gained a further prov row, under Basic the RID of the
+	// execution that gained a link row. A chained Advanced RID folds its
+	// predecessor in, so nothing is ever regained there. The serving layer
+	// fires the ID's invalidation key.
+	Regained() types.ID
+	// GainsLinks reports whether the scheme hangs predecessors off an
+	// execution's RID as link rows, so that an answer depends on the link
+	// rows of every execution it collected (DESIGN.md §14).
+	GainsLinks() bool
 	// Reconstruct rebuilds the provenance trees at the querier from the
 	// completed walk.
 	Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, root types.Tuple, rootProvs []Prov,
@@ -98,6 +110,9 @@ func (s stored) tables() *store { return s.st }
 
 // StorageBytes returns the serialized size of the node's tables.
 func (s stored) StorageBytes() int64 { return s.st.bytes() }
+
+// Regained names the stored row the last FireAt gave another predecessor.
+func (s stored) Regained() types.ID { return s.st.regained }
 
 // collectChain processes one walk reference under the chained schemes
 // (Basic, Advanced): the row, its recorded VIDs, and its live next links.
@@ -300,6 +315,11 @@ func (s *AdvancedState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []
 // EventByEvID reports that leaf events resolve through EVID lookups.
 func (s *AdvancedState) EventByEvID() bool { return true }
 
+// GainsLinks reports that a chained RID folds its predecessor in. (The
+// inter-class split does add link rows to stored executions; no serving
+// layer fronts it, and neither this nor Regained covers it.)
+func (s *AdvancedState) GainsLinks() bool { return false }
+
 // Reconstruct runs TRANSFORM_TO_D.
 func (s *AdvancedState) Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, root types.Tuple, rootProvs []Prov,
 	entries map[Ref]CollectedEntry, tuples map[types.ID]types.Tuple, _ map[types.ID][]Prov) []*Tree {
@@ -344,13 +364,14 @@ func (s *BasicState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) Adv
 		kept = allVids // leaf keeps the event VID too
 	}
 	rid := types.RuleExecID(f.Rule.Label, addr, allVids)
+	s.st.regained = types.ZeroID
 	if !s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: kept, Next: m.Prev}) {
 		// The same rule execution already chains to another derivation of
 		// this event tuple (converging derivations). Record the extra
 		// predecessor as a link row; queries enumerate both chains and
 		// validate during re-derivation (as in Section 5.4's split tables).
-		if prev, ok := s.st.getRuleExec(rid); ok && prev.Next != m.Prev {
-			s.st.addLink(rid, m.Prev)
+		if prev, ok := s.st.getRuleExec(rid); ok && prev.Next != m.Prev && s.st.addLink(rid, m.Prev) {
+			s.st.regained = rid
 		}
 	}
 	m.Prev = Ref{Loc: addr, RID: rid}
@@ -379,6 +400,9 @@ func (s *BasicState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref
 
 // EventByEvID reports that leaf events come from the recorded VIDs.
 func (s *BasicState) EventByEvID() bool { return false }
+
+// GainsLinks reports that converging derivations add link rows.
+func (s *BasicState) GainsLinks() bool { return true }
 
 // Reconstruct re-derives the chain bottom-up (Section 4 step 2).
 func (s *BasicState) Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, root types.Tuple, rootProvs []Prov,
@@ -412,7 +436,10 @@ func (s *ExSPANState) Inject(ev types.Tuple) AdvMeta {
 // FireAt stores the full ruleExec row plus prov rows for every body tuple.
 func (s *ExSPANState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) AdvMeta {
 	evVID := types.HashTuple(f.Event)
-	s.st.addProv(Prov{Loc: addr, VID: evVID, Ref: m.Prev})
+	s.st.regained = types.ZeroID
+	if derived := len(s.st.prov[evVID]) > 0; s.st.addProv(Prov{Loc: addr, VID: evVID, Ref: m.Prev}) && derived {
+		s.st.regained = evVID
+	}
 	vids := slowVIDs(f)
 	for _, v := range vids {
 		s.st.addProv(Prov{Loc: addr, VID: v, Ref: NilRef})
@@ -462,6 +489,9 @@ func (s *ExSPANState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Re
 
 // EventByEvID reports that leaf events come from the prov rows.
 func (s *ExSPANState) EventByEvID() bool { return false }
+
+// GainsLinks reports that predecessors hang off prov rows, not links.
+func (s *ExSPANState) GainsLinks() bool { return false }
 
 // Reconstruct assembles the trees from the fully materialized data.
 func (s *ExSPANState) Reconstruct(prog *ndlog.Program, _ ndlog.FuncMap, root types.Tuple, rootProvs []Prov,

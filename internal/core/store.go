@@ -138,6 +138,10 @@ type store struct {
 	sigClears        int64
 	deferredOutputs  int64
 	deferredLandings int64
+
+	// regained is NodeState.Regained's answer for the last FireAt; like the
+	// counters it is not persisted.
+	regained types.ID
 }
 
 func newStore(withNext, withEvID, useLinks bool) *store {

@@ -30,7 +30,7 @@ type answer struct {
 // Invalidation reasons, the label values of
 // provd_cache_invalidations_total{reason}.
 const (
-	invalVID      = "vid"      // a key fired (output landing, slow insert/delete, graveyard eviction, rejoined rule execution)
+	invalVID      = "vid"      // a key fired (output landing, slow insert/delete, graveyard eviction, regained predecessor)
 	invalInflight = "inflight" // answer raced a key firing mid-walk and was dropped at Put
 	invalLRU      = "lru"      // capacity eviction
 )

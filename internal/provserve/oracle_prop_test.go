@@ -146,10 +146,11 @@ r2 out(@R, X)  :- mid(@R, X), sink(@R, X).
 
 // convergeSrc puts one more rule between the projection and the output, and
 // joins Y nowhere — its events are one equivalence class. A second event
-// re-derives mid(X) and reaches r2's stored execution again; if the sink
-// row is gone by then its derivation stops short of out(X), and only the
-// execution's own key tells the cache that a walk through it now finds one
-// more derivation (TestCacheConvergingDerivation is that script).
+// re-derives mid(X), which gives what r2's stored execution hangs its
+// predecessors off one more row; if the sink row is gone by then, or hop2
+// now points elsewhere, its derivation never reaches out(X), and only that
+// row's own key tells the cache that a walk through the execution now finds
+// one more derivation (TestCacheConvergingDerivation holds the scripts).
 const convergeSrc = "r1 mid(@R, X) :- ev(@L, X, Y), hop(@L, R)." + convergeRest
 
 // convergeCrossSrc is convergeSrc with Y joined on the first hop, so each
@@ -163,14 +164,14 @@ r3 out(@R, X)  :- mid2(@R, X), sink(@R, X).
 
 // projectionCase returns the generator of the projecting worlds: events
 // ev(n0,X,1..3) derive the one output out(@outLoc,X) while the slow tuples
-// its rules join — the case's own sink row and a row shared by all cases —
+// its rules join — the case's own sink row and rows shared by all cases —
 // come and go.
-func projectionCase(outLoc string, shared types.Tuple) func(*rand.Rand, int) []oracleOp {
+func projectionCase(outLoc string, shared ...types.Tuple) func(*rand.Rand, int) []oracleOp {
 	return func(rng *rand.Rand, id int) []oracleOp {
 		x := types.Int(int64(id))
 		ev := func(y int) types.Tuple { return types.NewTuple("ev", str("n0"), x, types.Int(int64(y))) }
 		out := types.NewTuple("out", str(outLoc), x)
-		slow := []types.Tuple{types.NewTuple("sink", str(outLoc), x), shared}
+		slow := append([]types.Tuple{types.NewTuple("sink", str(outLoc), x)}, shared...)
 		// query asks for out's derivations from ev(y), or all of them (y = 0).
 		query := func(y int) oracleOp {
 			q := oracleOp{Kind: "query", Tuple: out}
@@ -240,7 +241,8 @@ var oracleWorlds = []oracleWorld{
 				}
 		}},
 	{name: "converge", cases: 35,
-		gen:    projectionCase("n2", types.NewTuple("hop2", str("n1"), str("n2"))),
+		gen: projectionCase("n2", types.NewTuple("hop2", str("n1"), str("n2")),
+			types.NewTuple("hop2", str("n1"), str("n0"))),
 		deploy: convergeDeploy(convergeSrc, types.NewTuple("hop", str("n0"), str("n1")))},
 }
 
@@ -368,13 +370,18 @@ func TestCacheOracleProperty(t *testing.T) {
 	}
 }
 
-// TestCacheConvergingDerivation is the replay script of the one
-// counter-example to "root rows and resolved tuples are all an answer
-// depends on": e1 derives out(7) and its answers are cached, the sink row
-// r3 joins is deleted, and e2 re-derives mid(7). ExSPAN and Basic hang e2's
-// derivation off r2's stored execution — a fresh walk from out(7) now
-// returns two trees — but with the sink gone e2 never lands on out(7), so
-// no landing tells the cache. Run with e1 and e2 in one class and in two.
+// TestCacheConvergingDerivation holds the replay scripts of the
+// counter-examples to "root rows and resolved tuples are all an answer
+// depends on": e1 derives out(7) and its answers are cached, something
+// downstream of mid(7) is cut, and e2 re-derives mid(7). ExSPAN and Basic
+// hang e2's derivation off what r2's stored execution already has — a
+// fresh walk from out(7) now returns two trees — but e2 never lands on
+// out(7), so no landing tells the cache. The cut is the sink row deleted,
+// hop2 rewritten to another node (under ExSPAN r2 then fires as a new
+// execution, and the stored one gains the predecessor without firing
+// again), or mid(7) itself deleted from n1's database on top of the sink
+// (the re-derived tuple then looks new to the database). Run with e1 and
+// e2 in one class and in two.
 func TestCacheConvergingDerivation(t *testing.T) {
 	e1 := types.NewTuple("ev", str("n0"), types.Int(7), types.Int(1))
 	e2 := types.NewTuple("ev", str("n0"), types.Int(7), types.Int(2))
@@ -385,22 +392,32 @@ func TestCacheConvergingDerivation(t *testing.T) {
 		{Kind: "query", Tuple: out, EvID: types.HashTuple(e1)},
 		{Kind: "query", Tuple: out, EvID: types.HashTuple(e2)},
 	}
-	script := []oracleOp{{Kind: "insert", Tuple: sink}, {Kind: "inject", Tuple: e1}}
-	script = append(script, answers...)
-	script = append(script, oracleOp{Kind: "delete", Tuple: sink})
-	script = append(script, answers...)
-	script = append(script, oracleOp{Kind: "inject", Tuple: e2})
-	script = append(script, answers...)
+	steps := func(cut ...oracleOp) []oracleOp {
+		script := []oracleOp{{Kind: "insert", Tuple: sink}, {Kind: "inject", Tuple: e1}}
+		script = append(append(script, answers...), cut...)
+		script = append(append(script, answers...), oracleOp{Kind: "inject", Tuple: e2})
+		return append(script, answers...)
+	}
+	scripts := map[string][]oracleOp{
+		"sink-deleted": steps(oracleOp{Kind: "delete", Tuple: sink}),
+		"hop2-rewritten": steps(
+			oracleOp{Kind: "delete", Tuple: types.NewTuple("hop2", str("n1"), str("n2"))},
+			oracleOp{Kind: "insert", Tuple: types.NewTuple("hop2", str("n1"), str("n0"))}),
+		"mid-deleted": steps(oracleOp{Kind: "delete", Tuple: sink},
+			oracleOp{Kind: "delete", Tuple: types.NewTuple("mid", str("n1"), types.Int(7))}),
+	}
 	for name, deploy := range map[string]func() (cluster.Config, []types.Tuple){
 		"one-class": convergeDeploy(convergeSrc, types.NewTuple("hop", str("n0"), str("n1"))),
 		"two-classes": convergeDeploy(convergeCrossSrc,
 			types.NewTuple("hop", str("n0"), types.Int(1), str("n1")), types.NewTuple("hop", str("n0"), types.Int(2), str("n1"))),
 	} {
 		for _, scheme := range []string{"advanced", "basic", "exspan"} {
-			t.Run(name+"/"+scheme, func(t *testing.T) {
-				c, _, url := bootOracle(t, deploy, scheme)
-				runOracleOps(t, c, url, script, 0)
-			})
+			for cut, script := range scripts {
+				t.Run(name+"/"+cut+"/"+scheme, func(t *testing.T) {
+					c, _, url := bootOracle(t, deploy, scheme)
+					runOracleOps(t, c, url, script, 0)
+				})
+			}
 		}
 	}
 }

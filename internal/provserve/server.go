@@ -450,9 +450,8 @@ type queryResponse struct {
 	Scheme string `json:"scheme"`
 	EvID   string `json:"evid,omitempty"`
 	Cached bool   `json:"cached"`
-	// CacheKeys is the size of the answer's invalidation-key set (the keys
-	// of its root output and of every rule execution and tuple its walk
-	// touched).
+	// CacheKeys is the size of the answer's invalidation-key set
+	// (cluster.QueryResult.InvalKeys).
 	CacheKeys int      `json:"cache_keys"`
 	Trees     []string `json:"trees"`
 	Hops      int      `json:"hops"`
