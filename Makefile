@@ -15,10 +15,11 @@
 #                run it, encodes nothing, and the pooled batch encode path
 #                stays at 0
 #   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
-#                outside the process (types, wire, cluster, ndlog), a few
-#                seconds each from its seeded corpus — the decoders behind
-#                the socket, the WAL and the parser must not panic, and
-#                what the wire decoders accept must re-encode to itself
+#                outside the process (types, wire, cluster, store, ndlog),
+#                a few seconds each from its seeded corpus — the decoders
+#                behind the socket, the WAL, the snapshot files and the
+#                parser must not panic, and what the wire decoders accept
+#                must re-encode to itself
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
 #   serve-smoke  provd end to end over real HTTP: boot on a random port
 #                with tracing on, inject a workload, cold + cached query
@@ -30,12 +31,6 @@
 #                parent-linked span tree and the written Chrome trace
 #                JSON must validate (provquery self-checks both and
 #                exits non-zero otherwise)
-#   ingest-smoke the ingest fast path at reduced scale: the wire-tier A/B
-#                of per-tuple framing against batched+pooled frames
-#                (batched must be >=2x events/s with >=4x fewer
-#                allocs/event) and one cluster run per scheme on the
-#                production transport (batches must form), every record
-#                required to show zero byte-class accounting drift
 #   recover-smoke  crash-recovery end to end against real processes: boot a
 #                child provd on a temp -data-dir, inject + record every
 #                provenance tree, kill -9 mid-load, reboot and require WAL
@@ -73,9 +68,9 @@ GO ?= go
 NOLINT_MAX := 41
 TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
-.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench ingest-smoke recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench recover-smoke elastic-smoke cache-smoke soak soak-smoke
 
-verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke ingest-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -95,7 +90,7 @@ allocs:
 
 # go test -fuzz takes one package and one target at a time.
 fuzz-smoke:
-	@set -e; for pkg in internal/types internal/wire internal/cluster internal/ndlog; do \
+	@set -e; for pkg in internal/types internal/wire internal/cluster internal/store internal/ndlog; do \
 		for target in $$($(GO) test -list '^Fuzz' ./$$pkg | grep '^Fuzz'); do \
 			echo "fuzz ./$$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 3s ./$$pkg; \
@@ -115,9 +110,6 @@ trace-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/engine/ ./internal/cluster/
 	$(GO) run ./bench
-
-ingest-smoke:
-	$(GO) run ./cmd/provsim -bench-smoke ingest
 
 recover-smoke:
 	$(GO) run ./cmd/provd -recover-smoke

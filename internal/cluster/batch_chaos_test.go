@@ -8,24 +8,26 @@ import (
 	"time"
 
 	"provcompress/internal/apps"
+	"provcompress/internal/core"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
 )
 
-// batchedBurstOutcome drives a burst of events through a 4-node chain —
-// enough concurrent traffic that the writers genuinely coalesce — under
-// an optional fault plan and an optional Kill/Restart of the middle
+// batchedBurstOutcome drives a burst of events through a 4-node chain
+// running scheme — enough concurrent traffic that the writers genuinely
+// coalesce — under an optional fault plan and an optional Kill/Restart of the middle
 // node, and returns the sorted outputs, a sample of provenance trees,
 // and the transport stats. The retry budget is sized so the restart
 // lands inside the retry window (no frame is ever dropped), which is
 // what makes the outcome comparable byte-for-byte against a clean run.
-func batchedBurstOutcome(t *testing.T, plan *FaultPlan, killRestart bool) ([]string, map[string]string, TransportStats, *Cluster) {
+func batchedBurstOutcome(t *testing.T, scheme string, plan *FaultPlan, killRestart bool) ([]string, map[string]string, TransportStats, *Cluster) {
 	t.Helper()
 	g := topo.Line(4, "n")
 	c, err := New(Config{
 		Prog:      apps.Forwarding(),
 		Funcs:     apps.Funcs(),
 		Nodes:     g.Nodes(),
+		Scheme:    scheme,
 		Transport: TransportConfig{RetryBudget: 12, BackoffMax: 100 * time.Millisecond},
 		Faults:    plan,
 	})
@@ -109,47 +111,54 @@ func checkByteClassesExact(t *testing.T, c *Cluster, when string) {
 }
 
 // TestChaosBatchedIngestFaults is the chaos property for the ingest fast
-// path: a seeded plan of drops, stalls, and mid-stream resets — faults
-// landing between and inside the coalesced, delta-compressed batches —
-// plus a Kill/Restart of a mid-chain node must leave outputs and
-// provenance trees identical to a clean run of the same burst, with the
-// per-class byte accounting still exact to the byte.
+// path, per scheme: a seeded plan of drops, stalls, and mid-stream
+// resets — faults landing between and inside the coalesced,
+// delta-compressed batches — plus a Kill/Restart of a mid-chain node must
+// leave outputs and provenance trees identical to a clean run of the same
+// burst, batches must form, and the per-class byte accounting must stay
+// exact to the byte. ExSPAN and Basic ship no class metadata, so their
+// frames carry no delta group.
 func TestChaosBatchedIngestFaults(t *testing.T) {
-	wantOut, wantTrees, clean, _ := batchedBurstOutcome(t, nil, false)
-	if clean.Drops > 0 || clean.QueueDrops > 0 {
-		t.Fatalf("clean run lost frames: %+v", clean)
-	}
+	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		t.Run(scheme, func(t *testing.T) {
+			wantOut, wantTrees, clean, cc := batchedBurstOutcome(t, scheme, nil, false)
+			if clean.Drops > 0 || clean.QueueDrops > 0 {
+				t.Fatalf("clean run lost frames: %+v", clean)
+			}
+			checkByteClassesExact(t, cc, "after clean burst")
 
-	plan := &FaultPlan{
-		Seed:       11,
-		Drop:       0.08,
-		Delay:      0.05,
-		DelayFor:   2 * time.Millisecond,
-		ResetAfter: 5,
-	}
-	gotOut, gotTrees, stats, c := batchedBurstOutcome(t, plan, true)
+			plan := &FaultPlan{
+				Seed:       11,
+				Drop:       0.08,
+				Delay:      0.05,
+				DelayFor:   2 * time.Millisecond,
+				ResetAfter: 5,
+			}
+			gotOut, gotTrees, stats, c := batchedBurstOutcome(t, scheme, plan, true)
 
-	if strings.Join(gotOut, "\n") != strings.Join(wantOut, "\n") {
-		t.Errorf("batched outputs diverged under faults:\ngot:\n%s\nwant:\n%s",
-			strings.Join(gotOut, "\n"), strings.Join(wantOut, "\n"))
+			if strings.Join(gotOut, "\n") != strings.Join(wantOut, "\n") {
+				t.Errorf("batched outputs diverged under faults:\ngot:\n%s\nwant:\n%s",
+					strings.Join(gotOut, "\n"), strings.Join(wantOut, "\n"))
+			}
+			for ev, want := range wantTrees {
+				if gotTrees[ev] != want {
+					t.Errorf("tree for %s diverged under batched faults:\ngot:\n%s\nwant:\n%s", ev, gotTrees[ev], want)
+				}
+			}
+			if stats.Batches == 0 {
+				t.Error("burst formed no batches; the chaos run never exercised coalescing")
+			}
+			if stats.BatchFrames <= stats.Batches {
+				t.Errorf("batches carried %d sub-frames across %d batches; no real coalescing happened",
+					stats.BatchFrames, stats.Batches)
+			}
+			if stats.BytesBatch == 0 {
+				t.Error("no bytes attributed to batch framing despite batches on the wire")
+			}
+			if stats.FaultDrops+stats.FaultDelays+stats.FaultResets == 0 {
+				t.Error("fault plan injected nothing; chaos run was vacuous")
+			}
+			checkByteClassesExact(t, c, "after chaos burst")
+		})
 	}
-	for ev, want := range wantTrees {
-		if gotTrees[ev] != want {
-			t.Errorf("tree for %s diverged under batched faults:\ngot:\n%s\nwant:\n%s", ev, gotTrees[ev], want)
-		}
-	}
-	if stats.Batches == 0 {
-		t.Error("burst formed no batches; the chaos run never exercised coalescing")
-	}
-	if stats.BatchFrames <= stats.Batches {
-		t.Errorf("batches carried %d sub-frames across %d batches; no real coalescing happened",
-			stats.BatchFrames, stats.Batches)
-	}
-	if stats.BytesBatch == 0 {
-		t.Error("no bytes attributed to batch framing despite batches on the wire")
-	}
-	if stats.FaultDrops+stats.FaultDelays+stats.FaultResets == 0 {
-		t.Error("fault plan injected nothing; chaos run was vacuous")
-	}
-	checkByteClassesExact(t, c, "after chaos burst")
 }

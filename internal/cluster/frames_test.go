@@ -33,27 +33,31 @@ func TestMalformedFramesNoPanic(t *testing.T) {
 		n.handleFrame(payload)
 	}
 	for name, inner := range inners {
-		// Every truncation of the enveloped frame, including an empty
-		// payload and a cut inside the envelope header.
-		full := encodeEnvelope("zz", 0, 0, 0, inner)
-		for cut := 0; cut <= len(full); cut++ {
+		// Every truncation of the delivery, including an empty payload and
+		// a cut inside the delivery header, and every truncation of the
+		// frame inside an intact one-frame batch, so the frame handlers see
+		// each cut too.
+		for cut := 0; cut <= len(inner); cut++ {
 			seq++
-			env := encodeEnvelope("zz", 0, seq, 0, inner)
-			limit := cut
-			if limit > len(env) {
-				limit = len(env)
-			}
-			feed(env[:limit])
+			feed(batchOfOne("zz", 0, seq, 0, inner[:cut]))
 		}
-		// Seeded random corruption of the full frame.
+		for cut := 0; ; cut++ {
+			seq++
+			delivery := batchOfOne("zz", 0, seq, 0, inner)
+			if cut > len(delivery) {
+				break
+			}
+			feed(delivery[:cut])
+		}
+		// Seeded random corruption of the full delivery.
 		rng := rand.New(rand.NewSource(int64(len(name))))
 		for trial := 0; trial < 64; trial++ {
 			seq++
-			env := encodeEnvelope("zz", 0, seq, 0, inner)
+			delivery := batchOfOne("zz", 0, seq, 0, inner)
 			for flips := 0; flips <= trial%4; flips++ {
-				env[rng.Intn(len(env))] ^= byte(1 << rng.Intn(8))
+				delivery[rng.Intn(len(delivery))] ^= byte(1 << rng.Intn(8))
 			}
-			feed(env)
+			feed(delivery)
 		}
 	}
 	// Absurd repeat counts inside a walk frame must be rejected by the
@@ -61,7 +65,7 @@ func TestMalformedFramesNoPanic(t *testing.T) {
 	seq++
 	huge := sampleWalk().encode(frameWalk)
 	// The first U32 count (RootProvs) sits after kind+qid+querier+root+evid.
-	feed(encodeEnvelope("zz", 0, seq, 0, corruptFirstCount(huge)))
+	feed(batchOfOne("zz", 0, seq, 0, corruptFirstCount(huge)))
 
 	// Corrupt-but-decodable tuples may legitimately fire rules and ship
 	// real (counted) frames; those settle. What must NOT remain is any
@@ -106,7 +110,7 @@ func TestMalformedFrameAccountingUnderLoad(t *testing.T) {
 		if err := c.Inject(pkt("n1", "n1", "n3", string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
-		n2.handleFrame(encodeEnvelope("zz", 0, uint64(i+1), 0, []byte{frameTuple, 0xFF}))
+		n2.handleFrame(batchOfOne("zz", 0, uint64(i+1), 0, []byte{frameTuple, 0xFF}))
 	}
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)

@@ -34,11 +34,9 @@ func ingestPayloads() [][]byte {
 
 // benchIngestWire measures the wire tier of the ingest path over a real
 // loopback TCP connection: frames produced, framed, written, read back,
-// and decoded. The per-tuple variant is the legacy shape (one envelope
-// allocation and one frame write per event, one fresh read buffer per
-// frame); the batched variant is the fast path (pooled staging buffers,
-// 256 events per frameBatch, reused read buffer, arena decode).
-func benchIngestWire(b *testing.B, batched, compress bool) {
+// and decoded — pooled staging buffers, 256 events per frameBatch, a
+// reused read buffer and arena decode, with or without delta compression.
+func benchIngestWire(b *testing.B, compress bool) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -61,19 +59,14 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 			}
 			buf = payload[:cap(payload)]
 			d := wire.NewDecoder(payload)
-			h, err := decodeDeliveryHeader(d)
+			if _, err := decodeDeliveryHeader(d); err != nil {
+				break
+			}
+			entries, err := wire.DecodeBatch(d)
 			if err != nil {
 				break
 			}
-			if h.kind == frameBatch {
-				entries, err := wire.DecodeBatch(d)
-				if err != nil {
-					break
-				}
-				events += len(entries)
-			} else {
-				events++
-			}
+			events += len(entries)
 		}
 		done <- events
 	}()
@@ -91,32 +84,21 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	seq := uint64(0)
-	if batched {
-		for sent := 0; sent < b.N; {
-			entries = entries[:0]
-			for len(entries) < perBatch && sent+len(entries) < b.N {
-				seq++
-				entries = append(entries, wire.BatchEntry{Seq: seq, Epoch: 1, Payload: payloads[int(seq)%len(payloads)]})
-			}
-			hdr := appendDeliveryHeader(wire.GetBuf(), frameBatch, "n0", 1)
-			env, s := wire.AppendBatch(hdr, entries, compress, sizes[:0])
-			sizes = s
-			if err := wire.WriteFrame(conn, env); err != nil {
-				b.Fatal(err)
-			}
-			bytesPerEvent += len(env) + 4
-			wire.PutBuf(env)
-			sent += len(entries)
-		}
-	} else {
-		for sent := 0; sent < b.N; sent++ {
+	for sent := 0; sent < b.N; {
+		entries = entries[:0]
+		for len(entries) < perBatch && sent+len(entries) < b.N {
 			seq++
-			env := encodeEnvelope("n0", 1, seq, 1, payloads[int(seq)%len(payloads)])
-			if err := wire.WriteFrame(conn, env); err != nil {
-				b.Fatal(err)
-			}
-			bytesPerEvent += len(env) + 4
+			entries = append(entries, wire.BatchEntry{Seq: seq, Epoch: 1, Payload: payloads[int(seq)%len(payloads)]})
 		}
+		hdr := appendDeliveryHeader(wire.GetBuf(), "n0", 1)
+		env, s := wire.AppendBatch(hdr, entries, compress, sizes[:0])
+		sizes = s
+		if err := wire.WriteFrame(conn, env); err != nil {
+			b.Fatal(err)
+		}
+		bytesPerEvent += len(env) + 4
+		wire.PutBuf(env)
+		sent += len(entries)
 	}
 	conn.Close()
 	got := <-done
@@ -128,13 +110,11 @@ func benchIngestWire(b *testing.B, batched, compress bool) {
 	b.ReportMetric(float64(bytesPerEvent)/float64(b.N), "bytes/event")
 }
 
-// BenchmarkIngest is the wire-tier A/B for the ingest fast path. The
-// acceptance bar for the batched+pooled variant against per-tuple is
-// ≥5x events/s and ≥10x fewer allocs/event.
+// BenchmarkIngest is the wire tier of the ingest fast path, with and
+// without the batch delta coding.
 func BenchmarkIngest(b *testing.B) {
-	b.Run("per-tuple", func(b *testing.B) { benchIngestWire(b, false, false) })
-	b.Run("batched", func(b *testing.B) { benchIngestWire(b, true, true) })
-	b.Run("batched-nocompress", func(b *testing.B) { benchIngestWire(b, true, false) })
+	b.Run("batched", func(b *testing.B) { benchIngestWire(b, true) })
+	b.Run("batched-nocompress", func(b *testing.B) { benchIngestWire(b, false) })
 }
 
 // BenchmarkIngestCluster measures the full pipeline — inject, route,

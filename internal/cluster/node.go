@@ -99,12 +99,11 @@ func (n *Node) seenDuplicate(from types.NodeAddr, inc, seq uint64) bool {
 	return false
 }
 
-// handleFrame processes one transport delivery. The envelope path
-// carries one frame; the batch path carries N coalesced sub-frames, each
-// with its own (seq, epoch), dispatched in order after the whole batch
-// decoded (so a corrupt batch is dropped atomically, like a corrupt
-// envelope). Dedup runs per sub-frame: a redelivered batch whose first
-// copy arrived is N suppressed duplicates, never a double apply.
+// handleFrame processes one transport delivery: a batch of N ≥ 1
+// sub-frames, each with its own (seq, epoch), dispatched in order after
+// the whole batch decoded (so a corrupt batch is dropped atomically).
+// Dedup runs per sub-frame: a redelivered batch whose first copy arrived
+// is N suppressed duplicates, never a double apply.
 func (n *Node) handleFrame(payload []byte) {
 	d := wire.NewDecoder(payload)
 	h, err := decodeDeliveryHeader(d)
@@ -115,14 +114,6 @@ func (n *Node) handleFrame(payload []byte) {
 		if errors.Is(err, errFormatVersion) {
 			n.stats.versionDrops.Add(1)
 		}
-		return
-	}
-	if h.kind == frameEnvelope {
-		if n.seenDuplicate(h.from, h.inc, h.seq) {
-			n.stats.dups.Add(1)
-			return
-		}
-		n.dispatch(h.from, d, h.epoch)
 		return
 	}
 	entries, err := wire.DecodeBatch(d)

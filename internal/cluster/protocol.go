@@ -30,11 +30,12 @@ func decodeTraceCtx(d *wire.Decoder) trace.SpanContext {
 
 // Frame kinds of the cluster protocol.
 const (
-	frameTuple    = 1 // tuple shipment (fresh input event or derived head)
-	frameSig      = 2 // Section 5.5 equivalence-table reset broadcast
-	frameWalk     = 3 // traveling provenance query (Section 5.6)
-	frameResult   = 4 // completed walk returning to the querier
-	frameEnvelope = 5 // transport delivery envelope wrapping any of the above
+	frameTuple  = 1 // tuple shipment (fresh input event or derived head)
+	frameSig    = 2 // Section 5.5 equivalence-table reset broadcast
+	frameWalk   = 3 // traveling provenance query (Section 5.6)
+	frameResult = 4 // completed walk returning to the querier
+	// 5 was the single-frame delivery envelope of wire format version 2;
+	// a lone frame now travels as a batch of one. Do not reuse it.
 
 	// Membership subsystem frames (membership.go). All of them are cluster
 	// upkeep rather than base-tuple traffic or query traffic, so the
@@ -45,56 +46,36 @@ const (
 	frameHandoffAck = 9  // receiver acknowledges a handoff installed
 	frameRepairReq  = 10 // returning owner asks a replica for its shadow copy
 
-	// frameBatch is a coalesced delivery: one write carrying N sub-frames,
-	// each with its own (seq, epoch) so dedup and in-flight accounting
-	// stay per-frame (wire.AppendBatch / wire.DecodeBatch).
+	// frameBatch is the one delivery kind: one write carrying N ≥ 1
+	// sub-frames, each with its own (seq, epoch) so dedup and in-flight
+	// accounting stay per-frame (wire.AppendBatch / wire.DecodeBatch). A
+	// frame that travels alone is a batch of one.
 	frameBatch = 11
 )
 
-// Every delivery — a single-frame envelope or a batch — opens with
+// Every delivery opens with
 //
-//	u8 kind, u8 wire.FormatVersion, str sender, u64 incarnation
+//	u8 frameBatch, u8 wire.FormatVersion, str sender, u64 incarnation
 //
-// followed for an envelope by (u64 seq, u64 epoch, the frame) and for a
-// batch by the wire.AppendBatch body.
-
-// encodeEnvelope wraps an already-encoded frame in the transport delivery
-// envelope. The (sender, incarnation, seq) triple lets the receiver drop
-// redelivered duplicates — a retried send whose first write actually
-// reached the peer — and epoch carries the in-flight accounting epoch of
-// the destination so crashed-and-drained frames are not double-settled.
-func encodeEnvelope(from types.NodeAddr, incarnation, seq, epoch uint64, inner []byte) []byte {
-	return appendEnvelope(make([]byte, 0, len(inner)+40), from, incarnation, seq, epoch, inner)
-}
-
-// appendEnvelope is encodeEnvelope into an existing buffer (typically a
-// pooled one), so the transport's write path allocates nothing per frame.
-func appendEnvelope(dst []byte, from types.NodeAddr, incarnation, seq, epoch uint64, inner []byte) []byte {
-	var e wire.Encoder
-	e.SetBuf(appendDeliveryHeader(dst, frameEnvelope, from, incarnation))
-	e.U64(seq)
-	e.U64(epoch)
-	e.Raw(inner)
-	return e.Bytes()
-}
-
-func appendDeliveryHeader(dst []byte, kind uint8, from types.NodeAddr, incarnation uint64) []byte {
+// followed by the wire.AppendBatch body. The (sender, incarnation, seq)
+// triple lets the receiver drop redelivered duplicates — a retried send
+// whose first write actually reached the peer — and an entry's epoch is
+// the in-flight accounting epoch of the destination, so crashed-and-
+// drained frames are not double-settled.
+func appendDeliveryHeader(dst []byte, from types.NodeAddr, incarnation uint64) []byte {
 	var e wire.Encoder
 	e.SetBuf(dst)
-	e.U8(kind)
+	e.U8(frameBatch)
 	e.U8(wire.FormatVersion)
 	e.Str(string(from))
 	e.U64(incarnation)
 	return e.Bytes()
 }
 
-// deliveryHeader is the decoded head of a delivery; seq and epoch are the
-// envelope's own and stay zero for a batch, whose entries carry theirs.
+// deliveryHeader is the decoded head of a delivery.
 type deliveryHeader struct {
-	kind       uint8
-	from       types.NodeAddr
-	inc        uint64
-	seq, epoch uint64
+	from types.NodeAddr
+	inc  uint64
 }
 
 // errFormatVersion reports a delivery written in another wire format.
@@ -102,19 +83,15 @@ type deliveryHeader struct {
 var errFormatVersion = errors.New("cluster: delivery of another wire format version")
 
 func decodeDeliveryHeader(d *wire.Decoder) (deliveryHeader, error) {
-	h := deliveryHeader{kind: d.U8()}
-	if d.Err() == nil && h.kind != frameEnvelope && h.kind != frameBatch {
-		return h, fmt.Errorf("cluster: delivery of kind %d", h.kind)
+	var h deliveryHeader
+	if kind := d.U8(); d.Err() == nil && kind != frameBatch {
+		return h, fmt.Errorf("cluster: delivery of kind %d", kind)
 	}
 	if v := d.U8(); d.Err() == nil && v != wire.FormatVersion {
 		return h, fmt.Errorf("%w: got %d, speak %d", errFormatVersion, v, wire.FormatVersion)
 	}
 	h.from = types.NodeAddr(d.Str())
 	h.inc = d.U64()
-	if h.kind == frameEnvelope {
-		h.seq = d.U64()
-		h.epoch = d.U64()
-	}
 	return h, d.Err()
 }
 

@@ -33,8 +33,8 @@ type TransportConfig struct {
 	IdleConnTimeout time.Duration
 	// BatchFlush is the coalescing deadline: once the writer holds a frame
 	// it waits at most this long for companions before flushing (default
-	// 1ms), bounding the latency cost under light load. A batch of one
-	// falls back to the classic single-frame envelope.
+	// 1ms), bounding the latency cost under light load. A frame that finds
+	// no companion is flushed as a batch of one.
 	BatchFlush time.Duration
 }
 
@@ -71,8 +71,8 @@ const (
 	backoffBase = 2 * time.Millisecond
 	// maxBatchBytes flushes the writer's coalescing buffer once the queued
 	// sub-frame payloads reach this size. Batching is the ingest fast
-	// path: the writer drains its queue into one frameBatch delivery per
-	// flush instead of one envelope (and one write syscall) per frame.
+	// path: the writer drains its queue into one frameBatch delivery (and
+	// one write syscall) per flush.
 	maxBatchBytes = 64 << 10
 	// maxBatchFrames caps the sub-frame count of one batch. It stays well
 	// under both the receiver's dedup window (so a redelivered batch's
@@ -97,9 +97,8 @@ type transportStats struct {
 	faultDrops   atomic.Int64
 	faultDelays  atomic.Int64
 	faultResets  atomic.Int64
-	batches      atomic.Int64
 	batchFrames  atomic.Int64
-	// bytesTotal counts every wire byte successfully written (envelope +
+	// bytesTotal counts every wire byte successfully written (delivery +
 	// length prefix). The per-class split lives on the node's persistent
 	// per-link counters (linkBytes) so it survives transport teardown on
 	// Kill; total-vs-sum equality is the cross-check the chaos suite
@@ -110,8 +109,8 @@ type transportStats struct {
 // Byte classes for per-message-class attribution, mirroring the netsim
 // cost model: base-tuple shipping, provenance maintenance (piggybacked
 // metadata and sig broadcasts), query traffic (walks and results), and
-// batch framing overhead (delivery headers of coalesced frames, whose
-// payload bytes are attributed to their own classes).
+// batch framing overhead (the delivery header and per-entry framing
+// around the sub-frames, whose bytes are attributed to their own classes).
 const (
 	classBase uint8 = iota
 	classProv
@@ -162,7 +161,7 @@ type TransportStats struct {
 	Dials        int64 // successful connection establishments
 	Redials      int64 // successful dials on a link that had worked before
 	DialErrors   int64 // failed connection attempts
-	Sends        int64 // frames written to the wire
+	Sends        int64 // deliveries written to the wire
 	SendErrors   int64 // failed writes (including write-deadline expiry)
 	Retries      int64 // re-attempts after a failed attempt
 	Drops        int64 // frames abandoned after the retry budget
@@ -174,16 +173,16 @@ type TransportStats struct {
 	FaultDrops   int64 // writes discarded by the fault plan
 	FaultDelays  int64 // writes stalled by the fault plan
 	FaultResets  int64 // connections reset by the fault plan
-	Batches      int64 // coalesced frameBatch deliveries written
+	Batches      int64 // = Sends: every delivery is one frameBatch
 	BatchFrames  int64 // sub-frames those batches carried
 
-	// Byte attribution (successful writes only, envelope + length prefix):
+	// Byte attribution (successful writes only, delivery + length prefix):
 	// BytesBase + BytesProv + BytesQuery + BytesBatch == BytesTotal.
 	BytesTotal int64 // every wire byte written
 	BytesBase  int64 // base-tuple shipping
 	BytesProv  int64 // provenance maintenance (metadata piggyback + sig)
 	BytesQuery int64 // query walks and results
-	BytesBatch int64 // batch framing overhead around coalesced sub-frames
+	BytesBatch int64 // batch framing overhead around the sub-frames
 }
 
 // accumulate folds one node's live counters into the snapshot.
@@ -192,6 +191,7 @@ func (s *TransportStats) accumulate(ts *transportStats) {
 	s.Redials += ts.redials.Load()
 	s.DialErrors += ts.dialErrors.Load()
 	s.Sends += ts.sends.Load()
+	s.Batches = s.Sends
 	s.SendErrors += ts.sendErrors.Load()
 	s.Retries += ts.retries.Load()
 	s.Drops += ts.drops.Load()
@@ -203,7 +203,6 @@ func (s *TransportStats) accumulate(ts *transportStats) {
 	s.FaultDrops += ts.faultDrops.Load()
 	s.FaultDelays += ts.faultDelays.Load()
 	s.FaultResets += ts.faultResets.Load()
-	s.Batches += ts.batches.Load()
 	s.BatchFrames += ts.batchFrames.Load()
 	s.BytesTotal += ts.bytesTotal.Load()
 }
@@ -226,7 +225,6 @@ func (s TransportStats) Counters() *metrics.Counters {
 	c.Add("fault-drops", s.FaultDrops)
 	c.Add("fault-delays", s.FaultDelays)
 	c.Add("fault-resets", s.FaultResets)
-	c.Add("batches", s.Batches)
 	c.Add("batch-frames", s.BatchFrames)
 	c.Add("bytes-total", s.BytesTotal)
 	c.Add("bytes-base", s.BytesBase)
@@ -466,11 +464,10 @@ func (t *transport) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(t.rng.Int63n(int64(d/2)+1))
 }
 
-// writeEnv writes one encoded delivery (envelope or batch), retrying
-// with backoff and reconnection up to the retry budget, and reports
-// whether a write succeeded. Fault injection, dialing, deadlines, and
-// suspicion all live here so single and batched deliveries fail the
-// same way.
+// writeEnv writes one encoded delivery, retrying with backoff and
+// reconnection up to the retry budget, and reports whether a write
+// succeeded. Fault injection, dialing, deadlines, and suspicion all live
+// here.
 func (t *transport) writeEnv(env []byte) bool {
 	dialFailed := false
 	for attempt := 0; attempt <= t.cfg.RetryBudget; attempt++ {
@@ -534,23 +531,6 @@ func (t *transport) writeEnv(env []byte) bool {
 	return false
 }
 
-// deliver writes one frame in its own envelope. A frame that exhausts
-// the retry budget is dropped and its accounting settled so Quiesce
-// cannot wedge on it.
-func (t *transport) deliver(f outFrame) {
-	t.seq++
-	env := appendEnvelope(wire.GetBuf(), t.owner.addr, t.owner.incarnation.Load(), t.seq, f.epoch, f.payload)
-	if t.writeEnv(env) {
-		// Attribute the wire bytes (envelope + 4-byte length prefix) to
-		// the frame's message class, on the write that actually succeeded.
-		t.owner.linkBytesTo(t.to).add(f.class, len(env)+4, f.provBytes)
-		t.release(f)
-	} else {
-		t.abandon(f)
-	}
-	wire.PutBuf(env)
-}
-
 // collect coalesces the first frame with whatever else arrives before
 // the flush: the queue is drained without waiting first, then the batch
 // holds for the flush deadline, and either the size threshold, the
@@ -590,18 +570,14 @@ func (t *transport) collect(first outFrame) []outFrame {
 	return t.batch
 }
 
-// deliverBatch writes a coalesced batch as one frameBatch delivery — one
-// write syscall for the whole flush. Each sub-frame keeps its own
-// sequence number and accounting epoch inside the batch body, so the
-// receiver dedups and settles per sub-frame and a redelivered batch is
-// suppressed frame by frame, exactly like redelivered singles. A batch
-// of one takes the classic envelope path so light load leaves the wire
-// format untouched.
+// deliverBatch writes a flush as one frameBatch delivery — one write
+// syscall for the whole flush, however many frames it holds, one
+// included. Each sub-frame keeps its own sequence number and accounting
+// epoch inside the batch body, so the receiver dedups and settles per
+// sub-frame and a redelivered batch is suppressed frame by frame. A
+// batch that exhausts the retry budget is dropped and every frame's
+// accounting settled, so Quiesce cannot wedge on it.
 func (t *transport) deliverBatch(batch []outFrame) {
-	if len(batch) == 1 {
-		t.deliver(batch[0])
-		return
-	}
 	entries := t.entries[:0]
 	for i := range batch {
 		t.seq++
@@ -610,7 +586,7 @@ func (t *transport) deliverBatch(batch []outFrame) {
 			Group: batch[i].group, Tail: batch[i].provBytes,
 		})
 	}
-	hdr := appendDeliveryHeader(wire.GetBuf(), frameBatch, t.owner.addr, t.owner.incarnation.Load())
+	hdr := appendDeliveryHeader(wire.GetBuf(), t.owner.addr, t.owner.incarnation.Load())
 	env, sizes := wire.AppendBatch(hdr, entries, true, t.sizes[:0])
 	t.sizes = sizes
 	for i := range entries {
@@ -638,7 +614,6 @@ func (t *transport) deliverBatch(batch []outFrame) {
 			payloadBytes += sizes[i]
 		}
 		lb.add(classBatch, len(env)+4-payloadBytes, 0)
-		t.stats.batches.Add(1)
 		t.stats.batchFrames.Add(int64(len(batch)))
 	} else {
 		for i := range batch {

@@ -52,21 +52,29 @@ func encodeDelivery(frames []*tupleFrame) (delivery []byte, sizes, tails []int) 
 			Group: classGroup(f.Meta), Tail: metaBytes,
 		})
 	}
-	delivery, sizes = wire.AppendBatch(appendDeliveryHeader(nil, frameBatch, "n1", 2), entries, true, nil)
+	delivery, sizes = wire.AppendBatch(appendDeliveryHeader(nil, "n1", 2), entries, true, nil)
 	for _, ent := range entries {
 		tails = append(tails, ent.Tail)
 	}
 	return delivery, sizes, tails
 }
 
+// batchOfOne is the delivery the transport writes for a frame that
+// travels alone: a one-frame batch.
+func batchOfOne(from types.NodeAddr, inc, seq, epoch uint64, frame []byte) []byte {
+	entry := []wire.BatchEntry{{Seq: seq, Epoch: epoch, Payload: frame}}
+	delivery, _ := wire.AppendBatch(appendDeliveryHeader(nil, from, inc), entry, true, nil)
+	return delivery
+}
+
 // goldenDelivery is encodeDelivery(goldenFrames()) under
-// wire.FormatVersion 2. If this test fails because the layout changed on
+// wire.FormatVersion 3. If this test fails because the layout changed on
 // purpose, bump wire.FormatVersion (and walFormatVersion if encodeMeta or
 // the tuple body moved), then regenerate with
 // `go test ./internal/cluster -run TestBatchGoldenBytes -v`.
 const goldenDelivery = "" +
-	// delivery header: batch, version 2, from n1, incarnation 2
-	"0b02000000026e310000000000000002" +
+	// delivery header: batch, version 3, from n1, incarnation 2
+	"0b03000000026e310000000000000002" +
 	// 5 entries
 	"05" +
 	// class a, raw
@@ -191,45 +199,112 @@ func TestByteClassesFollowTheBytesSent(t *testing.T) {
 	checkByteClassesExact(t, c, "after one-class burst")
 }
 
+// TestLoneFrameIsABatchOfOne: on an idle cluster every frame of a
+// derivation travels alone, and each still goes out as a one-frame batch
+// — counted in BatchFrames, its framing in the batch byte class — and is
+// deduplicated by the same per-entry filter as any batch.
+func TestLoneFrameIsABatchOfOne(t *testing.T) {
+	g := topo.Line(4, "n")
+	c, err := New(Config{Prog: apps.Forwarding(), Funcs: apps.Funcs(), Nodes: g.Nodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.LoadBase(g.ShortestPaths().RouteTuples()); err != nil {
+		t.Fatal(err)
+	}
+	before := c.TransportStats()
+	if err := c.Inject(pkt("n0", "n0", "n3", "alone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The injection, three hops, and the recv head n3 ships itself: each
+	// frame waits on the one before it, so none has a companion.
+	const hops = 3
+	s := c.TransportStats()
+	if frames := s.BatchFrames - before.BatchFrames; frames != hops+2 {
+		t.Errorf("%d frames in batches, want the %d of one derivation", frames, hops+2)
+	}
+	if sends := s.Sends - before.Sends; sends != s.BatchFrames-before.BatchFrames || s.Batches != s.Sends {
+		t.Errorf("%d sends for %d frames (batches %d): lone frames coalesced or bypassed the batch",
+			sends, s.BatchFrames-before.BatchFrames, s.Batches)
+	}
+	if s.BytesBatch-before.BytesBatch <= 0 {
+		t.Error("no batch-class bytes: lone frames are not framed as batches")
+	}
+	checkByteClassesExact(t, c, "after one lone derivation")
+
+	n := c.Node("n0")
+	delivery := batchOfOne("zz", 0, 1, 0, (&tupleFrame{Tuple: pkt("n0", "n0", "n3", "twice"), Fresh: true}).encode())
+	n.handleFrame(delivery)
+	n.handleFrame(delivery)
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.TransportStats().Dups; got != 1 {
+		t.Errorf("a one-frame delivery handled twice counted %d dups, want 1", got)
+	}
+	if got := len(c.Outputs("n3")); got != 2 {
+		t.Errorf("%d outputs at n3, want 2", got)
+	}
+}
+
+// v2EnvelopeHeader is the head of a version-2 single-frame envelope from
+// "zz", incarnation 0: kind 5, version 2, the sender, then the fixed u64
+// incarnation, seq (1) and epoch (0). The frame followed it unframed.
+const v2EnvelopeHeader = "0502" + "000000027a7a" +
+	"0000000000000000" + "0000000000000001" + "0000000000000000"
+
 // TestDeliveryOfAnotherVersionDropped: a delivery whose version byte is
 // not wire.FormatVersion — including the unversioned layout, whose second
 // byte is the high byte of the sender-name length — is counted and
-// dropped before anything in it is decoded or deduplicated.
+// dropped before anything in it is decoded or deduplicated. A version-2
+// peer's lone frame, the retired envelope, is refused by its kind.
 func TestDeliveryOfAnotherVersionDropped(t *testing.T) {
 	c := fig2Cluster(t)
 	n := c.Node("n1")
 	inner := (&tupleFrame{Tuple: pkt("n1", "n1", "n3", "v"), Fresh: true}).encode()
-	env := encodeEnvelope("zz", 0, 1, 0, inner)
+	lone := batchOfOne("zz", 0, 1, 0, inner)
 	batch, _, _ := encodeDelivery(goldenFrames())
 
-	future := append([]byte(nil), env...)
+	future := append([]byte(nil), lone...)
 	future[1] = wire.FormatVersion + 1
 	futureBatch := append([]byte(nil), batch...)
 	futureBatch[1] = wire.FormatVersion + 1
-	unversioned := append([]byte{env[0]}, env[2:]...)
+	unversioned := append([]byte{lone[0]}, lone[2:]...)
 	for i, delivery := range [][]byte{future, futureBatch, unversioned} {
 		n.handleFrame(delivery)
 		if got := n.TransportStats().VersionDrops; got != int64(i+1) {
 			t.Fatalf("after delivery %d: %d version drops", i, got)
 		}
 	}
+	v2env, err := hex.DecodeString(v2EnvelopeHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.handleFrame(append(v2env, inner...))
 	if err := c.Quiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.AllOutputs()); got != 0 {
 		t.Fatalf("a refused delivery produced %d outputs", got)
 	}
-	// The same envelope in this build's version is accepted: the refusals
+	if s := n.TransportStats(); s.Dups != 0 {
+		t.Fatalf("a refused delivery counted %d dups", s.Dups)
+	}
+	// The same frame in this build's version is accepted: the refusals
 	// above did not burn its sequence number.
-	n.handleFrame(env)
+	n.handleFrame(lone)
 	if err := c.Quiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.AllOutputs()); got != 1 {
-		t.Fatalf("current-version envelope produced %d outputs, want 1", got)
+		t.Fatalf("current-version delivery produced %d outputs, want 1", got)
 	}
 	if s := n.TransportStats(); s.VersionDrops != 3 || s.Dups != 0 {
-		t.Fatalf("stats after the accepted envelope: %+v", s)
+		t.Fatalf("stats after the accepted delivery: %+v", s)
 	}
 }
 
@@ -313,16 +388,16 @@ func FuzzDecodeTupleFrame(f *testing.F) {
 }
 
 // FuzzDecodeDelivery covers the first bytes a peer's socket feeds a node:
-// the delivery header of an envelope or a batch, and the batch body after
-// it. Nothing panics; an accepted header re-encodes to the bytes consumed;
-// an accepted batch survives a re-encode.
+// the delivery header and the batch body after it. Nothing panics; an
+// accepted header re-encodes to the bytes consumed; an accepted batch
+// survives a re-encode.
 func FuzzDecodeDelivery(f *testing.F) {
 	inner := (&tupleFrame{Tuple: pkt("n1", "n1", "n3", "x"), Fresh: true}).encode()
-	env := encodeEnvelope("n7", 3, 99, 4, inner)
+	lone := batchOfOne("n7", 3, 99, 4, inner)
 	batch, _, _ := encodeDelivery(goldenFrames())
-	f.Add(env)
+	f.Add(lone)
 	f.Add(batch)
-	f.Add(env[:9])
+	f.Add(lone[:9])
 	f.Add(batch[:len(batch)/2])
 	other := append([]byte(nil), batch...)
 	other[1]++
@@ -337,15 +412,8 @@ func FuzzDecodeDelivery(f *testing.F) {
 			return
 		}
 		consumed := data[:len(data)-d.Remaining()]
-		enc := appendDeliveryHeader(nil, h.kind, h.from, h.inc)
-		if h.kind == frameEnvelope {
-			enc = appendEnvelope(nil, h.from, h.inc, h.seq, h.epoch, nil)
-		}
-		if !bytes.Equal(enc, consumed) {
+		if enc := appendDeliveryHeader(nil, h.from, h.inc); !bytes.Equal(enc, consumed) {
 			t.Fatalf("accepted header re-encodes differently:\n in %x\nout %x", consumed, enc)
-		}
-		if h.kind != frameBatch {
-			return
 		}
 		entries, err := wire.DecodeBatch(d)
 		if err != nil {

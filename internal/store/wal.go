@@ -168,10 +168,11 @@ func replayWAL(path string, fn func(rec []byte) error) (records int, torn bool, 
 		return 0, false, 0, err
 	}
 	defer f.Close()
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, 0, err
 	}
+	size := fi.Size()
 	var off int64
 	var hdr [walHeaderSize]byte
 	for {
@@ -189,6 +190,11 @@ func replayWAL(path string, fn func(rec []byte) error) (records int, torn bool, 
 		want := binary.BigEndian.Uint32(hdr[4:8])
 		if n > maxWALRecord {
 			return records, true, size - off, nil // implausible length: torn tail
+		}
+		if int64(n) > size-off-walHeaderSize {
+			// Torn payload, caught before a damaged length sizes a buffer
+			// larger than the file.
+			return records, true, size - off, nil
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(f, payload); err != nil {

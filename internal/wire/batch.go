@@ -6,11 +6,10 @@ import (
 	"math/bits"
 )
 
-// Batch codec: the body of a frameBatch delivery. A batch carries N
-// already-encoded sub-frames, each with the (seq, epoch) pair it would
-// have carried in its own delivery envelope, so the receiver's duplicate
-// filter and in-flight accounting work per sub-frame exactly as they do
-// for singles — a redelivered batch is N individually-suppressed
+// Batch codec: the body of every cluster delivery. A batch carries
+// N ≥ 1 already-encoded sub-frames, each with its own (seq, epoch) pair,
+// so the receiver's duplicate filter and in-flight accounting work per
+// sub-frame — a redelivered batch is N individually-suppressed
 // duplicates, never a double apply.
 //
 // Layout after the delivery header (kind, version, from, incarnation),

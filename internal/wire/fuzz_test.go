@@ -14,7 +14,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadFrame(bytes.NewReader(data))
+		payload, err := ReadFrameBuf(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}

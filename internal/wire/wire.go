@@ -23,12 +23,13 @@ const MaxFrameSize = 64 << 20
 // byte; a receiver drops a delivery of another version instead of
 // decoding it as its own. Bump it with any layout change — the cluster's
 // golden-bytes test fails until you do. Version 1 was the unversioned
-// fixed-width layout.
-const FormatVersion = 2
+// fixed-width layout; version 2 also had a single-frame envelope beside
+// the batch, which version 3 dropped: a lone frame is a batch of one.
+const FormatVersion = 3
 
 // Buffers come in two capacities: frame-sized ones for single tuple
 // frames, which sit in transport queues by the thousand, and
-// delivery-sized ones for envelopes, batches and walk frames.
+// delivery-sized ones for batches and walk frames.
 const (
 	frameBufCap    = 256
 	deliveryBufCap = 4 << 10
@@ -124,11 +125,6 @@ func (e *Encoder) U32(v uint32) {
 func (e *Encoder) U64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }
-
-// Raw appends pre-encoded bytes verbatim (no length prefix). The cluster
-// transport uses it to nest an already-encoded frame inside its delivery
-// envelope.
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
@@ -326,11 +322,6 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	_, err := w.Write(buf)
 	PutBuf(buf)
 	return err
-}
-
-// ReadFrame reads one length-prefixed frame into a fresh buffer.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return ReadFrameBuf(r, nil)
 }
 
 // ReadFrameBuf reads one length-prefixed frame, reusing buf's storage

@@ -94,7 +94,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameBuf(&buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame = %q, want %q", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := ReadFrameBuf(&buf, nil); err == nil {
 		t.Error("read past last frame succeeded")
 	}
 }
@@ -113,7 +113,7 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := ReadFrameBuf(&buf, nil); err == nil {
 		t.Error("oversized read accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:6] // header + 2 of 5 payload bytes
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadFrameBuf(bytes.NewReader(raw), nil); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
