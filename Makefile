@@ -17,9 +17,12 @@
 #   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
 #                outside the process (types, wire, cluster, store, ndlog),
 #                a few seconds each from its seeded corpus — the decoders
-#                behind the socket, the WAL, the snapshot files and the
-#                parser must not panic, and what the wire decoders accept
-#                must re-encode to itself
+#                behind the socket, the WAL, the snapshot files, the
+#                snapshot payload loader (checkpoints, handoffs,
+#                read-repair), the replicated-record replayer and the
+#                parser must not panic, the two payload decoders must not
+#                allocate by a decoded count, and what the decoders
+#                accept must re-encode to itself
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
 #   serve-smoke  provd end to end over real HTTP: boot on a random port
 #                with tracing on, inject a workload, cold + cached query

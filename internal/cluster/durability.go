@@ -80,11 +80,11 @@ func (c *Cluster) openStore(n *Node) error {
 	if err := store.CheckFormat(dir, walFormatVersion); err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}
-	// Recovery runs with the node quiescent (boot, or dead): the newest
-	// snapshot replaces the partition, then the WAL tail replays into it.
-	restore := func(snap []byte) error { return n.self.load(snap, false) }
+	// Recovery runs with the node quiescent (boot, or dead) and the
+	// partition empty: the newest snapshot loads into it, then the WAL
+	// tail replays on top.
 	apply := func(rec []byte) error { return n.self.applyRecord(n, rec) }
-	ns, err := store.Open(dir, c.dopts, restore, apply)
+	ns, err := store.Open(dir, c.dopts, n.self.load, apply)
 	if err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}
@@ -294,25 +294,6 @@ func (c *Cluster) Checkpoint() error {
 		if n.dstore != nil {
 			if err := n.dstore.Checkpoint(n.self.snapshot()); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("cluster: checkpoint %s: %w", n.addr, err)
-			}
-		}
-		n.durMu.Unlock()
-	}
-	return firstErr
-}
-
-// SyncWAL flushes every durable member's WAL to stable storage regardless
-// of the fsync policy.
-func (c *Cluster) SyncWAL() error {
-	if c.dataDir == "" {
-		return nil
-	}
-	var firstErr error
-	for _, n := range c.nodeMap() {
-		n.durMu.Lock()
-		if n.dstore != nil {
-			if err := n.dstore.Sync(); err != nil && firstErr == nil {
-				firstErr = err
 			}
 		}
 		n.durMu.Unlock()

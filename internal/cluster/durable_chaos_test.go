@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"provcompress/internal/apps"
+	"provcompress/internal/core"
 	"provcompress/internal/store"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
@@ -301,5 +302,119 @@ func TestChaosDurableKillMidTraffic(t *testing.T) {
 	}
 	if stats := c.TransportStats(); stats.Drops > 0 {
 		t.Errorf("frames lost despite restart landing in the retry window: %+v", stats)
+	}
+}
+
+// TestRestartDiscardsUnloggedState: a restart rebuilds the node from its
+// snapshot and WAL alone. A database row and a provenance row planted in
+// memory without a log record are gone afterwards, and what the log does
+// hold comes back exactly: the same trees and the same storage bytes.
+func TestRestartDiscardsUnloggedState(t *testing.T) {
+	c := durableCluster(t, t.TempDir(), store.Options{Fsync: store.SyncAlways, SnapshotEvery: 4})
+	defer c.Close()
+
+	evs := durableTestEvents(9)
+	for _, ev := range evs {
+		if err := c.Inject(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Quiesce(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	wantOut, wantTrees := clusterOutcome(t, c, evs)
+	wantBytes := c.StorageBytes("n2")
+
+	n2 := c.Node("n2")
+	row := types.NewTuple("route", types.String("n2"), types.String("n9"), types.String("n3"))
+	out := recvT("n2", "n9", "n2", "planted")
+	n2.self.db.Insert(row)
+	n2.self.mu.Lock()
+	n2.self.state.Output(out, core.AdvMeta{
+		Eq:   types.HashBytes([]byte("planted class")),
+		EvID: types.HashBytes([]byte("planted event")),
+		Prev: core.Ref{Loc: "n2", RID: types.HashBytes([]byte("planted exec"))},
+	})
+	n2.self.mu.Unlock()
+	if c.StorageBytes("n2") == wantBytes {
+		t.Fatal("the planted provenance row added no storage")
+	}
+
+	n2.Kill()
+	time.Sleep(20 * time.Millisecond)
+	if err := c.Restart("n2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if n2.self.db.Contains(row) {
+		t.Error("an unlogged database row survived the restart")
+	}
+	n2.self.mu.Lock()
+	provs := n2.self.state.ProvRows(types.HashTuple(out), types.ZeroID)
+	n2.self.mu.Unlock()
+	if len(provs) != 0 {
+		t.Errorf("an unlogged provenance row survived the restart: %v", provs)
+	}
+	if got := c.StorageBytes("n2"); got != wantBytes {
+		t.Errorf("storage after restart = %d, want the unplanted run's %d", got, wantBytes)
+	}
+	gotOut, gotTrees := clusterOutcome(t, c, evs)
+	if strings.Join(gotOut, "\n") != strings.Join(wantOut, "\n") {
+		t.Errorf("outputs diverged across restart:\ngot:\n%s\nwant:\n%s",
+			strings.Join(gotOut, "\n"), strings.Join(wantOut, "\n"))
+	}
+	for ev, want := range wantTrees {
+		if gotTrees[ev] != want {
+			t.Errorf("tree for %s diverged across restart:\ngot:\n%s\nwant:\n%s", ev, gotTrees[ev], want)
+		}
+	}
+}
+
+// TestGraveyardCapFollowsConfigAcrossReboot: the graveyard cap is
+// configuration, not state. A cluster rebooted with a cap over a snapshot
+// written without one bounds its graveyard by the configured cap.
+func TestGraveyardCapFollowsConfigAcrossReboot(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(graveyardCap int) *Cluster {
+		c, err := New(Config{
+			Prog:         apps.Forwarding(),
+			Funcs:        apps.Funcs(),
+			Nodes:        topo.Line(4, "n").Nodes(),
+			GraveyardCap: graveyardCap,
+			DataDir:      dir,
+			Durability:   store.Options{Fsync: store.SyncAlways},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	churn := func(c *Cluster, from int) {
+		for i := from; i < from+6; i++ {
+			slow := types.NewTuple("route", types.String("n1"), types.String(fmt.Sprintf("x%d", i)), types.String("n2"))
+			if err := c.InsertSlow(slow); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DeleteSlow(slow); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	c := boot(0)
+	churn(c, 0)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c = boot(2)
+	defer c.Close()
+	churn(c, 6)
+	if got := c.GraveyardSize(); got > 2 {
+		t.Errorf("graveyard holds %d tuples after a reboot with GraveyardCap 2", got)
 	}
 }

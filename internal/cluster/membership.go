@@ -609,7 +609,7 @@ func (n *Node) handleHandoff(from, owner types.NodeAddr, hid uint64, acked bool,
 			n.c.memb.repairs.Add(1)
 		}
 	} else if p := n.partitionFor(owner, true); p != nil {
-		err = p.load(snap, true)
+		err = p.load(snap)
 	}
 	if err != nil {
 		n.fail("handoff install of "+string(owner), err)
@@ -655,7 +655,7 @@ func (n *Node) mergeSelf(payload []byte) error {
 		n.durMu.Lock()
 		defer n.durMu.Unlock()
 	}
-	err := n.self.load(payload, true)
+	err := n.self.load(payload)
 	if err == nil {
 		n.checkpointLocked() // a no-op without a store
 	}

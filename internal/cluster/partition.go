@@ -215,56 +215,42 @@ func (p *partition) snapshot() []byte {
 	return e.Bytes()
 }
 
-// load decodes a snapshot payload into the partition. Boot recovery
-// restores: the payload replaces whatever was there. Handoff installs and
-// read-repair merge: replicated records that arrived before the snapshot
-// survive and rows the snapshot duplicates are no-ops, in either arrival
-// order — so bootstrap is gap-free without a freeze window at the owner.
-func (p *partition) load(payload []byte, merge bool) error {
+// load merges a snapshot payload into the partition; it is the one
+// snapshot loader. Provenance rows only accumulate, so restoring is
+// merging into an empty partition: boot recovery and Restart load into
+// one, and the rows come back through the same insertion paths that built
+// them live. Handoff installs and read-repair load over a live copy:
+// replicated records that arrived before the snapshot survive and rows the
+// snapshot duplicates are no-ops, in either arrival order — so bootstrap
+// is gap-free without a freeze window at the owner.
+func (p *partition) load(payload []byte) error {
 	d := wire.NewDecoder(payload)
 	if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
 		return fmt.Errorf("cluster: unsupported node snapshot version %d", v)
 	}
-	loadDB := p.db.RestoreSnapshot
-	if merge {
-		loadDB = p.db.MergeSnapshot
-	}
-	if err := loadDB(d); err != nil {
+	if err := p.db.MergeSnapshot(d); err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	loadState := p.state.Restore
-	if merge {
-		loadState = p.state.Merge
-	}
-	if err := loadState(d); err != nil {
+	if err := p.state.Merge(d); err != nil {
 		return err
 	}
 	nOut := d.U32()
 	if nOut > maxDurItems {
 		return fmt.Errorf("cluster: node snapshot with %d outputs", nOut)
 	}
-	if !merge {
-		p.outputs = p.outputs[:0]
+	// Outputs are a set: one VID set per load keeps the merge linear.
+	have := make(map[types.ID]bool, len(p.outputs))
+	for _, t := range p.outputs {
+		have[types.HashTuple(t)] = true
 	}
 	for i := uint32(0); i < nOut && d.Err() == nil; i++ {
-		if t := d.Tuple(); merge {
-			p.outputs = appendTupleOnce(p.outputs, t)
-		} else {
+		t := d.Tuple()
+		if vid := types.HashTuple(t); d.Err() == nil && !have[vid] {
+			have[vid] = true
 			p.outputs = append(p.outputs, t)
 		}
 	}
 	return d.Err()
-}
-
-// appendTupleOnce adds t to an output list unless it is already there: a
-// merged snapshot overlaps what replication already delivered.
-func appendTupleOnce(ts []types.Tuple, t types.Tuple) []types.Tuple {
-	for _, u := range ts {
-		if u.Equal(t) {
-			return ts
-		}
-	}
-	return append(ts, t)
 }

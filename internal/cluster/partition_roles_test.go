@@ -18,7 +18,7 @@ import (
 // given: Fig. 2 forwarding, a second arrival of the same output (the event
 // injected twice), a slow insert — a sig — between two events of one class,
 // and a slow delete. The slow tuple lives at n1, which never leaves.
-func rolesHistory(t *testing.T, c *Cluster) {
+func rolesHistory(t testing.TB, c *Cluster) {
 	t.Helper()
 	slow := types.NewTuple("route", types.String("n1"), types.String("n9"), types.String("n2"))
 	steps := []func() error{
@@ -40,7 +40,7 @@ func rolesHistory(t *testing.T, c *Cluster) {
 
 // rolesCluster boots Fig. 2 for the role table; an empty dir is volatile,
 // and load is false for a durable re-open that must recover its routes.
-func rolesCluster(t *testing.T, scheme, dir string, replicas int, load bool) *Cluster {
+func rolesCluster(t testing.TB, scheme, dir string, replicas int, load bool) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Prog:      apps.Forwarding(),
@@ -75,7 +75,7 @@ func decodedSnapshot(t *testing.T, c *Cluster, owner types.NodeAddr, snap []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.load(snap, false); err != nil {
+	if err := p.load(snap); err != nil {
 		t.Fatalf("decode snapshot of %s: %v", owner, err)
 	}
 	sorted := func(prefix string, items []string) []string {

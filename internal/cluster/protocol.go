@@ -152,6 +152,11 @@ func (f *tupleFrame) decodeBody(d *wire.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	// The pipeline step routes and stores a tuple by its location
+	// specifier, which must be there and be a node address.
+	if f.Tuple.Arity() == 0 || f.Tuple.Args[0].Kind() != types.KindString {
+		return fmt.Errorf("cluster: tuple frame for %s without a location", f.Tuple.Rel)
+	}
 	switch fresh {
 	case 0:
 		var err error

@@ -1,0 +1,159 @@
+package cluster
+
+import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"provcompress/internal/core"
+	"provcompress/internal/types"
+	"provcompress/internal/wire"
+)
+
+// fuzzSchemes are the schemes the cluster runs; the payload decoders are
+// fuzzed under each, since the scheme decides the state tables' layout.
+var fuzzSchemes = []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced}
+
+// allocatedBy reports the bytes fn allocated, process-wide.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkDecodeAllocs fails when decoding an n-byte payload allocated more
+// than a fixed allowance plus a constant per input byte — far less than a
+// buffer reserved by one decoded count near an item limit would take.
+func checkDecodeAllocs(t *testing.T, what string, n int, allocated uint64) {
+	t.Helper()
+	if budget := 1<<20 + 4096*uint64(n); allocated > budget {
+		t.Fatalf("%s of a %d-byte payload allocated %d bytes, past its %d budget", what, n, allocated, budget)
+	}
+}
+
+// FuzzPartitionLoad covers the one snapshot loader, fed bytes from disk
+// (checkpoints) and from peers (handoffs and read-repair replies):
+// arbitrary bytes must never panic nor allocate by a decoded count, and a
+// payload that loads into an empty partition must re-snapshot to a
+// payload that decodes to the same contents.
+func FuzzPartitionLoad(f *testing.F) {
+	var clusters []*Cluster
+	for _, scheme := range fuzzSchemes {
+		c := rolesCluster(f, scheme, "", 0, true)
+		rolesHistory(f, c)
+		clusters = append(clusters, c)
+		for _, addr := range []types.NodeAddr{"n1", "n2", "n3"} {
+			snap := c.node(addr).self.snapshot()
+			f.Add(snap)
+			f.Add(snap[:len(snap)/2])
+			f.Add(snap[:len(snap)-1])
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{nodeSnapVersion, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range clusters {
+			p, err := c.newPartition("n2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDecodeAllocs(t, "load", len(data), allocatedBy(func() { err = p.load(data) }))
+			if err != nil {
+				continue
+			}
+			got := decodedSnapshot(t, c, "n2", p.snapshot())
+			if want := decodedSnapshot(t, c, "n2", data); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("%s: the re-snapshot decodes differently:\n--- got\n%s\n--- want\n%s",
+					c.scheme, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		}
+	})
+}
+
+// TestPartitionLoadAllocsBounded plants the largest count the item guards
+// accept at every offset of a real snapshot: whichever count field it
+// lands in, the load must not reserve memory by it.
+func TestPartitionLoadAllocsBounded(t *testing.T) {
+	for _, scheme := range fuzzSchemes {
+		c := rolesCluster(t, scheme, "", 0, true)
+		rolesHistory(t, c)
+		snap := c.node("n2").self.snapshot()
+		for off := 0; off+4 <= len(snap); off++ {
+			data := append([]byte(nil), snap...)
+			binary.BigEndian.PutUint32(data[off:], maxDurItems)
+			p, err := c.newPartition("n2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDecodeAllocs(t, fmt.Sprintf("%s load with a planted count at offset %d", scheme, off),
+				len(data), allocatedBy(func() { _ = p.load(data) }))
+		}
+	}
+}
+
+// FuzzApplyRecord covers the record replayer, fed the WAL and the
+// replication stream a peer sends: arbitrary records must never panic nor
+// allocate by a decoded count, and an event record that applies must
+// decode back to an equal frame once re-encoded.
+func FuzzApplyRecord(f *testing.F) {
+	// Each scheme's record lands on n1's partition as LoadBase left it, so
+	// an event joins the routes there.
+	type target struct {
+		c    *Cluster
+		base []byte
+	}
+	var targets []target
+	for _, scheme := range fuzzSchemes {
+		c := rolesCluster(f, scheme, "", 0, true)
+		targets = append(targets, target{c, c.node("n1").self.snapshot()})
+	}
+	route := types.NewTuple("route", types.String("n1"), types.String("n9"), types.String("n2"))
+	fresh := encodeDurEvent(&tupleFrame{Tuple: pkt("n1", "n1", "n3", "a"), Fresh: true})
+	for _, seed := range [][]byte{
+		fresh,
+		encodeDurEvent(&tupleFrame{Tuple: pkt("n2", "n1", "n3", "a"), Meta: core.AdvMeta{
+			Eq: types.HashBytes([]byte("class")), EvID: types.HashBytes([]byte("a")),
+			Prev: core.Ref{Loc: "n1", RID: types.HashBytes([]byte("exec"))},
+		}}),
+		encodeDurTuple(recInsert, route),
+		encodeDurTuple(recDelete, route),
+		recSigPayload,
+		fresh[:len(fresh)/2],
+		{0xFF},
+		{},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tg := range targets {
+			p, err := tg.c.newPartition("n1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.load(tg.base); err != nil {
+				t.Fatal(err)
+			}
+			n := tg.c.node("n1")
+			checkDecodeAllocs(t, "apply", len(data), allocatedBy(func() { err = p.applyRecord(n, data) }))
+			if err != nil || data[0] != recEvent {
+				continue
+			}
+			fr, err := decodeDurEvent(wire.NewDecoder(data[1:]))
+			if err != nil {
+				t.Fatalf("an applied event record does not decode: %v", err)
+			}
+			again, err := decodeDurEvent(wire.NewDecoder(encodeDurEvent(fr)[1:]))
+			if err != nil {
+				t.Fatalf("decode of encoder output: %v", err)
+			}
+			if !reflect.DeepEqual(again, fr) {
+				t.Fatalf("event record did not round trip: %+v became %+v", fr, again)
+			}
+		}
+	})
+}

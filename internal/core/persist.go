@@ -9,11 +9,13 @@ import (
 
 // Persistence codec for the per-node provenance state machines: the
 // durability layer (internal/cluster + internal/store) checkpoints a
-// NodeState into a snapshot and restores it on crash recovery. All three
-// schemes share one store layout, so one codec covers them; the byte
-// accounting is carried verbatim rather than recomputed, which keeps
-// StorageBytes — the paper's headline metric — bit-identical across a
-// crash.
+// NodeState into a snapshot, and merge is the one decoder back: crash
+// recovery merges into a fresh state, handoffs and read-repair into a live
+// one. All three schemes share one store layout, so one codec covers them.
+// The add* calls that rebuild every row recompute the byte accounting as
+// they computed it live, so StorageBytes — the paper's headline metric —
+// comes back bit-identical across a crash; the snapshot's accounting
+// trailer is read only to frame it.
 
 // statePersistVersion tags the NodeState snapshot layout.
 const statePersistVersion = 1
@@ -24,9 +26,6 @@ const maxPersistItems = 1 << 26
 
 // Persist serializes the state machine into the encoder.
 func (s stored) Persist(e *wire.Encoder) { s.st.persist(e) }
-
-// Restore rebuilds the state machine from an encoded snapshot.
-func (s stored) Restore(d *wire.Decoder) error { return s.st.restore(d) }
 
 // Merge folds a snapshot into the existing state without resetting it.
 func (s stored) Merge(d *wire.Decoder) error { return s.st.merge(d) }
@@ -121,146 +120,15 @@ func (s *store) persist(e *wire.Encoder) {
 	e.U64(uint64(s.hmapBytes))
 }
 
-// restore resets the store and rebuilds it from an encoded snapshot. The
-// scheme flags (withNext/withEvID/useLinks) stay as constructed — they
-// derive from the scheme name, not from persisted state.
-func (s *store) restore(d *wire.Decoder) error {
-	if v := d.U8(); d.Err() == nil && v != statePersistVersion {
-		return fmt.Errorf("core: unsupported state snapshot version %d", v)
-	}
-	s.ruleExec = make(map[types.ID]*RuleExec)
-	s.links = nil
-	s.prov = make(map[types.ID][]Prov)
-	s.htequi = nil
-	s.hmap = nil
-	s.pending = nil
-
-	n := d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d ruleExec rows", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var row RuleExec
-		row.Loc = types.NodeAddr(d.Str())
-		row.RID = d.ID()
-		row.Rule = d.Str()
-		vn := d.U32()
-		if vn > maxPersistItems {
-			return fmt.Errorf("core: ruleExec row with %d vids", vn)
-		}
-		// Non-nil even when empty: rows are built that way (slowVIDs), so a
-		// restored row is indistinguishable from the original. Capacity is
-		// clamped so a corrupt in-bounds count cannot force a huge allocation.
-		row.VIDs = make([]types.ID, 0, min(vn, 64))
-		for j := uint32(0); j < vn && d.Err() == nil; j++ {
-			row.VIDs = append(row.VIDs, d.ID())
-		}
-		row.Next = decodePersistRef(d)
-		s.ruleExec[row.RID] = &row
-	}
-
-	n = d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d link rows", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		rid := d.ID()
-		rn := d.U32()
-		if rn > maxPersistItems {
-			return fmt.Errorf("core: link row with %d refs", rn)
-		}
-		refs := make([]Ref, 0, rn)
-		for j := uint32(0); j < rn && d.Err() == nil; j++ {
-			refs = append(refs, decodePersistRef(d))
-		}
-		if s.links == nil {
-			s.links = make(map[types.ID][]Ref)
-		}
-		s.links[rid] = refs
-	}
-
-	n = d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d prov rows", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var p Prov
-		p.Loc = types.NodeAddr(d.Str())
-		p.VID = d.ID()
-		p.Ref = decodePersistRef(d)
-		p.EvID = d.ID()
-		s.prov[p.VID] = append(s.prov[p.VID], p)
-	}
-
-	n = d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d htequi entries", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		h := d.ID()
-		seen := d.Bool()
-		if s.htequi == nil {
-			s.htequi = make(map[types.ID]bool)
-		}
-		s.htequi[h] = seen
-	}
-
-	n = d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d hmap entries", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		eq := d.ID()
-		rel := d.Str()
-		entry := &hmapEntry{evid: d.ID()}
-		rn := d.U32()
-		if rn > maxPersistItems {
-			return fmt.Errorf("core: hmap entry with %d refs", rn)
-		}
-		for j := uint32(0); j < rn && d.Err() == nil; j++ {
-			entry.refs = append(entry.refs, decodePersistRef(d))
-		}
-		if s.hmap == nil {
-			s.hmap = make(map[hmapKey]*hmapEntry)
-		}
-		s.hmap[hmapKey{eq: eq, rel: rel}] = entry
-	}
-
-	n = d.U32()
-	if n > maxPersistItems {
-		return fmt.Errorf("core: state snapshot with %d pending outputs", n)
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		eq := d.ID()
-		rel := d.Str()
-		var p pendingOutput
-		p.vid = d.ID()
-		p.evid = d.ID()
-		if s.pending == nil {
-			s.pending = make(map[hmapKey][]pendingOutput)
-		}
-		k := hmapKey{eq: eq, rel: rel}
-		s.pending[k] = append(s.pending[k], p)
-	}
-
-	s.ruleExecBytes = int64(d.U64())
-	s.provBytes = int64(d.U64())
-	s.htequiBytes = int64(d.U64())
-	s.hmapBytes = int64(d.U64())
-
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("core: corrupt state snapshot: %w", err)
-	}
-	return nil
-}
-
-// merge folds a Persist snapshot into the live store without resetting
-// it. Every row goes through the normal dup-checked insertion paths
+// merge folds a Persist snapshot into the store without resetting it; into
+// a fresh store it rebuilds the snapshotted one, tables and accounting
+// alike. Every row goes through the normal dup-checked insertion paths
 // (addRuleExec/addLink/addProv/seenEquiKey), so rows already present —
 // e.g. delivered by replication while the snapshot was in flight — are
 // kept once and the running byte accounting stays exact. The snapshot's
 // own byte trailer is decoded and discarded: it describes the donor's
-// totals, not this store's.
+// totals, not this store's. Pending outputs install without counting a
+// deferral; the state machine that parked them counted it.
 //
 // hmap entries and pending outputs install only for keys this store has
 // never seen. For a key both sides hold, the live entry may reflect a
@@ -288,6 +156,7 @@ func (s *store) merge(d *wire.Decoder) error {
 		if vn > maxPersistItems {
 			return fmt.Errorf("core: ruleExec row with %d vids", vn)
 		}
+		// Non-nil like slowVIDs' rows; clamped so a corrupt count sizes nothing.
 		row.VIDs = make([]types.ID, 0, min(vn, 64))
 		for j := uint32(0); j < vn && d.Err() == nil; j++ {
 			row.VIDs = append(row.VIDs, d.ID())

@@ -86,15 +86,13 @@ type NodeState interface {
 	// Persist serializes the full state machine (all tables plus byte
 	// accounting) into the encoder, for durability checkpoints.
 	Persist(e *wire.Encoder)
-	// Restore resets the state machine and rebuilds it from a Persist
-	// snapshot.
-	Restore(d *wire.Decoder) error
 	// Merge folds a Persist snapshot into the existing state without
 	// resetting it: rows already present stay, absent rows are added
 	// through the normal insertion paths so the byte accounting tracks
-	// them. The membership subsystem uses it to install a partition
-	// handoff or read-repair payload over state that may already hold
-	// replicated records for the same partition.
+	// them. It is the one snapshot decoder: crash recovery merges into a
+	// fresh state, which rebuilds the snapshotted one, and a partition
+	// handoff or read-repair payload merges over state that may already
+	// hold replicated records for the same partition.
 	Merge(d *wire.Decoder) error
 
 	// tables exposes the backing store to the simulator adapter (table
@@ -265,6 +263,7 @@ func (s *AdvancedState) Output(out types.Tuple, m AdvMeta) []types.ID {
 		return []types.ID{vid}
 	}
 	s.st.deferOutput(m.Eq, out.Rel, pendingOutput{vid: vid, evid: m.EvID})
+	s.st.deferredOutputs++
 	return nil
 }
 

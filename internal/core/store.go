@@ -322,7 +322,6 @@ func (s *store) deferOutput(eq types.ID, rel string, p pendingOutput) {
 	}
 	k := hmapKey{eq, rel}
 	s.pending[k] = append(s.pending[k], p)
-	s.deferredOutputs++
 }
 
 // numRuleExec and numProv report row counts, for tests and table dumps.

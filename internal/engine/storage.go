@@ -1,9 +1,6 @@
-// Storage contract of the engine: Store is the interface carved out of
-// Database so the durability layer (internal/store, internal/cluster) and
-// alternative backends program against a contract instead of the concrete
-// in-memory implementation. Database is the canonical implementation; the
-// snapshot codec below is what the write-ahead-log subsystem checkpoints
-// and restores.
+// Storage surface of the engine beyond the evaluator's reads: the
+// durability hooks (Contains, Reset) and the snapshot codec the
+// write-ahead-log subsystem checkpoints and recovers from.
 package engine
 
 import (
@@ -12,34 +9,6 @@ import (
 	"provcompress/internal/types"
 	"provcompress/internal/wire"
 )
-
-// Store is the tuple-storage contract the evaluator and the provenance
-// protocols consume: the mutable tuple store with set semantics, the
-// scan/probe read surface the join plans run over, and the deleted-tuple
-// graveyard that keeps provenance VIDs resolvable after deletion.
-type Store interface {
-	// Insert adds a tuple (set semantics) and reports whether it was new.
-	Insert(t types.Tuple) bool
-	// Delete removes a tuple, retaining its contents in the graveyard,
-	// and reports whether it was present.
-	Delete(t types.Tuple) bool
-	// Contains reports whether a live (non-deleted) tuple is stored.
-	Contains(t types.Tuple) bool
-	// Scan returns the tuples of a relation (stability caveats on Database.Scan).
-	Scan(rel string) []types.Tuple
-	// Probe returns the tuples matching key at the given attribute positions.
-	Probe(rel string, positions []int, key []byte) []types.Tuple
-	// Count returns the number of live tuples in a relation.
-	Count(rel string) int
-	// LookupVID resolves a tuple by content hash, live or deleted.
-	LookupVID(vid types.ID) (types.Tuple, bool)
-	// SetGraveyardCap bounds deleted-tuple retention (0 = unbounded).
-	SetGraveyardCap(n int)
-	// GraveyardSize returns the number of deleted tuples retained.
-	GraveyardSize() int
-}
-
-var _ Store = (*Database)(nil)
 
 // Contains reports whether a live tuple is stored (deleted tuples are not
 // contained even though their contents remain resolvable). The durability
@@ -121,62 +90,15 @@ func (db *Database) EncodeSnapshot(e *wire.Encoder) {
 // corrupt snapshot rather than a plausible state.
 const maxSnapshotItems = 1 << 26
 
-// RestoreSnapshot resets the database and rebuilds it from an encoded
-// snapshot: rows re-insert in their recorded order (so scans and the
-// swap-remove position map come back identical), and the graveyard
-// re-populates in FIFO order (so future cap evictions pick the same
-// victims as the pre-crash store would have).
-func (db *Database) RestoreSnapshot(d *wire.Decoder) error {
-	if v := d.U8(); d.Err() == nil && v != snapshotVersion {
-		return fmt.Errorf("engine: unsupported database snapshot version %d", v)
-	}
-	db.Reset()
-	nTables := d.U32()
-	if nTables > maxSnapshotItems {
-		return fmt.Errorf("engine: snapshot with %d tables", nTables)
-	}
-	for i := uint32(0); i < nTables && d.Err() == nil; i++ {
-		rel := d.Str()
-		nRows := d.U32()
-		if nRows > maxSnapshotItems {
-			return fmt.Errorf("engine: snapshot relation %q with %d rows", rel, nRows)
-		}
-		for j := uint32(0); j < nRows && d.Err() == nil; j++ {
-			db.Insert(d.Tuple())
-		}
-	}
-	nGrave := d.U32()
-	if nGrave > maxSnapshotItems {
-		return fmt.Errorf("engine: snapshot with %d graveyard entries", nGrave)
-	}
-	db.mu.Lock()
-	for i := uint32(0); i < nGrave && d.Err() == nil; i++ {
-		t := d.Tuple()
-		vid := types.HashTuple(t)
-		if db.graveyard == nil {
-			db.graveyard = make(map[types.ID]types.Tuple)
-		}
-		if _, ok := db.graveyard[vid]; !ok {
-			db.graveyard[vid] = t
-			db.graveyardOrder = append(db.graveyardOrder, vid)
-		}
-	}
-	db.graveyardCap = int(d.U32())
-	db.enforceGraveyardCapLocked()
-	db.mu.Unlock()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("engine: corrupt database snapshot: %w", err)
-	}
-	return nil
-}
-
-// MergeSnapshot folds a snapshot into the live database without resetting
-// it: rows insert with set semantics (duplicates are no-ops), graveyard
-// entries append only when absent, and the snapshot's retention cap is
-// decoded but discarded — the receiver keeps its own cap. The membership
-// subsystem uses it to install a partition handoff or read-repair payload
-// over a store that may already hold replicated inserts for the same
-// partition, in either arrival order.
+// MergeSnapshot folds a snapshot into the database without resetting it:
+// rows insert with set semantics (duplicates are no-ops) in their recorded
+// order, graveyard entries append in FIFO order only when absent, and the
+// snapshot's retention cap is decoded but discarded — the receiver keeps
+// the cap it was configured with. It is the one snapshot decoder: boot
+// recovery merges into an empty database, which rebuilds the snapshotted
+// one, and handoff installs and read-repair merge over a store that may
+// already hold replicated inserts for the same partition, in either
+// arrival order.
 func (db *Database) MergeSnapshot(d *wire.Decoder) error {
 	if v := d.U8(); d.Err() == nil && v != snapshotVersion {
 		return fmt.Errorf("engine: unsupported database snapshot version %d", v)
@@ -205,6 +127,9 @@ func (db *Database) MergeSnapshot(d *wire.Decoder) error {
 	db.mu.Lock()
 	for i := uint32(0); i < nGrave && d.Err() == nil; i++ {
 		t := d.Tuple()
+		if d.Err() != nil {
+			break
+		}
 		vid := types.HashTuple(t)
 		if db.graveyard == nil {
 			db.graveyard = make(map[types.ID]types.Tuple)

@@ -33,11 +33,11 @@ func walBytes(tb testing.TB, recs [][]byte) []byte {
 // snapBytes is the snapshot file writeSnapshotFile writes for payload.
 func snapBytes(tb testing.TB, payload []byte) []byte {
 	tb.Helper()
-	path, err := writeSnapshotFile(tb.TempDir(), 1, payload)
-	if err != nil {
+	dir := tb.TempDir()
+	if err := writeSnapshotFile(dir, 1, payload); err != nil {
 		tb.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(snapPath(dir, 1))
 	if err != nil {
 		tb.Fatal(err)
 	}

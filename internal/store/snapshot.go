@@ -18,18 +18,13 @@ var snapMagic = [8]byte{'P', 'C', 'S', 'N', 'A', 'P', '1', 0}
 const snapHeaderSize = 16
 
 // writeSnapshotFile durably writes payload as the snapshot for gen.
-func writeSnapshotFile(dir string, gen uint64, payload []byte) (string, error) {
+func writeSnapshotFile(dir string, gen uint64, payload []byte) error {
 	buf := make([]byte, snapHeaderSize, snapHeaderSize+len(payload))
 	copy(buf, snapMagic[:])
 	binary.BigEndian.PutUint32(buf[8:12], crc32.Checksum(payload, crcTable))
 	binary.BigEndian.PutUint32(buf[12:16], uint32(len(payload)))
 	buf = append(buf, payload...)
-
-	path := snapPath(dir, gen)
-	if err := writeFileAtomic(dir, "snap-*.tmp", path, buf); err != nil {
-		return "", err
-	}
-	return path, nil
+	return writeFileAtomic(dir, "snap-*.tmp", snapPath(dir, gen), buf)
 }
 
 // writeFileAtomic durably writes data as path, inside dir: to a temp file

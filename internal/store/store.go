@@ -264,7 +264,7 @@ func (ns *NodeStore) Checkpoint(payload []byte) error {
 	// live WAL: a failure anywhere in here leaves the store appending to
 	// the old generation, fully recoverable.
 	newGen := ns.gen + 1
-	if _, err := writeSnapshotFile(ns.dir, newGen, payload); err != nil {
+	if err := writeSnapshotFile(ns.dir, newGen, payload); err != nil {
 		return err
 	}
 	w, err := openWAL(walPath(ns.dir, newGen), ns.opts.Fsync)
@@ -303,7 +303,7 @@ func (ns *NodeStore) Checkpoint(payload []byte) error {
 }
 
 // Sync forces buffered WAL appends to stable storage regardless of the
-// sync policy (clean shutdown, or a checkpoint boundary).
+// sync policy.
 func (ns *NodeStore) Sync() error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -332,9 +332,6 @@ func (ns *NodeStore) Close() error {
 	return ns.w.close()
 }
 
-// Dir returns the node directory.
-func (ns *NodeStore) Dir() string { return ns.dir }
-
 // Stats snapshots the durability counters.
 func (ns *NodeStore) Stats() Stats {
 	ns.mu.Lock()
@@ -351,11 +348,4 @@ func (ns *NodeStore) Stats() Stats {
 		SnapshotAge:   age,
 		Recovery:      ns.recovery,
 	}
-}
-
-// Recovery returns the stats of the recovery performed at Open.
-func (ns *NodeStore) Recovery() RecoveryStats {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.recovery
 }

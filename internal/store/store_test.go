@@ -81,7 +81,7 @@ func TestStoreReplayRoundTrip(t *testing.T) {
 					t.Fatalf("record %d diverged after replay", i)
 				}
 			}
-			rec := ns2.Recovery()
+			rec := ns2.Stats().Recovery
 			if rec.ReplayedRecords != 100 || rec.TornRecords != 0 || rec.SnapshotLoaded {
 				t.Errorf("recovery = %+v, want 100 replayed, clean", rec)
 			}
@@ -128,7 +128,7 @@ func TestStoreTornTailCorpus(t *testing.T) {
 				t.Fatalf("record %d diverged", i)
 			}
 		}
-		rec := ns.Recovery()
+		rec := ns.Stats().Recovery
 		if rec.TornRecords != 1 {
 			t.Errorf("TornRecords = %d, want 1", rec.TornRecords)
 		}
@@ -212,7 +212,7 @@ func TestStoreCheckpointTruncatesLog(t *testing.T) {
 	if len(got) != 2 || string(got[0]) != "post-snap-1" || string(got[1]) != "post-snap-2" {
 		t.Errorf("replayed %d records %q, want only the post-checkpoint pair", len(got), got)
 	}
-	rec := ns2.Recovery()
+	rec := ns2.Stats().Recovery
 	if !rec.SnapshotLoaded || rec.ReplayedRecords != 2 {
 		t.Errorf("recovery = %+v, want snapshot + 2 replayed", rec)
 	}
@@ -274,7 +274,7 @@ func TestStoreCorruptSnapshotSkipped(t *testing.T) {
 	if snap != nil {
 		t.Errorf("corrupt snapshot was restored: %q", snap)
 	}
-	if ns2.Recovery().SnapshotLoaded {
+	if ns2.Stats().Recovery.SnapshotLoaded {
 		t.Error("recovery claims a snapshot was loaded")
 	}
 	// The post-checkpoint tail is still replayed.
