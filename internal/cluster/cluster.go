@@ -97,10 +97,12 @@ type Cluster struct {
 	// arities is every program relation's argument count; Inject refuses
 	// events that disagree with it.
 	arities map[string]int
-	scheme  string
-	tcfg    TransportConfig
-	faults  *FaultPlan
-	tracer  *trace.Collector
+	// outputRels lists the program's output relations, sorted (Outputs).
+	outputRels []string
+	scheme     string
+	tcfg       TransportConfig
+	faults     *FaultPlan
+	tracer     *trace.Collector
 
 	// dataDir / dopts configure durability ("" = volatile cluster).
 	dataDir string
@@ -257,6 +259,11 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	var outputRels []string
+	for rel := range cfg.Prog.OutputRelations() {
+		outputRels = append(outputRels, rel)
+	}
+	sort.Strings(outputRels)
 	graph := analysis.BuildGraph(cfg.Prog)
 	shardKeys := make(map[string][]int)
 	for _, r := range cfg.Prog.Rules {
@@ -276,6 +283,7 @@ func New(cfg Config) (*Cluster, error) {
 		funcs:        cfg.Funcs,
 		keys:         graph.EquivalenceKeys(),
 		arities:      arities,
+		outputRels:   outputRels,
 		scheme:       scheme,
 		tcfg:         cfg.Transport.withDefaults(),
 		faults:       cfg.Faults,
@@ -564,12 +572,16 @@ func (c *Cluster) Inject(ev types.Tuple) error {
 func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 	// Events arrive from outside the process (POST /v1/events): one whose
 	// shape the program cannot evaluate is refused here, before any shard
-	// worker indexes into its arguments.
+	// worker indexes into its arguments, and so is one no rule consumes,
+	// which would only be stored as an output nothing derived.
 	if want, ok := c.arities[ev.Rel]; ok && ev.Arity() != want {
 		return 0, fmt.Errorf("cluster: inject %s: relation %s takes %d arguments, got %d", ev, ev.Rel, want, ev.Arity())
 	}
 	if ev.Arity() == 0 {
 		return 0, fmt.Errorf("cluster: inject %s: no location argument", ev.Rel)
+	}
+	if len(c.prog.RulesForEvent(ev.Rel)) == 0 {
+		return 0, fmt.Errorf("cluster: inject %s: no rule takes %s as its event", ev, ev.Rel)
 	}
 	origin := c.node(ev.Loc())
 	if origin == nil {
@@ -682,15 +694,14 @@ func (c *Cluster) Quiesce(deadline time.Duration) error {
 	return fmt.Errorf("cluster: quiesce timeout with %d messages in flight (per dest: %v)", c.inflight.Load(), stuck)
 }
 
-// Outputs returns the output tuples that arrived at one node.
+// Outputs returns the output tuples that arrived at one node — its rows of
+// the program's output relations, sorted by relation, each in arrival order.
 func (c *Cluster) Outputs(addr types.NodeAddr) []types.Tuple {
 	n := c.node(addr)
 	if n == nil {
 		return nil
 	}
-	n.self.mu.Lock()
-	defer n.self.mu.Unlock()
-	return append([]types.Tuple(nil), n.self.outputs...)
+	return n.self.outputs(c.outputRels)
 }
 
 // AllOutputs returns every output across the cluster.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,63 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if _, err := c.Query(recvT("ghost", "a", "b", "x"), types.ZeroID, time.Second); err == nil {
 		t.Error("query at unknown node accepted")
+	}
+}
+
+// TestInjectRefusesUnconsumedEvent: Inject refuses an event no rule takes
+// as its event — an unknown relation, or a forged output — so nothing is
+// stored for it and the outputs stay exactly what the program derived.
+func TestInjectRefusesUnconsumedEvent(t *testing.T) {
+	c := fig2Cluster(t)
+	for _, ev := range []types.Tuple{
+		types.NewTuple("bogus", types.String("n1")),
+		recvT("n3", "n0", "n3", "forged"),
+	} {
+		if err := c.Inject(ev); err == nil {
+			t.Errorf("inject %s accepted", ev)
+		}
+	}
+	if err := c.Inject(pkt("n1", "n1", "n3", "real")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if outs := c.AllOutputs(); len(outs) != 1 || !outs[0].Equal(recvT("n3", "n1", "n3", "real")) {
+		t.Fatalf("outputs = %v, want only the derived recv", outs)
+	}
+}
+
+// TestOutputsReadDuringIngest: Outputs reads the database while the shard
+// workers insert into it — the race detector checks the two are ordered —
+// and lists every output exactly once.
+func TestOutputsReadDuringIngest(t *testing.T) {
+	c := fig2Cluster(t)
+	const packets = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < packets; i++ {
+			if err := c.Inject(pkt("n1", "n1", "n3", fmt.Sprint("p", i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for len(c.Outputs("n3")) < packets && time.Now().Before(deadline) {
+	}
+	wg.Wait()
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, out := range c.Outputs("n3") {
+		seen[out.String()] = true
+	}
+	if outs := c.Outputs("n3"); len(outs) != packets || len(seen) != packets {
+		t.Fatalf("%d outputs, %d distinct, want %d", len(outs), len(seen), packets)
 	}
 }
 

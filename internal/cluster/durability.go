@@ -44,12 +44,11 @@ const (
 // and an unconditional Prev; version 2 writes encodeMeta's order.
 const walFormatVersion = 2
 
-// nodeSnapVersion tags the per-node snapshot payload layout: the database
-// snapshot, the scheme state, and the node's output list.
-const nodeSnapVersion = 1
-
-// maxDurItems bounds decoded collection sizes in durable payloads.
-const maxDurItems = 1 << 26
+// nodeSnapVersion is the one version byte of a node snapshot — this byte,
+// the database snapshot, then the scheme state; bump it with any change to
+// their bytes. Version 1 also carried an inner version byte per layout,
+// the graveyard cap, a byte-accounting trailer and the node's outputs.
+const nodeSnapVersion = 2
 
 // durable reports whether this node persists its state. Set once at boot
 // and never changed, so it is readable without a lock.
@@ -276,7 +275,6 @@ func (c *Cluster) recoverForRestart(n *Node) error {
 	p.db.Reset()
 	p.mu.Lock()
 	p.state = state
-	p.outputs = nil
 	p.mu.Unlock()
 	return c.openStore(n)
 }

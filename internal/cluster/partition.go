@@ -11,23 +11,22 @@ import (
 	"provcompress/internal/wire"
 )
 
-// partition is one member's recoverable state — its database, the scheme's
-// provenance tables (Section 5.3) and the output tuples that arrived —
-// wherever a copy of it lives: at the owner itself (Node.self), at a
-// replica as the shadow the owner's record stream maintains, or at the
-// acting owner hosting it after the owner Left. Every role runs the same
+// partition is one member's recoverable state — its database, which holds
+// every tuple that arrived (outputs included), and the scheme's provenance
+// tables (Section 5.3) — wherever a copy of it lives: at the owner itself
+// (Node.self), at a replica as the shadow the owner's record stream
+// maintains, or at the acting owner hosting it after the owner Left. Every role runs the same
 // pipeline step, replays the same records and speaks the same snapshot
 // codec; only the durability wrapper around them (durability.go) belongs
 // to the owner alone.
 type partition struct {
 	owner types.NodeAddr
 
-	// mu guards state and outputs. The database carries its own read-write
-	// lock, so joins run outside mu.
-	mu      sync.Mutex
-	db      *engine.Database
-	state   core.NodeState
-	outputs []types.Tuple
+	// mu guards state. The database carries its own read-write lock, so
+	// joins run outside mu.
+	mu    sync.Mutex
+	db    *engine.Database
+	state core.NodeState
 }
 
 // newPartition builds an empty copy of owner's partition.
@@ -84,7 +83,7 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
 	defer sp.End()
-	isNew := p.db.Insert(f.Tuple)
+	p.db.Insert(f.Tuple)
 	meta := f.Meta
 	if f.Fresh {
 		p.mu.Lock()
@@ -95,12 +94,6 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 	if len(rules) == 0 {
 		p.mu.Lock()
 		landed := p.state.Output(f.Tuple, meta)
-		if isNew {
-			// Outputs are a set: a second arrival of the same tuple (the
-			// event injected twice, a gossip multi-path) adds provenance
-			// rows, not a second entry.
-			p.outputs = append(p.outputs, f.Tuple)
-		}
 		p.mu.Unlock()
 		sp.SetAttr("output", "true")
 		if ship && len(landed) > 0 {
@@ -197,10 +190,10 @@ func (p *partition) clearEquiKeys() {
 	p.mu.Unlock()
 }
 
-// snapshot serializes the partition's full recoverable state: the database
-// (live tuples + graveyard), the scheme's provenance tables, and the
-// output tuples that arrived. Checkpoints, bootstrap and leave handoffs
-// and read-repair replies all carry this one layout.
+// snapshot serializes the partition's full recoverable state: the version
+// byte, the database (live tuples + graveyard) and the scheme's provenance
+// tables. Checkpoints, bootstrap and leave handoffs and read-repair replies
+// all carry this one layout.
 func (p *partition) snapshot() []byte {
 	e := wire.NewEncoder(4096)
 	e.U8(nodeSnapVersion)
@@ -208,10 +201,6 @@ func (p *partition) snapshot() []byte {
 	defer p.mu.Unlock()
 	p.db.EncodeSnapshot(e)
 	p.state.Persist(e)
-	e.U32(uint32(len(p.outputs)))
-	for _, t := range p.outputs {
-		e.Tuple(t)
-	}
 	return e.Bytes()
 }
 
@@ -233,24 +222,16 @@ func (p *partition) load(payload []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.state.Merge(d); err != nil {
-		return err
+	return p.state.Merge(d)
+}
+
+// outputs lists the partition's rows of the given output relations, per
+// relation in insertion order: an output is stored like any arriving tuple,
+// so the database is its one copy — a set, so a second arrival adds none.
+func (p *partition) outputs(rels []string) []types.Tuple {
+	var out []types.Tuple
+	for _, rel := range rels {
+		out = append(out, p.db.Scan(rel)...)
 	}
-	nOut := d.U32()
-	if nOut > maxDurItems {
-		return fmt.Errorf("cluster: node snapshot with %d outputs", nOut)
-	}
-	// Outputs are a set: one VID set per load keeps the merge linear.
-	have := make(map[types.ID]bool, len(p.outputs))
-	for _, t := range p.outputs {
-		have[types.HashTuple(t)] = true
-	}
-	for i := uint32(0); i < nOut && d.Err() == nil; i++ {
-		t := d.Tuple()
-		if vid := types.HashTuple(t); d.Err() == nil && !have[vid] {
-			have[vid] = true
-			p.outputs = append(p.outputs, t)
-		}
-	}
-	return d.Err()
+	return out
 }

@@ -65,10 +65,10 @@ func rolesCluster(t testing.TB, scheme, dir string, replicas int, load bool) *Cl
 
 // decodedSnapshot loads a snapshot payload into an empty partition — the
 // one decoder — and lists what it holds in a canonical order: the database
-// rows and graveyard, the outputs as a multiset, and the scheme tables as
-// every read the query protocol can make of them (the storage accounting,
-// the prov rows of every stored tuple, and every rule execution reachable
-// from those at this owner).
+// rows and graveyard, the output rows as Cluster.Outputs reads them, and
+// the scheme tables as every read the query protocol can make of them (the
+// storage accounting, the prov rows of every stored tuple, and every rule
+// execution reachable from those at this owner).
 func decodedSnapshot(t *testing.T, c *Cluster, owner types.NodeAddr, snap []byte) []string {
 	t.Helper()
 	p, err := c.newPartition(owner)
@@ -99,7 +99,7 @@ func decodedSnapshot(t *testing.T, c *Cluster, owner types.NodeAddr, snap []byte
 	for _, vid := range p.db.GraveyardVIDs() {
 		grave = append(grave, vid.String())
 	}
-	for _, tup := range p.outputs {
+	for _, tup := range p.outputs(c.outputRels) {
 		outs = append(outs, tup.String())
 	}
 	seen := make(map[core.Ref]bool)
@@ -221,7 +221,7 @@ func TestPartitionRolesAgree(t *testing.T) {
 	}
 }
 
-// decodedOutputs is the public view of every member's output list, as a
+// decodedOutputs is the public view of every member's outputs, as a
 // sorted multiset.
 func decodedOutputs(c *Cluster) []string {
 	var outs []string

@@ -55,7 +55,7 @@ func FuzzPartitionLoad(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{nodeSnapVersion, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{nodeSnapVersion, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range clusters {
 			p, err := c.newPartition("n2")
@@ -79,13 +79,16 @@ func FuzzPartitionLoad(f *testing.F) {
 // accept at every offset of a real snapshot: whichever count field it
 // lands in, the load must not reserve memory by it.
 func TestPartitionLoadAllocsBounded(t *testing.T) {
+	// The limit both inner decoders enforce: engine.maxSnapshotItems for the
+	// database, core.maxPersistItems for the scheme state.
+	const maxItems = 1 << 26
 	for _, scheme := range fuzzSchemes {
 		c := rolesCluster(t, scheme, "", 0, true)
 		rolesHistory(t, c)
 		snap := c.node("n2").self.snapshot()
 		for off := 0; off+4 <= len(snap); off++ {
 			data := append([]byte(nil), snap...)
-			binary.BigEndian.PutUint32(data[off:], maxDurItems)
+			binary.BigEndian.PutUint32(data[off:], maxItems)
 			p, err := c.newPartition("n2")
 			if err != nil {
 				t.Fatal(err)

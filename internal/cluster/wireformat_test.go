@@ -339,6 +339,140 @@ func TestRecoveryRefusesOtherWALFormat(t *testing.T) {
 	}
 }
 
+// TestPartitionLoadRefusesOtherVersion: a node snapshot whose version byte
+// is not nodeSnapVersion — the previous layout's or a future one's — is
+// refused before anything in it is decoded, and the error names the
+// version it found.
+func TestPartitionLoadRefusesOtherVersion(t *testing.T) {
+	c := rolesCluster(t, core.SchemeAdvanced, "", 0, true)
+	rolesHistory(t, c)
+	snap := c.node("n2").self.snapshot()
+	for _, v := range []byte{nodeSnapVersion - 1, nodeSnapVersion + 1} {
+		other := append([]byte(nil), snap...)
+		other[0] = v
+		p, err := c.newPartition("n2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.load(other)
+		if want := fmt.Sprint("version ", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("load of a version-%d snapshot: %v (want mention of %q)", v, err, want)
+		}
+		if rows := p.db.Count("route") + p.db.Count("packet"); rows != 0 || p.state.StorageBytes() != 0 {
+			t.Errorf("a refused version-%d snapshot loaded %d rows, %d provenance bytes", v, rows, p.state.StorageBytes())
+		}
+	}
+}
+
+// TestBootRefusesOtherSnapshotVersion: a data directory whose newest
+// snapshot carries another node-snapshot version fails boot with the
+// version in the error, rather than being misread. The WAL stamp cannot
+// catch it: the records are unchanged, so the directory's stamp matches.
+func TestBootRefusesOtherSnapshotVersion(t *testing.T) {
+	dir := t.TempDir()
+	c := rolesCluster(t, core.SchemeAdvanced, dir, 0, true)
+	rolesHistory(t, c)
+	old := c.node("n2").self.snapshot()
+	old[0] = 1
+	c.Close()
+
+	noop := func([]byte) error { return nil }
+	ns, err := store.Open(c.nodeDataDir("n2"), store.Options{Fsync: store.SyncOff}, noop, noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Checkpoint(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{
+		Prog:    apps.Forwarding(),
+		Funcs:   apps.Funcs(),
+		Nodes:   []types.NodeAddr{"n1", "n2", "n3"},
+		DataDir: dir,
+	})
+	for _, want := range []string{"n2", "snapshot version 1"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("boot over a version-1 snapshot: %v (want mention of %q)", err, want)
+		}
+	}
+}
+
+// goldenSnapshot is n2's snapshot after rolesHistory under the Advanced
+// scheme, nodeSnapVersion 2: the version byte, the database, then the
+// scheme state. Map iteration decides the order of tables and rows in the
+// bytes, so the test pins the length and what the bytes decode to
+// (goldenSnapshotLines) rather than the spelling of a fresh snapshot. If
+// this test fails because the layout changed on purpose, bump
+// nodeSnapVersion, then regenerate both from the failure message of
+// `go test ./internal/cluster -run TestSnapshotGoldenBytes -v`.
+const goldenSnapshot = "" +
+	// version 2, then the database: two tables
+	"0200000002" +
+	// route, one row
+	"00000005726f757465000000010000001305726f7574650302026e3202026e3302026e33" +
+	// packet, two rows
+	"000000067061636b65740000000200000017067061636b65740402026e3202026e310202" +
+	"6e3302016100000017067061636b65740402026e3202026e3102026e33020162" +
+	// an empty graveyard
+	"00000000" +
+	// the scheme state: one ruleExec row (loc, RID, rule, one VID, next)
+	"00000001000000026e32fac916666a30f450b2a915cfd53bac99312b224f000000027231" +
+	"000000018866139c5f905a870f01ecd42ab955675aa9910b000000026e3127640d1cf2cb" +
+	"2f4b224eda909fc8ec071aa38a07" +
+	// no links, prov, htequi, hmap or pending rows
+	"0000000000000000000000000000000000000000"
+
+var goldenSnapshotLines = []string{
+	"storage 72",
+	`row packet(@n2, "n1", "n3", "a")`,
+	`row packet(@n2, "n1", "n3", "b")`,
+	`row route(@n2, "n3", "n3")`,
+}
+
+func TestSnapshotGoldenBytes(t *testing.T) {
+	c := rolesCluster(t, core.SchemeAdvanced, "", 0, true)
+	rolesHistory(t, c)
+	snap := c.node("n2").self.snapshot()
+	regenerate := func(why string) {
+		var b strings.Builder
+		for h := hex.EncodeToString(snap); h != ""; {
+			n := min(72, len(h))
+			fmt.Fprintf(&b, "\t%q +\n", h[:n])
+			h = h[n:]
+		}
+		t.Errorf("%s; if the node snapshot layout changed on purpose, bump nodeSnapVersion (now %d) and regenerate goldenSnapshot:\n%s",
+			why, nodeSnapVersion, b.String())
+		b.Reset()
+		for _, l := range decodedSnapshot(t, c, "n2", snap) {
+			fmt.Fprintf(&b, "\t%q,\n", l)
+		}
+		t.Fatalf("and goldenSnapshotLines:\n%s", b.String())
+	}
+	golden, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.newPartition("n2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.load(golden); err != nil {
+		regenerate(fmt.Sprintf("the golden snapshot no longer loads: %v", err))
+	}
+	want := strings.Join(goldenSnapshotLines, "\n")
+	switch {
+	case strings.Join(decodedSnapshot(t, c, "n2", golden), "\n") != want:
+		regenerate("the golden snapshot decodes to other contents")
+	case len(snap) != len(golden):
+		regenerate(fmt.Sprintf("a fresh snapshot is %d bytes, the golden one %d", len(snap), len(golden)))
+	case strings.Join(decodedSnapshot(t, c, "n2", snap), "\n") != want:
+		regenerate("a fresh snapshot decodes to other contents")
+	}
+}
+
 // noisePayload is a payload field of n characters that shares nothing with
 // the one for any other i, so a delta cannot elide any of it.
 func noisePayload(n, i int) string {

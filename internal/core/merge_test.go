@@ -74,7 +74,7 @@ func TestStateMergeUnion(t *testing.T) {
 }
 
 // TestStateMergeTruncatedErrors: every strict prefix of a snapshot fails
-// cleanly when merged, and a bumped version byte is rejected.
+// cleanly when merged.
 func TestStateMergeTruncatedErrors(t *testing.T) {
 	scheme := "advanced"
 	buf := persistBytes(populatedNodeState(t, scheme))
@@ -82,11 +82,6 @@ func TestStateMergeTruncatedErrors(t *testing.T) {
 		if err := freshNodeState(t, scheme).Merge(wire.NewDecoder(buf[:cut])); err == nil {
 			t.Fatalf("truncated snapshot of %d/%d bytes merged without error", cut, len(buf))
 		}
-	}
-	bad := append([]byte(nil), buf...)
-	bad[0] = statePersistVersion + 1
-	if err := freshNodeState(t, scheme).Merge(wire.NewDecoder(bad)); err == nil {
-		t.Fatal("unknown snapshot version accepted by merge")
 	}
 }
 

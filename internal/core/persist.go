@@ -12,13 +12,11 @@ import (
 // NodeState into a snapshot, and merge is the one decoder back: crash
 // recovery merges into a fresh state, handoffs and read-repair into a live
 // one. All three schemes share one store layout, so one codec covers them.
-// The add* calls that rebuild every row recompute the byte accounting as
-// they computed it live, so StorageBytes — the paper's headline metric —
-// comes back bit-identical across a crash; the snapshot's accounting
-// trailer is read only to frame it.
-
-// statePersistVersion tags the NodeState snapshot layout.
-const statePersistVersion = 1
+// The layout is unversioned here: the node snapshot that embeds it carries
+// the one version byte. The snapshot holds rows, not byte counts — the
+// add* calls that rebuild every row recompute the byte accounting as they
+// computed it live, so StorageBytes — the paper's headline metric — comes
+// back bit-identical across a crash.
 
 // maxPersistItems bounds decoded collection sizes; anything larger is a
 // corrupt snapshot, not a plausible node state.
@@ -41,13 +39,10 @@ func decodePersistRef(d *wire.Decoder) Ref {
 	return Ref{Loc: types.NodeAddr(loc), RID: rid}
 }
 
-// persist writes every table of the store plus its running byte
-// accounting. Iteration order is whatever the maps yield — restore is
-// order-insensitive, and the measurement serialization (serialize.go)
-// remains the deterministic form.
+// persist writes every table of the store. Iteration order is whatever the
+// maps yield — restore is order-insensitive, and the measurement
+// serialization (serialize.go) remains the deterministic form.
 func (s *store) persist(e *wire.Encoder) {
-	e.U8(statePersistVersion)
-
 	e.U32(uint32(len(s.ruleExec)))
 	for _, row := range s.ruleExec {
 		e.Str(string(row.Loc))
@@ -113,11 +108,6 @@ func (s *store) persist(e *wire.Encoder) {
 			e.ID(p.evid)
 		}
 	}
-
-	e.U64(uint64(s.ruleExecBytes))
-	e.U64(uint64(s.provBytes))
-	e.U64(uint64(s.htequiBytes))
-	e.U64(uint64(s.hmapBytes))
 }
 
 // merge folds a Persist snapshot into the store without resetting it; into
@@ -125,10 +115,9 @@ func (s *store) persist(e *wire.Encoder) {
 // alike. Every row goes through the normal dup-checked insertion paths
 // (addRuleExec/addLink/addProv/seenEquiKey), so rows already present —
 // e.g. delivered by replication while the snapshot was in flight — are
-// kept once and the running byte accounting stays exact. The snapshot's
-// own byte trailer is decoded and discarded: it describes the donor's
-// totals, not this store's. Pending outputs install without counting a
-// deferral; the state machine that parked them counted it.
+// kept once and the running byte accounting stays exact. Pending outputs
+// install without counting a deferral; the state machine that parked them
+// counted it.
 //
 // hmap entries and pending outputs install only for keys this store has
 // never seen. For a key both sides hold, the live entry may reflect a
@@ -139,10 +128,6 @@ func (s *store) persist(e *wire.Encoder) {
 // never wrong answers, because queries resolve through prov/ruleExec
 // rows, which do merge.
 func (s *store) merge(d *wire.Decoder) error {
-	if v := d.U8(); d.Err() == nil && v != statePersistVersion {
-		return fmt.Errorf("core: unsupported state snapshot version %d", v)
-	}
-
 	n := d.U32()
 	if n > maxPersistItems {
 		return fmt.Errorf("core: state snapshot with %d ruleExec rows", n)
@@ -261,13 +246,6 @@ func (s *store) merge(d *wire.Decoder) error {
 			s.deferOutput(eq, rel, p)
 		}
 	}
-
-	// The donor's byte-accounting trailer: read for framing, discard for
-	// content — this store's counters were maintained by the add* calls.
-	_ = d.U64()
-	_ = d.U64()
-	_ = d.U64()
-	_ = d.U64()
 
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("core: corrupt state snapshot: %w", err)

@@ -180,19 +180,17 @@ func (db *Database) DeleteEvicted(t types.Tuple) (bool, []types.ID) {
 	return true, evicted
 }
 
-// Scan returns the tuples of a relation. The order is insertion order
-// until the first Delete on the relation (deletes swap the last row into
-// the vacated slot). The returned slice must not be modified, and is only
-// stable until the next write — concurrent readers that need a stable view
-// across a whole join go through the evaluator, which holds the read lock
-// for its duration.
+// Scan returns a copy of a relation's tuples, so writers may run while the
+// caller reads it. The order is insertion order until the first Delete on
+// the relation (deletes swap the last row into the vacated slot).
 func (db *Database) Scan(rel string) []types.Tuple {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.scanLocked(rel)
+	return append([]types.Tuple(nil), db.scanLocked(rel)...)
 }
 
-// scanLocked is Scan for callers already holding mu (either side).
+// scanLocked is Scan without the copy, for callers that hold mu (either
+// side) for as long as they read the rows.
 func (db *Database) scanLocked(rel string) []types.Tuple {
 	if r := db.tables[rel]; r != nil {
 		return r.rows

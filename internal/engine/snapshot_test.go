@@ -131,18 +131,6 @@ func TestSnapshotTruncatedErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRejected: a bumped version byte is an error, not a
-// silent misparse.
-func TestSnapshotVersionRejected(t *testing.T) {
-	db := NewDatabase()
-	db.Insert(types.NewTuple("r", types.String("n"), types.Int(1)))
-	full := snapshotOf(db)
-	full[0] = snapshotVersion + 1
-	if err := NewDatabase().MergeSnapshot(wire.NewDecoder(full)); err == nil {
-		t.Fatal("unknown snapshot version accepted")
-	}
-}
-
 // TestSnapshotRestoreReplacesState: restoring is Reset followed by
 // MergeSnapshot, as restart recovery does — stale rows and stale graveyard
 // entries are gone, and the snapshot's contents are all there.

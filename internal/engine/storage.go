@@ -22,8 +22,7 @@ func (db *Database) Contains(t types.Tuple) bool {
 }
 
 // GraveyardVIDs returns the retained deleted-tuple VIDs oldest-first — the
-// FIFO eviction order. Exposed for the snapshot codec and for tests that
-// pin eviction behavior.
+// FIFO eviction order. Exposed for tests that pin eviction behavior.
 func (db *Database) GraveyardVIDs() []types.ID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -51,18 +50,15 @@ func (db *Database) Reset() {
 	db.graveyardHead = 0
 }
 
-// snapshotVersion tags the Database snapshot layout.
-const snapshotVersion = 1
-
 // EncodeSnapshot serializes the database — every relation's rows in slice
-// order, the graveyard contents in FIFO order, and the retention cap —
-// into the encoder. Secondary indexes are deliberately not persisted: they
+// order, then the graveyard contents in FIFO order — into the encoder. The
+// layout is unversioned here: the payload that embeds it carries the one
+// version byte. Secondary indexes are deliberately not persisted: they
 // rebuild lazily on first probe, so a snapshot stays small and a restore
 // answers probes identically without trusting on-disk index state.
 func (db *Database) EncodeSnapshot(e *wire.Encoder) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	e.U8(snapshotVersion)
 	e.U32(uint32(len(db.tables)))
 	for rel, r := range db.tables {
 		e.Str(rel)
@@ -83,7 +79,6 @@ func (db *Database) EncodeSnapshot(e *wire.Encoder) {
 	for _, vid := range live {
 		e.Tuple(db.graveyard[vid])
 	}
-	e.U32(uint32(db.graveyardCap))
 }
 
 // maxSnapshotItems bounds a decoded collection; larger counts indicate a
@@ -93,16 +88,12 @@ const maxSnapshotItems = 1 << 26
 // MergeSnapshot folds a snapshot into the database without resetting it:
 // rows insert with set semantics (duplicates are no-ops) in their recorded
 // order, graveyard entries append in FIFO order only when absent, and the
-// snapshot's retention cap is decoded but discarded — the receiver keeps
-// the cap it was configured with. It is the one snapshot decoder: boot
+// receiver's own retention cap then applies to them. It is the one snapshot decoder: boot
 // recovery merges into an empty database, which rebuilds the snapshotted
 // one, and handoff installs and read-repair merge over a store that may
 // already hold replicated inserts for the same partition, in either
 // arrival order.
 func (db *Database) MergeSnapshot(d *wire.Decoder) error {
-	if v := d.U8(); d.Err() == nil && v != snapshotVersion {
-		return fmt.Errorf("engine: unsupported database snapshot version %d", v)
-	}
 	nTables := d.U32()
 	if nTables > maxSnapshotItems {
 		return fmt.Errorf("engine: snapshot with %d tables", nTables)
@@ -139,7 +130,6 @@ func (db *Database) MergeSnapshot(d *wire.Decoder) error {
 			db.graveyardOrder = append(db.graveyardOrder, vid)
 		}
 	}
-	_ = d.U32() // donor's graveyard cap: framing only
 	db.enforceGraveyardCapLocked()
 	db.mu.Unlock()
 	if err := d.Err(); err != nil {

@@ -406,6 +406,38 @@ func TestWrongArityEventRejected(t *testing.T) {
 	}
 }
 
+// TestUnconsumedEventRejected: an event no rule takes as its event — an
+// unknown relation, or a forged output — is refused with 400, instead of
+// being stored where it lands and listed as an output nothing derived.
+func TestUnconsumedEventRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"events":[{"rel":"bogus","args":["n1"]}],"wait_ms":2000}`,
+		`{"events":[{"rel":"recv","args":["n2","n0","n2","forged"]}],"wait_ms":2000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/events", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/outputs?scheme=advanced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs struct {
+		Outputs []tupleSpec `json:"outputs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&outs)
+	resp.Body.Close()
+	if err != nil || len(outs.Outputs) != 0 {
+		t.Fatalf("outputs after refused events = %+v (err %v), want none", outs.Outputs, err)
+	}
+}
+
 // TestMetricsAndStats checks both observability surfaces expose the
 // serving counters.
 func TestMetricsAndStats(t *testing.T) {
