@@ -5,7 +5,10 @@
 #                must not exceed NOLINT_MAX (a ratchet: lower it with every
 #                site handled, never raise it)
 #   build        go build ./...
-#   test         go test -race ./... (full suite under the race detector)
+#   test         go test -race ./... (full suite under the race detector,
+#                including the root package's Example functions, whose
+#                printed scenario figures and provenance trees must match
+#                their // Output: blocks)
 #   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
 #                skip themselves under the race detector: types.HashTuple
 #                and a warmed wire.Encoder.Tuple allocate 0, a rule
@@ -30,10 +33,6 @@
 #                + validate each query's span tree from /v1/trace/{id},
 #                scrape /metrics and assert non-zero counters, then a
 #                short Zipf load phase
-#   trace-smoke  provquery with -trace: every query must yield a single
-#                parent-linked span tree and the written Chrome trace
-#                JSON must validate (provquery self-checks both and
-#                exits non-zero otherwise)
 #   recover-smoke  crash-recovery end to end against real processes: boot a
 #                child provd on a temp -data-dir, inject + record every
 #                provenance tree, kill -9 mid-load, reboot and require WAL
@@ -69,11 +68,10 @@
 
 GO ?= go
 NOLINT_MAX := 41
-TRACE_SMOKE_FILE := $(or $(TMPDIR),/tmp)/provcompress-trace-smoke.json
 
-.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke bench recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke bench recover-smoke elastic-smoke cache-smoke soak soak-smoke
 
-verify: vet build test allocs fuzz-smoke chaos serve-smoke trace-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs fuzz-smoke chaos serve-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -105,9 +103,6 @@ chaos:
 
 serve-smoke:
 	$(GO) run ./cmd/provd -selftest -nodes 5 -trace
-
-trace-smoke:
-	$(GO) run ./cmd/provquery -nodes 5 -packets 4 -pairs 2 -trace $(TRACE_SMOKE_FILE)
 
 # Go microbenchmarks plus the repo's benchmark (BENCHMARK.json).
 bench:

@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -56,13 +57,15 @@ import (
 	"time"
 
 	"provcompress/internal/cluster"
-	"provcompress/internal/clusterboot"
 	"provcompress/internal/provserve"
+	"provcompress/internal/scenario"
+	"provcompress/internal/store"
 	"provcompress/internal/trace"
+	"provcompress/internal/types"
 )
 
 func main() {
-	boot := clusterboot.Register(flag.CommandLine)
+	boot := registerBoot(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:8463", "HTTP listen address (use :0 for a random port)")
 	schemes := flag.String("schemes", "advanced,basic,exspan", "comma-separated provenance schemes to serve")
 	workers := flag.Int("workers", 8, "query worker pool size")
@@ -75,7 +78,7 @@ func main() {
 	tenants := flag.String("tenants", "", "per-tenant admission limits as name=qps[:burst[:inflight]],... (e.g. acme=100:20:8,free=5); requests pick a tenant via X-Tenant or ?tenant=, unknown labels bill the default tenant")
 	flag.Parse()
 
-	names := splitSchemes(*schemes)
+	names := splitList(strings.ToLower(*schemes))
 	if len(names) == 0 {
 		log.Fatal("provd: no schemes configured")
 	}
@@ -99,7 +102,6 @@ func main() {
 	var tracer *trace.Collector
 	if *traced {
 		tracer = trace.NewCollector(0)
-		boot.Tracer = tracer
 	}
 
 	// Listen before booting the clusters so /readyz answers 503 during
@@ -124,11 +126,11 @@ func main() {
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	addr := ln.Addr().String()
 	fmt.Printf("provd listening on http://%s (schemes %s, %d nodes, %d workers, queue %d)\n",
-		addr, strings.Join(names, ","), boot.Nodes, *workers, *queue)
+		addr, strings.Join(names, ","), boot.nodes, *workers, *queue)
 
 	clusters := make(map[string]*cluster.Cluster, len(names))
 	for _, name := range names {
-		c, _, err := boot.Boot(name)
+		c, err := boot.boot(name, tracer)
 		if err != nil {
 			log.Fatalf("provd: boot %s cluster: %v", name, err)
 		}
@@ -156,7 +158,7 @@ func main() {
 		err := provserve.SelfTest(provserve.SelfTestConfig{
 			BaseURL: "http://" + addr,
 			Schemes: names,
-			Nodes:   boot.Nodes,
+			Nodes:   boot.nodes,
 			Out:     os.Stdout,
 		})
 		shutdown(httpSrv)
@@ -195,7 +197,6 @@ func shutdown(s *http.Server) {
 	s.Shutdown(ctx) //nolint:errcheck
 }
 
-// splitSchemes parses the -schemes flag into trimmed lowercase names.
 // parseTenants decodes the -tenants flag: a comma-separated list of
 // name=qps[:burst[:inflight]] specs. qps 0 means unlimited rate; inflight
 // 0 means unlimited concurrent cold queries.
@@ -237,16 +238,136 @@ func parseTenants(s string) ([]provserve.TenantConfig, error) {
 	return out, nil
 }
 
-func splitSchemes(s string) []string {
+// bootFlags are the topology, scheme, fault-injection and durability
+// options of the clusters provd boots, one per served scheme.
+type bootFlags struct {
+	app, scheme, join, dataDir, fsync                        string
+	nodes, resetAfter, graveyardCap, replicas, snapshotEvery int
+	drop, delay                                              float64
+	delayFor, fsyncInterval                                  time.Duration
+	faultSeed                                                int64
+}
+
+// registerBoot installs the cluster bring-up flags on fs and returns the
+// struct they populate.
+func registerBoot(fs *flag.FlagSet) *bootFlags {
+	f := &bootFlags{}
+	fs.IntVar(&f.nodes, "nodes", 8, "cluster size (topology shape per -app)")
+	fs.StringVar(&f.app, "app", "forwarding", fmt.Sprintf("deployed application scenario: %s", strings.Join(scenario.Names(), ", ")))
+	fs.StringVar(&f.scheme, "scheme", "advanced", "provenance scheme: exspan, basic, or advanced")
+	fs.Float64Var(&f.drop, "drop", 0, "fault injection: per-attempt probability a frame write is dropped")
+	fs.Float64Var(&f.delay, "delay", 0, "fault injection: per-attempt probability a frame write stalls")
+	fs.DurationVar(&f.delayFor, "delay-for", 5*time.Millisecond, "fault injection: how long a stalled write waits")
+	fs.IntVar(&f.resetAfter, "reset-after", 0, "fault injection: reset each link once after N successful writes")
+	fs.Int64Var(&f.faultSeed, "fault-seed", 1, "fault injection: RNG seed (runs with the same seed inject the same faults)")
+	fs.IntVar(&f.graveyardCap, "graveyard-cap", 0, "max deleted tuples retained per node for provenance VID resolution (0 = unbounded)")
+	fs.IntVar(&f.replicas, "replicas", 0, "k-way provenance replication factor; queries fail over to replicas when a member is down (0 = off)")
+	fs.StringVar(&f.join, "join", "", "comma-separated member addresses to join elastically after boot (e.g. n8,n9)")
+	fs.StringVar(&f.dataDir, "data-dir", "", "directory for the durable provenance store (WAL + snapshots); empty runs in-memory only")
+	fs.StringVar(&f.fsync, "fsync", "always", "WAL fsync policy: always (per record), interval, or off")
+	fs.DurationVar(&f.fsyncInterval, "fsync-interval", 50*time.Millisecond, "flush period under -fsync=interval")
+	fs.IntVar(&f.snapshotEvery, "snapshot-every", 10000, "checkpoint a node after this many WAL records (0 = only on clean shutdown)")
+	return f
+}
+
+// boot builds the -app scenario's topology, boots one cluster running its
+// DELP under scheme (empty means -scheme) with spans going to tracer (nil
+// means untraced), loads the scenario's base tuples unless the cluster
+// recovered them, and joins the -join members. The caller must Close the
+// cluster.
+func (f *bootFlags) boot(scheme string, tracer *trace.Collector) (*cluster.Cluster, error) {
+	if f.nodes < 2 {
+		return nil, fmt.Errorf("need at least 2 nodes, have %d", f.nodes)
+	}
+	if scheme == "" {
+		scheme = f.scheme
+	}
+	sc, err := scenario.Get(f.app)
+	if err != nil {
+		return nil, err
+	}
+	// Validate the policy spelling even on a volatile run, so a typo'd
+	// -fsync fails fast instead of being discovered the day -data-dir is
+	// finally set.
+	policy, err := store.ParseSyncPolicy(f.fsync)
+	if err != nil {
+		return nil, err
+	}
+	g := sc.Topology(f.nodes)
+	cfg := cluster.Config{
+		Prog:         sc.Prog(),
+		Funcs:        sc.Funcs(),
+		Nodes:        g.Nodes(),
+		Scheme:       scheme,
+		Tracer:       tracer,
+		GraveyardCap: f.graveyardCap,
+		Replicas:     f.replicas,
+	}
+	if f.drop > 0 || f.delay > 0 || f.resetAfter > 0 {
+		cfg.Faults = &cluster.FaultPlan{Seed: f.faultSeed, Drop: f.drop, Delay: f.delay,
+			DelayFor: f.delayFor, ResetAfter: f.resetAfter}
+	}
+	recovering := false
+	if f.dataDir != "" {
+		// Per-app, per-scheme subdirectory: a daemon serving several
+		// schemes (or re-deployed with a different -app) from one
+		// -data-dir must not replay one state machine's log into another.
+		cfg.DataDir = filepath.Join(f.dataDir, f.app, scheme)
+		cfg.Durability = store.Options{
+			Fsync:         policy,
+			FsyncInterval: f.fsyncInterval,
+			SnapshotEvery: f.snapshotEvery,
+		}
+		recovering = dirHasState(cfg.DataDir)
+	}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A recovered cluster already holds its base tuples (and everything
+	// since); reloading them would be harmless no-op inserts, but skipping
+	// keeps the recovery counters honest.
+	if !recovering {
+		if err := c.LoadBase(sc.Base(g)); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	// Elastic joins happen after the base load: each newcomer enters
+	// through the membership protocol (gossip, bootstrap handoff, Up), so
+	// a -join run exercises the same path a live scale-out would.
+	for _, addr := range splitList(f.join) {
+		if err := c.Join(types.NodeAddr(addr)); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("join %s: %w", addr, err)
+		}
+	}
+	return c, nil
+}
+
+// splitList parses a comma-separated flag into trimmed, deduplicated,
+// non-empty items in their first-seen order.
+func splitList(s string) []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, part := range strings.Split(s, ",") {
-		name := strings.ToLower(strings.TrimSpace(part))
-		if name == "" || seen[name] {
+		item := strings.TrimSpace(part)
+		if item == "" || seen[item] {
 			continue
 		}
-		seen[name] = true
-		out = append(out, name)
+		seen[item] = true
+		out = append(out, item)
 	}
 	return out
+}
+
+// dirHasState reports whether a scheme data dir holds prior state to
+// recover (any snapshot or WAL file in any node subdirectory).
+func dirHasState(dir string) bool {
+	for _, pattern := range []string{"*.snap", "*.log"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, "*", pattern)); len(m) > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -392,3 +392,59 @@ func TestRestartErrors(t *testing.T) {
 		t.Errorf("restart of killed node: %v", err)
 	}
 }
+
+// TestChaosUnsurvivablePlanFailsFast is the plan no frame survives: with
+// every write dropped, the one injected packet's first hop exhausts its
+// retry budget and is dropped with clean accounting. Quiesce settles well
+// inside its deadline instead of wedging, nothing is output, the query for
+// the lost packet is cleanly empty, and Close returns.
+func TestChaosUnsurvivablePlanFailsFast(t *testing.T) {
+	g := topo.Line(5, "n")
+	c, err := New(Config{
+		Prog:   apps.Forwarding(),
+		Funcs:  apps.Funcs(),
+		Nodes:  g.Nodes(),
+		Faults: &FaultPlan{Seed: 1, Drop: 1.0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() // idempotent: a no-op once the Close below has run
+	if err := c.LoadBase(g.ShortestPaths().RouteTuples()); err != nil {
+		t.Fatal(err)
+	}
+	ev := pkt("n0", "n0", "n4", "doomed")
+	if err := c.Inject(ev); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatalf("quiesce wedged on an unsurvivable plan: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("quiesce took %v; a plan that drops everything should settle fast", elapsed)
+	}
+	counters := c.TransportStats().Counters()
+	if counters.Get("drops") < 1 || counters.Get("fault-drops") < 1 {
+		t.Errorf("drops = %d, fault-drops = %d; want both >= 1",
+			counters.Get("drops"), counters.Get("fault-drops"))
+	}
+	if outs := c.AllOutputs(); len(outs) != 0 {
+		t.Errorf("outputs = %v, want none", outs)
+	}
+	res, err := c.Query(recvT("n4", "n0", "n4", "doomed"), types.HashTuple(ev), time.Second)
+	if err != nil || len(res.Trees) != 0 {
+		t.Errorf("query for the lost packet: %v (%d trees), want a clean empty result", err, len(res.Trees))
+	}
+
+	done := make(chan struct{})
+	go func() {
+		c.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+}

@@ -13,7 +13,7 @@ import (
 )
 
 // tracedChain boots an n-node chain cluster with a span collector and
-// the shortest-path routes loaded, mirroring clusterboot.Boot.
+// the shortest-path routes loaded, as provd boots the forwarding app.
 func tracedChain(t *testing.T, n int, scheme string) (*Cluster, *trace.Collector) {
 	t.Helper()
 	tr := trace.NewCollector(0)

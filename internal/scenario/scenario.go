@@ -1,9 +1,9 @@
 // Package scenario is the registry of deployable DELP scenarios: each
 // entry bundles a program with the topology shape it runs over, its
 // slow-changing base tuples, a deterministic input-event generator, and a
-// slow-churn generator for deletion storms. The cluster bring-up path
-// (internal/clusterboot) and the soak harness (cmd/provsim soak) resolve
-// scenarios by name, so every binary deploys an application the same way.
+// slow-churn generator for deletion storms. provd's cluster bring-up
+// (-app) and the soak harness (cmd/provsim soak) resolve scenarios by
+// name, so every binary deploys an application the same way.
 package scenario
 
 import (
