@@ -15,17 +15,18 @@
 #                evaluation 0 unless it fires and <=3 per firing, one
 #                untraced pipeline step stays under its stated budget
 #                and, run with ship=false as WAL replay and shadow applies
-#                run it, encodes nothing, and the pooled batch encode path
-#                stays at 0
+#                run it, encodes nothing, the pooled batch encode path
+#                stays at 0, and so does a warmed WAL append
 #   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
-#                outside the process (types, wire, cluster, store, ndlog),
-#                a few seconds each from its seeded corpus — the decoders
-#                behind the socket, the WAL, the snapshot files, the
-#                snapshot payload loader (checkpoints, handoffs,
-#                read-repair), the replicated-record replayer and the
-#                parser must not panic, the two payload decoders must not
-#                allocate by a decoded count, and what the decoders
-#                accept must re-encode to itself
+#                outside the process (types, wire, cluster, store, ndlog,
+#                provserve), a few seconds each from its seeded corpus —
+#                the decoders behind the socket, the WAL, the snapshot
+#                files, the snapshot payload loader (checkpoints, handoffs,
+#                read-repair), the replicated-record replayer, the parser
+#                and the HTTP event and query bodies must not panic, the
+#                two payload decoders must not allocate by a decoded
+#                count, and what the decoders accept must re-encode to
+#                itself
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
 #   serve-smoke  provd end to end over real HTTP: boot on a random port
 #                with tracing on, inject a workload, cold + cached query
@@ -87,11 +88,11 @@ test:
 	$(GO) test -race ./...
 
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/cluster/
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/cluster/ ./internal/store/
 
 # go test -fuzz takes one package and one target at a time.
 fuzz-smoke:
-	@set -e; for pkg in internal/types internal/wire internal/cluster internal/store internal/ndlog; do \
+	@set -e; for pkg in internal/types internal/wire internal/cluster internal/store internal/ndlog internal/provserve; do \
 		for target in $$($(GO) test -list '^Fuzz' ./$$pkg | grep '^Fuzz'); do \
 			echo "fuzz ./$$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 3s ./$$pkg; \

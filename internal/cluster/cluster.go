@@ -840,6 +840,18 @@ func (c *Cluster) GraveyardSize() int {
 	return total
 }
 
+// DatabaseTuples sums the live tuples in the members' own databases —
+// slow tuples, input events, outputs and, under ExSPAN, every intermediate
+// event (partition.step) — the gauge the serving layer exports. Replica
+// shadows hold copies of these and are not counted.
+func (c *Cluster) DatabaseTuples() int {
+	total := 0
+	for _, n := range c.nodeMap() {
+		total += n.self.db.Len()
+	}
+	return total
+}
+
 // Alive reports whether the node is up (not killed).
 func (n *Node) Alive() bool { return n.alive.Load() }
 

@@ -12,8 +12,10 @@ import (
 )
 
 // partition is one member's recoverable state — its database, which holds
-// every tuple that arrived (outputs included), and the scheme's provenance
-// tables (Section 5.3) — wherever a copy of it lives: at the owner itself
+// the slow tuples, the input events injected here, the outputs that arrived
+// and, under a scheme whose walk resolves them, every intermediate event
+// (step), together with the scheme's provenance tables (Section 5.3) —
+// wherever a copy of it lives: at the owner itself
 // (Node.self), at a replica as the shadow the owner's record stream
 // maintains, or at the acting owner hosting it after the owner Left. Every role runs the same
 // pipeline step, replays the same records and speaks the same snapshot
@@ -27,6 +29,9 @@ type partition struct {
 	mu    sync.Mutex
 	db    *engine.Database
 	state core.NodeState
+	// keepEvents says the scheme's walk resolves every intermediate event's
+	// VID (core.NodeState.ResolvesEventVIDs), so step stores each one.
+	keepEvents bool
 }
 
 // newPartition builds an empty copy of owner's partition.
@@ -35,7 +40,7 @@ func (c *Cluster) newPartition(owner types.NodeAddr) (*partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &partition{owner: owner, db: engine.NewDatabase(), state: st}
+	p := &partition{owner: owner, db: engine.NewDatabase(), state: st, keepEvents: st.ResolvesEventVIDs()}
 	if c.graveyardCap > 0 {
 		p.db.SetGraveyardCap(c.graveyardCap)
 	}
@@ -62,13 +67,18 @@ func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
 }
 
 // step is the pipeline step (Section 2.1), run at node n against this
-// partition: materialize the arriving tuple, join the slow tables, fire
-// the matching rules and maintain provenance through the scheme's state
-// machine. The join runs against the database's own read-write lock —
-// outside mu — so shards evaluate concurrently; only the provenance state
-// transitions serialize on mu. Events of one equivalence class are
-// processed by one shard in arrival order, which is what keeps per-class
-// provenance chains consistent. FireAt uses the owner's address, so every
+// partition: store the arriving tuple if a provenance walk or Outputs will
+// read it, join the slow tables, fire the matching rules and maintain
+// provenance through the scheme's state machine. A fresh input event is
+// stored at its origin, where Basic's leaf VID and Advanced's EVID resolve
+// it, and an output where it lands; an intermediate event is stored only
+// under ExSPAN (keepEvents), since the other schemes re-derive it at query
+// time (Section 4) and no rule joins an event relation. The join runs
+// against the database's own read-write lock — outside mu — so shards
+// evaluate concurrently; only the provenance state transitions serialize
+// on mu. Events of one equivalence class are processed by one shard in
+// arrival order, which is what keeps per-class provenance chains
+// consistent. FireAt uses the owner's address, so every
 // copy's provenance rows carry the same (Loc, RID) identities and a walk
 // served from any of them resolves the same refs.
 //
@@ -83,14 +93,16 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
 	defer sp.End()
-	p.db.Insert(f.Tuple)
+	rules := c.prog.RulesForEvent(f.Tuple.Rel)
+	if f.Fresh || len(rules) == 0 || p.keepEvents {
+		p.db.Insert(f.Tuple)
+	}
 	meta := f.Meta
 	if f.Fresh {
 		p.mu.Lock()
 		meta = p.state.Inject(f.Tuple)
 		p.mu.Unlock()
 	}
-	rules := c.prog.RulesForEvent(f.Tuple.Rel)
 	if len(rules) == 0 {
 		p.mu.Lock()
 		landed := p.state.Output(f.Tuple, meta)
@@ -226,8 +238,8 @@ func (p *partition) load(payload []byte) error {
 }
 
 // outputs lists the partition's rows of the given output relations, per
-// relation in insertion order: an output is stored like any arriving tuple,
-// so the database is its one copy — a set, so a second arrival adds none.
+// relation in insertion order: step stores every output where it lands, so
+// the database is its one copy — a set, so a second arrival adds none.
 func (p *partition) outputs(rels []string) []types.Tuple {
 	var out []types.Tuple
 	for _, rel := range rels {

@@ -221,6 +221,68 @@ func TestPartitionRolesAgree(t *testing.T) {
 	}
 }
 
+// TestSchemeStoresWhatItsWalkReads runs the role history under each
+// scheme and checks the database holds exactly the tuples the scheme's walk
+// resolves: an event that is neither injected at a node nor an output there
+// is stored only under ExSPAN, whose ruleExec rows name every hop's event;
+// every input event resolves by VID at its origin; and every output answers
+// with the trees ExSPAN answers.
+func TestSchemeStoresWhatItsWalkReads(t *testing.T) {
+	members := []types.NodeAddr{"n1", "n2", "n3"}
+	injected := []types.Tuple{pkt("n1", "n1", "n3", "a"), pkt("n1", "n1", "n3", "b")}
+	events := make(map[string]bool)
+	for _, r := range apps.Forwarding().Rules {
+		events[r.Event.Rel] = true
+	}
+	var exspanTrees []string
+	var exspanTuples int
+	// ExSPAN runs first: it is the reference the others are held to.
+	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		c := rolesCluster(t, scheme, "", 0, true)
+		rolesHistory(t, c)
+		intermediate := 0
+		for _, addr := range members {
+			db := c.node(addr).self.db
+			for rel := range events {
+				for _, tup := range db.Scan(rel) {
+					fresh := false
+					for _, ev := range injected {
+						fresh = fresh || tup.Equal(ev)
+					}
+					if !fresh {
+						intermediate++
+					}
+				}
+			}
+		}
+		keeps := scheme == core.SchemeExSPAN
+		if keeps && intermediate == 0 || !keeps && intermediate != 0 {
+			t.Errorf("%s: %d intermediate event rows stored; want them only under ExSPAN", scheme, intermediate)
+		}
+		for _, ev := range injected {
+			if _, ok := c.node(ev.Loc()).self.db.LookupVID(types.HashTuple(ev)); !ok {
+				t.Errorf("%s: input event %v does not resolve at its origin", scheme, ev)
+			}
+		}
+		trees := rolesTrees(t, c)
+		for _, l := range trees {
+			if strings.Contains(l, ": 0 trees") {
+				t.Errorf("%s: an output answers no tree:\n%s", scheme, l)
+			}
+		}
+		if keeps {
+			exspanTrees, exspanTuples = trees, c.DatabaseTuples()
+			continue
+		}
+		if got, want := strings.Join(trees, "\n"), strings.Join(exspanTrees, "\n"); got != want {
+			t.Errorf("%s: trees differ from ExSPAN's:\n--- got\n%s\n--- want\n%s", scheme, got, want)
+		}
+		if n := c.DatabaseTuples(); n >= exspanTuples {
+			t.Errorf("%s: %d database tuples, ExSPAN %d; want fewer", scheme, n, exspanTuples)
+		}
+	}
+}
+
 // decodedOutputs is the public view of every member's outputs, as a
 // sorted multiset.
 func decodedOutputs(c *Cluster) []string {

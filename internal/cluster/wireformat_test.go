@@ -402,13 +402,38 @@ func TestBootRefusesOtherSnapshotVersion(t *testing.T) {
 
 // goldenSnapshot is n2's snapshot after rolesHistory under the Advanced
 // scheme, nodeSnapVersion 2: the version byte, the database, then the
-// scheme state. Map iteration decides the order of tables and rows in the
-// bytes, so the test pins the length and what the bytes decode to
-// (goldenSnapshotLines) rather than the spelling of a fresh snapshot. If
-// this test fails because the layout changed on purpose, bump
-// nodeSnapVersion, then regenerate both from the failure message of
+// scheme state. n2 forwards both packets but is neither their origin nor
+// their destination, so under Advanced its database holds only its route.
+// Map iteration decides the order of tables and rows in the bytes, so the
+// test pins the length and what the bytes decode to (goldenSnapshotLines)
+// rather than the spelling of a fresh snapshot. If this test fails because
+// the layout changed on purpose, bump nodeSnapVersion, then regenerate both
+// from the failure message of
 // `go test ./internal/cluster -run TestSnapshotGoldenBytes -v`.
 const goldenSnapshot = "" +
+	// version 2, then the database: one table
+	"0200000001" +
+	// route, one row
+	"00000005726f757465000000010000001305726f7574650302026e3202026e3302026e33" +
+	// an empty graveyard
+	"00000000" +
+	// the scheme state: one ruleExec row (loc, RID, rule, one VID, next)
+	"00000001000000026e32fac916666a30f450b2a915cfd53bac99312b224f000000027231" +
+	"000000018866139c5f905a870f01ecd42ab955675aa9910b000000026e3127640d1cf2cb" +
+	"2f4b224eda909fc8ec071aa38a07" +
+	// no links, prov, htequi, hmap or pending rows
+	"0000000000000000000000000000000000000000"
+
+var goldenSnapshotLines = []string{
+	"storage 72",
+	`row route(@n2, "n3", "n3")`,
+}
+
+// storedEventsSnapshot is the same snapshot as written by a build that
+// stored every intermediate event at every hop: the same layout and
+// version, plus n2's two packet rows. Data directories written then must
+// keep booting; the extra rows are rows no walk reads.
+const storedEventsSnapshot = "" +
 	// version 2, then the database: two tables
 	"0200000002" +
 	// route, one row
@@ -425,7 +450,7 @@ const goldenSnapshot = "" +
 	// no links, prov, htequi, hmap or pending rows
 	"0000000000000000000000000000000000000000"
 
-var goldenSnapshotLines = []string{
+var storedEventsSnapshotLines = []string{
 	"storage 72",
 	`row packet(@n2, "n1", "n3", "a")`,
 	`row packet(@n2, "n1", "n3", "b")`,
@@ -451,7 +476,27 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		}
 		t.Fatalf("and goldenSnapshotLines:\n%s", b.String())
 	}
-	golden, err := hex.DecodeString(goldenSnapshot)
+	golden := loadsAs(t, c, goldenSnapshot, goldenSnapshotLines)
+	if golden == nil {
+		regenerate("the golden snapshot no longer loads or decodes to other contents")
+	}
+	want := strings.Join(goldenSnapshotLines, "\n")
+	switch {
+	case len(snap) != len(golden):
+		regenerate(fmt.Sprintf("a fresh snapshot is %d bytes, the golden one %d", len(snap), len(golden)))
+	case strings.Join(decodedSnapshot(t, c, "n2", snap), "\n") != want:
+		regenerate("a fresh snapshot decodes to other contents")
+	}
+	if loadsAs(t, c, storedEventsSnapshot, storedEventsSnapshotLines) == nil {
+		t.Fatal("a snapshot carrying stored intermediate events no longer loads as written")
+	}
+}
+
+// loadsAs decodes a hex snapshot of n2, loads it into an empty partition
+// and returns its bytes if it decodes to lines, or nil.
+func loadsAs(t *testing.T, c *Cluster, hexSnap string, lines []string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(hexSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,18 +504,15 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.load(golden); err != nil {
-		regenerate(fmt.Sprintf("the golden snapshot no longer loads: %v", err))
+	if err := p.load(b); err != nil {
+		t.Logf("load: %v", err)
+		return nil
 	}
-	want := strings.Join(goldenSnapshotLines, "\n")
-	switch {
-	case strings.Join(decodedSnapshot(t, c, "n2", golden), "\n") != want:
-		regenerate("the golden snapshot decodes to other contents")
-	case len(snap) != len(golden):
-		regenerate(fmt.Sprintf("a fresh snapshot is %d bytes, the golden one %d", len(snap), len(golden)))
-	case strings.Join(decodedSnapshot(t, c, "n2", snap), "\n") != want:
-		regenerate("a fresh snapshot decodes to other contents")
+	if got := decodedSnapshot(t, c, "n2", b); strings.Join(got, "\n") != strings.Join(lines, "\n") {
+		t.Logf("decodes to:\n%s", strings.Join(got, "\n"))
+		return nil
 	}
+	return b
 }
 
 // noisePayload is a payload field of n characters that shares nothing with

@@ -65,6 +65,12 @@ type NodeState interface {
 	// lookups (Advanced) rather than through recorded VIDs (Basic) or prov
 	// rows (ExSPAN).
 	EventByEvID() bool
+	// ResolvesEventVIDs reports whether a walk resolves the VID of every
+	// intermediate event tuple, so a node must keep each event that passes
+	// through it: true only for ExSPAN, whose ruleExec rows list the event
+	// of every hop. Basic and Advanced resolve only the input event, at its
+	// origin (Basic's leaf VID, Advanced's EVID), and re-derive the rest.
+	ResolvesEventVIDs() bool
 	// Regained names the row, stored before the last FireAt, that the firing
 	// gave one more predecessor — a walk through it now finds a derivation
 	// it did not before — or ZeroID: under ExSPAN the VID of the event tuple
@@ -314,6 +320,9 @@ func (s *AdvancedState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []
 // EventByEvID reports that leaf events resolve through EVID lookups.
 func (s *AdvancedState) EventByEvID() bool { return true }
 
+// ResolvesEventVIDs reports that only the input event is resolved.
+func (s *AdvancedState) ResolvesEventVIDs() bool { return false }
+
 // GainsLinks reports that a chained RID folds its predecessor in. (The
 // inter-class split does add link rows to stored executions; no serving
 // layer fronts it, and neither this nor Regained covers it.)
@@ -399,6 +408,9 @@ func (s *BasicState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref
 
 // EventByEvID reports that leaf events come from the recorded VIDs.
 func (s *BasicState) EventByEvID() bool { return false }
+
+// ResolvesEventVIDs reports that intermediate events are re-derived.
+func (s *BasicState) ResolvesEventVIDs() bool { return false }
 
 // GainsLinks reports that converging derivations add link rows.
 func (s *BasicState) GainsLinks() bool { return true }
@@ -488,6 +500,9 @@ func (s *ExSPANState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Re
 
 // EventByEvID reports that leaf events come from the prov rows.
 func (s *ExSPANState) EventByEvID() bool { return false }
+
+// ResolvesEventVIDs reports that every hop's event VID is resolved.
+func (s *ExSPANState) ResolvesEventVIDs() bool { return true }
 
 // GainsLinks reports that predecessors hang off prov rows, not links.
 func (s *ExSPANState) GainsLinks() bool { return false }

@@ -323,6 +323,14 @@ func (db *Database) GraveyardSize() int {
 	return len(db.graveyard)
 }
 
+// Len returns the number of live tuples across every relation (the
+// graveyard not included).
+func (db *Database) Len() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.byVID)
+}
+
 // Count returns the number of tuples in a relation.
 func (db *Database) Count(rel string) int {
 	db.mu.RLock()

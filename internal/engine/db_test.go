@@ -24,6 +24,10 @@ func TestDatabaseInsertScanDelete(t *testing.T) {
 	if db.Count("route") != 2 {
 		t.Errorf("count = %d, want 2", db.Count("route"))
 	}
+	db.Insert(types.NewTuple("link", types.String("n1"), types.String("n2")))
+	if db.Len() != 3 {
+		t.Errorf("len = %d, want 3 across both relations", db.Len())
+	}
 	rows := db.Scan("route")
 	if len(rows) != 2 || !rows[0].Equal(a) || !rows[1].Equal(b) {
 		t.Errorf("scan = %v", rows)
@@ -36,6 +40,9 @@ func TestDatabaseInsertScanDelete(t *testing.T) {
 	}
 	if db.Count("route") != 1 {
 		t.Errorf("count after delete = %d", db.Count("route"))
+	}
+	if db.Len() != 2 {
+		t.Errorf("len after delete = %d, want 2 (the graveyard is not counted)", db.Len())
 	}
 	if len(db.Scan("nosuch")) != 0 {
 		t.Error("scan of unknown relation non-empty")

@@ -41,6 +41,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -50,6 +51,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"provcompress/internal/cluster"
 	"provcompress/internal/metrics"
@@ -309,6 +311,11 @@ func (ts tupleSpec) tuple() (types.Tuple, error) {
 	if ts.Rel == "" {
 		return types.Tuple{}, fmt.Errorf("missing relation name")
 	}
+	if !utf8.ValidString(ts.Rel) {
+		// A query's rel comes from the URL, not JSON, so nothing else has
+		// checked it; no tuple arriving as JSON can carry such a name.
+		return types.Tuple{}, fmt.Errorf("relation name %q is not valid UTF-8", ts.Rel)
+	}
 	if len(ts.Args) == 0 {
 		return types.Tuple{}, fmt.Errorf("tuple %s needs at least the location argument", ts.Rel)
 	}
@@ -383,6 +390,27 @@ type eventsResponse struct {
 	Quiesced bool `json:"quiesced"`
 }
 
+// decodeEvents reads a POST /v1/events body and types its events; every
+// error is the client's.
+func decodeEvents(body io.Reader) (eventsRequest, []types.Tuple, error) {
+	var req eventsRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("bad events body: %v", err)
+	}
+	if len(req.Events) == 0 {
+		return req, nil, fmt.Errorf("no events")
+	}
+	tuples := make([]types.Tuple, len(req.Events))
+	for i, spec := range req.Events {
+		t, err := spec.tuple()
+		if err != nil {
+			return req, nil, fmt.Errorf("event %d: %v", i, err)
+		}
+		tuples[i] = t
+	}
+	return req, tuples, nil
+}
+
 // handleEvents injects input events into every configured cluster (each
 // scheme maintains provenance for the same stream, which is what makes
 // cross-scheme queries comparable).
@@ -399,23 +427,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.rejectTenant(w, tn, "rate", wait)
 		return
 	}
-	var req eventsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "bad events body: %v", err)
+	req, tuples, err := decodeEvents(r.Body)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if len(req.Events) == 0 {
-		jsonError(w, http.StatusBadRequest, "no events")
-		return
-	}
-	tuples := make([]types.Tuple, len(req.Events))
-	for i, spec := range req.Events {
-		t, err := spec.tuple()
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "event %d: %v", i, err)
-			return
-		}
-		tuples[i] = t
 	}
 	accepted := 0
 	for _, t := range tuples {
@@ -475,6 +490,15 @@ func traceIDString(id trace.TraceID) string {
 	return fmt.Sprintf("%016x", uint64(id))
 }
 
+// queryTuple types a query's rel parameter and its args JSON array.
+func queryTuple(rel, args string) (types.Tuple, error) {
+	var rawArgs []any
+	if err := json.Unmarshal([]byte(args), &rawArgs); err != nil {
+		return types.Tuple{}, fmt.Errorf("args must be a JSON array: %v", err)
+	}
+	return tupleSpec{Rel: rel, Args: rawArgs}.tuple()
+}
+
 // handleQuery answers a distributed provenance query, consulting the
 // result cache first. Parameters: rel (relation name), args (JSON array),
 // scheme (optional), evid (optional 40-char hex event ID).
@@ -496,12 +520,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	var rawArgs []any
-	if err := json.Unmarshal([]byte(q.Get("args")), &rawArgs); err != nil {
-		jsonError(w, http.StatusBadRequest, "args must be a JSON array: %v", err)
-		return
-	}
-	out, err := tupleSpec{Rel: q.Get("rel"), Args: rawArgs}.tuple()
+	out, err := queryTuple(q.Get("rel"), q.Get("args"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -890,6 +909,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.WritePrometheus(w, ts.Counters(), "provd_transport", label)
 		metrics.WriteGauge(w, "provd_storage_bytes", label, float64(c.TotalStorageBytes()))
 		metrics.WriteGauge(w, "provd_graveyard_tuples", label, float64(c.GraveyardSize()))
+		metrics.WriteGauge(w, "provd_db_tuples", label, float64(c.DatabaseTuples()))
 		// Per-class byte attribution: the three classes sum to the
 		// transport byte total by construction (see cluster.linkBytes).
 		for _, cl := range []struct {

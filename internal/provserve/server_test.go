@@ -490,7 +490,8 @@ func TestMetricsAndStats(t *testing.T) {
 }
 
 // TestMultiSchemeQueryAndOutputs runs two schemes side by side: the same
-// injected stream must answer under both, with independent cache keys.
+// injected stream must answer under both, with independent cache keys, and
+// /metrics must show Advanced storing fewer database tuples than ExSPAN.
 func TestMultiSchemeQueryAndOutputs(t *testing.T) {
 	clusters := map[string]*cluster.Cluster{
 		"advanced": newTestCluster(t, 3, "advanced"),
@@ -540,6 +541,20 @@ func TestMultiSchemeQueryAndOutputs(t *testing.T) {
 	}
 	if tup.Loc() != types.NodeAddr("n2") {
 		t.Fatalf("round-tripped output at %s, want n2", tup.Loc())
+	}
+
+	// Both clusters hold the same routes, input event and output, but only
+	// ExSPAN stores the packet again at each hop it passes.
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ := io.ReadAll(mresp.Body) //nolint:errcheck
+	mresp.Body.Close()
+	adv, aok := promSample(string(mbody), "provd_db_tuples", `{scheme="advanced"}`)
+	exs, eok := promSample(string(mbody), "provd_db_tuples", `{scheme="exspan"}`)
+	if !aok || !eok || adv >= exs {
+		t.Fatalf("/metrics provd_db_tuples advanced %g (ok=%v), exspan %g (ok=%v); want advanced below exspan", adv, aok, exs, eok)
 	}
 }
 
@@ -674,6 +689,9 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if _, ok := promSample(exposition, "provd_graveyard_tuples", `{scheme="advanced"}`); !ok {
 		t.Fatal("/metrics missing provd_graveyard_tuples")
+	}
+	if v, ok := promSample(exposition, "provd_db_tuples", `{scheme="advanced"}`); !ok || v != float64(c.DatabaseTuples()) || v <= 0 {
+		t.Fatalf("/metrics provd_db_tuples = %g (ok=%v), want the cluster's %d", v, ok, c.DatabaseTuples())
 	}
 }
 

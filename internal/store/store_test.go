@@ -1,12 +1,17 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"provcompress/internal/raceflag"
 )
 
 // openCollecting opens dir and collects what recovery hands back.
@@ -429,5 +434,51 @@ func TestCheckFormatRefusesOtherVersion(t *testing.T) {
 	}
 	if err := CheckFormat(dir, 7); err == nil {
 		t.Fatal("garbled stamp accepted")
+	}
+}
+
+// TestWALAppendFraming pins the log bytes the reused framing buffer writes:
+// each record is its big-endian length, its CRC-32C and the payload, also
+// after a record too large for the buffer to be kept, and a short record
+// after a long one carries nothing of the long one's tail.
+func TestWALAppendFraming(t *testing.T) {
+	recs := [][]byte{
+		bytes.Repeat([]byte{'a'}, 300),
+		[]byte("b"),
+		bytes.Repeat([]byte{'c'}, walBufKeep+1),
+		[]byte("dd"),
+		{},
+	}
+	var want []byte
+	for _, rec := range recs {
+		want = binary.BigEndian.AppendUint32(want, uint32(len(rec)))
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
+		want = append(want, rec...)
+	}
+	if got := walBytes(t, recs); !bytes.Equal(got, want) {
+		t.Fatalf("WAL file is %d bytes, want %d framed records of %d bytes", len(got), len(recs), len(want))
+	}
+}
+
+// TestWALAppendAllocs checks a warmed WAL appends without allocating.
+func TestWALAppendAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	w, err := openWAL(filepath.Join(t.TempDir(), "a.log"), SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close() //nolint:errcheck // a scratch log
+	rec := bytes.Repeat([]byte{'r'}, 512)
+	if _, err := w.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := w.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WAL append allocates %.0f times per record, want 0", n)
 	}
 }

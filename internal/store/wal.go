@@ -92,8 +92,14 @@ type wal struct {
 	// appends counts records written; the store's flusher compares it
 	// across an fsync to tell whether that fsync covered every append.
 	appends uint64
-	hdr     [walHeaderSize]byte
+	// buf frames each record (header then payload) for its one Write. It
+	// is reused across appends, which the owning NodeStore serializes; a
+	// buffer grown past walBufKeep by a rare large record is not kept.
+	buf []byte
 }
+
+// walBufKeep is the largest framing buffer a wal keeps between appends.
+const walBufKeep = 64 << 10
 
 func openWAL(path string, policy SyncPolicy) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -109,14 +115,16 @@ func (w *wal) append(payload []byte) (int, error) {
 	if len(payload) > maxWALRecord {
 		return 0, fmt.Errorf("store: WAL record of %d bytes exceeds limit", len(payload))
 	}
-	binary.BigEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(w.hdr[4:8], crc32.Checksum(payload, crcTable))
 	// One writev-style call: header and payload in a single Write so a
 	// crash tears at most the final record, never interleaves two.
-	buf := make([]byte, 0, walHeaderSize+len(payload))
-	buf = append(buf, w.hdr[:]...)
+	buf := binary.BigEndian.AppendUint32(w.buf[:0], uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	buf = append(buf, payload...)
-	if _, err := w.f.Write(buf); err != nil {
+	_, err := w.f.Write(buf)
+	if cap(buf) <= walBufKeep {
+		w.buf = buf
+	}
+	if err != nil {
 		return 0, err
 	}
 	w.dirty = true
