@@ -238,10 +238,10 @@ func parseTenants(s string) ([]provserve.TenantConfig, error) {
 	return out, nil
 }
 
-// bootFlags are the topology, scheme, fault-injection and durability
-// options of the clusters provd boots, one per served scheme.
+// bootFlags are the topology, fault-injection and durability options of
+// the clusters provd boots, one per served scheme.
 type bootFlags struct {
-	app, scheme, join, dataDir, fsync                        string
+	app, join, dataDir, fsync                                string
 	nodes, resetAfter, graveyardCap, replicas, snapshotEvery int
 	drop, delay                                              float64
 	delayFor, fsyncInterval                                  time.Duration
@@ -254,7 +254,6 @@ func registerBoot(fs *flag.FlagSet) *bootFlags {
 	f := &bootFlags{}
 	fs.IntVar(&f.nodes, "nodes", 8, "cluster size (topology shape per -app)")
 	fs.StringVar(&f.app, "app", "forwarding", fmt.Sprintf("deployed application scenario: %s", strings.Join(scenario.Names(), ", ")))
-	fs.StringVar(&f.scheme, "scheme", "advanced", "provenance scheme: exspan, basic, or advanced")
 	fs.Float64Var(&f.drop, "drop", 0, "fault injection: per-attempt probability a frame write is dropped")
 	fs.Float64Var(&f.delay, "delay", 0, "fault injection: per-attempt probability a frame write stalls")
 	fs.DurationVar(&f.delayFor, "delay-for", 5*time.Millisecond, "fault injection: how long a stalled write waits")
@@ -271,16 +270,12 @@ func registerBoot(fs *flag.FlagSet) *bootFlags {
 }
 
 // boot builds the -app scenario's topology, boots one cluster running its
-// DELP under scheme (empty means -scheme) with spans going to tracer (nil
-// means untraced), loads the scenario's base tuples unless the cluster
-// recovered them, and joins the -join members. The caller must Close the
-// cluster.
+// DELP under scheme with spans going to tracer (nil means untraced), loads
+// the scenario's base tuples unless the cluster recovered them, and joins
+// the -join members. The caller must Close the cluster.
 func (f *bootFlags) boot(scheme string, tracer *trace.Collector) (*cluster.Cluster, error) {
 	if f.nodes < 2 {
 		return nil, fmt.Errorf("need at least 2 nodes, have %d", f.nodes)
-	}
-	if scheme == "" {
-		scheme = f.scheme
 	}
 	sc, err := scenario.Get(f.app)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"provcompress/internal/core"
 	"provcompress/internal/provserve"
 )
 
@@ -50,24 +51,25 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-// TestBootRefuses checks that a bad bring-up flag fails the boot with an
-// error naming the offending value, before any node starts.
+// TestBootRefuses checks that a bad bring-up flag or scheme fails the boot
+// with an error naming the offending value, before any node starts.
 func TestBootRefuses(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
-		want string
+		args   []string
+		scheme string
+		want   string
 	}{
-		{[]string{"-nodes", "1"}, "have 1"},
-		{[]string{"-fsync", "bogus"}, `"bogus"`},
-		{[]string{"-app", "bogus"}, `"bogus"`},
-		{[]string{"-scheme", "bogus"}, `"bogus"`},
+		{[]string{"-nodes", "1"}, core.SchemeAdvanced, "have 1"},
+		{[]string{"-fsync", "bogus"}, core.SchemeAdvanced, `"bogus"`},
+		{[]string{"-app", "bogus"}, core.SchemeAdvanced, `"bogus"`},
+		{nil, "bogus", `"bogus"`},
 	} {
 		fs := flag.NewFlagSet("provd", flag.ContinueOnError)
 		f := registerBoot(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
-		c, err := f.boot("", nil)
+		c, err := f.boot(tc.scheme, nil)
 		if err == nil {
 			c.Close()
 			t.Errorf("boot with %v succeeded", tc.args)

@@ -223,6 +223,7 @@ type Node struct {
 	memberEpoch    atomic.Uint64
 	replTargets    atomic.Value // of []types.NodeAddr
 	replVersion    uint64       // view version replTargets was computed at (under viewMu)
+	replRecords    atomic.Int64 // records this owner shipped to its replicas, one per target
 	partsMu        sync.Mutex
 	parts          map[types.NodeAddr]*partition
 	ackMu          sync.Mutex

@@ -23,6 +23,14 @@ import (
 // between append and apply just means the record replays on recovery,
 // which is idempotent against the snapshot it follows.
 //
+// Only a frame whose apply changes recoverable state is logged (and
+// replicated): partition.changesState decides from the frame and the
+// scheme before the step runs. Under Advanced an intermediate event of a
+// class that already exists stores nothing (Section 5.3), so it runs its
+// step live — shipping its heads — and writes no record. A log written
+// when every frame was logged still replays: those extra records apply as
+// no-ops.
+//
 // The durMu serialization is the durability tradeoff: shards that would
 // evaluate concurrently on a volatile node serialize their applies on a
 // durable one. With DataDir unset nothing here runs and the concurrent
@@ -30,7 +38,7 @@ import (
 
 // WAL record kinds. Each record payload starts with one of these bytes.
 const (
-	recEvent  = 1 // processed tuple frame (fresh event or derived head)
+	recEvent  = 1 // tuple frame whose step changes state (partition.changesState)
 	recInsert = 2 // slow-changing insert (LoadBase / InsertSlow)
 	recDelete = 3 // slow-changing delete
 	recSig    = 4 // equivalence-table reset broadcast (Section 5.5)

@@ -52,7 +52,6 @@ type membStats struct {
 	viewFrames   atomic.Int64 // gossip frames sent
 	suspicions   atomic.Int64 // members marked Down from transport evidence
 	refutations  atomic.Int64 // self re-announcements beating a false Down
-	replRecords  atomic.Int64 // replicated records shipped
 	handoffs     atomic.Int64 // partition snapshots streamed
 	handoffBytes atomic.Int64 // snapshot payload bytes moved by handoffs
 	repairs      atomic.Int64 // read-repair merges applied into an owner
@@ -108,13 +107,15 @@ func (c *Cluster) MembershipStats() MembershipStats {
 		ViewFrames:       c.memb.viewFrames.Load(),
 		Suspicions:       c.memb.suspicions.Load(),
 		Refutations:      c.memb.refutations.Load(),
-		ReplRecords:      c.memb.replRecords.Load(),
 		Handoffs:         c.memb.handoffs.Load(),
 		HandoffBytes:     c.memb.handoffBytes.Load(),
 		Repairs:          c.memb.repairs.Load(),
 		Failovers:        c.memb.failovers.Load(),
 		PartialWalks:     c.memb.partialWalks.Load(),
 		RebalanceSeconds: time.Duration(c.memb.rebalanceNs.Load()).Seconds(),
+	}
+	for _, n := range c.nodeMap() {
+		s.ReplRecords += n.replRecords.Load()
 	}
 	if n := c.firstAlive(); n != nil {
 		n.viewMu.Lock()
@@ -521,7 +522,7 @@ func (n *Node) replicate(rec []byte) {
 	frame := encodeRepl(n.addr, rec)
 	for _, t := range targets {
 		if n.send(t, frame, classProv, 0) == nil {
-			n.c.memb.replRecords.Add(1)
+			n.replRecords.Add(1)
 		}
 	}
 }

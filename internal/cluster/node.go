@@ -247,8 +247,9 @@ func (n *Node) shardWorker(ch chan shardWork) {
 // processTuple runs the pipeline step for an arriving tuple and ships the
 // heads it derived. On a volatile node the step runs directly; on a durable
 // one the frame is logged to the WAL first and {append + step} hold durMu
-// so log order equals apply order (durability.go). Shipping happens outside
-// the lock either way.
+// so log order equals apply order (durability.go). Either way the frame is
+// logged and replicated only when applying it changes recoverable state
+// (partition.changesState). Shipping happens outside the lock either way.
 func (n *Node) processTuple(f *tupleFrame) {
 	// One hop rarely derives more heads than this; they ship from the
 	// stack.
@@ -266,21 +267,27 @@ func (n *Node) processTuple(f *tupleFrame) {
 	}
 	if !n.durable() {
 		ships := n.self.step(n, f, true, shipBuf[:0])
-		if n.c.replicas > 0 {
+		if n.c.replicas > 0 && n.self.changesState(n.c, f) {
 			n.replicate(encodeDurEvent(f))
 		}
 		n.shipAll(ships)
 		return
 	}
 	n.durMu.Lock()
-	rec := encodeDurEvent(f)
-	want := n.logApply(rec)
+	var rec []byte
+	want := false
+	if n.self.changesState(n.c, f) {
+		rec = encodeDurEvent(f)
+		want = n.logApply(rec)
+	}
 	ships := n.self.step(n, f, true, shipBuf[:0])
 	if want {
 		n.checkpointLocked()
 	}
 	n.durMu.Unlock()
-	n.replicate(rec)
+	if rec != nil {
+		n.replicate(rec)
+	}
 	n.shipAll(ships)
 }
 

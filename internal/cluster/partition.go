@@ -66,6 +66,19 @@ func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
 	return p
 }
 
+// changesState reports whether applying f changes this partition's
+// recoverable state, and so whether the owner logs and replicates it. It
+// reads the frame and the scheme, never the state, so the owner decides
+// before the step runs: a fresh event is stored and injected, an output is
+// stored and lands, an intermediate event is stored under ExSPAN
+// (keepEvents), and otherwise only a firing the scheme maintains stores a
+// row — under Advanced, not one whose class already exists. A frame it
+// rejects still runs live, and replays as a no-op (older logs hold such
+// frames).
+func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
+	return f.Fresh || len(c.prog.RulesForEvent(f.Tuple.Rel)) == 0 || p.keepEvents || p.state.Maintains(f.Meta)
+}
+
 // step is the pipeline step (Section 2.1), run at node n against this
 // partition: store the arriving tuple if a provenance walk or Outputs will
 // read it, join the slow tables, fire the matching rules and maintain
@@ -88,7 +101,8 @@ func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
 // provenance landing on an output fires its invalidation keys. WAL replay
 // and shadow applies pass false and encode nothing — the log and the
 // record stream hold exactly the frames the owner processed, and it
-// shipped their heads and fired their keys when it did.
+// shipped their heads and fired their keys when it did (changesState says
+// which frames those are).
 func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []outShip {
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)

@@ -293,3 +293,72 @@ func decodedOutputs(c *Cluster) []string {
 	sort.Strings(outs)
 	return outs
 }
+
+// TestWALLogsWhatReplayReads runs the role history on a durable cluster
+// with two replicas and counts each owner's records. n1 logs the route
+// LoadBase put there, the three injected events, the slow insert, its sig
+// and the slow delete; n2 its route, its sig and the packet of each event
+// that passes through; n3 its sig, each event's packet and each output.
+// Under Advanced the second "a" joins a class that already exists, so its
+// packets at n2 and n3 store nothing and are not logged; ExSPAN and Basic
+// store a row for every firing and log every frame. Every record reaches
+// both replicas, from a durable owner and from a volatile one alike. A log
+// that still holds such a frame — older builds logged every one — replays
+// it as a no-op.
+func TestWALLogsWhatReplayReads(t *testing.T) {
+	members := []types.NodeAddr{"n1", "n2", "n3"}
+	for _, tc := range []struct {
+		scheme string
+		want   map[types.NodeAddr]int64
+	}{
+		{core.SchemeExSPAN, map[types.NodeAddr]int64{"n1": 7, "n2": 5, "n3": 7}},
+		{core.SchemeBasic, map[types.NodeAddr]int64{"n1": 7, "n2": 5, "n3": 7}},
+		{core.SchemeAdvanced, map[types.NodeAddr]int64{"n1": 7, "n2": 4, "n3": 6}},
+	} {
+		scheme, want := tc.scheme, tc.want
+		t.Run(scheme, func(t *testing.T) {
+			dir := t.TempDir()
+			c := rolesCluster(t, scheme, dir, 2, true)
+			rolesHistory(t, c)
+			var logged int64
+			for _, addr := range members {
+				n := c.node(addr)
+				n.durMu.Lock()
+				wal := n.dstore.Stats().WALRecords
+				n.durMu.Unlock()
+				logged += wal
+				if wal != want[addr] {
+					t.Errorf("%s logged %d records, want %d", addr, wal, want[addr])
+				}
+				if repl := n.replRecords.Load(); repl != 2*wal {
+					t.Errorf("%s shipped %d records to its 2 replicas, logged %d", addr, repl, wal)
+				}
+			}
+			volatile := rolesCluster(t, scheme, "", 2, true)
+			rolesHistory(t, volatile)
+			for _, addr := range members {
+				if repl := volatile.node(addr).replRecords.Load(); repl != 2*want[addr] {
+					t.Errorf("volatile %s shipped %d records to its 2 replicas, want %d", addr, repl, 2*want[addr])
+				}
+			}
+			if scheme != core.SchemeAdvanced {
+				return
+			}
+			// An older build's record: the second "a"'s packet at n2, whose
+			// class already exists.
+			n2 := c.node("n2")
+			before := decodedSnapshot(t, c, "n2", n2.self.snapshot())
+			meta := core.NewAdvancedState(c.keys).Inject(pkt("n1", "n1", "n3", "a"))
+			meta.Exist = true
+			n2.durMu.Lock()
+			n2.logApply(encodeDurEvent(&tupleFrame{Tuple: pkt("n2", "n1", "n3", "a"), Meta: meta}))
+			n2.durMu.Unlock()
+			c.Close()
+			rebooted := rolesCluster(t, scheme, dir, 0, false)
+			if got := rebooted.DurabilityStats().ReplayedRecords; got != logged+1 {
+				t.Errorf("reboot replayed %d records, want %d", got, logged+1)
+			}
+			sameLines(t, "n2 after replaying a no-op record", decodedSnapshot(t, rebooted, "n2", rebooted.node("n2").self.snapshot()), before)
+		})
+	}
+}

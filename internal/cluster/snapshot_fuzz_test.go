@@ -101,8 +101,10 @@ func TestPartitionLoadAllocsBounded(t *testing.T) {
 
 // FuzzApplyRecord covers the record replayer, fed the WAL and the
 // replication stream a peer sends: arbitrary records must never panic nor
-// allocate by a decoded count, and an event record that applies must
-// decode back to an equal frame once re-encoded.
+// allocate by a decoded count, an event record that applies must decode
+// back to an equal frame once re-encoded, and an event record an owner
+// would not log (changesState) must leave the partition as it was — older
+// logs hold such records, and replay must treat them as no-ops.
 func FuzzApplyRecord(f *testing.F) {
 	// Each scheme's record lands on n1's partition as LoadBase left it, so
 	// an event joins the routes there.
@@ -122,6 +124,11 @@ func FuzzApplyRecord(f *testing.F) {
 		encodeDurEvent(&tupleFrame{Tuple: pkt("n2", "n1", "n3", "a"), Meta: core.AdvMeta{
 			Eq: types.HashBytes([]byte("class")), EvID: types.HashBytes([]byte("a")),
 			Prev: core.Ref{Loc: "n1", RID: types.HashBytes([]byte("exec"))},
+		}}),
+		// A member of an existing class passing through n1, where it joins
+		// the route: Advanced stores nothing for it.
+		encodeDurEvent(&tupleFrame{Tuple: pkt("n1", "n0", "n3", "a"), Meta: core.AdvMeta{
+			Eq: types.HashBytes([]byte("class")), Exist: true, EvID: types.HashBytes([]byte("a")),
 		}}),
 		encodeDurTuple(recInsert, route),
 		encodeDurTuple(recDelete, route),
@@ -149,6 +156,13 @@ func FuzzApplyRecord(f *testing.F) {
 			fr, err := decodeDurEvent(wire.NewDecoder(data[1:]))
 			if err != nil {
 				t.Fatalf("an applied event record does not decode: %v", err)
+			}
+			if !p.changesState(tg.c, fr) {
+				got := decodedSnapshot(t, tg.c, "n1", p.snapshot())
+				if want := decodedSnapshot(t, tg.c, "n1", tg.base); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s: a record no owner logs changed the partition:\n--- got\n%s\n--- want\n%s",
+						tg.c.scheme, strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
 			}
 			again, err := decodeDurEvent(wire.NewDecoder(encodeDurEvent(fr)[1:]))
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"provcompress/internal/sim"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
+	"provcompress/internal/wire"
 )
 
 // projSrc projects away the event attribute Y, so different events can
@@ -160,6 +161,42 @@ func TestRegainedReportsSecondPredecessor(t *testing.T) {
 		st.FireAt("n1", fr, meta(2))
 		if got := st.Regained(); !got.IsZero() {
 			t.Errorf("%s: repeated derivation regained %s", scheme, got.Hex())
+		}
+	}
+}
+
+// TestMaintainsSaysWhetherFireAtStores fires r2 on mid(@n1,7) with and
+// without existFlag under every scheme and requires Maintains to say
+// exactly when the firing changed the persisted state: a durable node logs
+// an intermediate event by that answer, so a firing it says stores nothing
+// must leave nothing a replay would rebuild.
+func TestMaintainsSaysWhetherFireAtStores(t *testing.T) {
+	prog, err := ndlog.ParseDELP(projSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := types.NewTuple("mid", types.String("n1"), types.Int(7))
+	fr := engine.Firing{Rule: prog.Rules[1], Event: mid,
+		Slow: []types.Tuple{types.NewTuple("sink", types.String("n1"), types.Int(7))},
+		Head: types.NewTuple("out", types.String("n1"), types.Int(7))}
+	persisted := func(st NodeState) string {
+		e := wire.NewEncoder(256)
+		st.Persist(e)
+		return string(e.Bytes())
+	}
+	for _, scheme := range AllSchemeNames() {
+		for _, exist := range []bool{false, true} {
+			st, err := newNodeState(scheme, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := types.HashTuple(projEvent(1))
+			m := AdvMeta{Eq: ev, Exist: exist, EvID: ev, Prev: Ref{Loc: "n0", RID: ev}}
+			before := persisted(st)
+			st.FireAt("n1", fr, m)
+			if stored := persisted(st) != before; stored != st.Maintains(m) {
+				t.Errorf("%s, existFlag %v: FireAt stored %v, Maintains says %v", scheme, exist, stored, st.Maintains(m))
+			}
 		}
 	}
 }

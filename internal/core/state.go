@@ -71,6 +71,12 @@ type NodeState interface {
 	// of every hop. Basic and Advanced resolve only the input event, at its
 	// origin (Basic's leaf VID, Advanced's EVID), and re-derive the rest.
 	ResolvesEventVIDs() bool
+	// Maintains reports whether FireAt stores a row for a firing that
+	// carries metadata m. It is the state's answer, not m's Exist bit:
+	// Advanced skips a firing whose class already exists (Section 5.3),
+	// while ExSPAN and Basic store one for every firing, Exist or not. A
+	// durable node logs an intermediate event only when it does.
+	Maintains(m AdvMeta) bool
 	// Regained names the row, stored before the last FireAt, that the firing
 	// gave one more predecessor — a walk through it now finds a derivation
 	// it did not before — or ZeroID: under ExSPAN the VID of the event tuple
@@ -323,6 +329,10 @@ func (s *AdvancedState) EventByEvID() bool { return true }
 // ResolvesEventVIDs reports that only the input event is resolved.
 func (s *AdvancedState) ResolvesEventVIDs() bool { return false }
 
+// Maintains reports that only a class's first execution grows the chain:
+// FireAt stores nothing when existFlag is true.
+func (s *AdvancedState) Maintains(m AdvMeta) bool { return !m.Exist }
+
 // GainsLinks reports that a chained RID folds its predecessor in. (The
 // inter-class split does add link rows to stored executions; no serving
 // layer fronts it, and neither this nor Regained covers it.)
@@ -411,6 +421,9 @@ func (s *BasicState) EventByEvID() bool { return false }
 
 // ResolvesEventVIDs reports that intermediate events are re-derived.
 func (s *BasicState) ResolvesEventVIDs() bool { return false }
+
+// Maintains reports that every firing stores a ruleExec row.
+func (s *BasicState) Maintains(AdvMeta) bool { return true }
 
 // GainsLinks reports that converging derivations add link rows.
 func (s *BasicState) GainsLinks() bool { return true }
@@ -503,6 +516,9 @@ func (s *ExSPANState) EventByEvID() bool { return false }
 
 // ResolvesEventVIDs reports that every hop's event VID is resolved.
 func (s *ExSPANState) ResolvesEventVIDs() bool { return true }
+
+// Maintains reports that every firing stores a ruleExec row.
+func (s *ExSPANState) Maintains(AdvMeta) bool { return true }
 
 // GainsLinks reports that predecessors hang off prov rows, not links.
 func (s *ExSPANState) GainsLinks() bool { return false }

@@ -2,10 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // Snapshot file layout: an 16-byte header — magic "PCSNAP1\x00", u32
@@ -50,8 +52,7 @@ func writeFileAtomic(dir, tmpPattern, path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	syncDir(dir)
-	return nil
+	return syncDir(dir)
 }
 
 // readSnapshotFile loads and verifies one snapshot file.
@@ -107,11 +108,21 @@ func scanDir(dir string) (snaps, wals []uint64, err error) {
 	return snaps, wals, nil
 }
 
-// syncDir fsyncs a directory so renames and unlinks within it are
-// durable. Best-effort: not every filesystem supports directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck
-		d.Close()
+// syncDir fsyncs a directory so the files created, renamed and unlinked
+// in it are durable. A filesystem that does not support fsync on a
+// directory at all (EINVAL, ENOTSUP) makes it a no-op; any other failure
+// is returned.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return err
 }

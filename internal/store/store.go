@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -113,6 +114,11 @@ func Open(dir string, opts Options, restore func(snapshot []byte) error, apply f
 	w, err := openWAL(walPath(dir, ns.gen), ns.opts.Fsync)
 	if err != nil {
 		return nil, err
+	}
+	// The generation may be a file recovery just created: its directory
+	// entry must be durable before a record appended to it is.
+	if err := syncDir(dir); err != nil {
+		return nil, errors.Join(err, w.close())
 	}
 	ns.w = w
 	if ns.opts.Fsync == SyncInterval {
@@ -278,20 +284,18 @@ func (ns *NodeStore) Checkpoint(payload []byte) error {
 	}
 	// The new snapshot is durable and the new log open: everything older
 	// is dead weight. Deleting it is safe even if we crash mid-loop —
-	// recovery picks the newest valid snapshot first.
-	snaps, wals, err := scanDir(ns.dir)
-	if err == nil {
-		for _, g := range snaps {
-			if g < newGen {
-				os.Remove(snapPath(ns.dir, g)) //nolint:errcheck
-			}
+	// recovery picks the newest valid snapshot first — and a directory
+	// that cannot be listed just keeps it until the next checkpoint.
+	snaps, wals, _ := scanDir(ns.dir)
+	for _, g := range snaps {
+		if g < newGen {
+			os.Remove(snapPath(ns.dir, g)) //nolint:errcheck
 		}
-		for _, g := range wals {
-			if g < newGen {
-				os.Remove(walPath(ns.dir, g)) //nolint:errcheck
-			}
+	}
+	for _, g := range wals {
+		if g < newGen {
+			os.Remove(walPath(ns.dir, g)) //nolint:errcheck
 		}
-		syncDir(ns.dir)
 	}
 	ns.w = w
 	ns.gen = newGen
@@ -299,7 +303,9 @@ func (ns *NodeStore) Checkpoint(payload []byte) error {
 	ns.snapshots++
 	ns.snapshotBytes += int64(len(payload))
 	ns.lastSnapshot = time.Now()
-	return nil
+	// The new generation's directory entry, like the unlinks, is durable
+	// only once the directory is: an append to it must not outlive it.
+	return syncDir(ns.dir)
 }
 
 // Sync forces buffered WAL appends to stable storage regardless of the

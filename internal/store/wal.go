@@ -5,8 +5,9 @@
 //
 // The unit of durability is one node directory (NodeStore): the cluster
 // runtime gives every member its own directory under the configured data
-// dir and appends one record per accepted event, slow-changing
-// insert/delete, and sig reset. On recovery the newest valid snapshot is
+// dir and appends one record per state change a replay must redo — an
+// event frame whose step stores something, a slow-changing insert/delete,
+// a sig reset. On recovery the newest valid snapshot is
 // restored and the WAL tail replayed; a torn final record — the signature
 // of a crash mid-append — is detected by its checksum and skipped instead
 // of aborting recovery (everything before it was already durable,
