@@ -5,10 +5,16 @@
 #                must not exceed NOLINT_MAX (a ratchet: lower it with every
 #                site handled, never raise it)
 #   build        go build ./...
-#   test         go test -race ./... (full suite under the race detector,
-#                including the root package's Example functions, whose
-#                printed scenario figures and provenance trees must match
-#                their // Output: blocks)
+#   test         go test -race ./... (full suite under the race detector).
+#                Besides the unit tests it holds the end-to-end checks: the
+#                root package's Example functions, whose printed scenario
+#                figures and provenance trees must match their // Output:
+#                blocks; cmd/provd's tests, which boot provd's own main as a
+#                child process over real HTTP (cold + cached query per
+#                scheme, span trees, /metrics, a load phase) and through
+#                kill -9 and SIGTERM restarts on one -data-dir; and
+#                provserve's same-class-writer cache floor and per-scenario
+#                multi-tenant soak
 #   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
 #                skip themselves under the race detector: types.HashTuple
 #                and a warmed wire.Encoder.Tuple allocate 0, a rule
@@ -29,37 +35,6 @@
 #                itself, and an event record no owner logs must replay as
 #                a no-op
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache
-#   serve-smoke  provd end to end over real HTTP: boot on a random port
-#                with tracing on, inject a workload, cold + cached query
-#                per scheme (the cached one must be >=10x faster), fetch
-#                + validate each query's span tree from /v1/trace/{id},
-#                scrape /metrics and assert non-zero counters, then a
-#                short Zipf load phase
-#   recover-smoke  crash-recovery end to end against real processes: boot a
-#                child provd on a temp -data-dir, inject + record every
-#                provenance tree, kill -9 mid-load, reboot and require WAL
-#                replay plus identical trees, then a clean SIGTERM
-#                (checkpoint) followed by a zero-replay boot
-#   elastic-smoke  the membership lifecycle on a small replicated cluster:
-#                rendezvous ownership movement at 1000 simulated members,
-#                then boot 5 live nodes with 2 replicas and walk through
-#                kill (replica failover), restart (read-repair), two joins
-#                and a leave (partition handoff) with provenance queries
-#                answering and byte-class accounting exact at every step
-#   cache-smoke  the keyed-invalidation floor at reduced scale: a mixed
-#                read/write workload (Zipf readers racing a sustained
-#                writer into the very equivalence class every read
-#                target belongs to) against the dependency-indexed
-#                cache, which must hold a hit rate > 0.5 with the writer
-#                landing events throughout
-#   soak-smoke   the multi-tenant scenario soak at reduced scale: every
-#                registered DELP scenario (forwarding, bgp, gossip) runs
-#                bursty ingest, Zipf queries from a well-behaved and an
-#                over-quota tenant (only the greedy one may see 429s), a
-#                deletion storm with restore, and a cache drain (one
-#                delete/restore wave over the injected events) — then
-#                the graveyard, cache-entry, dep-key, and trace-span
-#                gauges must all be back at their baselines
 #
 # `make bench` is not part of the gate: it runs the Go microbenchmarks and
 # the benchmark BENCHMARK.json declares (go run ./bench; see bench/README.md).
@@ -69,11 +44,11 @@
 # transport actually runs every time.
 
 GO ?= go
-NOLINT_MAX := 40
+NOLINT_MAX := 29
 
-.PHONY: verify vet build test allocs fuzz-smoke chaos serve-smoke bench recover-smoke elastic-smoke cache-smoke soak soak-smoke
+.PHONY: verify vet build test allocs fuzz-smoke chaos bench
 
-verify: vet build test allocs fuzz-smoke chaos serve-smoke recover-smoke elastic-smoke cache-smoke soak-smoke
+verify: vet build test allocs fuzz-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -103,27 +78,7 @@ fuzz-smoke:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Malformed|Quiesce|Restart|LateResult' ./internal/cluster/ ./internal/provserve/
 
-serve-smoke:
-	$(GO) run ./cmd/provd -selftest -nodes 5 -trace
-
 # Go microbenchmarks plus the repo's benchmark (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./internal/engine/ ./internal/cluster/
 	$(GO) run ./bench
-
-recover-smoke:
-	$(GO) run ./cmd/provd -recover-smoke
-
-elastic-smoke:
-	$(GO) run ./cmd/provsim -elastic-nodes 5 -elastic-replicas 2 elastic
-
-cache-smoke:
-	$(GO) run ./cmd/provsim -bench-smoke cache
-
-# Full-scale multi-tenant scenario soak (soak-smoke is the verify-gated
-# reduced-scale variant).
-soak:
-	$(GO) run ./cmd/provsim soak
-
-soak-smoke:
-	$(GO) run ./cmd/provsim -bench-smoke soak

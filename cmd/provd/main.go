@@ -33,11 +33,8 @@
 //	curl -s 'localhost:8463/v1/query?rel=recv&args=["n7","n0","n7","hello"]'
 //	curl -s localhost:8463/metrics | grep provd_cache
 //
-// The -selftest flag boots the daemon on a random port, drives it over
-// real HTTP (inject, cold query per scheme, cached re-query, /metrics
-// scrape, Zipf load phase), prints the benchmark report, and exits
-// non-zero on any violated expectation — `make serve-smoke` runs exactly
-// this.
+// SIGINT or SIGTERM drains the HTTP server and, with -data-dir, writes a
+// final checkpoint per scheme so the next boot replays no WAL records.
 package main
 
 import (
@@ -45,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -72,8 +70,6 @@ func main() {
 	queue := flag.Int("queue", 64, "pending-query queue bound (full queue answers 429)")
 	cacheSize := flag.Int("cache", 1024, "result cache entries")
 	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-attempt distributed query timeout")
-	selftest := flag.Bool("selftest", false, "boot on a random port, run the HTTP smoke + load phase, and exit")
-	recoverSmoke := flag.Bool("recover-smoke", false, "run the crash-recovery smoke test (spawns child provd processes on a temp -data-dir, kill -9 mid-load, asserts query equivalence) and exit")
 	traced := flag.Bool("trace", false, "collect distributed spans for every event and query; serves them on /v1/trace/{id}")
 	tenants := flag.String("tenants", "", "per-tenant admission limits as name=qps[:burst[:inflight]],... (e.g. acme=100:20:8,free=5); requests pick a tenant via X-Tenant or ?tenant=, unknown labels bill the default tenant")
 	flag.Parse()
@@ -85,16 +81,6 @@ func main() {
 	tenantCfgs, err := parseTenants(*tenants)
 	if err != nil {
 		log.Fatalf("provd: %v", err)
-	}
-	if *recoverSmoke {
-		if err := runRecoverSmoke(os.Stdout); err != nil {
-			log.Fatalf("provd: recover-smoke FAILED: %v", err)
-		}
-		fmt.Println("provd: recover-smoke ok")
-		return
-	}
-	if *selftest {
-		*listen = "127.0.0.1:0"
 	}
 
 	// One collector shared by every scheme's cluster: spans carry the
@@ -154,21 +140,6 @@ func main() {
 	defer srv.Close()
 	handler.Store(handlerBox{srv.Handler()})
 
-	if *selftest {
-		err := provserve.SelfTest(provserve.SelfTestConfig{
-			BaseURL: "http://" + addr,
-			Schemes: names,
-			Nodes:   boot.nodes,
-			Out:     os.Stdout,
-		})
-		shutdown(httpSrv)
-		if err != nil {
-			log.Fatalf("provd: selftest FAILED: %v", err)
-		}
-		fmt.Println("provd: selftest ok")
-		return
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -198,8 +169,9 @@ func shutdown(s *http.Server) {
 }
 
 // parseTenants decodes the -tenants flag: a comma-separated list of
-// name=qps[:burst[:inflight]] specs. qps 0 means unlimited rate; inflight
-// 0 means unlimited concurrent cold queries.
+// name=qps[:burst[:inflight]] specs. qps is a finite non-negative rate, 0
+// meaning unlimited; burst and inflight are non-negative integers, inflight
+// 0 meaning unlimited concurrent cold queries.
 func parseTenants(s string) ([]provserve.TenantConfig, error) {
 	var out []provserve.TenantConfig
 	for _, part := range strings.Split(s, ",") {
@@ -220,17 +192,20 @@ func parseTenants(s string) ([]provserve.TenantConfig, error) {
 			if f == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("-tenants: bad spec %q: field %q", part, f)
-			}
+			ok := false
 			switch i {
 			case 0:
-				cfg.QPS = v
+				v, err := strconv.ParseFloat(f, 64)
+				cfg.QPS, ok = v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 			case 1:
-				cfg.Burst = int(v)
+				n, err := strconv.Atoi(f)
+				cfg.Burst, ok = n, err == nil && n >= 0
 			case 2:
-				cfg.MaxInflight = int(v)
+				n, err := strconv.Atoi(f)
+				cfg.MaxInflight, ok = n, err == nil && n >= 0
+			}
+			if !ok {
+				return nil, fmt.Errorf("-tenants: bad spec %q: field %q", part, f)
 			}
 		}
 		out = append(out, cfg)

@@ -27,7 +27,8 @@ func TestParseTenants(t *testing.T) {
 	if got, err := parseTenants(""); err != nil || got != nil {
 		t.Fatalf("empty spec = %+v, %v; want nil, nil", got, err)
 	}
-	for _, bad := range []string{"noequals", "=5", "a=1:2:3:4", "a=-1", "a=x"} {
+	for _, bad := range []string{"noequals", "=5", "a=1:2:3:4", "a=-1", "a=x",
+		"a=NaN", "a=Inf", "a=1:1e300", "a=1:1:1e300", "a=1:2.5", "a=1:-2", "a=1:1:-1"} {
 		if _, err := parseTenants(bad); err == nil {
 			t.Errorf("parseTenants(%q) accepted a bad spec", bad)
 		}

@@ -86,7 +86,7 @@ func main() {
 }
 
 // injectWorkload pushes packets end to end across the daemon's chain and
-// waits for quiescence, mirroring the selftest's workload shape.
+// waits for quiescence.
 func injectWorkload(addr string, nodes, packets int) error {
 	type tupleSpec struct {
 		Rel  string `json:"rel"`

@@ -6,8 +6,6 @@
 //
 //	provsim [flags] fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|all
 //	provsim tables
-//	provsim [-elastic-nodes N] [-elastic-replicas K] elastic
-//	provsim [-bench-smoke] cache|soak
 //
 // By default the experiments run at a reduced scale that finishes in
 // seconds; -paper selects the paper's full parameters (100 pairs at 100
@@ -40,13 +38,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	ic := flag.Bool("ic", false, "add the Section 5.4 inter-class variant as a fourth series")
-	benchSmoke := flag.Bool("bench-smoke", false, "shrink the cache and soak checks to finish in seconds")
-	elasticNodes := flag.Int("elastic-nodes", 1000, "live cluster size for the elastic target")
-	elasticReplicas := flag.Int("elastic-replicas", 2, "replication factor for the elastic target")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: provsim [flags] fig8..fig16 | all")
+		fmt.Fprintln(os.Stderr, "usage: provsim [flags] fig8..fig16 | all | tables")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -145,27 +140,6 @@ func main() {
 	target := flag.Arg(0)
 	if target == "tables" {
 		printWorkedExampleTables()
-		return
-	}
-	if target == "cache" {
-		if err := runCacheSmoke(os.Stdout, *benchSmoke); err != nil {
-			fmt.Fprintf(os.Stderr, "provsim: cache: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if target == "soak" {
-		if err := runSoak(os.Stdout, *benchSmoke); err != nil {
-			fmt.Fprintf(os.Stderr, "provsim: soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if target == "elastic" {
-		if err := runElastic(os.Stdout, *elasticNodes, *elasticReplicas); err != nil {
-			fmt.Fprintf(os.Stderr, "provsim: elastic: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if target == "all" {

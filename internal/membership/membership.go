@@ -301,15 +301,3 @@ func Replicas(primary types.NodeAddr, k int, candidates []types.NodeAddr) []type
 	}
 	return Owners([]byte(primary), k, eligible)
 }
-
-// PartitionOwner returns the single rendezvous owner of an equivalence-key
-// partition among candidates ("" when there are none). The provsim scale
-// experiments use it to measure partition movement under churn at 1000+
-// members.
-func PartitionOwner(eq types.ID, candidates []types.NodeAddr) types.NodeAddr {
-	o := Owners(eq[:], 1, candidates)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
-}

@@ -3,6 +3,7 @@ package membership
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"provcompress/internal/types"
@@ -208,32 +209,55 @@ func TestOwnersDeterministicAndStable(t *testing.T) {
 }
 
 // TestOwnersMinimalMovement checks the rendezvous property the handoff
-// protocol relies on: adding one member to an N-member ring reassigns
-// roughly 1/(N+1) of the partitions and nothing else moves anywhere
-// except to the new member.
+// protocol relies on: when f of N members fail or join, a key moves only
+// if a failed member owned it or a joined one wins it, and the moved share
+// stays near f/N. At 1000 members the bound is 3x f/N and at least one key
+// must move, so an ownership map that ignores membership fails too.
 func TestOwnersMinimalMovement(t *testing.T) {
-	members := make([]types.NodeAddr, 10)
-	for i := range members {
-		members[i] = addr(i)
-	}
-	grown := append(append([]types.NodeAddr(nil), members...), addr(10))
-
-	const keys = 2000
-	moved := 0
-	for k := 0; k < keys; k++ {
+	keyID := func(k int) []byte {
 		id := types.HashBytes([]byte(fmt.Sprintf("key-%d", k)))
-		before := PartitionOwner(id, members)
-		after := PartitionOwner(id, grown)
-		if before != after {
-			moved++
-			if after != addr(10) {
-				t.Fatalf("key %d moved %s -> %s, not to the new member", k, before, after)
+		return id[:]
+	}
+	baseline := map[[2]int][]types.NodeAddr{}
+	for _, tc := range []struct {
+		members, killed, joined, keys int
+		minMoved, maxMoved            int
+	}{
+		{members: 10, joined: 1, keys: 2000, minMoved: 2000 / 20, maxMoved: 2000 / 5}, // ~1/11 expected
+		{members: 1000, killed: 10, keys: 4000, minMoved: 1, maxMoved: 3 * 4000 * 10 / 1000},
+		{members: 1000, joined: 10, keys: 4000, minMoved: 1, maxMoved: 3 * 4000 * 10 / 1000},
+	} {
+		members := make([]types.NodeAddr, tc.members)
+		for i := range members {
+			members[i] = addr(i)
+		}
+		// Rows with the same members and keys share one baseline placement.
+		base := [2]int{tc.members, tc.keys}
+		if baseline[base] == nil {
+			for k := 0; k < tc.keys; k++ {
+				baseline[base] = append(baseline[base], Owners(keyID(k), 1, members)[0])
 			}
 		}
-	}
-	// Expect ~keys/11 ≈ 182 moves; allow a generous band.
-	if moved < keys/20 || moved > keys/5 {
-		t.Fatalf("moved %d of %d keys on single join; want roughly 1/11", moved, keys)
+		after := append([]types.NodeAddr(nil), members[:tc.members-tc.killed]...)
+		for i := 0; i < tc.joined; i++ {
+			after = append(after, addr(tc.members+i))
+		}
+		killed, joined := members[tc.members-tc.killed:], after[tc.members-tc.killed:]
+
+		moved := 0
+		for k := 0; k < tc.keys; k++ {
+			from, to := baseline[base][k], Owners(keyID(k), 1, after)[0]
+			if from == to {
+				continue
+			}
+			moved++
+			if !slices.Contains(killed, from) && !slices.Contains(joined, to) {
+				t.Fatalf("%+v: key %d moved %s -> %s between surviving members", tc, k, from, to)
+			}
+		}
+		if moved < tc.minMoved || moved > tc.maxMoved {
+			t.Errorf("%+v: moved %d of %d keys, want %d..%d", tc, moved, tc.keys, tc.minMoved, tc.maxMoved)
+		}
 	}
 }
 

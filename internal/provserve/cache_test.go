@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"provcompress/internal/cluster"
 )
 
 func TestDepCacheBasics(t *testing.T) {
@@ -173,4 +176,42 @@ func TestDepCacheHammer(t *testing.T) {
 	c.DepKeys()
 	c.Stats()
 	c.Invalidations()
+}
+
+// TestCacheHitRateUnderSameClassWriter is the floor the keyed cache was
+// built for: Zipf readers over preloaded outputs race a writer landing a
+// new event every 500us in the very class every read target belongs to.
+// Each new event adds a prov row under its own event ID and touches
+// nothing a cached answer was built from (§5.3), so the hit rate must stay
+// above one half while the writer actually writes.
+func TestCacheHitRateUnderSameClassWriter(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Clusters: map[string]*cluster.Cluster{"advanced": newTestCluster(t, 5, "advanced")},
+	})
+	events := make([]tupleSpec, 12)
+	for i := range events {
+		events[i] = packetSpec("n0", "n4", fmt.Sprintf("pre-%d", i))
+	}
+	if er := postEvents(t, ts.URL, 60_000, events...); er.Accepted != len(events) || !er.Quiesced {
+		t.Fatalf("preload = %+v", er)
+	}
+
+	rep, err := RunMixedLoad(MixedLoadConfig{
+		LoadConfig:    LoadConfig{BaseURL: ts.URL, Requests: 800, Concurrency: 8, Alpha: 0.9, Seed: 1},
+		WriteInterval: 500 * time.Microsecond,
+		WriteSrc:      "n0",
+		WriteDst:      "n4",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors > 0 || rep.WriteErrors > 0 {
+		t.Fatalf("%d query errors, %d write errors", rep.Errors, rep.WriteErrors)
+	}
+	if rep.Writes == 0 {
+		t.Fatal("writer landed no events; the run is degenerate")
+	}
+	if rep.HitRate <= 0.5 {
+		t.Fatalf("hit rate %.3f under sustained same-class writes, want > 0.5\n%s", rep.HitRate, rep)
+	}
 }

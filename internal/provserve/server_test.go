@@ -63,11 +63,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // postEvents injects packet events over HTTP and returns the response.
 func postEvents(t *testing.T, baseURL string, waitMS int64, events ...tupleSpec) eventsResponse {
 	t.Helper()
+	return postEventsAs(t, baseURL, "", waitMS, events...)
+}
+
+// postEventsAs is postEvents billed to tenant ("" = the default tenant).
+func postEventsAs(t *testing.T, baseURL, tenant string, waitMS int64, events ...tupleSpec) eventsResponse {
+	t.Helper()
 	body, err := json.Marshal(eventsRequest{Events: events, WaitMS: waitMS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(baseURL+"/v1/events", "application/json", bytes.NewReader(body))
+	u := baseURL + "/v1/events"
+	if tenant != "" {
+		u += "?tenant=" + url.QueryEscape(tenant)
+	}
+	resp, err := http.Post(u, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // entry bundles a program with the topology shape it runs over, its
 // slow-changing base tuples, a deterministic input-event generator, and a
 // slow-churn generator for deletion storms. provd's cluster bring-up
-// (-app) and the soak harness (cmd/provsim soak) resolve scenarios by
-// name, so every binary deploys an application the same way.
+// (-app) and provserve's soak test resolve scenarios by name, so every
+// deployment of an application looks the same.
 package scenario
 
 import (

@@ -1,18 +1,15 @@
-// Hostile workload generators: adversarial arrival processes and deletion
-// storms for the soak harness (ROADMAP item 5). Every generator is purely
-// deterministic — arrival times are closed-form functions of the
-// configuration and storm/skew sequences derive from an explicit seed — so
-// a soak failure reproduces exactly. Arrival schedules follow the
-// fence-post convention of DNSTraffic.Schedule: a stream covering
-// [start, start+Duration] includes events landing exactly on interval
-// boundaries, including the one at start+Duration.
+// Hostile workload generators for provserve's scenario soak test
+// (ROADMAP item 5): a bursty arrival process and a deletion storm. Both are
+// purely deterministic — arrival times are closed-form functions of the
+// configuration and storms a fixed sequence — so a soak failure reproduces
+// exactly. Arrival times follow the fence-post convention of
+// DNSTraffic.Schedule: a stream covering [0, d] includes events landing
+// exactly on interval boundaries, including the one at d.
 package workload
 
 import (
-	"math/rand"
 	"time"
 
-	"provcompress/internal/engine"
 	"provcompress/internal/types"
 )
 
@@ -49,93 +46,6 @@ func (w Bursty) Times(d time.Duration) []time.Duration {
 		}
 	}
 	return out
-}
-
-// Schedule installs the bursty stream on the runtime starting at virtual
-// time start, covering [start, start+d]. build maps the event's sequence
-// number to the tuple to inject. Injections self-schedule so the
-// simulator's queue stays bounded. Returns the number of events scheduled.
-func (w Bursty) Schedule(rt *engine.Runtime, start, d time.Duration, build func(seq int64) types.Tuple) int64 {
-	return scheduleTimes(rt, start, w.Times(d), build)
-}
-
-// Diurnal is a cyclic arrival process modeling daily load variation: each
-// cycle of length Period is split into len(Rates) equal phases, phase p
-// firing events at Rates[p] (0 = silent). Each phase owns the half-open
-// window [phaseStart, phaseEnd): its events fire at phaseStart + k*interval
-// strictly before phaseEnd, so phase boundaries are unambiguous. The single
-// event at an exact-multiple horizon belongs to the next cycle's first
-// phase.
-type Diurnal struct {
-	Period time.Duration // full cycle length
-	Rates  []float64     // per-phase events/sec; phases split Period evenly
-}
-
-// Times returns every arrival time in [0, d], in order. For d an exact
-// multiple m of Period, the count is m*sum(countPhase) + extra, where
-// countPhase(p) = ceil(phaseLen / interval_p) for active phases — plus the
-// event at t = d itself when Rates[0] > 0 (the next cycle's first phase
-// opens exactly at the horizon).
-func (w Diurnal) Times(d time.Duration) []time.Duration {
-	if w.Period <= 0 || len(w.Rates) == 0 {
-		panic("workload: Diurnal needs Period > 0 and at least one phase")
-	}
-	for _, r := range w.Rates {
-		if r < 0 {
-			panic("workload: Diurnal rates must be non-negative")
-		}
-	}
-	phaseLen := w.Period / time.Duration(len(w.Rates))
-	if phaseLen <= 0 {
-		panic("workload: Diurnal Period too short for the phase count")
-	}
-	var out []time.Duration
-	for cycle := time.Duration(0); cycle <= d; cycle += w.Period {
-		for p, rate := range w.Rates {
-			if rate <= 0 {
-				continue
-			}
-			phaseStart := cycle + time.Duration(p)*phaseLen
-			if phaseStart > d {
-				break
-			}
-			interval := time.Duration(float64(time.Second) / rate)
-			for j := time.Duration(0); ; j += interval {
-				if j >= phaseLen || phaseStart+j > d {
-					break
-				}
-				out = append(out, phaseStart+j)
-				if interval == 0 {
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Schedule installs the diurnal stream on the runtime starting at virtual
-// time start, covering [start, start+d]; see Bursty.Schedule.
-func (w Diurnal) Schedule(rt *engine.Runtime, start, d time.Duration, build func(seq int64) types.Tuple) int64 {
-	return scheduleTimes(rt, start, w.Times(d), build)
-}
-
-// scheduleTimes injects build(i) at start+times[i], each injection
-// scheduling the next so the simulator queue holds at most one pending
-// arrival per stream.
-func scheduleTimes(rt *engine.Runtime, start time.Duration, times []time.Duration, build func(seq int64) types.Tuple) int64 {
-	if len(times) == 0 {
-		return 0
-	}
-	var inject func(i int64)
-	inject = func(i int64) {
-		rt.Inject(build(i))
-		if next := i + 1; next < int64(len(times)) {
-			rt.Net.Scheduler().After(times[next]-times[i], func() { inject(next) })
-		}
-	}
-	rt.Net.Scheduler().At(start+times[0], func() { inject(0) })
-	return int64(len(times))
 }
 
 // StormOp is one step of a deletion storm: an insert or a delete of a slow
@@ -175,15 +85,4 @@ func (s DeletionStorm) Ops() []StormOp {
 		}
 	}
 	return ops
-}
-
-// HotKeys returns n Zipf-skewed ranks over [0, universe), deterministic
-// under seed — the hot-key access pattern for skewed query load.
-func HotKeys(seed int64, n, universe int, alpha float64) []int {
-	z := NewZipf(rand.New(rand.NewSource(seed)), universe, alpha)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = z.Next()
-	}
-	return out
 }

@@ -61,74 +61,6 @@ func TestBurstyClosedFormProperty(t *testing.T) {
 	}
 }
 
-// TestDiurnalExactMultipleClosedForm pins the diurnal generator's phase
-// ownership: phases own [start, end), so for d = m*Period the count is m
-// full cycles plus the event at t = d (the next cycle's first phase
-// opening at the horizon).
-func TestDiurnalExactMultipleClosedForm(t *testing.T) {
-	w := Diurnal{Period: time.Second, Rates: []float64{10, 0, 5, 0}}
-	// phaseLen = 250ms. Phase 0 (100ms interval): j = 0,100,200 → 3.
-	// Phase 2 (200ms interval): j = 0,200 → 2. Per cycle: 5.
-	times := w.Times(2 * time.Second)
-	want := 2*5 + 1
-	if len(times) != want {
-		t.Fatalf("diurnal events = %d, want %d", len(times), want)
-	}
-	if times[len(times)-1] != 2*time.Second {
-		t.Errorf("last event at %v, want 2s", times[len(times)-1])
-	}
-	// Silent phases contribute nothing: no event in [250ms, 500ms).
-	for _, at := range times {
-		phase := (at % time.Second) / (250 * time.Millisecond)
-		if phase == 1 || phase == 3 {
-			t.Errorf("event at %v falls in a silent phase", at)
-		}
-	}
-	// Determinism.
-	again := w.Times(2 * time.Second)
-	for i := range times {
-		if times[i] != again[i] {
-			t.Fatal("Diurnal.Times not deterministic")
-		}
-	}
-}
-
-// TestHostileSchedulesRun drives both generators end to end on the
-// simulator and checks every scheduled event is injected exactly once.
-func TestHostileSchedulesRun(t *testing.T) {
-	build := func(seq int64) types.Tuple {
-		return PacketEvent(Pair{Src: "n0", Dst: "n2"}, seq, 20)
-	}
-
-	rt := lineRT(t, 3)
-	w := Bursty{Period: 500 * time.Millisecond, BurstLen: 100 * time.Millisecond, Rate: 20}
-	n := w.Schedule(rt, 0, time.Second, build)
-	if want := int64(len(w.Times(time.Second))); n != want {
-		t.Fatalf("bursty scheduled = %d, want %d", n, want)
-	}
-	rt.Run()
-	if got := rt.Injected(); got != n {
-		t.Errorf("bursty injected = %d, want %d", got, n)
-	}
-	if got := rt.NumOutputs(); got != n {
-		t.Errorf("bursty delivered = %d, want %d", got, n)
-	}
-
-	rt2 := lineRT(t, 3)
-	d := Diurnal{Period: 400 * time.Millisecond, Rates: []float64{20, 5}}
-	n2 := d.Schedule(rt2, 0, 800*time.Millisecond, build)
-	if want := int64(len(d.Times(800 * time.Millisecond))); n2 != want {
-		t.Fatalf("diurnal scheduled = %d, want %d", n2, want)
-	}
-	rt2.Run()
-	if got := rt2.Injected(); got != n2 {
-		t.Errorf("diurnal injected = %d, want %d", got, n2)
-	}
-	if got := rt2.NumOutputs(); got != n2 {
-		t.Errorf("diurnal delivered = %d, want %d", got, n2)
-	}
-}
-
 // TestDeletionStormOps pins the storm sequence: Waves insert+delete passes
 // over the tuple set, then the restoring re-insert.
 func TestDeletionStormOps(t *testing.T) {
@@ -159,27 +91,5 @@ func TestDeletionStormOps(t *testing.T) {
 		if ops[i].Insert != again[i].Insert || !ops[i].Tuple.Equal(again[i].Tuple) {
 			t.Fatal("DeletionStorm.Ops not deterministic")
 		}
-	}
-}
-
-// TestHotKeys pins determinism and skew of the hot-key sampler.
-func TestHotKeys(t *testing.T) {
-	a := HotKeys(42, 2000, 50, 1.2)
-	b := HotKeys(42, 2000, 50, 1.2)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("HotKeys not deterministic")
-		}
-	}
-	counts := make(map[int]int)
-	for _, k := range a {
-		if k < 0 || k >= 50 {
-			t.Fatalf("rank %d out of universe", k)
-		}
-		counts[k]++
-	}
-	// Zipf with alpha > 1: rank 0 must dominate the median rank.
-	if counts[0] <= counts[25] {
-		t.Errorf("no skew: counts[0]=%d counts[25]=%d", counts[0], counts[25])
 	}
 }
