@@ -44,7 +44,7 @@
 # transport actually runs every time.
 
 GO ?= go
-NOLINT_MAX := 29
+NOLINT_MAX := 26
 
 .PHONY: verify vet build test allocs fuzz-smoke chaos bench
 

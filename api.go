@@ -167,8 +167,9 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterQueryResult is the outcome of a distributed query over TCP.
 	ClusterQueryResult = cluster.QueryResult
-	// TransportConfig tunes the cluster's fault-tolerant sender
-	// (queue bound, retry budget, backoff, deadlines).
+	// TransportConfig tunes the cluster's fault-tolerant sender: its
+	// retry budget and backoff cap (the queue bound, deadlines and batch
+	// linger are fixed).
 	TransportConfig = cluster.TransportConfig
 	// TransportStats snapshots the transport counters (dials, redials,
 	// retries, drops, suppressed duplicates, ...).

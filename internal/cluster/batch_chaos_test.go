@@ -89,9 +89,14 @@ func batchedBurstOutcome(t *testing.T, scheme string, plan *FaultPlan, killResta
 // checkByteClassesExact asserts the accounting invariant batching must
 // not bend: per link and in aggregate, base+prov+query+batch equals the
 // byte total exactly — no byte is double-attributed or dropped by the
-// coalescing path, faults or not.
+// coalescing path, faults or not. It quiesces first: a query's answer
+// can reach the caller before its sender has counted the bytes, and the
+// two snapshots below must see the same counters.
 func checkByteClassesExact(t *testing.T, c *Cluster, when string) {
 	t.Helper()
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 	s := c.TransportStats()
 	if sum := s.BytesBase + s.BytesProv + s.BytesQuery + s.BytesBatch; sum != s.BytesTotal {
 		t.Fatalf("%s: class sum %d != byte total %d", when, sum, s.BytesTotal)

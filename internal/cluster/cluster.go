@@ -192,8 +192,9 @@ type Node struct {
 	transMu sync.Mutex
 	trans   map[types.NodeAddr]*transport
 
-	// linkMu guards the per-peer byte attribution; counters persist
-	// across Kill/Restart (transports do not).
+	// linkMu guards the per-peer byte attribution, the map and every
+	// counter in it; counters persist across Kill/Restart (transports do
+	// not).
 	linkMu sync.Mutex
 	links  map[types.NodeAddr]*linkBytes
 
@@ -772,23 +773,23 @@ func (n *Node) TransportStats() TransportStats {
 func (n *Node) linkBytesTo(to types.NodeAddr) *linkBytes {
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
-	lb := n.links[to]
-	if lb == nil {
-		lb = &linkBytes{}
-		n.links[to] = lb
+	if n.links[to] == nil {
+		n.links[to] = &linkBytes{}
 	}
-	return lb
+	return n.links[to]
 }
 
-// addLinkBytes folds the node's per-link class counters into a snapshot.
+// addLinkBytes folds the node's per-link byte counters into a snapshot;
+// the byte total is their sum, so it and its classes always agree.
 func (n *Node) addLinkBytes(s *TransportStats) {
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
 	for _, lb := range n.links {
-		s.BytesBase += lb.base.Load()
-		s.BytesProv += lb.prov.Load()
-		s.BytesQuery += lb.query.Load()
-		s.BytesBatch += lb.batch.Load()
+		s.BytesTotal += lb.total
+		s.BytesBase += lb.class[classBase]
+		s.BytesProv += lb.class[classProv]
+		s.BytesQuery += lb.class[classQuery]
+		s.BytesBatch += lb.class[classBatch]
 	}
 }
 
@@ -813,11 +814,11 @@ func (c *Cluster) LinkByteStats() []LinkByteStats {
 			out = append(out, LinkByteStats{
 				From:  n.addr,
 				To:    to,
-				Total: lb.total.Load(),
-				Base:  lb.base.Load(),
-				Prov:  lb.prov.Load(),
-				Query: lb.query.Load(),
-				Batch: lb.batch.Load(),
+				Total: lb.total,
+				Base:  lb.class[classBase],
+				Prov:  lb.class[classProv],
+				Query: lb.class[classQuery],
+				Batch: lb.class[classBatch],
 			})
 		}
 		n.linkMu.Unlock()
@@ -868,6 +869,7 @@ func (n *Node) Kill() {
 	}
 	n.addrMu.Lock()
 	ln := n.ln
+	n.tcpAddr = "" // its port may go to another listener: peers must not dial it
 	n.addrMu.Unlock()
 	ln.Close()
 	n.inMu.Lock()

@@ -138,6 +138,7 @@ func TestReplicaFailoverAfterKill(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	checkByteClassesExact(t, c, "after load")
 	out := recvT("n3", "n0", "n3", "replicated")
 	base, err := c.Query(out, types.HashTuple(ev), 10*time.Second)
 	if err != nil || len(base.Trees) != 1 {
@@ -153,6 +154,10 @@ func TestReplicaFailoverAfterKill(t *testing.T) {
 	if err := c.WaitMemberState("n3", membership.Down, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	checkByteClassesExact(t, c, "after kill")
 
 	res, err := c.Query(out, types.HashTuple(ev), 10*time.Second)
 	if err != nil {
@@ -164,6 +169,7 @@ func TestReplicaFailoverAfterKill(t *testing.T) {
 	if !res.Trees[0].Equal(base.Trees[0]) {
 		t.Fatalf("failover tree differs from the primary's:\nprimary: %v\nreplica: %v", base.Trees[0], res.Trees[0])
 	}
+	checkByteClassesExact(t, c, "after failover query")
 	s := c.MembershipStats()
 	if s.Failovers == 0 {
 		t.Fatal("query succeeded but no failover was counted")
@@ -186,6 +192,7 @@ func TestJoinAddsMemberAndBootstraps(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	checkByteClassesExact(t, c, "after load")
 
 	if err := c.Join("n3"); err != nil {
 		t.Fatal(err)
@@ -199,6 +206,7 @@ func TestJoinAddsMemberAndBootstraps(t *testing.T) {
 	if !c.Ready() {
 		t.Fatal("cluster not Ready after join settled")
 	}
+	checkByteClassesExact(t, c, "after join")
 
 	members := c.Members()
 	if len(members) != 4 {
@@ -227,6 +235,7 @@ func TestJoinAddsMemberAndBootstraps(t *testing.T) {
 	if err != nil || len(res.Trees) != 1 {
 		t.Fatalf("pre-join data after join: %v (%d trees)", err, len(res.Trees))
 	}
+	checkByteClassesExact(t, c, "after query")
 }
 
 // TestLeaveHandsOffAndStaysQueryable shrinks the cluster cooperatively: a
@@ -243,6 +252,7 @@ func TestLeaveHandsOffAndStaysQueryable(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	checkByteClassesExact(t, c, "after load")
 
 	if err := c.Leave("n1"); err != nil {
 		t.Fatal(err)
@@ -257,6 +267,10 @@ func TestLeaveHandsOffAndStaysQueryable(t *testing.T) {
 	if s.RebalanceSeconds <= 0 {
 		t.Fatalf("leave recorded no rebalance time: %+v", s)
 	}
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	checkByteClassesExact(t, c, "after leave")
 
 	// Exactly one acting primary for the departed member's partition, and
 	// every surviving view agrees who it is.
@@ -301,10 +315,12 @@ func TestLeaveHandsOffAndStaysQueryable(t *testing.T) {
 	if !found {
 		t.Fatalf("post-leave packet never arrived: outputs %v", c.Outputs("n3"))
 	}
+	checkByteClassesExact(t, c, "after post-leave traffic")
 	res, err = c.Query(recvT("n3", "n0", "n3", "postleave"), types.HashTuple(post), 10*time.Second)
 	if err != nil || len(res.Trees) != 1 {
 		t.Fatalf("post-leave provenance: %v (%d trees)", err, len(res.Trees))
 	}
+	checkByteClassesExact(t, c, "after queries")
 }
 
 // TestRestartReadRepair exercises the owner-return path: a killed member
@@ -319,6 +335,7 @@ func TestRestartReadRepair(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	checkByteClassesExact(t, c, "after load")
 
 	c.Node("n2").Kill()
 	if err := c.Inject(pkt("n0", "n0", "n3", "prime")); err != nil {
@@ -328,6 +345,10 @@ func TestRestartReadRepair(t *testing.T) {
 	if err := c.WaitMemberState("n2", membership.Down, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	checkByteClassesExact(t, c, "after kill")
 
 	if err := c.Restart("n2"); err != nil {
 		t.Fatal(err)
@@ -341,8 +362,10 @@ func TestRestartReadRepair(t *testing.T) {
 	if s := c.MembershipStats(); s.Repairs == 0 {
 		t.Fatalf("restart triggered no read-repair: %+v", s)
 	}
+	checkByteClassesExact(t, c, "after restart")
 	res, err := c.Query(recvT("n3", "n0", "n3", "repair"), types.HashTuple(ev), 10*time.Second)
 	if err != nil || len(res.Trees) != 1 {
 		t.Fatalf("query after restart+repair: %v (%d trees)", err, len(res.Trees))
 	}
+	checkByteClassesExact(t, c, "after query")
 }

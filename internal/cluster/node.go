@@ -392,9 +392,6 @@ func (n *Node) sendFrame(to types.NodeAddr, f outFrame) error {
 	if n.c.closed.Load() {
 		return fmt.Errorf("cluster: send on closed cluster")
 	}
-	if !n.alive.Load() {
-		return fmt.Errorf("cluster: send from dead node %s", n.addr)
-	}
 	if n.downLeft.Load() != 0 {
 		// A frame addressed to a departed (Left) member redirects to the
 		// acting owner of its partition; Down members keep their traffic
@@ -406,6 +403,9 @@ func (n *Node) sendFrame(to types.NodeAddr, f outFrame) error {
 		return fmt.Errorf("cluster: send to unknown node %s", to)
 	}
 	t := n.transportTo(to)
+	if t == nil {
+		return fmt.Errorf("cluster: send from dead node %s", n.addr)
+	}
 	f.epoch = n.c.acctEnqueue(to)
 	t.enqueue(f)
 	return nil
@@ -422,12 +422,13 @@ func (c *Cluster) startSpan(parent trace.SpanContext, node types.NodeAddr, kind,
 	return c.tracer.StartSpan(parent, string(node), kind, kind+" "+subject)
 }
 
-// transportTo returns (creating on first use) the outbound link to a peer.
+// transportTo returns (creating on first use) the outbound link to a
+// peer; nil once Kill has cleared alive, so no link outlives its halt.
 func (n *Node) transportTo(to types.NodeAddr) *transport {
 	n.transMu.Lock()
 	defer n.transMu.Unlock()
 	t := n.trans[to]
-	if t == nil {
+	if t == nil && n.alive.Load() {
 		t = newTransport(n, to)
 		n.trans[to] = t
 		n.wg.Add(1)

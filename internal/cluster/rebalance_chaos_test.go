@@ -42,14 +42,6 @@ func TestRebalanceUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkBytes := func(when string) {
-		t.Helper()
-		s := c.TransportStats()
-		if sum := s.BytesBase + s.BytesProv + s.BytesQuery + s.BytesBatch; sum != s.BytesTotal {
-			t.Fatalf("%s: class sum %d != total %d", when, sum, s.BytesTotal)
-		}
-	}
-
 	before := pkt("n0", "n0", "n4", "before")
 	tidBefore, err := c.InjectTraced(before)
 	if err != nil {
@@ -58,7 +50,7 @@ func TestRebalanceUnderChaos(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	checkBytes("after load")
+	checkByteClassesExact(t, c, "after load")
 
 	// Crash a node, then start the leave while it is down. The leaver's
 	// handoff targets may include the crashed node; those frames ride the
@@ -79,7 +71,7 @@ func TestRebalanceUnderChaos(t *testing.T) {
 	if err := c.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	checkBytes("after rebalance")
+	checkByteClassesExact(t, c, "after rebalance")
 
 	// Exactly one acting primary for the departed member, agreed by every
 	// surviving view, actually holding the partition.
@@ -118,7 +110,7 @@ func TestRebalanceUnderChaos(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	checkBytes("after post-rebalance inject")
+	checkByteClassesExact(t, c, "after post-rebalance inject")
 
 	found := false
 	for _, out := range c.Outputs("n4") {
@@ -138,7 +130,7 @@ func TestRebalanceUnderChaos(t *testing.T) {
 	if err != nil || len(resAfter.Trees) != 1 {
 		t.Fatalf("post-rebalance provenance: %v (%d trees)", err, len(resAfter.Trees))
 	}
-	checkBytes("after queries")
+	checkByteClassesExact(t, c, "after queries")
 
 	for _, tid := range []trace.TraceID{tidBefore, tidAfter, resBefore.TraceID, resAfter.TraceID} {
 		spans := tr.Trace(tid)

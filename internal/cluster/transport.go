@@ -15,41 +15,20 @@ import (
 // TransportConfig tunes the fault-tolerant cluster transport. The zero
 // value selects the defaults noted on each field.
 type TransportConfig struct {
-	// DialTimeout bounds one connection attempt (default 1s).
-	DialTimeout time.Duration
 	// RetryBudget is how many times a failed send is retried (with a
 	// fresh dial if needed) before the frame is dropped (default 4).
 	RetryBudget int
 	// BackoffMax caps the retry backoff, which starts at backoffBase and
 	// doubles per attempt with jitter (default 200ms).
 	BackoffMax time.Duration
-	// IdleConnTimeout closes a link's connection after it has sent nothing
-	// for this long; the next frame transparently re-dials. Zero (the
-	// default) keeps connections open forever. Large clusters need this:
-	// membership gossip touches O(log N) peers per node in a burst, and
-	// without reaping each burst pins its sockets — two file descriptors
-	// per connection, both ends in this process — for the cluster's
-	// lifetime.
-	IdleConnTimeout time.Duration
-	// BatchFlush is the coalescing deadline: once the writer holds a frame
-	// it waits at most this long for companions before flushing (default
-	// 1ms), bounding the latency cost under light load. A frame that finds
-	// no companion is flushed as a batch of one.
-	BatchFlush time.Duration
 }
 
 func (tc TransportConfig) withDefaults() TransportConfig {
-	if tc.DialTimeout <= 0 {
-		tc.DialTimeout = time.Second
-	}
 	if tc.RetryBudget <= 0 {
 		tc.RetryBudget = 4
 	}
 	if tc.BackoffMax <= 0 {
 		tc.BackoffMax = 200 * time.Millisecond
-	}
-	if tc.BatchFlush <= 0 {
-		tc.BatchFlush = time.Millisecond
 	}
 	return tc
 }
@@ -64,20 +43,24 @@ const (
 	// enqueueTimeout is how long a sender blocks on a full queue before
 	// the frame is dropped and accounted.
 	enqueueTimeout = 2 * time.Second
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = time.Second
 	// writeTimeout is the per-send write deadline, so a stalled peer
 	// cannot block a sender forever.
 	writeTimeout = 2 * time.Second
 	// backoffBase is the first retry backoff.
 	backoffBase = 2 * time.Millisecond
-	// maxBatchBytes flushes the writer's coalescing buffer once the queued
-	// sub-frame payloads reach this size. Batching is the ingest fast
-	// path: the writer drains its queue into one frameBatch delivery (and
-	// one write syscall) per flush.
+	// maxBatchBytes closes a batch once its sub-frame payloads reach
+	// this size: one frameBatch delivery, one write syscall.
 	maxBatchBytes = 64 << 10
 	// maxBatchFrames caps the sub-frame count of one batch. It stays well
 	// under both the receiver's dedup window (so a redelivered batch's
 	// seqs are all still tracked) and wire.MaxBatchEntries.
 	maxBatchFrames = 512
+	// batchLinger is how long an open batch waits for companions before
+	// it is written: the latency a frame pays under trickle load for the
+	// batching that delta coding and one write per batch rely on.
+	batchLinger = time.Millisecond
 )
 
 // transportStats holds the live per-node transport counters.
@@ -98,12 +81,6 @@ type transportStats struct {
 	faultDelays  atomic.Int64
 	faultResets  atomic.Int64
 	batchFrames  atomic.Int64
-	// bytesTotal counts every wire byte successfully written (delivery +
-	// length prefix). The per-class split lives on the node's persistent
-	// per-link counters (linkBytes) so it survives transport teardown on
-	// Kill; total-vs-sum equality is the cross-check the chaos suite
-	// asserts.
-	bytesTotal atomic.Int64
 }
 
 // Byte classes for per-message-class attribution, mirroring the netsim
@@ -118,39 +95,28 @@ const (
 	classBatch
 )
 
-// classNames orders the class labels for export.
-var classNames = [...]string{classBase: "base", classProv: "prov", classQuery: "query", classBatch: "batch"}
-
-// linkBytes is the persistent per-(sender, peer) byte attribution. It
-// lives on the sending node, not the transport, because Kill discards
+// linkBytes is the per-(sender, peer) byte attribution: the bytes
+// written and their split by class. The link's persistent counters live
+// on the sending node, not the transport, because Kill discards
 // transports while the paper-style bandwidth breakdown must survive
-// crash/restart cycles.
+// crash/restart cycles; they are guarded by the node's linkMu, under
+// which a written batch adds its total and its classes in one step, so no
+// snapshot sees one without the other.
 type linkBytes struct {
-	total atomic.Int64
-	base  atomic.Int64
-	prov  atomic.Int64
-	query atomic.Int64
-	batch atomic.Int64
+	total int64
+	class [classBatch + 1]int64
 }
 
-// add attributes one delivered frame of wireBytes total bytes, of which
+// add attributes one encoded section of wireBytes total bytes, of which
 // provBytes (≤ wireBytes) carried piggybacked provenance metadata.
 func (lb *linkBytes) add(class uint8, wireBytes, provBytes int) {
-	lb.total.Add(int64(wireBytes))
-	if provBytes > wireBytes {
-		provBytes = wireBytes
+	lb.total += int64(wireBytes)
+	if class == classBase {
+		provBytes = min(provBytes, wireBytes)
+		lb.class[classProv] += int64(provBytes)
+		wireBytes -= provBytes
 	}
-	switch class {
-	case classProv:
-		lb.prov.Add(int64(wireBytes))
-	case classQuery:
-		lb.query.Add(int64(wireBytes))
-	case classBatch:
-		lb.batch.Add(int64(wireBytes))
-	default:
-		lb.prov.Add(int64(provBytes))
-		lb.base.Add(int64(wireBytes - provBytes))
-	}
+	lb.class[class] += int64(wireBytes)
 }
 
 // TransportStats is a point-in-time snapshot of the transport counters,
@@ -204,7 +170,6 @@ func (s *TransportStats) accumulate(ts *transportStats) {
 	s.FaultDelays += ts.faultDelays.Load()
 	s.FaultResets += ts.faultResets.Load()
 	s.BatchFrames += ts.batchFrames.Load()
-	s.BytesTotal += ts.bytesTotal.Load()
 }
 
 // Counters exports the snapshot as an ordered metrics counter set.
@@ -255,9 +220,9 @@ type outFrame struct {
 	pooled    bool
 }
 
-// transport is one directed link: a bounded outbound queue drained by a
-// dedicated writer goroutine that dials (and re-dials) the peer, applies
-// write deadlines, injects plan faults, and retries failed sends with
+// transport is one directed link: a linkSched drained by a dedicated
+// writer goroutine that dials (and re-dials) the peer, applies write
+// deadlines, injects plan faults, and retries failed sends with
 // exponential backoff and jitter. Exactly one transport exists per
 // (sender node, peer) pair at a time, so frames carry strictly increasing
 // sequence numbers in write order and the receiver can suppress
@@ -267,12 +232,14 @@ type transport struct {
 	to    types.NodeAddr
 	cfg   TransportConfig
 	stats *transportStats
+	bytes *linkBytes // the node's persistent counters for this link
 
-	queue chan outFrame
-	stop  chan struct{}
+	mu    sync.Mutex
+	sched linkSched
+	room  sync.Cond // on mu: queue space freed, halt, or a waiter's timeout
 
-	qmu     sync.Mutex
-	stopped bool
+	kick chan struct{} // wakes the writer: a frame was offered
+	stop chan struct{} // closed at halt: wakes the writer, aborts its sleeps
 
 	// Writer-goroutine state (no locking needed).
 	conn       net.Conn
@@ -281,8 +248,7 @@ type transport struct {
 	rng        *rand.Rand
 	faults     *linkFaults
 
-	// Coalescing scratch, reused across flushes by the writer goroutine.
-	batch   []outFrame
+	// Encoding scratch, reused across batches by the writer goroutine.
 	entries []wire.BatchEntry
 	sizes   []int
 }
@@ -293,22 +259,26 @@ func newTransport(n *Node, to types.NodeAddr) *transport {
 		to:     to,
 		cfg:    n.c.tcfg,
 		stats:  &n.stats,
-		queue:  make(chan outFrame, queueLen),
+		bytes:  n.linkBytesTo(to),
+		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(linkSeed(1, n.addr, to))),
 		faults: n.c.faults.link(n.addr, to),
 	}
+	t.room.L = &t.mu
 	return t
 }
 
-// halt stops the writer; queued frames are drained and accounted.
+// halt stops the link: later frames are refused, and the writer writes
+// its open batch, settles the frames still waiting and exits.
 func (t *transport) halt() {
-	t.qmu.Lock()
-	if !t.stopped {
-		t.stopped = true
+	t.mu.Lock()
+	if !t.sched.halted {
+		t.sched.halted = true
 		close(t.stop)
+		t.room.Broadcast()
 	}
-	t.qmu.Unlock()
+	t.mu.Unlock()
 }
 
 // release recycles a pooled payload once the transport is finished with
@@ -320,93 +290,89 @@ func (t *transport) release(f outFrame) {
 	}
 }
 
-// abandon settles the accounting for a frame the transport gives up on.
-func (t *transport) abandon(f outFrame) {
-	t.stats.drops.Add(1)
+// abandon settles the accounting for a frame the transport gives up on,
+// counting it in dropped.
+func (t *transport) abandon(f outFrame, dropped *atomic.Int64) {
+	dropped.Add(1)
 	t.owner.c.acctSettle(t.to, f.epoch)
 	t.release(f)
 }
 
-// enqueue hands a frame to the writer goroutine. On a persistently full
-// queue the frame is dropped and settled rather than blocking the caller
-// forever (backpressure with a bounded stall).
+// enqueue offers a frame to the link. On a persistently full queue the
+// frame is dropped and settled rather than blocking the caller forever
+// (backpressure with a bounded stall); on a halted link it is settled at
+// once.
 func (t *transport) enqueue(f outFrame) {
-	t.qmu.Lock()
-	if t.stopped {
-		t.qmu.Unlock()
-		t.abandon(f)
-		return
+	t.mu.Lock()
+	var deadline time.Time
+	for !t.sched.offer(f) {
+		if t.sched.halted {
+			t.mu.Unlock()
+			t.abandon(f, &t.stats.drops)
+			return
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(enqueueTimeout)
+			defer time.AfterFunc(enqueueTimeout, func() {
+				t.mu.Lock()
+				t.room.Broadcast()
+				t.mu.Unlock()
+			}).Stop()
+		} else if !time.Now().Before(deadline) {
+			t.mu.Unlock()
+			t.abandon(f, &t.stats.queueDrops)
+			return
+		}
+		t.room.Wait()
 	}
-	select {
-	case t.queue <- f:
-		t.qmu.Unlock()
-		return
+	t.mu.Unlock()
+	select { // wake the writer; one pending wake suffices
+	case t.kick <- struct{}{}:
 	default:
 	}
-	t.qmu.Unlock()
-	timer := time.NewTimer(enqueueTimeout)
-	defer timer.Stop()
-	select {
-	case t.queue <- f:
-	case <-t.stop:
-		t.abandon(f)
-	case <-timer.C:
-		t.stats.queueDrops.Add(1)
-		t.owner.c.acctSettle(t.to, f.epoch)
-		t.release(f)
-	}
 }
 
-// run is the writer goroutine: it drains the queue in order, delivering
-// each frame (with retries) before touching the next, so per-link ordering
-// is preserved and the receiver's duplicate filter stays a simple
-// high-water mark. With IdleConnTimeout set it also reaps the connection
-// after a quiet period; the sequence numbers live on the transport, not
-// the connection, so the receiver's duplicate filter is unaffected by the
-// re-dial.
+// run is the writer goroutine. It writes each due batch (with retries)
+// before asking for the next, so per-link order is preserved and the
+// receiver's duplicate filter stays a simple high-water mark. Between
+// batches it sleeps on one reusable timer until the open batch is due or
+// an offer or halt wakes it; a stale or early wake costs one more look.
+// Once halted it settles the frames no batch took and exits.
 func (t *transport) run() {
 	defer t.owner.wg.Done()
-	var idle *time.Timer
-	var idleC <-chan time.Time
-	if t.cfg.IdleConnTimeout > 0 {
-		idle = time.NewTimer(t.cfg.IdleConnTimeout)
-		idleC = idle.C
-		defer idle.Stop()
-	}
-	for {
-		select {
-		case <-t.stop:
-			t.drain()
-			return
-		case f := <-t.queue:
-			t.deliverBatch(t.collect(f))
-			if idle != nil {
-				if !idle.Stop() {
-					select {
-					case <-idle.C:
-					default:
-					}
-				}
-				idle.Reset(t.cfg.IdleConnTimeout)
-			}
-		case <-idleC:
-			t.closeConn()
-			idle.Reset(t.cfg.IdleConnTimeout)
-		}
-	}
-}
-
-// drain settles every frame still queued at halt time. A short grace
-// window catches senders that were already blocked in enqueue when the
-// transport halted.
-func (t *transport) drain() {
 	defer t.closeConn()
+	timer := time.NewTimer(batchLinger)
+	var armed time.Time // the deadline timer was last set for
 	for {
-		select {
-		case f := <-t.queue:
-			t.abandon(f)
-		case <-time.After(10 * time.Millisecond):
+		t.mu.Lock()
+		now := time.Now()
+		batch, due := t.sched.next(now)
+		t.room.Broadcast()
+		var rest []outFrame
+		halted := t.sched.halted
+		if halted && batch == nil {
+			rest, t.sched.waiting = t.sched.waiting, nil
+		}
+		t.mu.Unlock()
+		if batch != nil {
+			t.deliverBatch(batch)
+			continue
+		}
+		if halted {
+			for _, f := range rest {
+				t.abandon(f, &t.stats.drops)
+			}
 			return
+		}
+		if due != armed && !due.IsZero() {
+			timer.Reset(due.Sub(now))
+		}
+		armed = due
+		select {
+		case <-t.kick:
+		case <-t.stop:
+		case <-timer.C:
+			armed = time.Time{}
 		}
 	}
 }
@@ -419,9 +385,7 @@ func (t *transport) drain() {
 // fail immediately instead of "succeeding" into the send buffer of a
 // connection whose peer died, which matters for exactly-once
 // accounting: a frame the sender believes delivered is settled by
-// nobody. (The pre-batching writer got this detection by accident — its
-// separate header write drew the peer's RST before the payload write —
-// and the single-write fast path must not lose it.)
+// nobody.
 func watchConn(conn net.Conn) {
 	var p [1]byte
 	conn.Read(p[:]) //nolint:errcheck // any return means the link is dead
@@ -491,7 +455,7 @@ func (t *transport) writeEnv(env []byte) bool {
 			t.closeConn()
 		}
 		if t.conn == nil {
-			conn, err := net.DialTimeout("tcp", t.owner.c.node(t.to).listenAddr(), t.cfg.DialTimeout)
+			conn, err := net.DialTimeout("tcp", t.owner.c.node(t.to).listenAddr(), dialTimeout)
 			if err != nil {
 				t.stats.dialErrors.Add(1)
 				dialFailed = true
@@ -517,7 +481,6 @@ func (t *transport) writeEnv(env []byte) bool {
 			continue
 		}
 		t.stats.sends.Add(1)
-		t.stats.bytesTotal.Add(int64(len(env) + 4))
 		t.faults.sent()
 		return true
 	}
@@ -531,52 +494,13 @@ func (t *transport) writeEnv(env []byte) bool {
 	return false
 }
 
-// collect coalesces the first frame with whatever else arrives before
-// the flush: the queue is drained without waiting first, then the batch
-// holds for the flush deadline, and either the size threshold, the
-// frame cap, or the deadline closes it. The returned slice is writer
-// scratch, valid until the next collect.
-func (t *transport) collect(first outFrame) []outFrame {
-	t.batch = append(t.batch[:0], first)
-	size := len(first.payload)
-	for size < maxBatchBytes && len(t.batch) < maxBatchFrames {
-		select {
-		case f := <-t.queue:
-			t.batch = append(t.batch, f)
-			size += len(f.payload)
-			continue
-		default:
-		}
-		break
-	}
-	if size >= maxBatchBytes || len(t.batch) >= maxBatchFrames {
-		return t.batch
-	}
-	deadline := time.NewTimer(t.cfg.BatchFlush)
-	defer deadline.Stop()
-	for size < maxBatchBytes && len(t.batch) < maxBatchFrames {
-		select {
-		case f := <-t.queue:
-			t.batch = append(t.batch, f)
-			size += len(f.payload)
-		case <-deadline.C:
-			return t.batch
-		case <-t.stop:
-			// Halting: flush what is held; the run loop's drain settles
-			// whatever is still queued.
-			return t.batch
-		}
-	}
-	return t.batch
-}
-
-// deliverBatch writes a flush as one frameBatch delivery — one write
-// syscall for the whole flush, however many frames it holds, one
-// included. Each sub-frame keeps its own sequence number and accounting
-// epoch inside the batch body, so the receiver dedups and settles per
-// sub-frame and a redelivered batch is suppressed frame by frame. A
-// batch that exhausts the retry budget is dropped and every frame's
-// accounting settled, so Quiesce cannot wedge on it.
+// deliverBatch writes a batch as one frameBatch delivery — one write
+// syscall however many frames it holds, one included. Each sub-frame
+// keeps its own sequence number and accounting epoch inside the batch
+// body, so the receiver dedups and settles per sub-frame and a
+// redelivered batch is suppressed frame by frame. A batch that exhausts
+// the retry budget is dropped and every frame's accounting settled, so
+// Quiesce cannot wedge on it.
 func (t *transport) deliverBatch(batch []outFrame) {
 	entries := t.entries[:0]
 	for i := range batch {
@@ -589,37 +513,45 @@ func (t *transport) deliverBatch(batch []outFrame) {
 	hdr := appendDeliveryHeader(wire.GetBuf(), t.owner.addr, t.owner.incarnation.Load())
 	env, sizes := wire.AppendBatch(hdr, entries, true, t.sizes[:0])
 	t.sizes = sizes
-	for i := range entries {
-		entries[i].Payload = nil
-	}
-	t.entries = entries
-	// The payloads are copied into the batch buffer; pooled ones recycle
-	// now, before the (possibly long) retry loop.
+	// Per-class attribution stays exact under coalescing: each
+	// sub-frame's encoded section goes to its own class — of a tuple
+	// frame's section, the bytes that came out of its metadata tail (what
+	// the delta did not elide, entries[i].Tail) to prov and the rest to
+	// base — and the remaining bytes — length prefix, delivery header,
+	// per-entry seq/epoch deltas — are the batch class, so the class sums
+	// reconcile with the link total byte for byte.
+	var split linkBytes
+	payloadBytes := 0
 	for i := range batch {
+		split.add(batch[i].class, sizes[i], entries[i].Tail)
+		payloadBytes += sizes[i]
+		// The payload is copied into the batch buffer; a pooled one
+		// recycles now, before the (possibly long) retry loop.
 		t.release(batch[i])
-		batch[i].payload = nil
+		entries[i].Payload, batch[i].payload = nil, nil
 	}
+	split.add(classBatch, len(env)+4-payloadBytes, 0)
+	t.entries = entries
+	// The batch stays in flight until its bytes are attributed, so once
+	// Quiesce returns every written byte is counted.
+	c := t.owner.c
+	c.inflight.Add(1)
 	if t.writeEnv(env) {
-		// Per-class attribution stays exact under coalescing: each
-		// sub-frame's encoded section goes to its own class — of a tuple
-		// frame's section, the bytes that came out of its metadata tail
-		// (what the delta did not elide, entries[i].Tail) to prov and the
-		// rest to base — and the remaining bytes — length prefix, delivery
-		// header, per-entry seq/epoch deltas — are the batch class, so the
-		// class sums still reconcile with the link totals byte for byte.
-		lb := t.owner.linkBytesTo(t.to)
-		payloadBytes := 0
-		for i := range batch {
-			lb.add(batch[i].class, sizes[i], entries[i].Tail)
-			payloadBytes += sizes[i]
+		t.owner.linkMu.Lock()
+		t.bytes.total += split.total
+		for i, b := range split.class {
+			t.bytes.class[i] += b
 		}
-		lb.add(classBatch, len(env)+4-payloadBytes, 0)
+		t.owner.linkMu.Unlock()
 		t.stats.batchFrames.Add(int64(len(batch)))
 	} else {
 		for i := range batch {
 			t.stats.drops.Add(1)
-			t.owner.c.acctSettle(t.to, batch[i].epoch)
+			c.acctSettle(t.to, batch[i].epoch)
 		}
+	}
+	if c.inflight.Add(-1) == 0 {
+		c.kickIdle()
 	}
 	wire.PutBuf(env)
 }

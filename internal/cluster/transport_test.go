@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"provcompress/internal/apps"
 	"provcompress/internal/types"
 )
 
 func TestTransportConfigDefaults(t *testing.T) {
 	tc := TransportConfig{}.withDefaults()
-	if tc.DialTimeout <= 0 || tc.RetryBudget <= 0 || tc.BackoffMax <= 0 || tc.BatchFlush <= 0 {
+	if tc.RetryBudget <= 0 || tc.BackoffMax <= 0 {
 		t.Errorf("defaults left a zero field: %+v", tc)
 	}
 	// Explicit settings survive.
@@ -20,8 +23,72 @@ func TestTransportConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestHaltSettlesEveryFrame races senders against halt while the link's
+// first write stalls: the batch being written, a full queue behind it,
+// senders blocked for room, and senders arriving as the link halts.
+// Every frame counted in flight must settle — by the writer if the link
+// admitted it before halt, by its sender otherwise — with no grace
+// window to lean on.
+func TestHaltSettlesEveryFrame(t *testing.T) {
+	c, err := New(Config{
+		Prog:   apps.Forwarding(),
+		Funcs:  apps.Funcs(),
+		Nodes:  []types.NodeAddr{"a", "b"},
+		Faults: &FaultPlan{Delay: 1, DelayFor: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	n := c.node("a")
+	tr := n.transportTo("b")
+	send := func() {
+		if err := n.send("b", []byte{1, 2, 3}, classBase, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	// Fill the queue behind the first batch, whose write stalls.
+	total := 0
+	for stalled := false; !stalled; total++ {
+		send()
+		tr.mu.Lock()
+		stalled = len(tr.sched.waiting) == queueLen && len(tr.sched.batch) > 0 && !tr.sched.open
+		tr.mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	wave := func() {
+		for i := 0; i < 16; i++ {
+			total++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				send()
+			}()
+		}
+	}
+	wave()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*transport).enqueue(") == 16 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("senders never blocked on the full queue")
+		}
+	}
+	wave()
+	tr.halt()
+	wg.Wait()
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatalf("frames left unsettled after halt: %v", err)
+	}
+	if s := c.TransportStats(); s.Drops+s.QueueDrops != int64(total) || s.Sends != 0 {
+		t.Errorf("%d drops + %d queue drops, %d sends; want all %d frames dropped unsent", s.Drops, s.QueueDrops, s.Sends, total)
+	}
+}
+
 func TestBackoffBoundedAndGrowing(t *testing.T) {
-	n := &Node{addr: "a", c: &Cluster{tcfg: TransportConfig{}.withDefaults()}}
+	n := &Node{addr: "a", c: &Cluster{tcfg: TransportConfig{}.withDefaults()}, links: make(map[types.NodeAddr]*linkBytes)}
 	tr := newTransport(n, "b")
 	prevCap := time.Duration(0)
 	for attempt := 1; attempt <= 12; attempt++ {

@@ -158,8 +158,9 @@ func TestByteClassesFollowTheBytesSent(t *testing.T) {
 		Prog:  apps.Forwarding(),
 		Funcs: apps.Funcs(),
 		Nodes: g.Nodes(),
-		// A long linger, so the burst below coalesces whatever the scheduler does.
-		Transport: TransportConfig{BatchFlush: 100 * time.Millisecond},
+		// Every write stalls, so the burst below piles up behind each
+		// link's first batch and coalesces whatever the scheduler does.
+		Faults: &FaultPlan{Delay: 1, DelayFor: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

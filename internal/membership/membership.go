@@ -23,7 +23,6 @@ package membership
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"provcompress/internal/types"
@@ -240,13 +239,25 @@ func DecodeView(d *wire.Decoder) (*View, error) {
 
 // --- Rendezvous (highest-random-weight) ownership ---
 
-// score is the rendezvous weight of one (member, key) pair.
+// FNV-1a 64-bit parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// score is the rendezvous weight of one (member, key) pair: FNV-1a over
+// the address, a zero byte and the key, computed inline so that scoring
+// a candidate allocates nothing.
 func score(addr types.NodeAddr, key []byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(addr)) //nolint:errcheck // fnv never fails
-	h.Write([]byte{0})    //nolint:errcheck
-	h.Write(key)          //nolint:errcheck
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(addr); i++ {
+		h = (h ^ uint64(addr[i])) * fnvPrime64
+	}
+	h *= fnvPrime64 // the zero separator
+	for _, b := range key {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	return h
 }
 
 // Owners returns the top-k members for a partition key by rendezvous
@@ -259,26 +270,26 @@ func Owners(key []byte, k int, candidates []types.NodeAddr) []types.NodeAddr {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	type scored struct {
-		addr types.NodeAddr
-		s    uint64
-	}
-	ss := make([]scored, 0, len(candidates))
+	k = min(k, len(candidates))
+	// The best k so far, best first: a k-slot insertion, not a sort of
+	// every candidate.
+	out := make([]types.NodeAddr, 0, k)
+	scores := make([]uint64, 0, k)
 	for _, a := range candidates {
-		ss = append(ss, scored{a, score(a, key)})
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].s != ss[j].s {
-			return ss[i].s > ss[j].s
+		s := score(a, key)
+		i := len(out)
+		for i > 0 && (s > scores[i-1] || s == scores[i-1] && a < out[i-1]) {
+			i--
 		}
-		return ss[i].addr < ss[j].addr
-	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]types.NodeAddr, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].addr
+		if i == k {
+			continue
+		}
+		if len(out) < k {
+			out, scores = append(out, ""), append(scores, 0)
+		}
+		copy(out[i+1:], out[i:])
+		copy(scores[i+1:], scores[i:])
+		out[i], scores[i] = a, s
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package membership
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"provcompress/internal/types"
@@ -205,6 +207,60 @@ func TestOwnersDeterministicAndStable(t *testing.T) {
 	}
 	if Owners(key, 0, members) != nil || Owners(key, 3, nil) != nil {
 		t.Fatal("degenerate Owners calls must return nil")
+	}
+}
+
+// fnvScore is the reference rendezvous weight: hash/fnv's FNV-1a over
+// the address, a zero byte and the key.
+func fnvScore(a types.NodeAddr, key []byte) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(a))
+	h.Write([]byte{0})
+	h.Write(key)
+	return h.Sum64()
+}
+
+// ownersBySort is the reference Owners: every candidate scored by
+// fnvScore and ranked by a full sort.
+func ownersBySort(key []byte, k int, candidates []types.NodeAddr) []types.NodeAddr {
+	if k <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	ranked := append([]types.NodeAddr(nil), candidates...)
+	sort.Slice(ranked, func(i, j int) bool {
+		si, sj := fnvScore(ranked[i], key), fnvScore(ranked[j], key)
+		if si != sj {
+			return si > sj
+		}
+		return ranked[i] < ranked[j]
+	})
+	return ranked[:min(k, len(ranked))]
+}
+
+// TestOwnersMatchesReference compares Owners with ownersBySort over random
+// member sets (duplicates and empty addresses included), keys and k.
+func TestOwnersMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		members := make([]types.NodeAddr, rng.Intn(40))
+		for i := range members {
+			members[i] = addr(rng.Intn(60))
+			if rng.Intn(50) == 0 {
+				members[i] = ""
+			}
+		}
+		key := make([]byte, rng.Intn(24))
+		rng.Read(key)
+		k := rng.Intn(len(members)+3) - 1
+		got, want := Owners(key, k, members), ownersBySort(key, k, members)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Owners(%x, %d, %v) = %v, want %v", trial, key, k, members, got, want)
+		}
+		for _, m := range members {
+			if score(m, key) != fnvScore(m, key) {
+				t.Fatalf("trial %d: score(%q, %x) differs from hash/fnv", trial, m, key)
+			}
+		}
 	}
 }
 
