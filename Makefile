@@ -34,14 +34,20 @@
 #                count, what the decoders accept must re-encode to
 #                itself, and an event record no owner logs must replay as
 #                a no-op
-#   chaos        the seeded fault-injection suite, race-enabled, no test cache
+#   chaos        the seeded fault-injection suite, race-enabled, no test cache:
+#                every test that sets a FaultPlan (its -run regex must
+#                select each one; check with go test -list), plus the
+#                kill/restart, malformed-frame and Quiesce tests
 #
 # `make bench` is not part of the gate: it runs the Go microbenchmarks and
 # the benchmark BENCHMARK.json declares (go run ./bench; see bench/README.md).
 #
-# The chaos tests use fixed FaultPlan seeds, so a failure reproduces
-# deterministically; -count=1 defeats the test cache to make sure the
-# transport actually runs every time.
+# A FaultPlan wraps each link's connection: a drop fails the write, a
+# delay stalls it (past the write deadline, into a timeout), a reset tears
+# the frame and closes the socket, and the transport recovers through its
+# one failure path. The chaos tests use fixed FaultPlan seeds, so a
+# failure reproduces deterministically; -count=1 defeats the test cache to
+# make sure the transport actually runs every time.
 
 GO ?= go
 NOLINT_MAX := 26
@@ -76,7 +82,7 @@ fuzz-smoke:
 	done
 
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Malformed|Quiesce|Restart|LateResult' ./internal/cluster/ ./internal/provserve/
+	$(GO) test -race -count=1 -run 'Chaos|Malformed|Quiesce|Restart|LateResult|Fault|HaltSettles|ByteClassesFollow|ClusterThroughFacade' . ./internal/cluster/ ./internal/provserve/
 
 # Go microbenchmarks plus the repo's benchmark (BENCHMARK.json).
 bench:

@@ -154,28 +154,26 @@ var (
 )
 
 // Real-socket cluster deployment (the paper's Section 6.1.3 physical
-// testbed): one TCP listener per node, binary frames on the wire, and a
-// fault-tolerant transport with reconnection, retries, backoff, write
-// deadlines, deterministic fault injection, and node crash/restart.
+// testbed): one TCP listener per node, binary frames on the wire, a
+// transport that closes, redials, backs off and retries on any failed
+// write, deterministic fault injection on the links' connections, and
+// node crash/restart.
 type (
 	// Cluster is a set of live nodes on loopback TCP.
 	Cluster = cluster.Cluster
-	// ClusterNode is one cluster member (exposes Kill for crash testing).
-	ClusterNode = cluster.Node
 	// ClusterConfig describes the cluster to boot, including transport
 	// tuning and an optional fault plan.
 	ClusterConfig = cluster.Config
-	// ClusterQueryResult is the outcome of a distributed query over TCP.
-	ClusterQueryResult = cluster.QueryResult
 	// TransportConfig tunes the cluster's fault-tolerant sender: its
-	// retry budget and backoff cap (the queue bound, deadlines and batch
-	// linger are fixed).
+	// retry budget and backoff cap (the queue bound, the dial and write
+	// timeouts and the batch linger are fixed).
 	TransportConfig = cluster.TransportConfig
 	// TransportStats snapshots the transport counters (dials, redials,
 	// retries, drops, suppressed duplicates, ...).
 	TransportStats = cluster.TransportStats
-	// FaultPlan deterministically injects transport faults (drops,
-	// delays, one-shot connection resets) keyed off a seed.
+	// FaultPlan deterministically injects socket failures into the
+	// links' connections (failed writes, stalls, one-shot torn frames)
+	// keyed off a seed.
 	FaultPlan = cluster.FaultPlan
 )
 
@@ -185,55 +183,27 @@ var NewCluster = cluster.New
 // Distributed tracing: set ClusterConfig.Tracer and one injected event or
 // one distributed query yields a single parent-linked span tree across
 // every node it touched, exportable as Chrome trace JSON
-// (chrome://tracing / Perfetto).
-type (
-	// TraceCollector gathers spans from every node of a traced cluster.
-	TraceCollector = trace.Collector
-	// TraceSpan is one timed operation (inject, process, rule, walk,
-	// query, reconstruct) on one node of a trace.
-	TraceSpan = trace.Span
-	// TraceID names one distributed trace (zero = untraced).
-	TraceID = trace.TraceID
-)
+// (chrome://tracing / Perfetto). TraceID names one distributed trace
+// (zero = untraced).
+type TraceID = trace.TraceID
 
-var (
-	// NewTraceCollector builds a span collector (0 = default span budget).
-	NewTraceCollector = trace.NewCollector
-	// CheckTraceLinked verifies spans form one parent-linked tree.
-	CheckTraceLinked = trace.CheckLinked
-)
-
-// Serving layer (cmd/provd): a long-lived HTTP/JSON daemon over live
-// clusters with a key-invalidated result cache, a bounded query worker
-// pool with admission control (429 + Retry-After on overload), Prometheus
-// /metrics, and pprof.
+// Load generation against the serving daemon (cmd/provd: a long-lived
+// HTTP/JSON service over live clusters with a key-invalidated result
+// cache and admission control).
 type (
-	// ServeConfig describes the daemon (clusters per scheme, pool and
-	// queue sizes, cache capacity, query timeout).
-	ServeConfig = provserve.Config
-	// ProvServer is the daemon: an http.Handler plus its worker pool.
-	ProvServer = provserve.Server
 	// LoadConfig drives the Zipf-sampled query load generator.
 	LoadConfig = provserve.LoadConfig
 	// LoadReport is the generator's QPS + p50/p95/p99 summary.
 	LoadReport = provserve.LoadReport
 )
 
-var (
-	// NewProvServer builds the serving daemon and starts its worker pool.
-	NewProvServer = provserve.New
-	// RunLoad hammers a running daemon with Zipf-sampled queries.
-	RunLoad = provserve.RunLoad
-)
+// RunLoad hammers a running daemon with Zipf-sampled queries.
+var RunLoad = provserve.RunLoad
 
-// Measurement helpers for serving-style workloads.
-type (
-	// Histogram is a fixed-bucket, concurrency-safe latency histogram
-	// with p50/p95/p99 estimation and Prometheus exposition.
-	Histogram = metrics.Histogram
-	// MetricCounters is an ordered set of named int64 counters.
-	MetricCounters = metrics.Counters
-)
+// Histogram is a fixed-bucket, concurrency-safe latency histogram with
+// p50/p95/p99 estimation and Prometheus exposition, a measurement helper
+// for serving-style workloads.
+type Histogram = metrics.Histogram
 
 var (
 	// NewHistogram builds a histogram over explicit bucket bounds.

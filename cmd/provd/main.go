@@ -213,14 +213,12 @@ func parseTenants(s string) ([]provserve.TenantConfig, error) {
 	return out, nil
 }
 
-// bootFlags are the topology, fault-injection and durability options of
-// the clusters provd boots, one per served scheme.
+// bootFlags are the topology and durability options of the clusters
+// provd boots, one per served scheme.
 type bootFlags struct {
-	app, join, dataDir, fsync                                string
-	nodes, resetAfter, graveyardCap, replicas, snapshotEvery int
-	drop, delay                                              float64
-	delayFor, fsyncInterval                                  time.Duration
-	faultSeed                                                int64
+	app, join, dataDir, fsync                    string
+	nodes, graveyardCap, replicas, snapshotEvery int
+	fsyncInterval                                time.Duration
 }
 
 // registerBoot installs the cluster bring-up flags on fs and returns the
@@ -229,11 +227,6 @@ func registerBoot(fs *flag.FlagSet) *bootFlags {
 	f := &bootFlags{}
 	fs.IntVar(&f.nodes, "nodes", 8, "cluster size (topology shape per -app)")
 	fs.StringVar(&f.app, "app", "forwarding", fmt.Sprintf("deployed application scenario: %s", strings.Join(scenario.Names(), ", ")))
-	fs.Float64Var(&f.drop, "drop", 0, "fault injection: per-attempt probability a frame write is dropped")
-	fs.Float64Var(&f.delay, "delay", 0, "fault injection: per-attempt probability a frame write stalls")
-	fs.DurationVar(&f.delayFor, "delay-for", 5*time.Millisecond, "fault injection: how long a stalled write waits")
-	fs.IntVar(&f.resetAfter, "reset-after", 0, "fault injection: reset each link once after N successful writes")
-	fs.Int64Var(&f.faultSeed, "fault-seed", 1, "fault injection: RNG seed (runs with the same seed inject the same faults)")
 	fs.IntVar(&f.graveyardCap, "graveyard-cap", 0, "max deleted tuples retained per node for provenance VID resolution (0 = unbounded)")
 	fs.IntVar(&f.replicas, "replicas", 0, "k-way provenance replication factor; queries fail over to replicas when a member is down (0 = off)")
 	fs.StringVar(&f.join, "join", "", "comma-separated member addresses to join elastically after boot (e.g. n8,n9)")
@@ -272,10 +265,6 @@ func (f *bootFlags) boot(scheme string, tracer *trace.Collector) (*cluster.Clust
 		Tracer:       tracer,
 		GraveyardCap: f.graveyardCap,
 		Replicas:     f.replicas,
-	}
-	if f.drop > 0 || f.delay > 0 || f.resetAfter > 0 {
-		cfg.Faults = &cluster.FaultPlan{Seed: f.faultSeed, Drop: f.drop, Delay: f.delay,
-			DelayFor: f.delayFor, ResetAfter: f.resetAfter}
 	}
 	recovering := false
 	if f.dataDir != "" {

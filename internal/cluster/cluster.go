@@ -14,12 +14,13 @@
 // Unlike the paper's healthy-testbed assumption, this runtime carries a
 // fault model: every link is a fault-tolerant transport (transport.go)
 // with reconnection, retries, backoff and write deadlines; FaultPlan
-// (faults.go) injects deterministic drops/delays/resets; and nodes can be
-// crashed and revived with Node.Kill and Cluster.Restart. In-flight
-// accounting is epoch-based per destination so Quiesce stays trustworthy
-// when frames are lost or a member dies: every enqueued frame is settled
-// exactly once — by the receiver that processes it, by the sender that
-// gives up on it, or by the drain that accompanies a crash.
+// (faults.go) wraps the links' connections to fail, stall or tear their
+// writes deterministically; and nodes can be crashed and revived with
+// Node.Kill and Cluster.Restart. In-flight accounting is epoch-based per
+// destination so Quiesce stays trustworthy when frames are lost or a
+// member dies: every enqueued frame is settled exactly once — by the
+// receiver that processes it, by the sender that gives up on it, or by
+// the drain that accompanies a crash.
 package cluster
 
 import (
@@ -28,6 +29,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,8 +58,8 @@ type Config struct {
 	// Transport tunes the fault-tolerant sender; zero values pick the
 	// defaults documented on TransportConfig.
 	Transport TransportConfig
-	// Faults, when non-nil, deterministically injects transport faults
-	// (drops, delays, one-shot resets) keyed off its seed.
+	// Faults, when non-nil, wraps every link's connection to fail, stall
+	// or tear its writes, deterministically from its seed.
 	Faults *FaultPlan
 	// Shards is the number of per-node event-execution workers. Arriving
 	// event tuples are routed to a shard by their equivalence key (the
@@ -693,7 +695,42 @@ func (c *Cluster) Quiesce(deadline time.Duration) error {
 		}
 	}
 	c.acctMu.Unlock()
-	return fmt.Errorf("cluster: quiesce timeout with %d messages in flight (per dest: %v)", c.inflight.Load(), stuck)
+	return fmt.Errorf("cluster: quiesce timeout with %d messages in flight (per dest: %v)%s", c.inflight.Load(), stuck, c.stuckLinks(stuck))
+}
+
+// stuckLinks describes what a stuck Quiesce waits for: for each
+// destination still counted in flight, every live sender's link to it and
+// the destination's receive tracker for that sender.
+func (c *Cluster) stuckLinks(stuck map[types.NodeAddr]int64) string {
+	nodes := c.nodeMap()
+	var b strings.Builder
+	for to := range stuck {
+		dst := nodes[to]
+		for from, n := range nodes {
+			n.transMu.Lock()
+			t := n.trans[to]
+			n.transMu.Unlock()
+			if t == nil || !n.alive.Load() {
+				continue
+			}
+			t.mu.Lock()
+			waiting, open := len(t.sched.waiting), 0
+			if t.sched.open {
+				open = len(t.sched.batch)
+			}
+			t.mu.Unlock()
+			fmt.Fprintf(&b, "; %s->%s (inc %d): %d waiting, open batch %d, last seq written %d, mid-write %t",
+				from, to, n.incarnation.Load(), waiting, open, t.written.Load(), t.writing.Load())
+			dst.seqMu.Lock()
+			if st := dst.lastSeq[from]; st != nil {
+				fmt.Fprintf(&b, "; %s tracks %s at inc %d max seq %d, %d seen", to, from, st.inc, st.maxSeq, len(st.seen))
+			} else {
+				fmt.Fprintf(&b, "; %s tracks nothing from %s", to, from)
+			}
+			dst.seqMu.Unlock()
+		}
+	}
+	return b.String()
 }
 
 // Outputs returns the output tuples that arrived at one node — its rows of

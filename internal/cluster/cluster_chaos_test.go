@@ -100,6 +100,9 @@ func TestChaosForwardingDropDelayReset(t *testing.T) {
 	if stats.FaultDrops > 0 && stats.Retries == 0 {
 		t.Error("faults were injected but nothing retried")
 	}
+	if stats.SendErrors == 0 {
+		t.Error("drops and resets are failed writes, but no write failed")
+	}
 	if stats.Drops > 0 || stats.QueueDrops > 0 {
 		t.Errorf("survivable plan lost frames permanently: %+v", stats)
 	}
@@ -446,5 +449,105 @@ func TestChaosUnsurvivablePlanFailsFast(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return")
+	}
+}
+
+// TestChaosTornFrameRetried tears live links mid-frame: under
+// FaultPlan{ResetAfter: 1} a link's second write sends only part of its
+// frame and the connection closes. Two links carry a second write here,
+// so two frames tear: n1->n1 (the recv tuple, then the walk's first hop)
+// and n0->n1 (the packet, then the walk's result). Each receiver must
+// discard its torn frame, each sender must take its one failure path (a
+// failed write, a redial, a retry), and outputs, the provenance tree and
+// the byte counts must equal the fault-free run's: torn bytes count in
+// no class.
+func TestChaosTornFrameRetried(t *testing.T) {
+	run := func(plan *FaultPlan) (out, tree string, stats TransportStats) {
+		t.Helper()
+		g := topo.Line(2, "n")
+		c, err := New(Config{Prog: apps.Forwarding(), Funcs: apps.Funcs(), Nodes: g.Nodes(), Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.LoadBase(g.ShortestPaths().RouteTuples()); err != nil {
+			t.Fatal(err)
+		}
+		ev := pkt("n0", "n0", "n1", "torn")
+		if err := c.Inject(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Quiesce(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(recvT("n1", "n0", "n1", "torn"), types.HashTuple(ev), 10*time.Second)
+		if err != nil || len(res.Trees) != 1 {
+			t.Fatalf("query: %v (%d trees)", err, len(res.Trees))
+		}
+		checkByteClassesExact(t, c, "after the query")
+		return fmt.Sprint(c.AllOutputs()), res.Trees[0].String(), c.TransportStats()
+	}
+	wantOut, wantTree, clean := run(nil)
+	gotOut, gotTree, stats := run(&FaultPlan{ResetAfter: 1})
+	if gotOut != wantOut {
+		t.Errorf("outputs diverged: got %s, want %s", gotOut, wantOut)
+	}
+	if gotTree != wantTree {
+		t.Errorf("tree diverged:\ngot:\n%s\nwant:\n%s", gotTree, wantTree)
+	}
+	if stats.FaultResets != 2 || stats.SendErrors < 2 || stats.Redials < 2 || stats.Dups != 0 || stats.Drops != 0 {
+		t.Errorf("fault-resets %d, send-errors %d, redials %d, dups %d, drops %d; want 2, >= 2, >= 2, 0, 0",
+			stats.FaultResets, stats.SendErrors, stats.Redials, stats.Dups, stats.Drops)
+	}
+	if stats.BytesTotal != clean.BytesTotal || stats.BytesBase != clean.BytesBase || stats.BytesProv != clean.BytesProv ||
+		stats.BytesQuery != clean.BytesQuery || stats.BytesBatch != clean.BytesBatch {
+		t.Errorf("bytes total/base/prov/query/batch %d/%d/%d/%d/%d, fault-free run %d/%d/%d/%d/%d",
+			stats.BytesTotal, stats.BytesBase, stats.BytesProv, stats.BytesQuery, stats.BytesBatch,
+			clean.BytesTotal, clean.BytesBase, clean.BytesProv, clean.BytesQuery, clean.BytesBatch)
+	}
+}
+
+// TestQuiesceTimeoutNamesStuckLinks stalls one link's write and checks
+// that the Quiesce timeout says what it waits for: the link, its queue,
+// its writer, and the destination's receive tracker for the sender.
+func TestQuiesceTimeoutNamesStuckLinks(t *testing.T) {
+	c, err := New(Config{
+		Prog:   apps.Forwarding(),
+		Funcs:  apps.Funcs(),
+		Nodes:  []types.NodeAddr{"a", "b"},
+		Faults: &FaultPlan{Delay: 1, DelayFor: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a := c.node("a")
+	c.node("b").seenDuplicate("a", 0, 7) // what b would hold after seq 7
+	send := func() {
+		if err := a.send("b", []byte{1, 2, 3}, classBase, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	tr := a.transportTo("b")
+	for deadline := time.Now().Add(10 * time.Second); !tr.writing.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first write never started")
+		}
+	}
+	send()
+	send()
+	err = c.Quiesce(20 * time.Millisecond)
+	if err == nil {
+		t.Fatal("quiesce returned with a write stalled")
+	}
+	for _, want := range []string{
+		"per dest: map[b:3]",
+		"a->b (inc 0): 2 waiting, open batch 0, last seq written 0, mid-write true",
+		"b tracks a at inc 0 max seq 7, 1 seen",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("quiesce error %q lacks %q", err, want)
+		}
 	}
 }

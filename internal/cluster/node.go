@@ -429,7 +429,7 @@ func (n *Node) transportTo(to types.NodeAddr) *transport {
 	defer n.transMu.Unlock()
 	t := n.trans[to]
 	if t == nil && n.alive.Load() {
-		t = newTransport(n, to)
+		t = newTransport(n, to, n.c.dialer(n, to))
 		n.trans[to] = t
 		n.wg.Add(1)
 		go t.run()

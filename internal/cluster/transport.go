@@ -136,9 +136,9 @@ type TransportStats struct {
 	VersionDrops int64 // deliveries of another wire.FormatVersion, dropped undecoded
 	LateResults  int64 // query results that arrived after the query timed out
 	QueryRetries int64 // Query walks re-issued after a result timeout
-	FaultDrops   int64 // writes discarded by the fault plan
+	FaultDrops   int64 // writes failed by the fault plan
 	FaultDelays  int64 // writes stalled by the fault plan
-	FaultResets  int64 // connections reset by the fault plan
+	FaultResets  int64 // connections torn mid-frame by the fault plan
 	Batches      int64 // = Sends: every delivery is one frameBatch
 	BatchFrames  int64 // sub-frames those batches carried
 
@@ -222,11 +222,11 @@ type outFrame struct {
 
 // transport is one directed link: a linkSched drained by a dedicated
 // writer goroutine that dials (and re-dials) the peer, applies write
-// deadlines, injects plan faults, and retries failed sends with
-// exponential backoff and jitter. Exactly one transport exists per
-// (sender node, peer) pair at a time, so frames carry strictly increasing
-// sequence numbers in write order and the receiver can suppress
-// redelivered duplicates with a per-sender high-water mark.
+// deadlines, and retries failed sends with exponential backoff and
+// jitter. Exactly one transport exists per (sender node, peer) pair at a
+// time, so frames carry strictly increasing sequence numbers in write
+// order and the receiver can suppress redelivered duplicates with a
+// per-sender high-water mark.
 type transport struct {
 	owner *Node
 	to    types.NodeAddr
@@ -240,30 +240,35 @@ type transport struct {
 
 	kick chan struct{} // wakes the writer: a frame was offered
 	stop chan struct{} // closed at halt: wakes the writer, aborts its sleeps
+	dial func() (net.Conn, error)
+
+	// What a stuck Quiesce reports about the writer.
+	writing atomic.Bool   // a batch is in writeEnv
+	written atomic.Uint64 // the last seq of the last batch written
 
 	// Writer-goroutine state (no locking needed).
 	conn       net.Conn
 	everDialed bool
 	seq        uint64
 	rng        *rand.Rand
-	faults     *linkFaults
 
 	// Encoding scratch, reused across batches by the writer goroutine.
 	entries []wire.BatchEntry
 	sizes   []int
 }
 
-func newTransport(n *Node, to types.NodeAddr) *transport {
+// newTransport builds n's link to a peer, which connects through dial.
+func newTransport(n *Node, to types.NodeAddr, dial func() (net.Conn, error)) *transport {
 	t := &transport{
-		owner:  n,
-		to:     to,
-		cfg:    n.c.tcfg,
-		stats:  &n.stats,
-		bytes:  n.linkBytesTo(to),
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		rng:    rand.New(rand.NewSource(linkSeed(1, n.addr, to))),
-		faults: n.c.faults.link(n.addr, to),
+		owner: n,
+		to:    to,
+		cfg:   n.c.tcfg,
+		stats: &n.stats,
+		bytes: n.linkBytesTo(to),
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		dial:  dial,
+		rng:   rand.New(rand.NewSource(linkSeed(1, n.addr, to))),
 	}
 	t.room.L = &t.mu
 	return t
@@ -430,8 +435,9 @@ func (t *transport) backoff(attempt int) time.Duration {
 
 // writeEnv writes one encoded delivery, retrying with backoff and
 // reconnection up to the retry budget, and reports whether a write
-// succeeded. Fault injection, dialing, deadlines, and suspicion all live
-// here.
+// succeeded. Dialing, deadlines, and suspicion all live here. Every
+// failed write takes the one path: close the connection, back off, and
+// retry on a fresh one.
 func (t *transport) writeEnv(env []byte) bool {
 	dialFailed := false
 	for attempt := 0; attempt <= t.cfg.RetryBudget; attempt++ {
@@ -441,21 +447,8 @@ func (t *transport) writeEnv(env []byte) bool {
 				return false
 			}
 		}
-		switch t.faults.next() {
-		case faultDrop:
-			t.stats.faultDrops.Add(1)
-			continue // the sender observes a lost write and retries
-		case faultDelay:
-			t.stats.faultDelays.Add(1)
-			if !t.sleep(t.faults.delayFor()) {
-				return false
-			}
-		case faultReset:
-			t.stats.faultResets.Add(1)
-			t.closeConn()
-		}
 		if t.conn == nil {
-			conn, err := net.DialTimeout("tcp", t.owner.c.node(t.to).listenAddr(), dialTimeout)
+			conn, err := t.dial()
 			if err != nil {
 				t.stats.dialErrors.Add(1)
 				dialFailed = true
@@ -481,13 +474,12 @@ func (t *transport) writeEnv(env []byte) bool {
 			continue
 		}
 		t.stats.sends.Add(1)
-		t.faults.sent()
 		return true
 	}
-	// Budget exhausted. Only hard evidence raises a suspicion: every dial
-	// failed and no connection was ever held for this delivery — the
-	// peer's listener is gone, not merely slow or lossy (a fault-plan
-	// drop storm keeps its connection and must not mark the peer Down).
+	// Budget exhausted. Only hard evidence raises a suspicion: a dial
+	// failed and no connection is held — the peer's listener is gone, not
+	// merely slow or lossy (the writes of a drop storm fail on
+	// connections that dial fine, and must not mark the peer Down).
 	if t.conn == nil && dialFailed {
 		t.owner.suspect(t.to)
 	}
@@ -536,7 +528,11 @@ func (t *transport) deliverBatch(batch []outFrame) {
 	// Quiesce returns every written byte is counted.
 	c := t.owner.c
 	c.inflight.Add(1)
-	if t.writeEnv(env) {
+	t.writing.Store(true)
+	ok := t.writeEnv(env)
+	t.writing.Store(false)
+	if ok {
+		t.written.Store(t.seq)
 		t.owner.linkMu.Lock()
 		t.bytes.total += split.total
 		for i, b := range split.class {

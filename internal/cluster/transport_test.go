@@ -89,7 +89,7 @@ func TestHaltSettlesEveryFrame(t *testing.T) {
 
 func TestBackoffBoundedAndGrowing(t *testing.T) {
 	n := &Node{addr: "a", c: &Cluster{tcfg: TransportConfig{}.withDefaults()}, links: make(map[types.NodeAddr]*linkBytes)}
-	tr := newTransport(n, "b")
+	tr := newTransport(n, "b", nil)
 	prevCap := time.Duration(0)
 	for attempt := 1; attempt <= 12; attempt++ {
 		d := tr.backoff(attempt)
@@ -151,14 +151,22 @@ func TestFaultPlanDeterminism(t *testing.T) {
 
 func TestFaultPlanNilSafe(t *testing.T) {
 	var plan *FaultPlan
-	l := plan.link("a", "b")
-	if l != nil {
+	if plan.link("a", "b") != nil {
 		t.Fatal("nil plan produced a fault stream")
 	}
-	if l.next() != faultNone {
-		t.Error("nil stream injected a fault")
+	c, err := New(Config{Prog: apps.Forwarding(), Funcs: apps.Funcs(), Nodes: []types.NodeAddr{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.sent() // must not panic
+	defer c.Close()
+	conn, err := c.dialer(c.node("a"), "b")()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, ok := conn.(*faultConn); ok {
+		t.Error("a link without a plan dialed a fault connection")
+	}
 }
 
 func TestLinkFaultsOneShotReset(t *testing.T) {
