@@ -17,9 +17,12 @@
 #                multi-tenant soak
 #   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
 #                skip themselves under the race detector: types.HashTuple
-#                and a warmed wire.Encoder.Tuple allocate 0, a rule
-#                evaluation 0 unless it fires and <=3 per firing, one
-#                untraced pipeline step stays under its stated budget
+#                and a warmed wire.Encoder.Tuple allocate 0, a tuple made
+#                only of names decodes through a name table into its Args
+#                slice alone, the receive dedup filter allocates 0 for a
+#                sender it tracks, a rule evaluation 0 unless it fires and
+#                <=3 per firing, one untraced pipeline step stays under its
+#                stated budget
 #                and, run with ship=false as WAL replay and shadow applies
 #                run it, encodes nothing, the pooled batch encode path
 #                stays at 0, and so does a warmed WAL append
@@ -32,8 +35,9 @@
 #                and the HTTP event and query bodies must not panic, the
 #                two payload decoders must not allocate by a decoded
 #                count, what the decoders accept must re-encode to
-#                itself, and an event record no owner logs must replay as
-#                a no-op
+#                itself, a tuple decoded through a name table must equal
+#                its plain decode, and an event record no owner logs must
+#                replay as a no-op
 #   chaos        the seeded fault-injection suite, race-enabled, no test cache:
 #                every test that sets a FaultPlan (its -run regex must
 #                select each one; check with go test -list), plus the

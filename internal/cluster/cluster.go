@@ -26,6 +26,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"net"
 	"runtime"
 	"sort"
@@ -99,6 +100,11 @@ type Cluster struct {
 	// arities is every program relation's argument count; Inject refuses
 	// events that disagree with it.
 	arities map[string]int
+	// names interns what every decoded tuple is made of: the program's
+	// relation names and the boot members' addresses. Built once in New
+	// and read-only afterwards; every frame, WAL record and snapshot this
+	// cluster decodes resolves its strings through it.
+	names *types.Names
 	// outputRels lists the program's output relations, sorted (Outputs).
 	outputRels []string
 	scheme     string
@@ -239,11 +245,50 @@ type Node struct {
 }
 
 // seqTracker is one sender's delivery history: the incarnation of its
-// newest stream and a sliding window of delivered seqs.
+// newest stream, the newest seq delivered from it, and which of the
+// dedupWindow seqs up to that one were delivered — a fixed 1 KiB bitmap
+// ring, bit seq%dedupWindow for seq. Advancing maxSeq clears the bits it
+// passes, so each bit only ever speaks for the one seq of its slot inside
+// the window; anything older is refused before the ring is read.
 type seqTracker struct {
 	inc    uint64
 	maxSeq uint64
-	seen   map[uint64]struct{}
+	seen   [dedupWindow / 64]uint64
+}
+
+// seenOrMark reports whether seq was already delivered on this stream or
+// is too old to tell, and otherwise marks it delivered.
+func (st *seqTracker) seenOrMark(seq uint64) bool {
+	if seq+dedupWindow <= st.maxSeq {
+		return true // too old to distinguish from a duplicate
+	}
+	if seq > st.maxSeq {
+		if seq-st.maxSeq >= dedupWindow {
+			st.seen = [dedupWindow / 64]uint64{}
+		} else {
+			// Counted, not compared against seq: s <= seq never fails
+			// when seq is the largest uint64.
+			for s, k := st.maxSeq+1, seq-st.maxSeq; k > 0; s, k = s+1, k-1 {
+				st.seen[s%dedupWindow/64] &^= 1 << (s % 64)
+			}
+		}
+		st.maxSeq = seq
+	}
+	word, bit := &st.seen[seq%dedupWindow/64], uint64(1)<<(seq%64)
+	if *word&bit != 0 {
+		return true
+	}
+	*word |= bit
+	return false
+}
+
+// count returns how many seqs of the window were delivered.
+func (st *seqTracker) count() int {
+	n := 0
+	for _, w := range st.seen {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // New boots the cluster: one listener per node, the program validated and
@@ -282,11 +327,19 @@ func New(cfg Config) (*Cluster, error) {
 			nshards = 8
 		}
 	}
+	vocab := make([]string, 0, len(arities)+len(cfg.Nodes))
+	for rel := range arities {
+		vocab = append(vocab, rel)
+	}
+	for _, addr := range cfg.Nodes {
+		vocab = append(vocab, string(addr))
+	}
 	c := &Cluster{
 		prog:         cfg.Prog,
 		funcs:        cfg.Funcs,
 		keys:         graph.EquivalenceKeys(),
 		arities:      arities,
+		names:        types.NewNames(vocab...),
 		outputRels:   outputRels,
 		scheme:       scheme,
 		tcfg:         cfg.Transport.withDefaults(),
@@ -723,7 +776,7 @@ func (c *Cluster) stuckLinks(stuck map[types.NodeAddr]int64) string {
 				from, to, n.incarnation.Load(), waiting, open, t.written.Load(), t.writing.Load())
 			dst.seqMu.Lock()
 			if st := dst.lastSeq[from]; st != nil {
-				fmt.Fprintf(&b, "; %s tracks %s at inc %d max seq %d, %d seen", to, from, st.inc, st.maxSeq, len(st.seen))
+				fmt.Fprintf(&b, "; %s tracks %s at inc %d max seq %d, %d seen", to, from, st.inc, st.maxSeq, st.count())
 			} else {
 				fmt.Fprintf(&b, "; %s tracks nothing from %s", to, from)
 			}

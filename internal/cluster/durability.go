@@ -90,8 +90,9 @@ func (c *Cluster) openStore(n *Node) error {
 	// Recovery runs with the node quiescent (boot, or dead) and the
 	// partition empty: the newest snapshot loads into it, then the WAL
 	// tail replays on top.
+	restore := func(snap []byte) error { return n.self.load(snap, c.names) }
 	apply := func(rec []byte) error { return n.self.applyRecord(n, rec) }
-	ns, err := store.Open(dir, c.dopts, n.self.load, apply)
+	ns, err := store.Open(dir, c.dopts, restore, apply)
 	if err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)
 	}

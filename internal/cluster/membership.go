@@ -610,7 +610,7 @@ func (n *Node) handleHandoff(from, owner types.NodeAddr, hid uint64, acked bool,
 			n.c.memb.repairs.Add(1)
 		}
 	} else if p := n.partitionFor(owner, true); p != nil {
-		err = p.load(snap)
+		err = p.load(snap, n.c.names)
 	}
 	if err != nil {
 		n.fail("handoff install of "+string(owner), err)
@@ -656,7 +656,7 @@ func (n *Node) mergeSelf(payload []byte) error {
 		n.durMu.Lock()
 		defer n.durMu.Unlock()
 	}
-	err := n.self.load(payload)
+	err := n.self.load(payload, n.c.names)
 	if err == nil {
 		n.checkpointLocked() // a no-op without a store
 	}

@@ -59,44 +59,31 @@ func (n *Node) readLoop(conn net.Conn) {
 // still be judged on the seen-set; anything older is treated as a
 // duplicate. Reordering only happens when a retried stream overlaps the
 // tail of a dying connection, which spans at most the outbound queue, so
-// the window is comfortably larger than any queue.
+// the window is comfortably larger than any queue. It is a multiple of
+// 64, the seen-ring's word size.
 const dedupWindow = 1 << 13
 
 // seenDuplicate records the (incarnation, seq) of a sender's frame and
 // reports whether it was already delivered. A strict high-water mark is
 // not enough: after a connection reset, frames buffered on the dying
 // connection can be read after newer frames on its replacement, so the
-// filter keeps a sliding seen-set per sender and only duplicates (same
-// seq delivered twice) are suppressed — reordered firsts are accepted. A
-// lower incarnation is a frame from before the sender's last restart.
+// filter keeps the last dedupWindow seqs per sender (seqTracker) and only
+// duplicates (same seq delivered twice) are suppressed — reordered firsts
+// are accepted. A lower incarnation is a frame from before the sender's
+// last restart.
 func (n *Node) seenDuplicate(from types.NodeAddr, inc, seq uint64) bool {
 	n.seqMu.Lock()
 	defer n.seqMu.Unlock()
 	st := n.lastSeq[from]
-	if st == nil || inc > st.inc {
-		st = &seqTracker{inc: inc, seen: make(map[uint64]struct{})}
+	if st == nil {
+		st = &seqTracker{inc: inc}
 		n.lastSeq[from] = st
+	} else if inc > st.inc {
+		*st = seqTracker{inc: inc}
 	} else if inc < st.inc {
 		return true // stream from before the sender's restart
 	}
-	if seq+dedupWindow <= st.maxSeq {
-		return true // too old to distinguish from a duplicate
-	}
-	if _, ok := st.seen[seq]; ok {
-		return true
-	}
-	st.seen[seq] = struct{}{}
-	if seq > st.maxSeq {
-		st.maxSeq = seq
-	}
-	if len(st.seen) > 2*dedupWindow {
-		for s := range st.seen {
-			if s+dedupWindow <= st.maxSeq {
-				delete(st.seen, s)
-			}
-		}
-	}
-	return false
+	return st.seenOrMark(seq)
 }
 
 // handleFrame processes one transport delivery: a batch of N ≥ 1
@@ -105,7 +92,7 @@ func (n *Node) seenDuplicate(from types.NodeAddr, inc, seq uint64) bool {
 // Dedup runs per sub-frame: a redelivered batch whose first copy arrived
 // is N suppressed duplicates, never a double apply.
 func (n *Node) handleFrame(payload []byte) {
-	d := wire.NewDecoder(payload)
+	d := wire.NewNamedDecoder(payload, n.c.names)
 	h, err := decodeDeliveryHeader(d)
 	if err != nil {
 		// Malformed header: the epoch is unreadable, floor guards the
@@ -125,7 +112,7 @@ func (n *Node) handleFrame(payload []byte) {
 			n.stats.dups.Add(1)
 			continue
 		}
-		n.dispatch(h.from, wire.NewDecoder(ent.Payload), ent.Epoch)
+		n.dispatch(h.from, wire.NewNamedDecoder(ent.Payload, n.c.names), ent.Epoch)
 	}
 }
 

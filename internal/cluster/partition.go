@@ -183,7 +183,7 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 // record stream, so a rebooted owner and a shadow rebuild the state the
 // live owner reached by the same code.
 func (p *partition) applyRecord(n *Node, rec []byte) error {
-	d := wire.NewDecoder(rec)
+	d := wire.NewNamedDecoder(rec, n.c.names)
 	switch kind := d.U8(); kind {
 	case recEvent:
 		f, err := decodeDurEvent(d)
@@ -237,9 +237,10 @@ func (p *partition) snapshot() []byte {
 // them live. Handoff installs and read-repair load over a live copy:
 // replicated records that arrived before the snapshot survive and rows the
 // snapshot duplicates are no-ops, in either arrival order — so bootstrap
-// is gap-free without a freeze window at the owner.
-func (p *partition) load(payload []byte) error {
-	d := wire.NewDecoder(payload)
+// is gap-free without a freeze window at the owner. Strings decode
+// through names, the cluster's name table.
+func (p *partition) load(payload []byte, names *types.Names) error {
+	d := wire.NewNamedDecoder(payload, names)
 	if v := d.U8(); d.Err() == nil && v != nodeSnapVersion {
 		return fmt.Errorf("cluster: unsupported node snapshot version %d", v)
 	}

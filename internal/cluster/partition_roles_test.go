@@ -75,7 +75,7 @@ func decodedSnapshot(t *testing.T, c *Cluster, owner types.NodeAddr, snap []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.load(snap); err != nil {
+	if err := p.load(snap, c.names); err != nil {
 		t.Fatalf("decode snapshot of %s: %v", owner, err)
 	}
 	sorted := func(prefix string, items []string) []string {

@@ -62,7 +62,7 @@ func FuzzPartitionLoad(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkDecodeAllocs(t, "load", len(data), allocatedBy(func() { err = p.load(data) }))
+			checkDecodeAllocs(t, "load", len(data), allocatedBy(func() { err = p.load(data, c.names) }))
 			if err != nil {
 				continue
 			}
@@ -94,7 +94,7 @@ func TestPartitionLoadAllocsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkDecodeAllocs(t, fmt.Sprintf("%s load with a planted count at offset %d", scheme, off),
-				len(data), allocatedBy(func() { _ = p.load(data) }))
+				len(data), allocatedBy(func() { _ = p.load(data, c.names) }))
 		}
 	}
 }
@@ -145,7 +145,7 @@ func FuzzApplyRecord(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.load(tg.base); err != nil {
+			if err := p.load(tg.base, tg.c.names); err != nil {
 				t.Fatal(err)
 			}
 			n := tg.c.node("n1")

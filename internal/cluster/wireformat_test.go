@@ -355,7 +355,7 @@ func TestPartitionLoadRefusesOtherVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = p.load(other)
+		err = p.load(other, c.names)
 		if want := fmt.Sprint("version ", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("load of a version-%d snapshot: %v (want mention of %q)", v, err, want)
 		}
@@ -505,7 +505,7 @@ func loadsAs(t *testing.T, c *Cluster, hexSnap string, lines []string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.load(b); err != nil {
+	if err := p.load(b, c.names); err != nil {
 		t.Logf("load: %v", err)
 		return nil
 	}

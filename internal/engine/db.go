@@ -29,7 +29,10 @@ import (
 // relation is one table of the store: rows in slice order for scans, a
 // parallel VID slice plus a VID→position map for O(1) swap-remove deletes,
 // and the secondary hash indexes built so far (keyed by the bitmask of the
-// attribute positions they cover).
+// attribute positions they cover). A row holds its tuple as it arrived: a
+// cluster decodes tuples through its name table (types.Names), so a row's
+// relation name and node addresses share the table's strings, and only
+// its other strings (payloads) are the row's own.
 type relation struct {
 	rows []types.Tuple
 	vids []types.ID
@@ -198,17 +201,6 @@ func (db *Database) scanLocked(rel string) []types.Tuple {
 	return nil
 }
 
-// Probe returns the tuples of a relation whose values at the given
-// positions encode to key, using (and lazily building) the secondary hash
-// index for that position set. positions must be sorted; key is the
-// concatenated canonical encoding of the sought values (appendIndexKey).
-// The same stability caveats as Scan apply.
-func (db *Database) Probe(rel string, positions []int, key []byte) []types.Tuple {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.probeLocked(rel, positions, key)
-}
-
 // probeLocked looks up (building on first use) the index for the position
 // set and returns the bucket for key. The caller must hold mu — the read
 // side suffices: index construction only reads rows, and idxMu serializes
@@ -233,19 +225,6 @@ func (db *Database) probeLocked(relName string, positions []int, key []byte) []t
 	}
 	db.idxMu.Unlock()
 	return ix.probe(key)
-}
-
-// IndexCount returns the number of secondary indexes built for a relation
-// (observability and tests).
-func (db *Database) IndexCount(rel string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.idxMu.Lock()
-	defer db.idxMu.Unlock()
-	if r := db.tables[rel]; r != nil {
-		return len(r.idx)
-	}
-	return 0
 }
 
 // LookupVID resolves a tuple by its content hash, used by the provenance

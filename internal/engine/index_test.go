@@ -137,3 +137,26 @@ func TestDatabaseIndexSkipsShortTuples(t *testing.T) {
 		t.Errorf("probe after delete = %v", got)
 	}
 }
+
+// Probe returns the tuples of a relation whose values at the given
+// positions encode to key, using (and lazily building) the secondary hash
+// index for that position set. positions must be sorted; key is the
+// concatenated canonical encoding of the sought values (appendIndexKey).
+// The same stability caveats as Scan apply.
+func (db *Database) Probe(rel string, positions []int, key []byte) []types.Tuple {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.probeLocked(rel, positions, key)
+}
+
+// IndexCount returns the number of secondary indexes built for a relation.
+func (db *Database) IndexCount(rel string) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.idxMu.Lock()
+	defer db.idxMu.Unlock()
+	if r := db.tables[rel]; r != nil {
+		return len(r.idx)
+	}
+	return 0
+}

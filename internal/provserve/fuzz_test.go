@@ -14,7 +14,7 @@ import (
 func checkAccepted(t *testing.T, tup types.Tuple) {
 	t.Helper()
 	enc := tup.Encode()
-	dec, n, err := types.DecodeTuple(enc)
+	dec, n, err := types.DecodeTuple(enc, nil)
 	if err != nil || n != len(enc) || !dec.Equal(tup) {
 		t.Fatalf("accepted %v decodes to %v (consumed %d of %d, err %v)", tup, dec, n, len(enc), err)
 	}

@@ -45,6 +45,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -861,6 +862,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Tracer.WriteChromeTrace(w, trace.TraceID(id)) //nolint:errcheck
 }
 
+// writeGCMetrics exports what the garbage collector costs the process, from
+// runtime/metrics: its estimated CPU time since start, the heap bytes it
+// must scan (pointer-bearing objects), and the heap that survived the last
+// cycle. A heap of many small pointer-free objects scans cheaply; these
+// tell that apart from a heap that is merely small.
+func writeGCMetrics(w io.Writer) {
+	samples := []rtmetrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/scan/heap:bytes"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	rtmetrics.Read(samples)
+	for i, name := range []string{"provd_go_gc_cpu_seconds_total", "provd_go_gc_scan_heap_bytes", "provd_go_gc_heap_live_bytes"} {
+		switch v := samples[i].Value; v.Kind() {
+		case rtmetrics.KindFloat64:
+			metrics.WriteGauge(w, name, "", v.Float64())
+		case rtmetrics.KindUint64:
+			metrics.WriteGauge(w, name, "", float64(v.Uint64()))
+		}
+	}
+}
+
 // handleMetrics renders the Prometheus text exposition: serving counters,
 // latency histograms split by cache outcome, and per-scheme transport,
 // byte-class, storage, graveyard, and trace series. Every label value
@@ -884,6 +907,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			metrics.PromLabel("reason", reason), invals[reason])
 	}
 	metrics.WriteGauge(w, "provd_uptime_seconds", "", time.Since(s.start).Seconds())
+	writeGCMetrics(w)
 	for _, name := range s.tenantNames {
 		tn := s.tenants[name]
 		label := metrics.PromLabel("tenant", name)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -497,6 +499,39 @@ func TestMetricsAndStats(t *testing.T) {
 	if !ok || adv.StorageBytes <= 0 || adv.Outputs != 1 {
 		t.Fatalf("stats.Schemes[advanced] = %+v (ok=%v)", adv, ok)
 	}
+}
+
+// TestMetricsGCRuntime scrapes the garbage collector's figures after a
+// scripted ingest: the GC's CPU seconds since start, the scannable heap and
+// the live heap, each a positive finite sample, the live heap no larger
+// than what the runtime holds for the heap at all.
+func TestMetricsGCRuntime(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for i := 0; i < 20; i++ {
+		postEvents(t, ts.URL, 10000, packetSpec("n0", "n2", fmt.Sprintf("gc-%d", i)))
+	}
+	runtime.GC() // a completed cycle since the ingest, so the live heap counts it
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	got := map[string]float64{}
+	for _, name := range []string{"provd_go_gc_cpu_seconds_total", "provd_go_gc_scan_heap_bytes", "provd_go_gc_heap_live_bytes"} {
+		v, ok := promSample(string(body), name, "")
+		if !ok || !(v > 0) || math.IsInf(v, 0) {
+			t.Errorf("%s = %v (present %v), want a positive finite sample", name, v, ok)
+		}
+		got[name] = v
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if live := got["provd_go_gc_heap_live_bytes"]; live > float64(ms.HeapSys) {
+		t.Errorf("live heap %v exceeds the heap the runtime holds, %d", live, ms.HeapSys)
+	}
+	t.Logf("gc cpu %.3f s, scannable heap %.0f B, live heap %.0f B",
+		got["provd_go_gc_cpu_seconds_total"], got["provd_go_gc_scan_heap_bytes"], got["provd_go_gc_heap_live_bytes"])
 }
 
 // TestMultiSchemeQueryAndOutputs runs two schemes side by side: the same

@@ -13,11 +13,10 @@ import (
 
 // Scheduler is a discrete-event executor. The zero value is ready to use.
 type Scheduler struct {
-	now       time.Duration
-	queue     eventQueue
-	seq       uint64
-	processed uint64
-	running   bool
+	now     time.Duration
+	queue   eventQueue
+	seq     uint64
+	running bool
 }
 
 type event struct {
@@ -49,12 +48,6 @@ func (q *eventQueue) Pop() any {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
-// Processed returns the number of events executed so far.
-func (s *Scheduler) Processed() uint64 { return s.processed }
-
 // At schedules fn at the absolute virtual time t. Scheduling in the past
 // panics: it would break causality of the simulation.
 func (s *Scheduler) At(t time.Duration, fn func()) {
@@ -80,7 +73,6 @@ func (s *Scheduler) step() bool {
 	}
 	e := heap.Pop(&s.queue).(event)
 	s.now = e.at
-	s.processed++
 	e.fn()
 	return true
 }

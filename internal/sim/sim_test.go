@@ -19,8 +19,8 @@ func TestSchedulerOrdering(t *testing.T) {
 	if s.Now() != 30*time.Millisecond {
 		t.Errorf("Now = %v, want 30ms", s.Now())
 	}
-	if s.Processed() != 3 {
-		t.Errorf("Processed = %d, want 3", s.Processed())
+	if s.queue.Len() != 0 {
+		t.Errorf("%d events left after Run, want 0", s.queue.Len())
 	}
 }
 
@@ -67,8 +67,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 5*time.Second {
 		t.Errorf("Now = %v, want 5s", s.Now())
 	}
-	if s.Pending() != 5 {
-		t.Errorf("Pending = %d, want 5", s.Pending())
+	if s.queue.Len() != 5 {
+		t.Errorf("pending = %d, want 5", s.queue.Len())
 	}
 	s.RunFor(2 * time.Second)
 	if count != 7 || s.Now() != 7*time.Second {

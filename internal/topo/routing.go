@@ -113,14 +113,8 @@ func (g *Graph) dijkstra(src types.NodeAddr) (map[types.NodeAddr]types.NodeAddr,
 	return next, hops
 }
 
-// NextHop returns the first hop from src towards dst.
-func (r *Routes) NextHop(src, dst types.NodeAddr) (types.NodeAddr, bool) {
-	n, ok := r.next[src][dst]
-	return n, ok
-}
-
 // Hops returns the path length in hops from src to dst (0 if src == dst or
-// unreachable; use NextHop to distinguish).
+// unreachable; Path tells them apart).
 func (r *Routes) Hops(src, dst types.NodeAddr) int { return r.hops[src][dst] }
 
 // Path returns the node sequence from src to dst inclusive, or nil if

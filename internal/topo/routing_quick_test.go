@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,4 +129,39 @@ func TestShortestPathsOptimality(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Random builds a connected random graph: a random spanning tree plus extra
+// cross edges.
+func Random(n, extraEdges int, seed int64, prefix string) *Graph {
+	r := rand.New(rand.NewSource(seed))
+	g := NewGraph()
+	nodes := make([]types.NodeAddr, n)
+	for i := range nodes {
+		nodes[i] = types.NodeAddr(fmt.Sprintf("%s%d", prefix, i))
+		g.AddNode(nodes[i])
+		if i > 0 {
+			g.MustAddLink(nodes[r.Intn(i)], nodes[i], SimpleLatency, SimpleBandwidth)
+		}
+	}
+	for e := 0; e < extraEdges; e++ {
+		for tries := 0; tries < 32; tries++ {
+			a, b := nodes[r.Intn(n)], nodes[r.Intn(n)]
+			if a == b {
+				continue
+			}
+			if _, ok := g.FindLink(a, b); ok {
+				continue
+			}
+			g.MustAddLink(a, b, SimpleLatency, SimpleBandwidth)
+			break
+		}
+	}
+	return g
+}
+
+// NextHop returns the first hop from src towards dst.
+func (r *Routes) NextHop(src, dst types.NodeAddr) (types.NodeAddr, bool) {
+	n, ok := r.next[src][dst]
+	return n, ok
 }

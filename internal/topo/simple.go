@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"provcompress/internal/types"
@@ -65,34 +64,5 @@ func Fig7() *Graph {
 	g := Fig2()
 	g.MustAddLink("n1", "n4", SimpleLatency, SimpleBandwidth)
 	g.MustAddLink("n4", "n3", SimpleLatency, SimpleBandwidth)
-	return g
-}
-
-// Random builds a connected random graph: a random spanning tree plus extra
-// cross edges.
-func Random(n, extraEdges int, seed int64, prefix string) *Graph {
-	r := rand.New(rand.NewSource(seed))
-	g := NewGraph()
-	nodes := make([]types.NodeAddr, n)
-	for i := range nodes {
-		nodes[i] = types.NodeAddr(fmt.Sprintf("%s%d", prefix, i))
-		g.AddNode(nodes[i])
-		if i > 0 {
-			g.MustAddLink(nodes[r.Intn(i)], nodes[i], SimpleLatency, SimpleBandwidth)
-		}
-	}
-	for e := 0; e < extraEdges; e++ {
-		for tries := 0; tries < 32; tries++ {
-			a, b := nodes[r.Intn(n)], nodes[r.Intn(n)]
-			if a == b {
-				continue
-			}
-			if _, ok := g.FindLink(a, b); ok {
-				continue
-			}
-			g.MustAddLink(a, b, SimpleLatency, SimpleBandwidth)
-			break
-		}
-	}
 	return g
 }

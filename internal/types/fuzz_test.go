@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzDecodeTuple checks the tuple decoder never panics on arbitrary bytes
-// and that successfully decoded tuples re-encode to the consumed prefix.
+// FuzzDecodeTuple checks the tuple decoder never panics on arbitrary bytes,
+// that successfully decoded tuples re-encode to the consumed prefix, and
+// that decoding through a name table changes nothing but where the
+// strings live.
 func FuzzDecodeTuple(f *testing.F) {
 	f.Add(pkt("n1", "n1", "n3", "data").Encode())
 	f.Add(NewTuple("route", String("n2"), String("n3"), String("n3")).Encode())
@@ -14,7 +16,8 @@ func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tp, n, err := DecodeTuple(data)
+		checkDecodeBothWays(t, data, testNames)
+		tp, n, err := DecodeTuple(data, nil)
 		if err != nil {
 			return
 		}
@@ -38,7 +41,7 @@ func FuzzDecodeValue(f *testing.F) {
 	f.Add(Bool(true).AppendEncode(nil))
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, n, err := DecodeValue(data)
+		v, n, err := DecodeValue(data, nil)
 		if err != nil {
 			return
 		}

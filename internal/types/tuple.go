@@ -105,8 +105,10 @@ func (t Tuple) Encode() []byte {
 }
 
 // DecodeTuple decodes a tuple from the front of b, returning the tuple and
-// the number of bytes consumed.
-func DecodeTuple(b []byte) (Tuple, int, error) {
+// the number of bytes consumed. The relation name and every string
+// argument resolve through names (nil for none): a name it holds is
+// shared, not copied.
+func DecodeTuple(b []byte, names *Names) (Tuple, int, error) {
 	relLen, n := decodeUvarint(b)
 	if n <= 0 {
 		return Tuple{}, 0, fmt.Errorf("types: decode tuple: truncated relation length")
@@ -117,7 +119,7 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 	if relLen > uint64(len(b)-off) {
 		return Tuple{}, 0, fmt.Errorf("types: decode tuple: truncated relation name")
 	}
-	rel := string(b[off : off+int(relLen)])
+	rel := names.Intern(b[off : off+int(relLen)])
 	off += int(relLen)
 	argc, n := decodeUvarint(b[off:])
 	if n <= 0 {
@@ -132,7 +134,7 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 	}
 	args := make([]Value, 0, argc)
 	for i := uint64(0); i < argc; i++ {
-		v, n, err := DecodeValue(b[off:])
+		v, n, err := DecodeValue(b[off:], names)
 		if err != nil {
 			return Tuple{}, 0, fmt.Errorf("types: decode tuple %s arg %d: %w", rel, i, err)
 		}

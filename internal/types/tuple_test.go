@@ -75,7 +75,7 @@ func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 		if len(enc) != tp.EncodedSize() {
 			t.Errorf("%v: EncodedSize %d != actual %d", tp, tp.EncodedSize(), len(enc))
 		}
-		got, n, err := DecodeTuple(enc)
+		got, n, err := DecodeTuple(enc, nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", tp, err)
 		}
@@ -88,7 +88,7 @@ func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 func TestTupleDecodeErrors(t *testing.T) {
 	good := pkt("n1", "n1", "n3", "data").Encode()
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := DecodeTuple(good[:cut]); err == nil {
+		if _, _, err := DecodeTuple(good[:cut], nil); err == nil {
 			// Truncation at some boundaries can still parse a shorter valid
 			// prefix only if all bytes are consumed, which never happens for
 			// a strict prefix of this encoding.
@@ -135,7 +135,7 @@ func TestTupleEncodeRoundTripQuick(t *testing.T) {
 	}
 	f := func(tp Tuple) bool {
 		enc := tp.Encode()
-		got, n, err := DecodeTuple(enc)
+		got, n, err := DecodeTuple(enc, nil)
 		return err == nil && n == len(enc) && got.Equal(tp) && len(enc) == tp.EncodedSize()
 	}
 	if err := quick.Check(f, cfg); err != nil {

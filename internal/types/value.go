@@ -66,10 +66,6 @@ func Bool(b bool) Value {
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsValid reports whether the value was constructed by one of the
-// constructors (as opposed to being the zero Value).
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
-
 // AsInt returns the integer payload. It panics if the value is not an int.
 func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
@@ -183,8 +179,9 @@ func (v Value) AppendEncode(dst []byte) []byte {
 }
 
 // DecodeValue decodes a value from the front of b, returning the value and
-// the number of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+// the number of bytes consumed. A string resolves through names (nil for
+// none), as in DecodeTuple.
+func DecodeValue(b []byte, names *Names) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, fmt.Errorf("types: decode value: empty input")
 	}
@@ -207,7 +204,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("types: decode string: truncated payload")
 		}
 		end := 1 + n + int(u)
-		return String(string(b[1+n : end])), end, nil
+		return String(names.Intern(b[1+n : end])), end, nil
 	case KindBool:
 		if len(b) < 2 {
 			return Value{}, 0, fmt.Errorf("types: decode bool: truncated")

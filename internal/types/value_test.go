@@ -20,10 +20,10 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		t.Error("Kind mismatch")
 	}
 	var zero Value
-	if zero.IsValid() {
+	if zero.Kind() != KindInvalid {
 		t.Error("zero Value should be invalid")
 	}
-	if !Int(0).IsValid() {
+	if Int(0).Kind() == KindInvalid {
 		t.Error("Int(0) should be valid")
 	}
 }
@@ -131,7 +131,7 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 		if len(enc) != v.EncodedSize() {
 			t.Errorf("%v: EncodedSize = %d, actual %d", v, v.EncodedSize(), len(enc))
 		}
-		got, n, err := DecodeValue(enc)
+		got, n, err := DecodeValue(enc, nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", v, err)
 		}
@@ -153,7 +153,7 @@ func TestValueDecodeErrors(t *testing.T) {
 		{0xFF, 0},                  // bad kind
 	}
 	for _, b := range bad {
-		if _, _, err := DecodeValue(b); err == nil {
+		if _, _, err := DecodeValue(b, nil); err == nil {
 			t.Errorf("DecodeValue(% x): expected error", b)
 		}
 	}
@@ -169,7 +169,7 @@ func TestZigzagRoundTripQuick(t *testing.T) {
 func TestIntEncodeRoundTripQuick(t *testing.T) {
 	f := func(v int64) bool {
 		enc := Int(v).AppendEncode(nil)
-		got, n, err := DecodeValue(enc)
+		got, n, err := DecodeValue(enc, nil)
 		return err == nil && n == len(enc) && got.Equal(Int(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -180,7 +180,7 @@ func TestIntEncodeRoundTripQuick(t *testing.T) {
 func TestStringEncodeRoundTripQuick(t *testing.T) {
 	f := func(s string) bool {
 		enc := String(s).AppendEncode(nil)
-		got, n, err := DecodeValue(enc)
+		got, n, err := DecodeValue(enc, nil)
 		return err == nil && n == len(enc) && got.Equal(String(s))
 	}
 	if err := quick.Check(f, nil); err != nil {

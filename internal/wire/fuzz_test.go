@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"provcompress/internal/types"
 )
 
 // FuzzReadFrame checks the frame reader against arbitrary input.
@@ -126,20 +128,41 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecoderTuple checks the buffer decoder against arbitrary bytes.
+// FuzzDecoderTuple checks the buffer decoder against arbitrary bytes, read
+// once plainly and once through a name table: both reads must agree on
+// every value, the error and the bytes consumed.
 func FuzzDecoderTuple(f *testing.F) {
 	e := NewEncoder(0)
 	e.Str("hello")
 	e.U32(7)
 	f.Add(e.Bytes())
 	f.Add([]byte{0, 0, 0, 3, 'a'})
+	e = NewEncoder(0)
+	e.Str("n1")
+	e.U32(7)
+	e.Tuple(types.NewTuple("packet", types.String("n1"), types.String("n2"), types.String("x")))
+	f.Add(e.Bytes())
+	names := types.NewNames("packet", "route", "n1", "n2", "hello", "")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
-		_ = d.Str()
-		_ = d.U32()
-		_ = d.Tuple()
-		_ = d.ID()
-		_ = d.Bool()
-		_ = d.Err() // must never panic
+		plain, named := NewDecoder(data), NewNamedDecoder(data, names)
+		if a, b := plain.Str(), named.Str(); a != b {
+			t.Fatalf("Str: %q vs %q", a, b)
+		}
+		if a, b := plain.U32(), named.U32(); a != b {
+			t.Fatalf("U32: %d vs %d", a, b)
+		}
+		if a, b := plain.Tuple(), named.Tuple(); !a.Equal(b) || types.HashTuple(a) != types.HashTuple(b) {
+			t.Fatalf("Tuple: %v vs %v", a, b)
+		}
+		if a, b := plain.ID(), named.ID(); a != b {
+			t.Fatalf("ID: %v vs %v", a, b)
+		}
+		if a, b := plain.Bool(), named.Bool(); a != b {
+			t.Fatalf("Bool: %v vs %v", a, b)
+		}
+		if (plain.Err() == nil) != (named.Err() == nil) || plain.Remaining() != named.Remaining() {
+			t.Fatalf("plain ends (%v, %d left), named (%v, %d left)",
+				plain.Err(), plain.Remaining(), named.Err(), named.Remaining())
+		}
 	})
 }

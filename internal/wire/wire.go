@@ -163,13 +163,22 @@ func (e *Encoder) Tuple(t types.Tuple) {
 // Decoder consumes primitive values from a buffer. The first error sticks;
 // check Err after decoding.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	names *types.Names
 }
 
 // NewDecoder wraps a buffer.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// NewNamedDecoder wraps a buffer whose strings — Str's and every tuple's
+// relation name and string arguments — resolve through names (see
+// types.Names): a string the table holds is shared instead of copied out
+// of the buffer. The bytes read are the same as NewDecoder's.
+func NewNamedDecoder(b []byte, names *types.Names) *Decoder {
+	return &Decoder{buf: b, names: names}
+}
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -256,7 +265,7 @@ func (d *Decoder) Str() string {
 		d.fail("string")
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
+	s := d.names.Intern(d.buf[d.off : d.off+n])
 	d.off += n
 	return s
 }
@@ -297,7 +306,7 @@ func (d *Decoder) Tuple() types.Tuple {
 		d.fail("tuple")
 		return types.Tuple{}
 	}
-	t, used, err := types.DecodeTuple(d.buf[d.off : d.off+n])
+	t, used, err := types.DecodeTuple(d.buf[d.off:d.off+n], d.names)
 	if err != nil || used != n {
 		if d.err == nil {
 			d.err = fmt.Errorf("wire: bad tuple at offset %d: %v", d.off, err)
