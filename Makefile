@@ -16,12 +16,15 @@
 #                provserve's same-class-writer cache floor and per-scenario
 #                multi-tenant soak
 #   allocs       the per-hop allocation budgets (testing.AllocsPerRun), which
-#                skip themselves under the race detector: types.HashTuple
-#                and a warmed wire.Encoder.Tuple allocate 0, a tuple made
+#                skip themselves under the race detector: types.HashTuple,
+#                types.RuleExecID and a warmed wire.Encoder.Tuple allocate
+#                0, a tuple made
 #                only of names decodes through a name table into its Args
 #                slice alone, the receive dedup filter allocates 0 for a
 #                sender it tracks, a rule evaluation 0 unless it fires and
-#                <=3 per firing, one untraced pipeline step stays under its
+#                <=3 per firing (1 into a shard worker's warm buffers), a
+#                scheme's FireAt <=1 per stored firing, one untraced
+#                pipeline step on Forwarding and on BGP stays under its
 #                stated budget
 #                and, run with ship=false as WAL replay and shadow applies
 #                run it, encodes nothing, the pooled batch encode path
@@ -74,7 +77,7 @@ test:
 	$(GO) test -race ./...
 
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/cluster/ ./internal/store/
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/types/ ./internal/wire/ ./internal/engine/ ./internal/core/ ./internal/cluster/ ./internal/store/
 
 # go test -fuzz takes one package and one target at a time.
 fuzz-smoke:

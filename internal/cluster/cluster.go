@@ -644,7 +644,12 @@ func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 	if origin == nil {
 		return 0, fmt.Errorf("cluster: inject %s at unknown node", ev)
 	}
-	sp := c.tracer.StartSpan(trace.SpanContext{}, string(ev.Loc()), "inject", "inject "+ev.Rel)
+	// The root span's name is built only when there is a collector to take
+	// it, as startSpan does for the spans under it.
+	var sp *trace.ActiveSpan
+	if c.tracer != nil {
+		sp = c.tracer.StartSpan(trace.SpanContext{}, string(ev.Loc()), "inject", "inject "+ev.Rel)
+	}
 	sp.SetAttr("scheme", c.scheme)
 	f := &tupleFrame{Tuple: ev, Fresh: true, Trace: sp.Context()}
 	err := origin.sendOwned(ev.Loc(), f.encode(), classBase, 0)

@@ -215,16 +215,18 @@ func (n *Node) enqueueShard(f *tupleFrame, epoch uint64) {
 
 // shardWorker drains one shard queue for the life of the cluster. Events
 // queued behind a node crash are dropped (the crash drain already retired
-// their accounting, so the settle here is a no-op for them).
+// their accounting, so the settle here is a no-op for them). The worker
+// owns the evaluation memory its steps reuse (evalBuf).
 func (n *Node) shardWorker(ch chan shardWork) {
 	defer n.wg.Done()
+	var buf evalBuf
 	for {
 		select {
 		case <-n.c.stopCh:
 			return
 		case w := <-ch:
 			if n.alive.Load() {
-				n.processTuple(w.f)
+				n.processTuple(w.f, &buf)
 			}
 			n.c.acctSettle(n.addr, w.epoch)
 		}
@@ -237,7 +239,8 @@ func (n *Node) shardWorker(ch chan shardWork) {
 // so log order equals apply order (durability.go). Either way the frame is
 // logged and replicated only when applying it changes recoverable state
 // (partition.changesState). Shipping happens outside the lock either way.
-func (n *Node) processTuple(f *tupleFrame) {
+// buf is the calling shard worker's evaluation memory.
+func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
 	// One hop rarely derives more heads than this; they ship from the
 	// stack.
 	var shipBuf [4]outShip
@@ -248,12 +251,12 @@ func (n *Node) processTuple(f *tupleFrame) {
 		// on its behalf would need its identity — the cooperative-leave
 		// caveat DESIGN.md documents.
 		if p := n.partitionFor(loc, true); p != nil {
-			n.shipAll(p.step(n, f, true, shipBuf[:0]))
+			n.shipAll(p.step(n, f, true, shipBuf[:0], buf))
 		}
 		return
 	}
 	if !n.durable() {
-		ships := n.self.step(n, f, true, shipBuf[:0])
+		ships := n.self.step(n, f, true, shipBuf[:0], buf)
 		if n.c.replicas > 0 && n.self.changesState(n.c, f) {
 			n.replicate(encodeDurEvent(f))
 		}
@@ -267,7 +270,7 @@ func (n *Node) processTuple(f *tupleFrame) {
 		rec = encodeDurEvent(f)
 		want = n.logApply(rec)
 	}
-	ships := n.self.step(n, f, true, shipBuf[:0])
+	ships := n.self.step(n, f, true, shipBuf[:0], buf)
 	if want {
 		n.checkpointLocked()
 	}

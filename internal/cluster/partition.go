@@ -66,6 +66,17 @@ func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
 	return p
 }
 
+// evalBuf is the evaluation memory of one shard worker, reused by every
+// rule of every step it runs: the firings of the rule being applied and
+// the slab their Slow lists are carved from (engine.Plans.EvalAppend).
+// Reuse is safe because step consumes each rule's firings before it
+// evaluates the next rule, and FireAt keeps only the VIDs it hashes from a
+// firing's slow tuples, never the tuples or the list.
+type evalBuf struct {
+	firings []engine.Firing
+	slow    []types.Tuple
+}
+
 // changesState reports whether applying f changes this partition's
 // recoverable state, and so whether the owner logs and replicates it. It
 // reads the frame and the scheme, never the state, so the owner decides
@@ -103,7 +114,10 @@ func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
 // record stream hold exactly the frames the owner processed, and it
 // shipped their heads and fired their keys when it did (changesState says
 // which frames those are).
-func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []outShip {
+//
+// buf is the calling shard worker's evaluation memory; WAL replay and
+// shadow applies, which run outside a worker, pass nil.
+func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip, buf *evalBuf) []outShip {
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
 	defer sp.End()
@@ -131,6 +145,9 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 		}
 		return out
 	}
+	if buf == nil {
+		buf = new(evalBuf)
+	}
 	// regained collects the keys of stored rows this arrival gave another
 	// predecessor (see below); empty on the usual path.
 	var regained []InvalKey
@@ -138,7 +155,9 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip) []out
 		// The rule span brackets the join itself, annotated with the
 		// firing count the plan produced.
 		rsp := c.startSpan(sp.Context(), n.addr, "rule", r.Label)
-		firings, err := c.plans.Eval(r, p.db, f.Tuple, c.funcs)
+		var err error
+		buf.firings, buf.slow, err = c.plans.EvalAppend(buf.firings[:0], buf.slow[:0], r, p.db, f.Tuple, c.funcs)
+		firings := buf.firings
 		if rsp != nil {
 			rsp.SetAttr("firings", strconv.Itoa(len(firings)))
 			if err != nil {
@@ -190,7 +209,7 @@ func (p *partition) applyRecord(n *Node, rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("cluster: corrupt event record: %w", err)
 		}
-		p.step(n, f, false, nil)
+		p.step(n, f, false, nil, nil)
 	case recInsert, recDelete:
 		t := d.Tuple()
 		if err := d.Err(); err != nil {

@@ -132,23 +132,24 @@ func (s *store) merge(d *wire.Decoder) error {
 	if n > maxPersistItems {
 		return fmt.Errorf("core: state snapshot with %d ruleExec rows", n)
 	}
+	// addRuleExec copies a row's VIDs into the store's slab, so one list,
+	// grown only by what is actually decoded, serves every row.
+	var vids []types.ID
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var row RuleExec
-		row.Loc = types.NodeAddr(d.Str())
-		row.RID = d.ID()
-		row.Rule = d.Str()
+		loc := types.NodeAddr(d.Str())
+		rid := d.ID()
+		rule := d.Str()
 		vn := d.U32()
 		if vn > maxPersistItems {
 			return fmt.Errorf("core: ruleExec row with %d vids", vn)
 		}
-		// Non-nil like slowVIDs' rows; clamped so a corrupt count sizes nothing.
-		row.VIDs = make([]types.ID, 0, min(vn, 64))
+		vids = vids[:0]
 		for j := uint32(0); j < vn && d.Err() == nil; j++ {
-			row.VIDs = append(row.VIDs, d.ID())
+			vids = append(vids, d.ID())
 		}
-		row.Next = decodePersistRef(d)
+		next := decodePersistRef(d)
 		if d.Err() == nil {
-			s.addRuleExec(row)
+			s.addRuleExec(loc, rid, rule, vids, next)
 		}
 	}
 

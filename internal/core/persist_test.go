@@ -254,9 +254,8 @@ func TestStatePersistEmpty(t *testing.T) {
 func TestStorePersistAllTables(t *testing.T) {
 	// Inter-class shape: next-hops live in the links table.
 	s := newStore(false, true, true)
-	s.addRuleExec(RuleExec{Loc: "n1", RID: id("a"), Rule: "r1",
-		VIDs: []types.ID{id("v1"), id("v2")}})
-	s.addRuleExec(RuleExec{Loc: "n2", RID: id("b"), Rule: "r2"})
+	s.addRuleExec("n1", id("a"), "r1", []types.ID{id("v1"), id("v2")}, NilRef)
+	s.addRuleExec("n2", id("b"), "r2", nil, NilRef)
 	s.addLink(id("a"), Ref{Loc: "n3", RID: id("linked")})
 	s.addLink(id("a"), NilRef)
 	s.addProv(Prov{Loc: "n3", VID: id("out"), Ref: Ref{Loc: "n3", RID: id("a")}, EvID: id("e1")})
@@ -295,8 +294,7 @@ func TestStorePersistAllTables(t *testing.T) {
 
 	// Chained shape: the row's own Next column survives.
 	c := newStore(true, true, false)
-	c.addRuleExec(RuleExec{Loc: "n1", RID: id("a"), Rule: "r1",
-		VIDs: []types.ID{id("v1")}, Next: Ref{Loc: "n0", RID: id("prev")}})
+	c.addRuleExec("n1", id("a"), "r1", []types.ID{id("v1")}, Ref{Loc: "n0", RID: id("prev")})
 	e2 := wire.NewEncoder(256)
 	c.persist(e2)
 	c2 := newStore(true, true, false)

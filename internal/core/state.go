@@ -135,13 +135,19 @@ func (s stored) collectChain(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref
 	return CollectedEntry{Entry: entry, Nexts: nexts}, entry.VIDs, nil, liveRefs(nexts), true
 }
 
-// slowVIDs hashes the slow tuples of a firing in body order.
-func slowVIDs(f engine.Firing) []types.ID {
-	vids := make([]types.ID, len(f.Slow))
-	for i, s := range f.Slow {
-		vids[i] = types.HashTuple(s)
+// stackVIDs is how many VIDs a firing's FireAt stages on its stack: the
+// slow tuples' plus the one a scheme adds. A rule joining more slow tuples
+// than this gets a heap list.
+const stackVIDs = 8
+
+// slowVIDs appends the VIDs of a firing's slow tuples, in body order, to
+// dst. FireAt passes a stack array: the store copies the VIDs only into a
+// row it keeps, so f.Slow and the list are dead once FireAt returns.
+func slowVIDs(dst []types.ID, f engine.Firing) []types.ID {
+	for _, s := range f.Slow {
+		dst = append(dst, types.HashTuple(s))
 	}
-	return vids
+	return dst
 }
 
 // --- Advanced ---
@@ -204,15 +210,17 @@ func (s *AdvancedState) Scheme() string {
 // Inject performs Stage 1 (equivalence keys checking) at the event's
 // origin node.
 func (s *AdvancedState) Inject(ev types.Tuple) AdvMeta {
-	eq := types.HashValues(s.keyValues(ev))
+	var buf [8]types.Value // a relation's key attributes; more spill to the heap
+	eq := types.HashValues(s.keyValues(buf[:0], ev))
 	return AdvMeta{Eq: eq, Exist: s.st.seenEquiKey(eq), EvID: types.HashTuple(ev), Prev: NilRef}
 }
 
-// keyValues returns the event's values at its relation's equivalence keys.
-// A key index outside the event's arity is skipped rather than trusted:
+// keyValues appends the event's values at its relation's equivalence keys
+// to dst (or returns all of its values, for a relation without keys). A
+// key index outside the event's arity is skipped rather than trusted:
 // transports reject such events, and one that slips through must not take
 // the node down.
-func (s *AdvancedState) keyValues(ev types.Tuple) []types.Value {
+func (s *AdvancedState) keyValues(dst []types.Value, ev types.Tuple) []types.Value {
 	keys := s.keys
 	if s.keysByEvent != nil {
 		var ok bool
@@ -220,13 +228,12 @@ func (s *AdvancedState) keyValues(ev types.Tuple) []types.Value {
 			return ev.Args
 		}
 	}
-	vals := make([]types.Value, 0, len(keys))
 	for _, k := range keys {
 		if uint(k) < uint(len(ev.Args)) {
-			vals = append(vals, ev.Args[k])
+			dst = append(dst, ev.Args[k])
 		}
 	}
-	return vals
+	return dst
 }
 
 // FireAt performs Stage 2 (online provenance maintenance) for one rule
@@ -236,15 +243,16 @@ func (s *AdvancedState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) 
 	if m.Exist {
 		return m
 	}
-	svids := slowVIDs(f)
+	var buf [stackVIDs]types.ID
+	svids := slowVIDs(buf[:0], f)
 	var rid types.ID
 	if s.st.useLinks {
 		rid = types.RuleExecID(f.Rule.Label, "", svids)
-		s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: svids})
+		s.st.addRuleExec(addr, rid, f.Rule.Label, svids, NilRef)
 		s.st.addLink(rid, m.Prev)
 	} else {
-		rid = types.RuleExecID(f.Rule.Label, "", append(append([]types.ID(nil), svids...), m.Prev.RID))
-		s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: svids, Next: m.Prev})
+		rid = types.RuleExecID(f.Rule.Label, "", svids, m.Prev.RID)
+		s.st.addRuleExec(addr, rid, f.Rule.Label, svids, m.Prev)
 	}
 	m.Prev = Ref{Loc: addr, RID: rid}
 	return m
@@ -376,14 +384,15 @@ func (s *BasicState) Inject(ev types.Tuple) AdvMeta {
 // only — plus the input event's VID at the chain's first rule, which the
 // bottom-up re-derivation starts from — linked to the previous execution.
 func (s *BasicState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) AdvMeta {
-	kept := slowVIDs(f)
-	allVids := append(append([]types.ID(nil), kept...), types.HashTuple(f.Event))
+	var buf [stackVIDs]types.ID
+	allVids := append(slowVIDs(buf[:0], f), types.HashTuple(f.Event))
+	kept := allVids[:len(allVids)-1]
 	if m.Prev.IsNil() {
 		kept = allVids // leaf keeps the event VID too
 	}
 	rid := types.RuleExecID(f.Rule.Label, addr, allVids)
 	s.st.regained = types.ZeroID
-	if !s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: kept, Next: m.Prev}) {
+	if !s.st.addRuleExec(addr, rid, f.Rule.Label, kept, m.Prev) {
 		// The same rule execution already chains to another derivation of
 		// this event tuple (converging derivations). Record the extra
 		// predecessor as a link row; queries enumerate both chains and
@@ -464,13 +473,14 @@ func (s *ExSPANState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) Ad
 	if derived := len(s.st.prov[evVID]) > 0; s.st.addProv(Prov{Loc: addr, VID: evVID, Ref: m.Prev}) && derived {
 		s.st.regained = evVID
 	}
-	vids := slowVIDs(f)
+	var buf [stackVIDs]types.ID
+	vids := slowVIDs(buf[:0], f)
 	for _, v := range vids {
 		s.st.addProv(Prov{Loc: addr, VID: v, Ref: NilRef})
 	}
 	vids = append(vids, evVID)
 	rid := types.RuleExecID(f.Rule.Label, addr, vids)
-	s.st.addRuleExec(RuleExec{Loc: addr, RID: rid, Rule: f.Rule.Label, VIDs: vids})
+	s.st.addRuleExec(addr, rid, f.Rule.Label, vids, NilRef)
 	m.Prev = Ref{Loc: addr, RID: rid}
 	return m
 }

@@ -104,6 +104,13 @@ type layout struct {
 	useLinks bool // Section 5.4: next refs live in a separate ruleExecLink table
 }
 
+// Slab chunks grow from the first size to the second by doubling, so a
+// node that stores a handful of rows holds a handful of slots.
+const (
+	minExecChunk, maxExecChunk = 8, 256
+	minVIDChunk, maxVIDChunk   = 16, 1024
+)
+
 // store holds one node's provenance state for one maintenance scheme, with
 // running serialized-size accounting in the paper's measurement style
 // (Section 6: "we serialize the per-node provenance tables ... and measure
@@ -111,7 +118,13 @@ type layout struct {
 type store struct {
 	layout
 
+	// ruleExec indexes the rows by RID. Rows and their VID lists live in
+	// append-only slabs, execSlab and vidSlab, each the open chunk; a full
+	// chunk lives on through the pointers into it. No row is ever deleted,
+	// so a chunk pins nothing that would otherwise be freed.
 	ruleExec map[types.ID]*RuleExec
+	execSlab []RuleExec
+	vidSlab  []types.ID
 	// links holds additional next-references per RID for the
 	// inter-equivalence-class table split of Section 5.4 (ruleExecLink).
 	links map[types.ID][]Ref
@@ -158,15 +171,36 @@ func (s *store) bytes() int64 {
 }
 
 // addRuleExec inserts a ruleExec row keyed by RID; duplicate RIDs are kept
-// once (set semantics). It reports whether the row was new.
-func (s *store) addRuleExec(e RuleExec) bool {
-	if _, ok := s.ruleExec[e.RID]; ok {
+// once (set semantics). It reports whether the row was new. A new row and
+// its VIDs are copied into the slabs, so vids may live on the caller's
+// stack — which is why the row comes as its columns rather than as a
+// RuleExec, whose VIDs would escape with its strings. A row without VIDs
+// keeps an empty, non-nil list.
+func (s *store) addRuleExec(loc types.NodeAddr, rid types.ID, rule string, vids []types.ID, next Ref) bool {
+	if _, ok := s.ruleExec[rid]; ok {
 		return false
 	}
-	cp := e
-	s.ruleExec[e.RID] = &cp
-	s.ruleExecBytes += int64(e.WireSize(s.withNext))
+	if len(s.execSlab) == cap(s.execSlab) {
+		s.execSlab = make([]RuleExec, 0, min(max(2*cap(s.execSlab), minExecChunk), maxExecChunk))
+	}
+	s.execSlab = append(s.execSlab, RuleExec{Loc: loc, RID: rid, Rule: rule, VIDs: s.keepVIDs(vids), Next: next})
+	row := &s.execSlab[len(s.execSlab)-1]
+	s.ruleExec[rid] = row
+	s.ruleExecBytes += int64(row.WireSize(s.withNext))
 	return true
+}
+
+// keepVIDs copies a row's VID list into the VID slab.
+func (s *store) keepVIDs(vids []types.ID) []types.ID {
+	if len(vids) == 0 {
+		return []types.ID{}
+	}
+	if len(vids) > cap(s.vidSlab)-len(s.vidSlab) {
+		s.vidSlab = make([]types.ID, 0, max(min(max(2*cap(s.vidSlab), minVIDChunk), maxVIDChunk), len(vids)))
+	}
+	n := len(s.vidSlab)
+	s.vidSlab = append(s.vidSlab, vids...)
+	return s.vidSlab[n:len(s.vidSlab):len(s.vidSlab)]
 }
 
 // addLink records an extra (NLoc, NRID) link for a shared rule-execution

@@ -10,12 +10,12 @@ func id(s string) types.ID { return types.HashBytes([]byte(s)) }
 
 func TestStoreRuleExecDedup(t *testing.T) {
 	s := newStore(true, false, false)
-	e := RuleExec{Loc: "n1", RID: id("a"), Rule: "r1", VIDs: []types.ID{id("v")}}
-	if !s.addRuleExec(e) {
+	vids := []types.ID{id("v")}
+	if !s.addRuleExec("n1", id("a"), "r1", vids, NilRef) {
 		t.Error("first insert reported duplicate")
 	}
 	before := s.bytes()
-	if s.addRuleExec(e) {
+	if s.addRuleExec("n1", id("a"), "r1", vids, NilRef) {
 		t.Error("duplicate insert reported new")
 	}
 	if s.bytes() != before {
@@ -37,7 +37,7 @@ func TestStoreNexts(t *testing.T) {
 	// Chained mode: the row's own Next column.
 	s := newStore(true, true, false)
 	next := Ref{Loc: "n0", RID: id("child")}
-	s.addRuleExec(RuleExec{Loc: "n1", RID: id("a"), Rule: "r1", Next: next})
+	s.addRuleExec("n1", id("a"), "r1", nil, next)
 	if got := s.nexts(id("a")); len(got) != 1 || got[0] != next {
 		t.Errorf("nexts = %v", got)
 	}
@@ -47,7 +47,7 @@ func TestStoreNexts(t *testing.T) {
 
 	// Inter-class mode: links table only.
 	ic := newStore(false, true, true)
-	ic.addRuleExec(RuleExec{Loc: "n1", RID: id("a"), Rule: "r1"})
+	ic.addRuleExec("n1", id("a"), "r1", nil, NilRef)
 	if !ic.addLink(id("a"), next) {
 		t.Error("first link rejected")
 	}
@@ -167,7 +167,7 @@ func TestStoreBytesComposition(t *testing.T) {
 	if s.bytes() != 0 {
 		t.Error("empty store has bytes")
 	}
-	s.addRuleExec(RuleExec{Loc: "n1", RID: id("a"), Rule: "r1"})
+	s.addRuleExec("n1", id("a"), "r1", nil, NilRef)
 	s.addProv(Prov{Loc: "n1", VID: id("v"), EvID: id("e")})
 	s.seenEquiKey(id("k"))
 	s.addHmapRef(id("k"), "out", id("e"), Ref{Loc: "n1", RID: id("a")})

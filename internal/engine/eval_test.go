@@ -248,8 +248,9 @@ func TestEvalExprUnbound(t *testing.T) {
 // TestEvalAllocs pins the evaluator's allocation budget on a Forwarding and
 // a BGP arrival: a rule that does not fire allocates nothing (no probe
 // hit, a failed constraint, or an event the atom rejects), and one that
-// fires allocates at most three times per firing — the returned slice, the
-// head's Args and the Slow copy.
+// fires allocates at most three times per firing through Eval — the
+// returned slice, the Slow slab and the head's Args — and once per firing
+// through EvalAppend on warm reused buffers, the head's Args alone.
 func TestEvalAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -288,6 +289,17 @@ func TestEvalAllocs(t *testing.T) {
 		})
 		if budget := float64(3 * tc.firings); got > budget {
 			t.Errorf("%s: %.0f allocs per evaluation, budget %.0f", tc.name, got, budget)
+		}
+		var slow []types.Tuple
+		fs, slow, _ = tc.plans.EvalAppend(fs[:0], slow[:0], tc.rule, db, tc.ev, nil)
+		got = testing.AllocsPerRun(100, func() {
+			fs, slow, _ = tc.plans.EvalAppend(fs[:0], slow[:0], tc.rule, db, tc.ev, nil)
+		})
+		if len(fs) != tc.firings {
+			t.Fatalf("%s: EvalAppend gave %d firings, want %d", tc.name, len(fs), tc.firings)
+		}
+		if budget := float64(tc.firings); got > budget {
+			t.Errorf("%s: %.0f allocs per evaluation into warm buffers, budget %.0f", tc.name, got, budget)
 		}
 	}
 }

@@ -287,6 +287,8 @@ type joinState struct {
 	ev      types.Tuple
 	funcs   ndlog.FuncMap
 	firings []Firing
+	// slow is the slab each firing's Slow list is carved from.
+	slow []types.Tuple
 }
 
 // scratch is the working memory of one evaluation: the frame and the slow
@@ -304,11 +306,27 @@ type scratch struct {
 // database read lock is held for the whole join, so concurrent inserts and
 // deletes cannot disturb the buckets mid-evaluation. An evaluation that
 // does not fire allocates nothing; one that does allocates the returned
-// slice and, per firing, the head's Args and the Slow copy (a user-defined
-// function call additionally allocates its argument list).
+// slice, the slab of the firings' Slow lists and, per firing, the head's
+// Args (a user-defined function call additionally allocates its argument
+// list). The firings own their memory, so a caller may keep them — in a
+// provenance tree, say; one that consumes them at once reuses its buffers
+// through EvalAppend instead.
 func (p *RulePlan) Eval(db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
+	fs, _, err := p.EvalAppend(nil, nil, db, ev, funcs)
+	return fs, err
+}
+
+// EvalAppend is Eval into the caller's buffers: it appends the firings to
+// dst and carves each one's Slow list out of the slow slab, returning both
+// grown. Each Slow list is capped at its own length, so a later append to
+// the slab never writes over an earlier firing's list. Warm buffers leave
+// one allocation per firing, its head's Args. A failed evaluation returns
+// dst and slow unchanged, with no partial firings. Reusing the buffers for
+// the next evaluation overwrites these firings, so the caller must be done
+// with them — or have copied what it keeps — by then.
+func (p *RulePlan) EvalAppend(dst []Firing, slow []types.Tuple, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, []types.Tuple, error) {
 	if ev.Rel != p.Rule.Event.Rel {
-		return nil, nil
+		return dst, slow, nil
 	}
 	var (
 		frameBuf [stackSlots]types.Value
@@ -326,15 +344,15 @@ func (p *RulePlan) Eval(db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Fi
 		sc.slow = make([]types.Tuple, len(p.Steps))
 	}
 	if !match(p.event, ev.Args, sc.frame) {
-		return nil, nil
+		return dst, slow, nil
 	}
-	st := joinState{plan: p, db: db, ev: ev, funcs: funcs}
+	st := joinState{plan: p, db: db, ev: ev, funcs: funcs, firings: dst, slow: slow}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if err := st.join(0, &sc); err != nil {
-		return nil, err
+		return dst, slow, err
 	}
-	return st.firings, nil
+	return st.firings, st.slow, nil
 }
 
 // join extends the partial match with the candidates of step i and
@@ -401,10 +419,16 @@ func (st *joinState) fire(sc *scratch) error {
 			args[i] = h.val
 		}
 	}
+	var slow []types.Tuple
+	if len(sc.slow) > 0 {
+		n := len(st.slow)
+		st.slow = append(st.slow, sc.slow...)
+		slow = st.slow[n:len(st.slow):len(st.slow)]
+	}
 	st.firings = append(st.firings, Firing{
 		Rule:  r,
 		Event: st.ev,
-		Slow:  append([]types.Tuple(nil), sc.slow...),
+		Slow:  slow,
 		Head:  types.Tuple{Rel: r.Head.Rel, Args: args},
 	})
 	return nil
@@ -437,6 +461,12 @@ func (ps *Plans) For(r *ndlog.Rule) *RulePlan {
 // Eval evaluates a rule through its compiled plan.
 func (ps *Plans) Eval(r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, error) {
 	return ps.For(r).Eval(db, ev, funcs)
+}
+
+// EvalAppend evaluates a rule through its compiled plan into the caller's
+// buffers (RulePlan.EvalAppend).
+func (ps *Plans) EvalAppend(dst []Firing, slow []types.Tuple, r *ndlog.Rule, db *Database, ev types.Tuple, funcs ndlog.FuncMap) ([]Firing, []types.Tuple, error) {
+	return ps.For(r).EvalAppend(dst, slow, db, ev, funcs)
 }
 
 // planCache caches compiled plans for rules evaluated outside a deployed

@@ -16,9 +16,12 @@ import (
 // indexed join pipeline: for randomly generated rules, databases, and event
 // tuples, the compiled plan (index probes, reordered atoms) must produce a
 // firing set identical to the scan-based reference evaluator EvalRuleScan —
-// same heads, same slow tuples in body-atom order, same error behavior.
+// same heads, same slow tuples in body-atom order, same error behavior —
+// and EvalAppend into a reused buffer must produce the plan's own firings
+// (reusedBuf.evalAppend).
 func TestIndexedEvalMatchesScanOracle(t *testing.T) {
 	const cases = 1200
+	var reused reusedBuf
 	for seed := int64(0); seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := genRuleSource(rng)
@@ -33,6 +36,7 @@ func TestIndexedEvalMatchesScanOracle(t *testing.T) {
 		want, errScan := EvalRuleScan(r, db, ev, nil)
 		plan := CompileRule(r)
 		got, errPlan := plan.Eval(db, ev, nil)
+		reused.evalAppend(t, fmt.Sprintf("seed %d: rule %q event %v", seed, src, ev), plan, db, ev, nil, got, errPlan)
 
 		if (errScan != nil) != (errPlan != nil) {
 			t.Fatalf("seed %d: rule %q event %v:\nscan err = %v\nplan err = %v\nplan = %s",
@@ -73,7 +77,8 @@ var edgeRules = []string{
 // holding ~10% wrong-arity rows. The plan must produce the reference's
 // firings in the reference's order with the reference's error, on the
 // indexed path and on the scan oracle alike, and the two paths must agree
-// as sets.
+// as sets. EvalAppend into a buffer reused across every rule must produce
+// the plan's own firings.
 func TestIndexedEvalMatchesScanOracleAppRules(t *testing.T) {
 	progs := []*ndlog.Program{
 		apps.Forwarding(), apps.DNS(), apps.ARP(), apps.DHCP(), apps.BGP(), apps.Gossip(),
@@ -84,6 +89,7 @@ func TestIndexedEvalMatchesScanOracleAppRules(t *testing.T) {
 		progs = append(progs, p)
 	}
 	funcs := apps.Funcs()
+	var reused reusedBuf
 	same := func(what string, got []Firing, gotErr error, want []Firing, wantErr error) {
 		t.Helper()
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -111,6 +117,7 @@ func TestIndexedEvalMatchesScanOracleAppRules(t *testing.T) {
 					got, errPlan := plan.Eval(db, ev, funcs)
 					want, errRef := refEval(plan, db, ev, funcs)
 					same(what+" indexed", got, errPlan, want, errRef)
+					reused.evalAppend(t, what+" into a reused buffer", plan, db, ev, funcs, got, errPlan)
 					fired += len(got)
 					if errPlan != nil {
 						errored++
@@ -142,6 +149,58 @@ func TestIndexedEvalMatchesScanOracleAppRules(t *testing.T) {
 
 // firingSeq renders firings (rule, event, head, slow tuples in body order)
 // as strings in the order they were produced.
+// reusedBuf is an EvalAppend buffer pair kept across evaluations, the way
+// a shard worker keeps its own. Most calls append after the firings it
+// already holds; every third starts it over from empty, on top of the
+// stale firings and slow tuples its arrays still hold.
+type reusedBuf struct {
+	fs    []Firing
+	slow  []types.Tuple
+	calls int
+}
+
+// evalAppend runs plan.EvalAppend on the buffer and holds it to the plan's
+// Eval result (want, wantErr): the same error; on success the firings
+// already in the buffer — Slow lists included — are untouched, the
+// appended ones equal want in order, and each appended Slow list is capped
+// at its length, so appending to it cannot reach the next firing's; on
+// error dst and slow come back unchanged, with no partial firings.
+func (b *reusedBuf) evalAppend(t *testing.T, what string, plan *RulePlan, db *Database, ev types.Tuple, funcs ndlog.FuncMap, want []Firing, wantErr error) {
+	t.Helper()
+	if b.calls++; b.calls%3 == 0 || len(b.fs) > 64 {
+		b.fs, b.slow = b.fs[:0], b.slow[:0]
+	}
+	before := firingSeq(b.fs)
+	fs, slow, err := plan.EvalAppend(b.fs, b.slow, db, ev, funcs)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: EvalAppend err = %v, Eval err = %v", what, err, wantErr)
+	}
+	if err != nil {
+		if len(fs) != len(b.fs) || cap(fs) != cap(b.fs) || len(slow) != len(b.slow) || cap(slow) != cap(b.slow) {
+			t.Fatalf("%s: failed EvalAppend changed its buffers: %d/%d firings and %d/%d slow tuples, had %d/%d and %d/%d",
+				what, len(fs), cap(fs), len(slow), cap(slow), len(b.fs), cap(b.fs), len(b.slow), cap(b.slow))
+		}
+	}
+	got := firingSeq(fs)
+	if strings.Join(got[:len(before)], "\n") != strings.Join(before, "\n") {
+		t.Fatalf("%s: EvalAppend changed the firings already in dst\nbefore:\n%s\nafter:\n%s",
+			what, strings.Join(before, "\n"), strings.Join(got[:len(before)], "\n"))
+	}
+	if err != nil {
+		return
+	}
+	if ws := firingSeq(want); strings.Join(got[len(before):], "\n") != strings.Join(ws, "\n") {
+		t.Fatalf("%s: EvalAppend firings differ from Eval's\nEval (%d):\n%s\nEvalAppend (%d):\n%s",
+			what, len(ws), strings.Join(ws, "\n"), len(got)-len(before), strings.Join(got[len(before):], "\n"))
+	}
+	for _, f := range fs[len(before):] {
+		if cap(f.Slow) != len(f.Slow) {
+			t.Fatalf("%s: firing %v has a Slow list of length %d and capacity %d", what, f, len(f.Slow), cap(f.Slow))
+		}
+	}
+	b.fs, b.slow = fs, slow
+}
+
 func firingSeq(fs []Firing) []string {
 	keys := make([]string, len(fs))
 	for i, f := range fs {

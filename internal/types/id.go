@@ -50,19 +50,28 @@ func HashBytes(b []byte) ID { return sha1.Sum(b) }
 // the sha1(r1+n1+vid1+vid2) entries of Table 1. Advanced compression calls
 // it without the location (loc == "") and with only the slow-changing VIDs,
 // matching the sha1(r1, vid1) entries of Table 3, so that equivalent rule
-// executions at the same node collapse to one RID.
-func RuleExecID(rule string, loc NodeAddr, vids []ID) ID {
-	h := sha1.New()
-	h.Write([]byte(rule))
-	h.Write([]byte{0})
-	h.Write([]byte(loc))
-	h.Write([]byte{0})
-	for _, v := range vids {
-		h.Write(v[:])
+// executions at the same node collapse to one RID; its chained mode passes
+// the next execution's RID as next, which hashes as one more VID after
+// vids. Every firing that stores a row computes one, so the input is staged
+// in a stack buffer; only a rule with more VIDs than it holds pays for a
+// heap one.
+func RuleExecID(rule string, loc NodeAddr, vids []ID, next ...ID) ID {
+	var stack [512]byte
+	buf := stack[:0]
+	if n := len(rule) + 1 + len(loc) + 1 + (len(vids)+len(next))*len(ID{}); n > len(stack) {
+		buf = make([]byte, 0, n)
 	}
-	var id ID
-	h.Sum(id[:0])
-	return id
+	buf = append(buf, rule...)
+	buf = append(buf, 0)
+	buf = append(buf, loc...)
+	buf = append(buf, 0)
+	for _, v := range vids {
+		buf = append(buf, v[:]...)
+	}
+	for _, v := range next {
+		buf = append(buf, v[:]...)
+	}
+	return sha1.Sum(buf)
 }
 
 // HashValues computes the hash of an ordered list of attribute values; the

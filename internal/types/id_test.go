@@ -138,3 +138,66 @@ func TestHashTupleAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// hasherRuleExecID is RuleExecID as it was first written, streaming its
+// parts through a sha1.New digest; TestRuleExecIDMatchesHasher holds the
+// stack-staged version to it, so every stored RID stays what it was.
+func hasherRuleExecID(rule string, loc NodeAddr, vids []ID) ID {
+	h := sha1.New()
+	h.Write([]byte(rule))
+	h.Write([]byte{0})
+	h.Write([]byte(loc))
+	h.Write([]byte{0})
+	for _, v := range vids {
+		h.Write(v[:])
+	}
+	var id ID
+	h.Sum(id[:0])
+	return id
+}
+
+// TestRuleExecIDMatchesHasher checks RuleExecID against the digest
+// version on random rules, locations and VID lists, from empty to longer
+// than the stack buffer holds, and its chained form (next passed as an
+// argument) against the digest over vids with next appended — the copy
+// the chained Advanced RID used to build.
+func TestRuleExecIDMatchesHasher(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 2000; i++ {
+		rule := strings.Repeat("r", rng.Intn(12))
+		loc := NodeAddr(strings.Repeat("n", rng.Intn(12)))
+		vids := make([]ID, rng.Intn(40))
+		for j := range vids {
+			rng.Read(vids[j][:])
+		}
+		if got, want := RuleExecID(rule, loc, vids), hasherRuleExecID(rule, loc, vids); got != want {
+			t.Fatalf("case %d: RuleExecID(%q, %q, %d vids) = %s, want %s", i, rule, loc, len(vids), got.Hex(), want.Hex())
+		}
+		var next ID
+		if rng.Intn(4) > 0 {
+			rng.Read(next[:])
+		}
+		chained := append(append([]ID(nil), vids...), next)
+		if got, want := RuleExecID(rule, loc, vids, next), hasherRuleExecID(rule, loc, chained); got != want {
+			t.Fatalf("case %d: chained RuleExecID(%q, %q, %d vids) = %s, want %s", i, rule, loc, len(vids), got.Hex(), want.Hex())
+		}
+	}
+}
+
+// TestRuleExecIDAllocs: computing a RID, chained or not, allocates nothing
+// for a row of ordinary width.
+func TestRuleExecIDAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	vids := []ID{HashTuple(pkt("n1", "n1", "n3", "data")), HashBytes([]byte("route"))}
+	next := HashBytes([]byte("next"))
+	var sink ID
+	if n := testing.AllocsPerRun(200, func() { sink = RuleExecID("r1", "n1", vids) }); n != 0 {
+		t.Errorf("RuleExecID allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { sink = RuleExecID("r1", "", vids, next) }); n != 0 {
+		t.Errorf("chained RuleExecID allocates %.0f times, want 0", n)
+	}
+	_ = sink
+}
