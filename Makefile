@@ -28,7 +28,8 @@
 #                stated budget
 #                and, run with ship=false as WAL replay and shadow applies
 #                run it, encodes nothing, the pooled batch encode path
-#                stays at 0, and so does a warmed WAL append
+#                stays at 0, and so does a warmed WAL append; replaying
+#                a WAL allocates as often for 1 024 records as for 16
 #   fuzz-smoke   every Fuzz* target of the packages that decode bytes from
 #                outside the process (types, wire, cluster, store, ndlog,
 #                provserve), a few seconds each from its seeded corpus —

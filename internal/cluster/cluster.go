@@ -366,6 +366,7 @@ func New(cfg Config) (*Cluster, error) {
 	for _, addr := range cfg.Nodes {
 		bootView.Set(membership.Member{Addr: addr, Epoch: 1, State: membership.Up})
 	}
+	members := make([]*Node, 0, len(cfg.Nodes))
 	for _, addr := range cfg.Nodes {
 		if _, dup := nodes[addr]; dup {
 			c.Close()
@@ -377,16 +378,26 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		nodes[addr] = n
+		members = append(members, n)
 	}
-	for _, n := range nodes {
+	if c.dataDir != "" {
+		// Each member's state is its own (DESIGN.md §11), so the members
+		// recover side by side; each replays its own log in order.
+		if err := eachParallel(members, c.openStore); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	for _, n := range members {
 		c.startNode(n)
 	}
 	return c, nil
 }
 
-// newNode builds one member — listener, database, scheme state, durable
-// store when configured — without starting its goroutines. The caller
-// registers it in the nodes map and calls startNode.
+// newNode builds one member — listener, database, scheme state — without
+// recovering its durable store or starting its goroutines. The caller
+// recovers the store when the cluster is durable (openStore), registers
+// the member in the nodes map and calls startNode.
 func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -416,15 +427,7 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 		n.memberEpoch.Store(row.Epoch)
 	}
 	n.refreshViewLocked(false)
-	if c.dataDir != "" {
-		// Recover before anything runs: the restore/replay callbacks
-		// rebuild the partition with the node still quiescent.
-		n.dur = true
-		if err := c.openStore(n); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
+	n.dur = c.dataDir != ""
 	n.alive.Store(true)
 	return n, nil
 }
@@ -602,16 +605,58 @@ func (c *Cluster) kickIdle() {
 }
 
 // LoadBase inserts base tuples directly into the member databases (the
-// initial configuration step).
+// initial configuration step). It loads all of them or, when a tuple's
+// location is no member, none. The members load side by side, each its
+// own tuples in their order in the list, which is the order it logs them.
 func (c *Cluster) LoadBase(tuples []types.Tuple) error {
+	groups := make(map[*Node][]types.Tuple)
 	for _, t := range tuples {
 		n := c.node(t.Loc())
 		if n == nil {
 			return fmt.Errorf("cluster: base tuple %s at unknown node", t)
 		}
-		n.insertDurable(t)
+		groups[n] = append(groups[n], t)
 	}
-	return nil
+	members := make([]*Node, 0, len(groups))
+	for n := range groups {
+		members = append(members, n)
+	}
+	return eachParallel(members, func(n *Node) error {
+		for _, t := range groups[n] {
+			n.insertDurable(t)
+		}
+		return nil
+	})
+}
+
+// eachParallel calls fn on every item on at most GOMAXPROCS goroutines and
+// returns the first error; once one fails, no further item starts.
+func eachParallel[T any](items []T, fn func(T) error) error {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		once   sync.Once
+		first  error
+		wg     sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(items) {
+					return
+				}
+				if err := fn(items[i]); err != nil {
+					once.Do(func() { first = err })
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // Inject sends a fresh input event to its origin node over TCP. The

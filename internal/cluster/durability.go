@@ -81,7 +81,8 @@ func sanitizeAddr(addr string) string {
 
 // openStore runs recovery for one node and attaches its NodeStore. The
 // caller guarantees no apply is running (boot, or a restart with the node
-// dead and durMu held).
+// dead and durMu held). It touches only n's own directory and partition,
+// so New recovers the boot members concurrently.
 func (c *Cluster) openStore(n *Node) error {
 	dir := c.nodeDataDir(n.addr)
 	if err := store.CheckFormat(dir, walFormatVersion); err != nil {
@@ -89,9 +90,11 @@ func (c *Cluster) openStore(n *Node) error {
 	}
 	// Recovery runs with the node quiescent (boot, or dead) and the
 	// partition empty: the newest snapshot loads into it, then the WAL
-	// tail replays on top.
+	// tail replays on top, every record through one evaluation buffer, as
+	// a shard worker's steps run through its own.
+	var buf evalBuf
 	restore := func(snap []byte) error { return n.self.load(snap, c.names) }
-	apply := func(rec []byte) error { return n.self.applyRecord(n, rec) }
+	apply := func(rec []byte) error { return n.self.applyRecord(n, rec, &buf) }
 	ns, err := store.Open(dir, c.dopts, restore, apply)
 	if err != nil {
 		return fmt.Errorf("cluster: open store for %s: %w", n.addr, err)

@@ -538,7 +538,7 @@ func (n *Node) handleRepl(owner types.NodeAddr, rec []byte) {
 	if p == nil {
 		return
 	}
-	if err := p.applyRecord(n, rec); err != nil {
+	if err := p.applyRecord(n, rec, nil); err != nil {
 		n.fail("replicated record of "+string(owner), err)
 	}
 }
@@ -715,6 +715,12 @@ func (c *Cluster) Join(addr types.NodeAddr) error {
 	n, err := c.newNode(addr, seed)
 	if err != nil {
 		return err
+	}
+	if n.durable() {
+		if err := c.openStore(n); err != nil {
+			n.ln.Close()
+			return err
+		}
 	}
 	if err := c.addNode(n); err != nil {
 		n.ln.Close()

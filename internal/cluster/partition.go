@@ -115,8 +115,8 @@ func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
 // shipped their heads and fired their keys when it did (changesState says
 // which frames those are).
 //
-// buf is the calling shard worker's evaluation memory; WAL replay and
-// shadow applies, which run outside a worker, pass nil.
+// buf is the evaluation memory of the calling shard worker, or of the
+// member's WAL replay; shadow applies pass nil and get a fresh one.
 func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip, buf *evalBuf) []outShip {
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
@@ -200,8 +200,10 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip, buf *
 // applyRecord applies one durable-format record (durability.go): WAL
 // recovery replays the owner's log through it and handleRepl the owner's
 // record stream, so a rebooted owner and a shadow rebuild the state the
-// live owner reached by the same code.
-func (p *partition) applyRecord(n *Node, rec []byte) error {
+// live owner reached by the same code. Nothing decoded from rec aliases
+// it, so replay may reuse rec's buffer for the next record. buf is passed
+// to step: the recovering member's evaluation buffer, or nil.
+func (p *partition) applyRecord(n *Node, rec []byte, buf *evalBuf) error {
 	d := wire.NewNamedDecoder(rec, n.c.names)
 	switch kind := d.U8(); kind {
 	case recEvent:
@@ -209,7 +211,7 @@ func (p *partition) applyRecord(n *Node, rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("cluster: corrupt event record: %w", err)
 		}
-		p.step(n, f, false, nil, nil)
+		p.step(n, f, false, nil, buf)
 	case recInsert, recDelete:
 		t := d.Tuple()
 		if err := d.Err(); err != nil {

@@ -149,7 +149,7 @@ func FuzzApplyRecord(f *testing.F) {
 				t.Fatal(err)
 			}
 			n := tg.c.node("n1")
-			checkDecodeAllocs(t, "apply", len(data), allocatedBy(func() { err = p.applyRecord(n, data) }))
+			checkDecodeAllocs(t, "apply", len(data), allocatedBy(func() { err = p.applyRecord(n, data, nil) }))
 			if err != nil || data[0] != recEvent {
 				continue
 			}

@@ -72,7 +72,7 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var recs [][]byte
 		n, torn, tornBytes, err := replayWAL(writeInput(t, "in.log", data), func(rec []byte) error {
-			recs = append(recs, rec)
+			recs = append(recs, append([]byte(nil), rec...))
 			return nil
 		})
 		if err != nil {

@@ -97,9 +97,12 @@ type NodeStore struct {
 // Open prepares a node directory (creating it if needed) and runs
 // recovery: restore is called at most once with the newest valid
 // snapshot's payload, then apply is called for every intact WAL record
-// newer than it, in append order. Both callbacks may be nil when the
-// caller has no state to rebuild (a fresh boot directory). On return the
-// store is ready to Append.
+// newer than it, in append order. apply's rec is valid only during that
+// call: replay reads every record into one reused buffer, so apply copies
+// whatever it keeps (the snapshot payload handed to restore is the
+// caller's to keep). Both callbacks may be nil when the caller has no
+// state to rebuild (a fresh boot directory). On return the store is ready
+// to Append.
 func Open(dir string, opts Options, restore func(snapshot []byte) error, apply func(rec []byte) error) (*NodeStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

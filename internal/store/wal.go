@@ -22,6 +22,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -160,6 +161,10 @@ func (w *wal) close() error {
 	return err
 }
 
+// replayBufSize is the read buffer of one log's replay: records are read
+// out of it in 64 KiB refills instead of two read calls each.
+const replayBufSize = 64 << 10
+
 // replayWAL streams every intact record of one log file through fn, in
 // append order. The first damaged record — an incomplete header or
 // payload, a checksum mismatch, or an implausible length — ends replay
@@ -168,6 +173,10 @@ func (w *wal) close() error {
 // mid-write and nothing after the tear ever committed. This is the
 // truncate-at-first-bad-record discipline of production WALs; fn errors
 // abort replay and are returned verbatim.
+//
+// The log is read through one buffered reader, and every record's
+// payload lands in one buffer reused across records: rec is valid only
+// during its fn call, and fn must copy what it keeps.
 func replayWAL(path string, fn func(rec []byte) error) (records int, torn bool, tornBytes int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -182,10 +191,12 @@ func replayWAL(path string, fn func(rec []byte) error) (records int, torn bool, 
 		return 0, false, 0, err
 	}
 	size := fi.Size()
+	r := bufio.NewReaderSize(f, replayBufSize)
 	var off int64
 	var hdr [walHeaderSize]byte
+	var payload []byte
 	for {
-		_, err := io.ReadFull(f, hdr[:])
+		_, err := io.ReadFull(r, hdr[:])
 		if err == io.EOF {
 			return records, false, 0, nil
 		}
@@ -205,8 +216,11 @@ func replayWAL(path string, fn func(rec []byte) error) (records int, torn bool, 
 			// larger than the file.
 			return records, true, size - off, nil
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if int(n) > cap(payload) {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return records, true, size - off, nil // torn payload
 			}
