@@ -44,7 +44,7 @@ type (
 	// QueryCostModel calibrates query-time computation cost.
 	QueryCostModel = core.QueryCostModel
 	// Maintainer is a provenance maintenance scheme (ExSPAN, Basic,
-	// Advanced).
+	// Advanced, Advanced+IC).
 	Maintainer = core.Maintainer
 	// Runtime is the execution engine coupling a program, a network, and a
 	// maintenance scheme.
@@ -108,20 +108,12 @@ var MergePrograms = ndlog.MergePrograms
 // NewMultiSystem deploys several DELPs jointly on one network: every
 // program's rules fire on the shared event streams, provenance chains may
 // interleave rules of different programs, and — under the Advanced schemes
-// — chains shared across programs are stored once.
+// — chains shared across programs are stored once. Under those schemes the
+// merged rule set must pass the same applicability check as NewSystem's.
 func NewMultiSystem(g *Graph, progs []*Program, scheme string, funcs FuncMap) (*System, error) {
-	maint, err := core.NewScheme(scheme)
+	maint, err := newMaintainer(scheme, progs...)
 	if err != nil {
 		return nil, err
-	}
-	if needsEquivalenceKeys(maint.Name()) {
-		merged, err := ndlog.MergePrograms(progs...)
-		if err != nil {
-			return nil, err
-		}
-		if err := analysis.CheckAdvancedApplicableFor(merged, ndlog.InputEvents(progs...)); err != nil {
-			return nil, err
-		}
 	}
 	sched := &sim.Scheduler{}
 	net := netsim.New(sched, g)
@@ -215,13 +207,13 @@ var (
 	WritePrometheus = metrics.WritePrometheus
 )
 
-// Scheme names accepted by NewSystem.
+// Scheme names accepted by NewSystem, NewMultiSystem and NewCluster.
 const (
 	SchemeExSPAN   = core.SchemeExSPAN
 	SchemeBasic    = core.SchemeBasic
 	SchemeAdvanced = core.SchemeAdvanced
 	// SchemeAdvancedInterClass additionally shares rule-execution nodes
-	// across equivalence classes (Section 5.4).
+	// across equivalence classes (Section 5.4); "advanced-ic" in URLs.
 	SchemeAdvancedInterClass = core.SchemeAdvancedInterClass
 )
 
@@ -238,21 +230,16 @@ type System struct {
 
 // NewSystem builds a ready-to-run system: one engine node per topology
 // node, the program deployed on all of them, provenance maintained by the
-// named scheme. funcs may be nil if the program calls no UDFs.
+// named scheme. funcs may be nil if the program calls no UDFs. Under the
+// Advanced schemes it refuses, as NewCluster does, a program whose outputs
+// of one equivalence class may land on different nodes.
 func NewSystem(g *Graph, prog *Program, scheme string, funcs FuncMap) (*System, error) {
 	if err := prog.ValidateDELP(); err != nil {
 		return nil, err
 	}
-	maint, err := core.NewScheme(scheme)
+	maint, err := newMaintainer(scheme, prog)
 	if err != nil {
 		return nil, err
-	}
-	if needsEquivalenceKeys(maint.Name()) {
-		// Stage 3 requires outputs of one equivalence class to land on one
-		// node; reject programs where the static analysis cannot show it.
-		if err := analysis.CheckAdvancedApplicable(prog); err != nil {
-			return nil, err
-		}
 	}
 	sched := &sim.Scheduler{}
 	net := netsim.New(sched, g)
@@ -260,11 +247,14 @@ func NewSystem(g *Graph, prog *Program, scheme string, funcs FuncMap) (*System, 
 	return &System{Runtime: rt, Scheme: maint, sched: sched}, nil
 }
 
-// needsEquivalenceKeys reports whether a scheme (by canonical name)
-// compresses by equivalence class, and so needs the program to pass the
-// Advanced applicability analysis.
-func needsEquivalenceKeys(scheme string) bool {
-	return scheme == SchemeAdvanced || scheme == SchemeAdvancedInterClass
+// newMaintainer resolves a scheme name against the deployed programs
+// (core.ResolveScheme) and builds its simulator maintainer.
+func newMaintainer(scheme string, progs ...*Program) (*core.SimMaintainer, error) {
+	name, err := core.ResolveScheme(scheme, progs...)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewScheme(name)
 }
 
 // LoadBase installs base (slow-changing) tuples at the nodes named by
@@ -280,7 +270,7 @@ func (s *System) Inject(ev Tuple) { s.Runtime.Inject(ev) }
 func (s *System) InjectAt(t time.Duration, ev Tuple) { s.Runtime.InjectAt(t, ev) }
 
 // InsertSlow inserts into a slow-changing table at runtime (triggering the
-// sig broadcast under Advanced, Section 5.5).
+// sig broadcast under the Advanced schemes, Section 5.5).
 func (s *System) InsertSlow(t Tuple) { s.Runtime.InsertSlow(t) }
 
 // DeleteSlow deletes from a slow-changing table at runtime.

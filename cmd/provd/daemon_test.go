@@ -215,14 +215,15 @@ func query(t *testing.T, base, scheme string, o tupleJSON) queryReply {
 	return r
 }
 
-// TestServeEndToEnd drives a traced daemon over real HTTP: inject and
-// quiesce, one cold query per scheme whose span tree /v1/trace/{id} serves
-// as valid Chrome trace JSON, cached repeats at least 10x faster
-// server-side than the cold run, non-zero serving counters on /metrics,
-// and a Zipf load phase without errors.
+// TestServeEndToEnd drives a traced daemon serving all four schemes over
+// real HTTP: inject and quiesce, one cold query per scheme whose span tree
+// /v1/trace/{id} serves as valid Chrome trace JSON, cached repeats at
+// least 10x faster server-side than the cold run, non-zero serving
+// counters on /metrics, and a Zipf load phase without errors.
 func TestServeEndToEnd(t *testing.T) {
 	const nodes = 5
-	d := startProvd(t, "-nodes", strconv.Itoa(nodes), "-trace")
+	schemes := []string{"advanced", "basic", "exspan", "advanced-ic"}
+	d := startProvd(t, "-schemes", strings.Join(schemes, ","), "-nodes", strconv.Itoa(nodes), "-trace")
 
 	// Packets cross the whole chain, every third one only half of it.
 	last := fmt.Sprintf("n%d", nodes-1)
@@ -237,7 +238,7 @@ func TestServeEndToEnd(t *testing.T) {
 	postEvents(t, d.base, events, 15000)
 
 	target := tupleJSON{"recv", []any{last, "n0", last, workload.Payload(0, 48)}}
-	for _, scheme := range []string{"advanced", "basic", "exspan"} { // provd's default -schemes
+	for _, scheme := range schemes {
 		cold := query(t, d.base, scheme, target)
 		if len(cold.Trees) == 0 || cold.Cached {
 			t.Fatalf("%s: first query = %+v, want a cold answer with trees", scheme, cold)

@@ -65,7 +65,7 @@ import (
 func main() {
 	boot := registerBoot(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:8463", "HTTP listen address (use :0 for a random port)")
-	schemes := flag.String("schemes", "advanced,basic,exspan", "comma-separated provenance schemes to serve")
+	schemes := flag.String("schemes", "advanced,basic,exspan", "comma-separated provenance schemes to serve (any of advanced, basic, exspan, advanced-ic)")
 	workers := flag.Int("workers", 8, "query worker pool size")
 	queue := flag.Int("queue", 64, "pending-query queue bound (full queue answers 429)")
 	cacheSize := flag.Int("cache", 1024, "result cache entries")

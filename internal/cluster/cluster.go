@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -291,8 +292,8 @@ func (st *seqTracker) count() int {
 	return n
 }
 
-// New boots the cluster: one listener per node, the program validated and
-// analyzed once, every node starting with an empty database.
+// New boots the cluster: one listener per node, the scheme resolved and the
+// program analyzed once, every node starting with an empty database.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Prog.ValidateDELP(); err != nil {
 		return nil, err
@@ -300,9 +301,9 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = core.SchemeAdvanced
+	scheme, err := core.ResolveScheme(cmp.Or(cfg.Scheme, core.SchemeAdvanced), cfg.Prog)
+	if err != nil {
+		return nil, err
 	}
 	arities, err := cfg.Prog.Arities()
 	if err != nil {
@@ -708,8 +709,8 @@ func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 // Tracer returns the cluster's span collector (nil when tracing is off).
 func (c *Cluster) Tracer() *trace.Collector { return c.tracer }
 
-// InsertSlow inserts a slow-changing tuple at runtime and broadcasts sig
-// (Section 5.5).
+// InsertSlow inserts a slow-changing tuple at runtime and, under the
+// schemes that keep htequi, broadcasts sig (Section 5.5).
 func (c *Cluster) InsertSlow(t types.Tuple) error {
 	n := c.node(t.Loc())
 	if n == nil {
@@ -722,6 +723,9 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 	// below does: a cached answer that carried its VID as unresolved is
 	// stale now.
 	c.fireEventHook(VIDInvalKey(types.HashTuple(t)))
+	if !n.self.sigs {
+		return nil
+	}
 	frame := encodeSig()
 	for addr := range c.nodeMap() {
 		// Sig broadcasts are provenance maintenance (Section 5.5).

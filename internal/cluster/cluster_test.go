@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"provcompress/internal/apps"
 	"provcompress/internal/core"
+	"provcompress/internal/ndlog"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
 )
@@ -99,12 +101,20 @@ func TestClusterUnknownScheme(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := New(Config{
-		Prog:   apps.Forwarding(),
-		Nodes:  []types.NodeAddr{"a", "b"},
-		Scheme: core.SchemeAdvancedInterClass,
-	}); err == nil {
-		t.Error("inter-class variant should be rejected on the cluster transport")
+	// Two events of one class can output at different nodes (H is not a
+	// key), which the Advanced schemes' hmap cannot associate: the cluster
+	// refuses the program under them, as NewSystem does, and serves it
+	// under the schemes that do not class events.
+	unsafe := ndlog.MustParse("r1 out(@H, X) :- e(@L, X, H).")
+	for _, scheme := range core.AllSchemeNames() {
+		c, err := New(Config{Prog: unsafe, Nodes: []types.NodeAddr{"a", "b"}, Scheme: scheme})
+		refuse := scheme == core.SchemeAdvanced || scheme == core.SchemeAdvancedInterClass
+		if refuse && (err == nil || !strings.Contains(err.Error(), "not compressible")) || !refuse && err != nil {
+			t.Errorf("%s: New error = %v, want refused %v", scheme, err, refuse)
+		}
+		if err == nil {
+			c.Close()
+		}
 	}
 }
 

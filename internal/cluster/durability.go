@@ -279,7 +279,7 @@ func (c *Cluster) recoverForRestart(n *Node) error {
 		n.dstore.Close() //nolint:errcheck // discarded for a fresh recovery
 		n.dstore = nil
 	}
-	state, err := core.NewNodeState(c.scheme, c.keys)
+	state, err := core.NewNodeState(c.scheme, c.keys, nil)
 	if err != nil {
 		return err
 	}

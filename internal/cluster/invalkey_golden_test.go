@@ -35,10 +35,12 @@ func digestKeys(keys []uint64) goldenKeySet {
 // cache entry. They were re-pinned when the §5.2 class keys left the key
 // space and a key became the first eight bytes of an ID: against the sets
 // pinned before, each lost its class keys (one, and the second leaf
-// event's in proj's unfiltered sets), and Basic's — the one scheme here
-// that hangs predecessors off an execution as link rows — gained the RID
-// of every rule execution the walk collected (five in forwarding and bgp,
-// three in proj).
+// event's in proj's unfiltered sets), and Basic's — which hangs
+// predecessors off an execution as link rows — gained the RID of every
+// rule execution the walk collected (five in forwarding and bgp, three in
+// proj). Advanced+IC's sets were pinned when the cluster began to serve
+// it: its shared rule-execution nodes carry link rows too, so its sets
+// also hold the RID of every execution the walk collected.
 var goldenInvalKeys = map[string][]goldenKeySet{
 	"forwarding/ExSPAN": {{10, 0x5d4f0e59da461495}, {10, 0x5d4f0e59da461495}, {10, 0x98b86994e663c200}, {10, 0x98b86994e663c200},
 		{10, 0xb4218e13037d9b74}, {10, 0xb4218e13037d9b74}, {10, 0x33a0c10057cef647}, {10, 0x33a0c10057cef647}},
@@ -55,13 +57,18 @@ var goldenInvalKeys = map[string][]goldenKeySet{
 	"proj/ExSPAN":   {{7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}, {7, 0xf99d0ee5bd15f887}},
 	"proj/Basic":    {{9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}, {9, 0x70ed6f21abd0a809}},
 	"proj/Advanced": {{4, 0x3caef7df5c9fe427}, {6, 0x51d997e96c7507ca}, {4, 0xa832737fe8080ad1}, {6, 0x51d997e96c7507ca}},
+	"forwarding/Advanced+IC": {{11, 0x1662d35c371d3a3}, {11, 0x1662d35c371d3a3}, {11, 0x760654c70cf5ae23}, {11, 0x760654c70cf5ae23},
+		{11, 0x249857944d0fd22b}, {11, 0x249857944d0fd22b}, {11, 0xf1bad40afe0bbc0a}, {11, 0xf1bad40afe0bbc0a}},
+	"bgp/Advanced+IC": {{12, 0x72dca6aff93b9132}, {12, 0x72dca6aff93b9132}, {12, 0xea58d7c297e3a9b3}, {12, 0xea58d7c297e3a9b3},
+		{12, 0x365894af54a70e5}, {12, 0x365894af54a70e5}, {12, 0xda22bbd0fdcb4f31}, {12, 0xda22bbd0fdcb4f31}},
+	"proj/Advanced+IC": {{8, 0x276d444c0973b8c6}, {9, 0x1551c37888e3d62d}, {8, 0x428253b91e6f0d2a}, {9, 0x1551c37888e3d62d}},
 }
 
 func TestInvalKeysGolden(t *testing.T) {
 	for _, name := range []string{"forwarding", "bgp", "proj"} {
 		w := walkWorkloadNamed(t, name)
 		rec := w.reference(t)
-		for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+		for _, scheme := range core.AllSchemeNames() {
 			t.Run(w.name+"/"+scheme, func(t *testing.T) {
 				c := w.boot(t, scheme)
 				var got []goldenKeySet

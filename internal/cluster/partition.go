@@ -32,15 +32,16 @@ type partition struct {
 	// keepEvents says the scheme's walk resolves every intermediate event's
 	// VID (core.NodeState.ResolvesEventVIDs), so step stores each one.
 	keepEvents bool
+	sigs       bool // the scheme keeps htequi (NodeState.EventByEvID): slow inserts broadcast sig
 }
 
 // newPartition builds an empty copy of owner's partition.
 func (c *Cluster) newPartition(owner types.NodeAddr) (*partition, error) {
-	st, err := core.NewNodeState(c.scheme, c.keys)
+	st, err := core.NewNodeState(c.scheme, c.keys, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &partition{owner: owner, db: engine.NewDatabase(), state: st, keepEvents: st.ResolvesEventVIDs()}
+	p := &partition{owner: owner, db: engine.NewDatabase(), state: st, keepEvents: st.ResolvesEventVIDs(), sigs: st.EventByEvID()}
 	if c.graveyardCap > 0 {
 		p.db.SetGraveyardCap(c.graveyardCap)
 	}

@@ -160,7 +160,7 @@ func sameLines(t *testing.T, what string, got, want []string) {
 // are the live cluster's too.
 func TestPartitionRolesAgree(t *testing.T) {
 	members := []types.NodeAddr{"n1", "n2", "n3"}
-	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+	for _, scheme := range core.AllSchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
 			dir := t.TempDir()
 
@@ -237,7 +237,7 @@ func TestSchemeStoresWhatItsWalkReads(t *testing.T) {
 	var exspanTrees []string
 	var exspanTuples int
 	// ExSPAN runs first: it is the reference the others are held to.
-	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+	for _, scheme := range core.AllSchemeNames() {
 		c := rolesCluster(t, scheme, "", 0, true)
 		rolesHistory(t, c)
 		intermediate := 0
@@ -296,24 +296,26 @@ func decodedOutputs(c *Cluster) []string {
 
 // TestWALLogsWhatReplayReads runs the role history on a durable cluster
 // with two replicas and counts each owner's records. n1 logs the route
-// LoadBase put there, the three injected events, the slow insert, its sig
-// and the slow delete; n2 its route, its sig and the packet of each event
-// that passes through; n3 its sig, each event's packet and each output.
-// Under Advanced the second "a" joins a class that already exists, so its
-// packets at n2 and n3 store nothing and are not logged; ExSPAN and Basic
-// store a row for every firing and log every frame. Every record reaches
-// both replicas, from a durable owner and from a volatile one alike. A log
-// that still holds such a frame — older builds logged every one — replays
-// it as a no-op.
+// LoadBase put there, the three injected events, the slow insert and the
+// slow delete; n2 its route and the packet of each event that passes
+// through; n3 each event's packet and each output. Only the Advanced
+// schemes keep htequi, so only they broadcast the insert's sig, and every
+// member logs it. Under them the second "a" joins a class that already
+// exists, so its packets at n2 and n3 store nothing and are not logged;
+// ExSPAN and Basic store a row for every firing and log every frame.
+// Every record reaches both replicas, from a durable owner and from a
+// volatile one alike. A log that still holds such a frame — older builds
+// logged every one — replays it as a no-op.
 func TestWALLogsWhatReplayReads(t *testing.T) {
 	members := []types.NodeAddr{"n1", "n2", "n3"}
 	for _, tc := range []struct {
 		scheme string
 		want   map[types.NodeAddr]int64
 	}{
-		{core.SchemeExSPAN, map[types.NodeAddr]int64{"n1": 7, "n2": 5, "n3": 7}},
-		{core.SchemeBasic, map[types.NodeAddr]int64{"n1": 7, "n2": 5, "n3": 7}},
+		{core.SchemeExSPAN, map[types.NodeAddr]int64{"n1": 6, "n2": 4, "n3": 6}},
+		{core.SchemeBasic, map[types.NodeAddr]int64{"n1": 6, "n2": 4, "n3": 6}},
 		{core.SchemeAdvanced, map[types.NodeAddr]int64{"n1": 7, "n2": 4, "n3": 6}},
+		{core.SchemeAdvancedInterClass, map[types.NodeAddr]int64{"n1": 7, "n2": 4, "n3": 6}},
 	} {
 		scheme, want := tc.scheme, tc.want
 		t.Run(scheme, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 
 // fuzzSchemes are the schemes the cluster runs; the payload decoders are
 // fuzzed under each, since the scheme decides the state tables' layout.
-var fuzzSchemes = []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced}
+var fuzzSchemes = core.AllSchemeNames()
 
 // allocatedBy reports the bytes fn allocated, process-wide.
 func allocatedBy(fn func()) uint64 {

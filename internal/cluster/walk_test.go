@@ -159,11 +159,11 @@ func sameTrees(got, want []*core.Tree) bool {
 }
 
 // TestClusterQueryMatchesSimulation holds the two drivers of core.Walk
-// together: for every scheme the cluster transport supports and every
-// workload, each derivation the Recorder stored must come back over the real
-// wire exactly — asked for by its event and within the unfiltered answer.
+// together: for every scheme and every workload, each derivation the
+// Recorder stored must come back over the real wire exactly — asked for by
+// its event and within the unfiltered answer.
 func TestClusterQueryMatchesSimulation(t *testing.T) {
-	for _, scheme := range []string{core.SchemeExSPAN, core.SchemeBasic, core.SchemeAdvanced} {
+	for _, scheme := range core.AllSchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
 			for _, w := range walkWorkloads(t) {
 				t.Run(w.name, func(t *testing.T) {

@@ -117,11 +117,14 @@ func TestProjectionKeysIncludeY(t *testing.T) {
 
 // TestRegainedReportsSecondPredecessor drives one firing of r2 on mid(@n1,7)
 // three times — from a first derivation, from a second one, and from the
-// second one again — under every scheme the cluster serves. Only the second
-// call gives a row that was already stored another predecessor, and Regained
-// must name that row: the tuple's VID under ExSPAN, the execution's RID
-// under Basic, nothing under Advanced (its RID folds the predecessor in, so
-// the second derivation is a new execution).
+// second one again — under every scheme. Only the second call gives a row
+// that was already stored another predecessor, and Regained must name that
+// row: the tuple's VID under ExSPAN, the execution's RID under Basic and
+// Advanced+IC (whose shared node gains a link row), nothing under Advanced
+// (its RID folds the predecessor in, so the second derivation is a new
+// execution). A third derivation regains again; repeating it with
+// existFlag set must report nothing: the Advanced schemes skip such a
+// firing, and must not leave the previous answer standing.
 func TestRegainedReportsSecondPredecessor(t *testing.T) {
 	prog, err := ndlog.ParseDELP(projSrc)
 	if err != nil {
@@ -137,8 +140,9 @@ func TestRegainedReportsSecondPredecessor(t *testing.T) {
 	}
 	for scheme, c := range map[string]struct{ vid, rid, links bool }{
 		SchemeExSPAN: {vid: true}, SchemeBasic: {rid: true, links: true}, SchemeAdvanced: {},
+		SchemeAdvancedInterClass: {rid: true, links: true},
 	} {
-		st, err := NewNodeState(scheme, nil)
+		st, err := NewNodeState(scheme, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,6 +165,13 @@ func TestRegainedReportsSecondPredecessor(t *testing.T) {
 		st.FireAt("n1", fr, meta(2))
 		if got := st.Regained(); !got.IsZero() {
 			t.Errorf("%s: repeated derivation regained %s", scheme, got.Hex())
+		}
+		st.FireAt("n1", fr, meta(3))
+		m := meta(3)
+		m.Exist = true
+		st.FireAt("n1", fr, m)
+		if got := st.Regained(); !got.IsZero() {
+			t.Errorf("%s: existFlag firing after a regain reports %s", scheme, got.Hex())
 		}
 	}
 }
@@ -186,7 +197,7 @@ func TestMaintainsSaysWhetherFireAtStores(t *testing.T) {
 	}
 	for _, scheme := range AllSchemeNames() {
 		for _, exist := range []bool{false, true} {
-			st, err := newNodeState(scheme, nil, nil)
+			st, err := NewNodeState(scheme, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,7 +96,7 @@ func driveForwarding(t *testing.T, st NodeState, events ...types.Tuple) {
 func populatedNodeState(t *testing.T, scheme string) NodeState {
 	t.Helper()
 	keys := analysis.EquivalenceKeys(apps.Forwarding())
-	st, err := newNodeState(scheme, keys, nil)
+	st, err := NewNodeState(scheme, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func populatedNodeState(t *testing.T, scheme string) NodeState {
 
 func freshNodeState(t *testing.T, scheme string) NodeState {
 	t.Helper()
-	st, err := newNodeState(scheme, analysis.EquivalenceKeys(apps.Forwarding()), nil)
+	st, err := NewNodeState(scheme, analysis.EquivalenceKeys(apps.Forwarding()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"provcompress/internal/analysis"
 	"provcompress/internal/engine"
+	"provcompress/internal/ndlog"
 	"provcompress/internal/types"
 )
 
@@ -19,7 +21,7 @@ type Maintainer interface {
 	QueryProvenance(out types.Tuple, evid types.ID, cb func(QueryResult))
 }
 
-// Scheme names accepted by NewScheme.
+// Canonical scheme names, as ResolveScheme returns them.
 const (
 	SchemeExSPAN             = "ExSPAN"
 	SchemeBasic              = "Basic"
@@ -38,12 +40,13 @@ func AllSchemeNames() []string {
 	return []string{SchemeExSPAN, SchemeBasic, SchemeAdvanced, SchemeAdvancedInterClass}
 }
 
-// newNodeState is the one scheme-name → state machine switch
-// (case-insensitive; "advanced-ic" and "advanced+ic" both select the
-// Section 5.4 inter-class variant). keys are the program's equivalence
-// keys; keysByEvent, when non-nil, overrides them per input event relation
-// (multi-program deployments). Only the Advanced schemes use either.
-func newNodeState(scheme string, keys []int, keysByEvent map[string][]int) (NodeState, error) {
+// NewNodeState is the one scheme-name → state machine switch
+// (case-insensitive; "advanced-ic" is SchemeAdvancedInterClass's URL-safe
+// spelling). keys are the program's equivalence keys; keysByEvent, when
+// non-nil, overrides them per input event relation (multi-program
+// deployments); only the Advanced schemes use either. Drivers resolve the
+// name against their programs with ResolveScheme first.
+func NewNodeState(scheme string, keys []int, keysByEvent map[string][]int) (NodeState, error) {
 	switch strings.ToLower(scheme) {
 	case "exspan":
 		return NewExSPANState(), nil
@@ -51,31 +54,39 @@ func newNodeState(scheme string, keys []int, keysByEvent map[string][]int) (Node
 		return NewBasicState(), nil
 	case "advanced":
 		return newAdvancedState(keys, keysByEvent, false), nil
-	case "advanced+ic", "advanced-ic", "advancedic", "interclass":
+	case "advanced-ic", "advanced+ic":
 		return newAdvancedState(keys, keysByEvent, true), nil
 	default:
-		return nil, fmt.Errorf("core: unknown scheme %q (want exspan, basic, advanced, or advanced-ic)", scheme)
+		return nil, fmt.Errorf("core: unknown scheme %q (want exspan, basic, advanced or advanced-ic)", scheme)
 	}
 }
 
-// NewNodeState builds the per-node state machine a cluster transport
-// drives, by scheme name (SchemeExSPAN, SchemeBasic, SchemeAdvanced); keys
-// are the program's equivalence keys (used by Advanced only). The
-// inter-class variant is not served over the cluster transport.
-func NewNodeState(scheme string, keys []int) (NodeState, error) {
-	st, err := newNodeState(scheme, append([]int(nil), keys...), nil)
+// ResolveScheme is the one place a scheme name is decided, for the
+// simulator (NewSystem, NewMultiSystem) and the cluster (cluster.New)
+// alike. It returns the canonical name and, under the schemes with a prov
+// EVID column, refuses programs whose outputs of one equivalence class may
+// land on different nodes (analysis.CheckAdvancedApplicableFor, on the
+// rule set the programs deploy together).
+func ResolveScheme(name string, progs ...*ndlog.Program) (string, error) {
+	probe, err := NewNodeState(name, nil, nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	if st.Scheme() == SchemeAdvancedInterClass {
-		return nil, fmt.Errorf("core: scheme %s is not available on the cluster transport", scheme)
+	if probe.EventByEvID() {
+		merged, err := ndlog.MergePrograms(progs...)
+		if err != nil {
+			return "", err
+		}
+		if err := analysis.CheckAdvancedApplicableFor(merged, ndlog.InputEvents(progs...)); err != nil {
+			return "", err
+		}
 	}
-	return st, nil
+	return probe.Scheme(), nil
 }
 
 // NewScheme builds the simulator's maintainer for a scheme name.
 func NewScheme(name string) (*SimMaintainer, error) {
-	probe, err := newNodeState(name, nil, nil)
+	probe, err := NewNodeState(name, nil, nil)
 	if err != nil {
 		return nil, err
 	}

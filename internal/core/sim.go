@@ -55,7 +55,7 @@ func (s *SimMaintainer) Attach(rt *engine.Runtime) {
 	s.states = make(map[types.NodeAddr]NodeState, len(rt.Nodes()))
 	for addr := range rt.Nodes() {
 		// NewScheme already resolved the name, so the switch cannot fail.
-		s.states[addr], _ = newNodeState(s.name, nil, s.keysByEvent)
+		s.states[addr], _ = NewNodeState(s.name, nil, s.keysByEvent)
 	}
 	s.queries = newQueryDispatcher(s)
 }

@@ -51,7 +51,8 @@ type NodeState interface {
 	// deferred landing returns nil until a later Output resolves it. The
 	// serving layer keys cache invalidation on these VIDs (DESIGN.md §14).
 	Output(out types.Tuple, m AdvMeta) []types.ID
-	// ClearEquiKeys handles a sig broadcast (no-op outside Advanced).
+	// ClearEquiKeys handles a sig broadcast: it empties htequi, which only
+	// the Advanced schemes fill.
 	ClearEquiKeys()
 	// ProvRows anchors a query at an output VID (evid filter where the
 	// scheme records one).
@@ -61,9 +62,10 @@ type NodeState interface {
 	// walk must fetch here, the local prov rows to ship (ExSPAN), and the
 	// next references to follow.
 	Collect(ref Ref) (ce CollectedEntry, vids []types.ID, provs []Prov, nexts []Ref, ok bool)
-	// EventByEvID reports whether chain-leaf events resolve through EVID
-	// lookups (Advanced) rather than through recorded VIDs (Basic) or prov
-	// rows (ExSPAN).
+	// EventByEvID reports whether the prov rows carry an EVID column, so
+	// chain-leaf events resolve through EVID lookups (the Advanced schemes)
+	// rather than recorded VIDs (Basic) or prov rows (ExSPAN). Only these
+	// schemes keep htequi, so only they broadcast sig (Section 5.5).
 	EventByEvID() bool
 	// ResolvesEventVIDs reports whether a walk resolves the VID of every
 	// intermediate event tuple, so a node must keep each event that passes
@@ -80,10 +82,10 @@ type NodeState interface {
 	// Regained names the row, stored before the last FireAt, that the firing
 	// gave one more predecessor — a walk through it now finds a derivation
 	// it did not before — or ZeroID: under ExSPAN the VID of the event tuple
-	// when it gained a further prov row, under Basic the RID of the
-	// execution that gained a link row. A chained Advanced RID folds its
-	// predecessor in, so nothing is ever regained there. The serving layer
-	// fires the ID's invalidation key.
+	// when it gained a further prov row, under Basic and Advanced+IC the RID
+	// of the execution that gained a link row. A chained Advanced RID folds
+	// its predecessor in, so nothing is ever regained there. The serving
+	// layer fires the ID's invalidation key.
 	Regained() types.ID
 	// GainsLinks reports whether the scheme hangs predecessors off an
 	// execution's RID as link rows, so that an answer depends on the link
@@ -124,9 +126,16 @@ func (s stored) StorageBytes() int64 { return s.st.bytes() }
 // Regained names the stored row the last FireAt gave another predecessor.
 func (s stored) Regained() types.ID { return s.st.regained }
 
-// collectChain processes one walk reference under the chained schemes
-// (Basic, Advanced): the row, its recorded VIDs, and its live next links.
-func (s stored) collectChain(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
+// EventByEvID reports whether the prov rows carry an EVID column.
+func (s stored) EventByEvID() bool { return s.st.withEvID }
+
+// ClearEquiKeys handles a sig broadcast (Section 5.5).
+func (s stored) ClearEquiKeys() { s.st.clearEquiKeys() }
+
+// Collect processes one walk reference under the chained schemes (Basic,
+// Advanced): the row, its recorded VIDs, and its live next links. ExSPAN
+// has its own.
+func (s stored) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
 	entry, ok := s.st.getRuleExec(ref.RID)
 	if !ok {
 		return CollectedEntry{}, nil, nil, nil, false
@@ -240,6 +249,7 @@ func (s *AdvancedState) keyValues(dst []types.Value, ev types.Tuple) []types.Val
 // firing at the named node: nothing is stored when existFlag is true;
 // otherwise the shared chain grows by one rule-execution node.
 func (s *AdvancedState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) AdvMeta {
+	s.st.regained = types.ZeroID
 	if m.Exist {
 		return m
 	}
@@ -248,8 +258,10 @@ func (s *AdvancedState) FireAt(addr types.NodeAddr, f engine.Firing, m AdvMeta) 
 	var rid types.ID
 	if s.st.useLinks {
 		rid = types.RuleExecID(f.Rule.Label, "", svids)
-		s.st.addRuleExec(addr, rid, f.Rule.Label, svids, NilRef)
-		s.st.addLink(rid, m.Prev)
+		fresh := s.st.addRuleExec(addr, rid, f.Rule.Label, svids, NilRef)
+		if s.st.addLink(rid, m.Prev) && !fresh {
+			s.st.regained = rid // a shared node gained another predecessor
+		}
 	} else {
 		rid = types.RuleExecID(f.Rule.Label, "", svids, m.Prev.RID)
 		s.st.addRuleExec(addr, rid, f.Rule.Label, svids, m.Prev)
@@ -287,9 +299,6 @@ func (s *AdvancedState) Output(out types.Tuple, m AdvMeta) []types.ID {
 	return nil
 }
 
-// ClearEquiKeys handles a sig broadcast (Section 5.5).
-func (s *AdvancedState) ClearEquiKeys() { s.st.clearEquiKeys() }
-
 // AdvancedStats counts the Advanced scheme's §5.5 sig resets and §5.3
 // deferred-landing activity at one node. The counters are process-local
 // observability state: they are not persisted and reset with the state
@@ -326,14 +335,6 @@ func (s *AdvancedState) ProvRows(vid, evid types.ID) []Prov {
 	return s.st.provRows(vid, evid)
 }
 
-// Collect processes one walk reference.
-func (s *AdvancedState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
-	return s.collectChain(ref)
-}
-
-// EventByEvID reports that leaf events resolve through EVID lookups.
-func (s *AdvancedState) EventByEvID() bool { return true }
-
 // ResolvesEventVIDs reports that only the input event is resolved.
 func (s *AdvancedState) ResolvesEventVIDs() bool { return false }
 
@@ -341,10 +342,9 @@ func (s *AdvancedState) ResolvesEventVIDs() bool { return false }
 // FireAt stores nothing when existFlag is true.
 func (s *AdvancedState) Maintains(m AdvMeta) bool { return !m.Exist }
 
-// GainsLinks reports that a chained RID folds its predecessor in. (The
-// inter-class split does add link rows to stored executions; no serving
-// layer fronts it, and neither this nor Regained covers it.)
-func (s *AdvancedState) GainsLinks() bool { return false }
+// GainsLinks reports that a chained RID folds its predecessor in, while
+// the inter-class split hangs predecessors off a shared node as link rows.
+func (s *AdvancedState) GainsLinks() bool { return s.st.useLinks }
 
 // Reconstruct runs TRANSFORM_TO_D.
 func (s *AdvancedState) Reconstruct(prog *ndlog.Program, funcs ndlog.FuncMap, root types.Tuple, rootProvs []Prov,
@@ -412,21 +412,10 @@ func (s *BasicState) Output(out types.Tuple, m AdvMeta) []types.ID {
 	return []types.ID{vid}
 }
 
-// ClearEquiKeys is a no-op for Basic.
-func (s *BasicState) ClearEquiKeys() {}
-
 // ProvRows anchors a query at an output VID (no EVID column).
 func (s *BasicState) ProvRows(vid, _ types.ID) []Prov {
 	return s.st.provRows(vid, types.ZeroID)
 }
-
-// Collect processes one walk reference.
-func (s *BasicState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Ref, bool) {
-	return s.collectChain(ref)
-}
-
-// EventByEvID reports that leaf events come from the recorded VIDs.
-func (s *BasicState) EventByEvID() bool { return false }
 
 // ResolvesEventVIDs reports that intermediate events are re-derived.
 func (s *BasicState) ResolvesEventVIDs() bool { return false }
@@ -492,9 +481,6 @@ func (s *ExSPANState) Output(out types.Tuple, m AdvMeta) []types.ID {
 	return []types.ID{vid}
 }
 
-// ClearEquiKeys is a no-op for ExSPAN.
-func (s *ExSPANState) ClearEquiKeys() {}
-
 // ProvRows anchors a query at an output VID (no EVID column).
 func (s *ExSPANState) ProvRows(vid, _ types.ID) []Prov {
 	return s.st.provRows(vid, types.ZeroID)
@@ -520,9 +506,6 @@ func (s *ExSPANState) Collect(ref Ref) (CollectedEntry, []types.ID, []Prov, []Re
 	}
 	return CollectedEntry{Entry: entry}, entry.VIDs, provs, nexts, true
 }
-
-// EventByEvID reports that leaf events come from the prov rows.
-func (s *ExSPANState) EventByEvID() bool { return false }
 
 // ResolvesEventVIDs reports that every hop's event VID is resolved.
 func (s *ExSPANState) ResolvesEventVIDs() bool { return true }

@@ -320,11 +320,11 @@ func bootOracle(t *testing.T, deploy func() (cluster.Config, []types.Tuple), sch
 	return c, s, ts.URL
 }
 
-// TestCacheOracleProperty replays 510 seeded interleavings — 170 per scheme
-// the cluster serves, over the three worlds — against the oracle. One
-// cluster and server persist per scheme and world.
+// TestCacheOracleProperty replays 680 seeded interleavings — 170 per
+// scheme, over the three worlds — against the oracle. One cluster and
+// server persist per scheme and world.
 func TestCacheOracleProperty(t *testing.T) {
-	for si, scheme := range []string{"advanced", "basic", "exspan"} {
+	for si, scheme := range []string{"advanced", "basic", "exspan", "advanced-ic"} {
 		si, scheme := si, scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
@@ -373,9 +373,10 @@ func TestCacheOracleProperty(t *testing.T) {
 // TestCacheConvergingDerivation holds the replay scripts of the
 // counter-examples to "root rows and resolved tuples are all an answer
 // depends on": e1 derives out(7) and its answers are cached, something
-// downstream of mid(7) is cut, and e2 re-derives mid(7). ExSPAN and Basic
-// hang e2's derivation off what r2's stored execution already has — a
-// fresh walk from out(7) now returns two trees — but e2 never lands on
+// downstream of mid(7) is cut, and e2 re-derives mid(7). ExSPAN and
+// Basic, and Advanced+IC with e1 and e2 in two classes, hang e2's
+// derivation off what r2's stored execution already has — a fresh walk
+// from out(7) now returns two trees — but e2 never lands on
 // out(7), so no landing tells the cache. The cut is the sink row deleted,
 // hop2 rewritten to another node (under ExSPAN r2 then fires as a new
 // execution, and the stored one gains the predecessor without firing
@@ -411,7 +412,7 @@ func TestCacheConvergingDerivation(t *testing.T) {
 		"two-classes": convergeDeploy(convergeCrossSrc,
 			types.NewTuple("hop", str("n0"), types.Int(1), str("n1")), types.NewTuple("hop", str("n0"), types.Int(2), str("n1"))),
 	} {
-		for _, scheme := range []string{"advanced", "basic", "exspan"} {
+		for _, scheme := range []string{"advanced", "basic", "exspan", "advanced-ic"} {
 			for cut, script := range scripts {
 				t.Run(name+"/"+cut+"/"+scheme, func(t *testing.T) {
 					c, _, url := bootOracle(t, deploy, scheme)

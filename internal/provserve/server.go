@@ -62,8 +62,10 @@ import (
 
 // Config describes the serving daemon.
 type Config struct {
-	// Clusters maps lowercase scheme names ("exspan", "basic",
-	// "advanced") to running clusters. At least one is required.
+	// Clusters maps lowercase scheme names ("exspan", "basic", "advanced",
+	// "advanced-ic" — URL-safe, unlike "advanced+ic", whose "+" a query
+	// string decodes to a space) to running clusters. At least one is
+	// required.
 	Clusters map[string]*cluster.Cluster
 	// DefaultScheme is used when a query names no scheme; empty picks
 	// "advanced" if present, else an arbitrary configured scheme.
