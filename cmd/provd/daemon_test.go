@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -373,4 +374,51 @@ func TestRecoverAfterKillAndTerm(t *testing.T) {
 		t.Fatalf("clean restart replayed %d WAL records, want 0 (final checkpoint missing?)", replayed)
 	}
 	sameTrees(c, "post-clean-restart")
+}
+
+// TestSchemeSpellingsShareOneCluster boots provd with two spellings of
+// Advanced+IC on one -data-dir and requires one cluster under one key:
+// /v1/stats lists advanced-ic alone, ?scheme=advanced-ic answers, and the
+// store lives in the advanced-ic subdirectory, which a later boot with
+// -schemes advanced-ic recovers the same trees from.
+func TestSchemeSpellingsShareOneCluster(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(schemes string) *daemon {
+		return startProvd(t, "-schemes", schemes, "-nodes", "3", "-data-dir", dir, "-fsync", "off")
+	}
+	a := boot("advanced+ic,Advanced-IC")
+	var stats struct {
+		Schemes map[string]json.RawMessage `json:"schemes"`
+	}
+	call(t, http.MethodGet, a.base+"/v1/stats", nil, &stats)
+	var keys []string
+	for k := range stats.Schemes {
+		keys = append(keys, k)
+	}
+	if !reflect.DeepEqual(keys, []string{"advanced-ic"}) {
+		t.Fatalf("/v1/stats schemes = %v, want [advanced-ic]", keys)
+	}
+	postEvents(t, a.base, []tupleJSON{{"packet", []any{"n0", "n0", "n2", "hello"}}}, 10000)
+	out := tupleJSON{"recv", []any{"n2", "n0", "n2", "hello"}}
+	want := query(t, a.base, "advanced-ic", out).Trees
+	if len(want) == 0 {
+		t.Fatal("advanced-ic answered no tree")
+	}
+	a.terminate(t)
+	entries, err := os.ReadDir(filepath.Join(dir, "forwarding"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		dirs = append(dirs, e.Name())
+	}
+	if !reflect.DeepEqual(dirs, []string{"advanced-ic"}) {
+		t.Fatalf("-data-dir holds %v, want [advanced-ic]", dirs)
+	}
+
+	b := boot("advanced-ic")
+	if got := query(t, b.base, "advanced-ic", out).Trees; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered provenance diverged:\n  want %v\n  got  %v", want, got)
+	}
 }

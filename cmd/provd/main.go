@@ -48,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -55,6 +56,7 @@ import (
 	"time"
 
 	"provcompress/internal/cluster"
+	"provcompress/internal/core"
 	"provcompress/internal/provserve"
 	"provcompress/internal/scenario"
 	"provcompress/internal/store"
@@ -74,7 +76,10 @@ func main() {
 	tenants := flag.String("tenants", "", "per-tenant admission limits as name=qps[:burst[:inflight]],... (e.g. acme=100:20:8,free=5); requests pick a tenant via X-Tenant or ?tenant=, unknown labels bill the default tenant")
 	flag.Parse()
 
-	names := splitList(strings.ToLower(*schemes))
+	names, err := schemeKeys(*schemes)
+	if err != nil {
+		log.Fatalf("provd: -schemes: %v", err)
+	}
 	if len(names) == 0 {
 		log.Fatal("provd: no schemes configured")
 	}
@@ -318,6 +323,26 @@ func splitList(s string) []string {
 		out = append(out, item)
 	}
 	return out
+}
+
+// schemeKeys parses the -schemes flag into one key per scheme, in
+// first-seen order. core decides which scheme an entry names; its key is
+// that scheme's lower-case, URL-safe spelling ("advanced-ic" for
+// Advanced+IC), so every spelling of one scheme boots one cluster, served
+// at one ?scheme= value from one -data-dir subdirectory.
+func schemeKeys(list string) ([]string, error) {
+	var keys []string
+	for _, name := range splitList(list) {
+		state, err := core.NewNodeState(name, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		key := strings.ReplaceAll(strings.ToLower(state.Scheme()), "+", "-")
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+	}
+	return keys, nil
 }
 
 // dirHasState reports whether a scheme data dir holds prior state to

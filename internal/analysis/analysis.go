@@ -331,9 +331,3 @@ func (g *Graph) EquivalenceKeysFor(eventRel string) []int {
 func EquivalenceKeys(prog *ndlog.Program) []int {
 	return BuildGraph(prog).EquivalenceKeys()
 }
-
-// EquivalenceKeysFor is the convenience wrapper over a named event
-// relation.
-func EquivalenceKeysFor(prog *ndlog.Program, eventRel string) []int {
-	return BuildGraph(prog).EquivalenceKeysFor(eventRel)
-}

@@ -28,16 +28,17 @@ const applyHopBudget = 2
 // today, the head's Args.
 const bgpHopBudget = 2
 
-// TestApplyTupleAllocs runs the pipeline step directly — the origin hop at
-// n1 (a fresh event: Stage 1 plus its rules) and the relay hop at n2 (the
-// frame n1 shipped) — on Forwarding and on BGP, and holds each to its
+// TestApplyTupleAllocs runs the owner write path — the origin hop at n1 (a
+// fresh event: Stage 1 plus its rules) and the relay hop at n2 (the frame
+// n1 shipped), each everything processTuple does but ship — on Forwarding
+// and on BGP, on volatile members with no replicas, and holds each to its
 // program's budget, so a regression in the join, the hashing, the row
-// storage, the span plumbing or the shipment encoding fails here rather
-// than waiting for the benchmark. The relay hop with ship=false — what WAL
-// replay and a shadow apply run — encodes no head: replay has no
-// transport to recycle a frame buffer, so it must allocate strictly less
-// than a live hop whose frame is dropped, and no more than the recycled
-// one.
+// storage, the span plumbing, the shipment encoding or a record encoded
+// where no log or replica reads it fails here rather than waiting for the
+// benchmark. The relay hop with ship=false — what WAL replay and a shadow
+// apply run — encodes no head: replay has no transport to recycle a frame
+// buffer, so it must allocate strictly less than a live hop whose frame is
+// dropped, and no more than the recycled one.
 func TestApplyTupleAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -52,7 +53,7 @@ func TestApplyTupleAllocs(t *testing.T) {
 	}
 	t.Cleanup(bgp.Close)
 	var routes []types.Tuple
-	for i := 0; i < 4*events; i++ {
+	for i := 0; i < 5*events; i++ {
 		for _, hop := range [][2]string{{"n1", "n2"}, {"n2", "n3"}} {
 			routes = append(routes, types.NewTuple("bgpRoute", types.String(hop[0]), prefix(i), types.String(hop[1])))
 		}
@@ -83,7 +84,7 @@ func TestApplyTupleAllocs(t *testing.T) {
 		// hop applies one frame at a node with a worker's buffer and hands
 		// back the single frame it must ship to want.
 		hop := func(n *Node, f *tupleFrame, want string) []byte {
-			ships := n.self.step(n, f, true, shipBuf[:0], &buf)
+			ships := n.ownStep(f, shipBuf[:0], &buf)
 			if len(ships) != 1 || string(ships[0].to) != want {
 				t.Fatalf("%s: hop at %s shipped %v, want one frame to %s", tc.name, n.addr, ships, want)
 			}
@@ -111,11 +112,13 @@ func TestApplyTupleAllocs(t *testing.T) {
 		// its own; under BGP each set of events also has prefixes of its
 		// own, so every hop it measures opens a new class.
 		fresh := make([]*tupleFrame, events)
+		bare := make([]*tupleFrame, events)
 		relayed := [3][]*tupleFrame{}
 		for i := range fresh {
-			fresh[i] = &tupleFrame{Tuple: tc.event(4 * i), Fresh: true}
+			fresh[i] = &tupleFrame{Tuple: tc.event(5 * i), Fresh: true}
+			bare[i] = &tupleFrame{Tuple: tc.event(5*i + 4), Fresh: true}
 			for j := range relayed {
-				seed := &tupleFrame{Tuple: tc.event(4*i + 1 + j), Fresh: true}
+				seed := &tupleFrame{Tuple: tc.event(5*i + 1 + j), Fresh: true}
 				f, err := decodeTupleFrame(wire.NewDecoder(hop(n1, seed, "n2")[1:]))
 				if err != nil {
 					t.Fatal(err)
@@ -130,6 +133,14 @@ func TestApplyTupleAllocs(t *testing.T) {
 		if origin > float64(tc.budget) {
 			t.Errorf("%s origin hop: %.1f allocs, budget %d", tc.name, origin, tc.budget)
 		}
+		// The write path around the step adds nothing on this member: no
+		// lock, and no record for a log or replica it does not have.
+		stepOnly := measure(bare, func(f *tupleFrame) {
+			wire.PutBuf(n1.self.step(n1, f, true, shipBuf[:0], &buf)[0].frame)
+		})
+		if origin > stepOnly {
+			t.Errorf("%s origin hop: %.1f allocs through the write path, %.1f for the step alone", tc.name, origin, stepOnly)
+		}
 		relay := measure(relayed[0], live(n2, "n3"))
 		if relay > float64(tc.budget) {
 			t.Errorf("%s relay hop: %.1f allocs, budget %d", tc.name, relay, tc.budget)
@@ -140,7 +151,7 @@ func TestApplyTupleAllocs(t *testing.T) {
 				t.Fatalf("%s: ship=false hop shipped %v", tc.name, ships)
 			}
 		})
-		t.Logf("%s allocs per hop: origin %.1f, relay %.1f, relay with the frame dropped %.1f, ship=false relay %.1f", tc.name, origin, relay, dropped, replay)
+		t.Logf("%s allocs per hop: origin %.1f (step alone %.1f), relay %.1f, relay with the frame dropped %.1f, ship=false relay %.1f", tc.name, origin, stepOnly, relay, dropped, replay)
 		if replay >= dropped || replay > relay {
 			t.Errorf("%s ship=false relay hop: %.1f allocs, want fewer than %.1f (live, frame dropped) and at most %.1f (live, frame recycled)", tc.name, replay, dropped, relay)
 		}

@@ -189,11 +189,10 @@ type Node struct {
 	// fixed for the node's life; a durable Restart empties it in place.
 	self *partition
 
-	// dur is set at boot when the cluster has a data dir; durMu then
-	// serializes every {WAL append + apply} pair so log order equals apply
-	// order (see durability.go). dstore is only swapped on Restart, under
-	// durMu, with the node dead.
-	dur      bool
+	// When the cluster has a data dir, durMu serializes every {WAL append
+	// + apply} pair so log order equals apply order (Node.write in
+	// durability.go). dstore is only swapped on Restart, under durMu, with
+	// the node dead.
 	durMu    sync.Mutex
 	dstore   *store.NodeStore
 	failures atomic.Int64 // errors survived (Node.fail)
@@ -428,7 +427,6 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 		n.memberEpoch.Store(row.Epoch)
 	}
 	n.refreshViewLocked(false)
-	n.dur = c.dataDir != ""
 	n.alive.Store(true)
 	return n, nil
 }
@@ -624,7 +622,7 @@ func (c *Cluster) LoadBase(tuples []types.Tuple) error {
 	}
 	return eachParallel(members, func(n *Node) error {
 		for _, t := range groups[n] {
-			n.insertDurable(t)
+			n.insertSlow(t)
 		}
 		return nil
 	})
@@ -716,7 +714,7 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 	if n == nil {
 		return fmt.Errorf("cluster: slow insert %s at unknown node", t)
 	}
-	if !n.insertDurable(t) {
+	if !n.insertSlow(t) {
 		return nil
 	}
 	// The tuple is in the database from here on, whatever the broadcast
@@ -746,7 +744,7 @@ func (c *Cluster) DeleteSlow(t types.Tuple) error {
 	if n == nil {
 		return fmt.Errorf("cluster: slow delete %s at unknown node", t)
 	}
-	if ok, evicted := n.deleteDurable(t); ok {
+	if ok, evicted := n.deleteSlow(t); ok {
 		// The deleted tuple's VID key evicts cached trees that joined
 		// against it; graveyard-cap evictions additionally invalidate any
 		// tree that resolved a now-unresolvable VID.
@@ -1050,7 +1048,7 @@ func (c *Cluster) Restart(addr types.NodeAddr) error {
 	if n.alive.Load() {
 		return fmt.Errorf("cluster: restart live node %s", addr)
 	}
-	if n.durable() {
+	if c.dataDir != "" {
 		// A durable restart is a real recovery: the crashed in-memory state
 		// is discarded and rebuilt from the snapshot + WAL tail before the
 		// node accepts traffic again.
@@ -1093,10 +1091,7 @@ func (c *Cluster) Close() {
 	// With every worker stopped, flush and close the durable stores.
 	for _, n := range c.nodeMap() {
 		n.durMu.Lock()
-		if n.dstore != nil {
-			n.dstore.Close() //nolint:errcheck // shutdown path
-			n.dstore = nil
-		}
+		n.closeStoreLocked()
 		n.durMu.Unlock()
 	}
 }

@@ -13,28 +13,33 @@ import (
 	"provcompress/internal/wire"
 )
 
-// Durability glue: when Config.DataDir is set, every node owns a
-// store.NodeStore (WAL + snapshots) in its own subdirectory. The write
-// discipline is log-then-apply under the node's durMu: the WAL record is
-// appended first, then the in-memory apply runs against the node's own
-// partition, and no other apply can interleave — so WAL order equals apply
-// order, and replaying the log through partition.applyRecord (the same
-// step, shipping nothing) rebuilds the exact pre-crash state. A crash
-// between append and apply just means the record replays on recovery,
-// which is idempotent against the snapshot it follows.
+// The owner write path. Every change to a member's own partition — an
+// event step, a slow insert or delete, a sig reset, a read-repair merge —
+// goes through Node.write, which works the same way on every member:
 //
-// Only a frame whose apply changes recoverable state is logged (and
-// replicated): partition.changesState decides from the frame and the
-// scheme before the step runs. Under Advanced an intermediate event of a
-// class that already exists stores nothing (Section 5.3), so it runs its
-// step live — shipping its heads — and writes no record. A log written
-// when every frame was logged still replays: those extra records apply as
-// no-ops.
+//   - A member with a store (Config.DataDir set) owns a store.NodeStore
+//     (WAL + snapshots) in its own subdirectory and writes log-then-apply
+//     under its durMu: the record is appended, the apply runs against the
+//     partition, and no other write interleaves. WAL order is apply order,
+//     so replaying the log through partition.applyRecord (the same step,
+//     shipping nothing) rebuilds the exact pre-crash state. A crash between
+//     append and apply means the record replays on recovery, which is
+//     idempotent against the snapshot it follows.
+//   - A member with replicas ships the same record bytes to them once the
+//     lock is released (replicate), so owner, replay and shadow read one
+//     stream.
+//   - A member with neither takes no lock and builds no record, so its
+//     shards apply concurrently. The durMu serialization is the durability
+//     tradeoff: shards that evaluate side by side on a volatile member
+//     serialize their applies on a durable one.
 //
-// The durMu serialization is the durability tradeoff: shards that would
-// evaluate concurrently on a volatile node serialize their applies on a
-// durable one. With DataDir unset nothing here runs and the concurrent
-// fast path is unchanged.
+// Only a change whose apply alters recoverable state is recorded: the
+// record builder returns nil otherwise. For an event partition.changesState
+// decides from the frame and the scheme before the step runs; under
+// Advanced an intermediate event of a class that already exists stores
+// nothing (Section 5.3), so it runs its step live — shipping its heads —
+// and writes no record. A log written when every frame was logged still
+// replays: those extra records apply as no-ops.
 
 // WAL record kinds. Each record payload starts with one of these bytes.
 const (
@@ -57,10 +62,6 @@ const walFormatVersion = 2
 // their bytes. Version 1 also carried an inner version byte per layout,
 // the graveyard cap, a byte-accounting trailer and the node's outputs.
 const nodeSnapVersion = 2
-
-// durable reports whether this node persists its state. Set once at boot
-// and never changed, so it is readable without a lock.
-func (n *Node) durable() bool { return n.dur }
 
 // nodeDataDir names one member's storage directory.
 func (c *Cluster) nodeDataDir(addr types.NodeAddr) string {
@@ -116,6 +117,34 @@ func (n *Node) fail(op string, err error) {
 	}
 }
 
+// write applies one change to this member's own partition (see the file
+// comment). rec builds the change's record, or returns nil when the change
+// stores nothing recoverable; it runs only when a log or a replica will
+// read the record, before apply and under the same lock, so it sees the
+// partition as apply will find it. Neither function escapes.
+func (n *Node) write(rec func() []byte, apply func()) {
+	logged := n.c.dataDir != ""
+	if !logged && n.c.replicas <= 0 {
+		apply()
+		return
+	}
+	if logged {
+		n.durMu.Lock()
+	}
+	r := rec()
+	want := logged && r != nil && n.logApply(r)
+	apply()
+	if want {
+		n.checkpointLocked()
+	}
+	if logged {
+		n.durMu.Unlock()
+	}
+	if r != nil {
+		n.replicate(r)
+	}
+}
+
 // logApply appends rec and reports whether the store now wants a
 // checkpoint. Callers hold durMu.
 func (n *Node) logApply(rec []byte) bool {
@@ -141,6 +170,19 @@ func (n *Node) checkpointLocked() {
 	}
 }
 
+// closeStoreLocked flushes and detaches the member's store, if it has one;
+// a close that fails is counted like any other survived error. Callers
+// hold durMu.
+func (n *Node) closeStoreLocked() {
+	if n.dstore == nil {
+		return
+	}
+	if err := n.dstore.Close(); err != nil {
+		n.fail("store close", err)
+	}
+	n.dstore = nil
+}
+
 // encodeDurEvent frames a processed tuple for the WAL. The trace context
 // is deliberately dropped: replay is untraced.
 func encodeDurEvent(f *tupleFrame) []byte {
@@ -164,82 +206,37 @@ func encodeDurTuple(kind uint8, t types.Tuple) []byte {
 
 var recSigPayload = []byte{recSig}
 
-// insertDurable inserts a slow-changing tuple, logging it first on a
-// durable node. It reports whether the tuple was new.
-func (n *Node) insertDurable(t types.Tuple) bool {
-	if !n.durable() {
-		if !n.self.db.Insert(t) {
-			return false
+// insertSlow inserts a slow-changing tuple into this member's partition
+// and reports whether it was new. A tuple already stored writes no record.
+func (n *Node) insertSlow(t types.Tuple) (added bool) {
+	n.write(func() []byte {
+		if n.self.db.Contains(t) {
+			return nil
 		}
-		if n.c.replicas > 0 {
-			n.replicate(encodeDurTuple(recInsert, t))
-		}
-		return true
-	}
-	n.durMu.Lock()
-	if n.self.db.Contains(t) {
-		n.durMu.Unlock()
-		return false // already stored; no record, matching the volatile path
-	}
-	rec := encodeDurTuple(recInsert, t)
-	want := n.logApply(rec)
-	n.self.db.Insert(t)
-	if want {
-		n.checkpointLocked()
-	}
-	n.durMu.Unlock()
-	n.replicate(rec)
-	return true
+		return encodeDurTuple(recInsert, t)
+	}, func() { added = n.self.db.Insert(t) })
+	return added
 }
 
-// deleteDurable removes a slow-changing tuple, logging it first on a
-// durable node. It reports whether the tuple was present, plus the VIDs
-// of any graveyard entries the retention cap evicted as a consequence
-// (DeleteEvicted) — the serving layer invalidates cached trees that
-// resolved them.
-func (n *Node) deleteDurable(t types.Tuple) (bool, []types.ID) {
-	if !n.durable() {
-		ok, evicted := n.self.db.DeleteEvicted(t)
-		if !ok {
-			return false, nil
+// deleteSlow removes a slow-changing tuple from this member's partition.
+// It reports whether the tuple was present, plus the VIDs of any graveyard
+// entries the retention cap evicted as a consequence (DeleteEvicted) — the
+// serving layer invalidates cached trees that resolved them.
+func (n *Node) deleteSlow(t types.Tuple) (removed bool, evicted []types.ID) {
+	n.write(func() []byte {
+		if !n.self.db.Contains(t) {
+			return nil
 		}
-		if n.c.replicas > 0 {
-			n.replicate(encodeDurTuple(recDelete, t))
-		}
-		return true, evicted
-	}
-	n.durMu.Lock()
-	if !n.self.db.Contains(t) {
-		n.durMu.Unlock()
-		return false, nil
-	}
-	rec := encodeDurTuple(recDelete, t)
-	want := n.logApply(rec)
-	_, evicted := n.self.db.DeleteEvicted(t)
-	if want {
-		n.checkpointLocked()
-	}
-	n.durMu.Unlock()
-	n.replicate(rec)
-	return true, evicted
+		return encodeDurTuple(recDelete, t)
+	}, func() { removed, evicted = n.self.db.DeleteEvicted(t) })
+	return removed, evicted
 }
 
-// applySig handles a sig broadcast: on a durable node the reset is logged
-// so a replayed log clears the equivalence table at the same point in the
-// apply order the live node did.
+// applySig handles a sig broadcast. The reset is recorded, so a replayed
+// log or a shadow clears the equivalence table at the same point in the
+// apply order the live owner did.
 func (n *Node) applySig() {
-	if n.durable() {
-		n.durMu.Lock()
-		want := n.logApply(recSigPayload)
-		n.self.clearEquiKeys()
-		if want {
-			n.checkpointLocked()
-		}
-		n.durMu.Unlock()
-	} else {
-		n.self.clearEquiKeys()
-	}
-	n.replicate(recSigPayload)
+	n.write(func() []byte { return recSigPayload }, n.self.clearEquiKeys)
 	n.clearHostedSig()
 }
 
@@ -275,10 +272,7 @@ func (n *Node) clearHostedSig() {
 func (c *Cluster) recoverForRestart(n *Node) error {
 	n.durMu.Lock()
 	defer n.durMu.Unlock()
-	if n.dstore != nil {
-		n.dstore.Close() //nolint:errcheck // discarded for a fresh recovery
-		n.dstore = nil
-	}
+	n.closeStoreLocked()
 	state, err := core.NewNodeState(c.scheme, c.keys, nil)
 	if err != nil {
 		return err

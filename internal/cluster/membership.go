@@ -600,7 +600,7 @@ func (n *Node) sendBootstrap(to types.NodeAddr) {
 
 // handleHandoff installs a streamed partition by merging it into the copy
 // held here. A payload for our own address is a read-repair reply and goes
-// through the owner's durability wrapper. A payload that does not decode
+// through the owner write path (mergeSelf). A payload that does not decode
 // only degrades this copy, and is counted. Acked handoffs confirm back to
 // the sender, whose routing flip waits on it.
 func (n *Node) handleHandoff(from, owner types.NodeAddr, hid uint64, acked bool, snap []byte) {
@@ -648,18 +648,15 @@ func (n *Node) waitHandoffs(timeout time.Duration) bool {
 }
 
 // mergeSelf folds a snapshot payload into this node's own partition
-// (read-repair). On a durable node the merged rows are forced into a
-// checkpoint immediately: they never passed through the WAL, so only the
-// snapshot can make them survive the next crash.
-func (n *Node) mergeSelf(payload []byte) error {
-	if n.durable() {
-		n.durMu.Lock()
-		defer n.durMu.Unlock()
-	}
-	err := n.self.load(payload, n.c.names)
-	if err == nil {
-		n.checkpointLocked() // a no-op without a store
-	}
+// (read-repair) through the owner write path. The merge writes no record:
+// on a durable node the merged rows never pass through the WAL, so a
+// checkpoint under the same lock is what makes them survive the next crash.
+func (n *Node) mergeSelf(payload []byte) (err error) {
+	n.write(func() []byte { return nil }, func() {
+		if err = n.self.load(payload, n.c.names); err == nil {
+			n.checkpointLocked() // a no-op without a store
+		}
+	})
 	return err
 }
 
@@ -716,7 +713,7 @@ func (c *Cluster) Join(addr types.NodeAddr) error {
 	if err != nil {
 		return err
 	}
-	if n.durable() {
+	if c.dataDir != "" {
 		if err := c.openStore(n); err != nil {
 			n.ln.Close()
 			return err
@@ -725,10 +722,7 @@ func (c *Cluster) Join(addr types.NodeAddr) error {
 	if err := c.addNode(n); err != nil {
 		n.ln.Close()
 		n.durMu.Lock()
-		if n.dstore != nil {
-			n.dstore.Close() //nolint:errcheck
-			n.dstore = nil
-		}
+		n.closeStoreLocked()
 		n.durMu.Unlock()
 		return err
 	}

@@ -234,12 +234,9 @@ func (n *Node) shardWorker(ch chan shardWork) {
 }
 
 // processTuple runs the pipeline step for an arriving tuple and ships the
-// heads it derived. On a volatile node the step runs directly; on a durable
-// one the frame is logged to the WAL first and {append + step} hold durMu
-// so log order equals apply order (durability.go). Either way the frame is
-// logged and replicated only when applying it changes recoverable state
-// (partition.changesState). Shipping happens outside the lock either way.
-// buf is the calling shard worker's evaluation memory.
+// heads it derived. A tuple located here goes through the owner write path
+// (ownStep); shipping happens after it, outside any lock. buf is the
+// calling shard worker's evaluation memory.
 func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
 	// One hop rarely derives more heads than this; they ship from the
 	// stack.
@@ -255,30 +252,21 @@ func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
 		}
 		return
 	}
-	if !n.durable() {
-		ships := n.self.step(n, f, true, shipBuf[:0], buf)
-		if n.c.replicas > 0 && n.self.changesState(n.c, f) {
-			n.replicate(encodeDurEvent(f))
+	n.shipAll(n.ownStep(f, shipBuf[:0], buf))
+}
+
+// ownStep runs the pipeline step on this member's own partition through
+// the owner write path (durability.go) and appends the heads to ship to
+// out. The frame is recorded only when applying it changes recoverable
+// state (partition.changesState).
+func (n *Node) ownStep(f *tupleFrame, out []outShip, buf *evalBuf) []outShip {
+	n.write(func() []byte {
+		if !n.self.changesState(n.c, f) {
+			return nil
 		}
-		n.shipAll(ships)
-		return
-	}
-	n.durMu.Lock()
-	var rec []byte
-	want := false
-	if n.self.changesState(n.c, f) {
-		rec = encodeDurEvent(f)
-		want = n.logApply(rec)
-	}
-	ships := n.self.step(n, f, true, shipBuf[:0], buf)
-	if want {
-		n.checkpointLocked()
-	}
-	n.durMu.Unlock()
-	if rec != nil {
-		n.replicate(rec)
-	}
-	n.shipAll(ships)
+		return encodeDurEvent(f)
+	}, func() { out = n.self.step(n, f, true, out, buf) })
+	return out
 }
 
 // outShip is a derived head ready to travel: its destination, the encoded

@@ -19,7 +19,7 @@ import (
 // (Node.self), at a replica as the shadow the owner's record stream
 // maintains, or at the acting owner hosting it after the owner Left. Every role runs the same
 // pipeline step, replays the same records and speaks the same snapshot
-// codec; only the durability wrapper around them (durability.go) belongs
+// codec; only the write path around them (Node.write, durability.go) belongs
 // to the owner alone.
 type partition struct {
 	owner types.NodeAddr

@@ -157,7 +157,8 @@ func sameLines(t *testing.T, what string, got, want []string) {
 // applied into a shadow must decode to equal snapshots and answer queries
 // with equal trees; a host acting for an owner that Left must ship the
 // heads the owner would have, so the outputs and trees downstream of it
-// are the live cluster's too.
+// are the live cluster's too; and a volatile owner must hold what a
+// durable one does and replicate it to shadows equal to it.
 func TestPartitionRolesAgree(t *testing.T) {
 	members := []types.NodeAddr{"n1", "n2", "n3"}
 	for _, scheme := range core.AllSchemeNames() {
@@ -217,6 +218,25 @@ func TestPartitionRolesAgree(t *testing.T) {
 			sameLines(t, "n2's partition at its host", decodedSnapshot(t, hosted, "n2", host.partitionFor("n2", false).snapshot()), owner["n2"])
 			sameLines(t, "outputs downstream of the host", decodedOutputs(hosted), liveOutputs)
 			sameLines(t, "trees through the host", rolesTrees(t, hosted), liveTrees)
+
+			// (e) the replication stream of volatile owners: no log, the
+			// same records.
+			volatile := rolesCluster(t, scheme, "", 2, true)
+			rolesHistory(t, volatile)
+			for _, addr := range members {
+				got := decodedSnapshot(t, volatile, addr, volatile.node(addr).self.snapshot())
+				sameLines(t, "volatile "+string(addr), got, owner[addr])
+				for _, at := range members {
+					if at == addr {
+						continue
+					}
+					shadow := volatile.node(at).partitionFor(addr, false)
+					if shadow == nil {
+						t.Fatalf("volatile %s holds no shadow of %s", at, addr)
+					}
+					sameLines(t, fmt.Sprintf("volatile shadow of %s at %s", addr, at), decodedSnapshot(t, volatile, addr, shadow.snapshot()), got)
+				}
+			}
 		})
 	}
 }

@@ -122,14 +122,6 @@ func Median(samples []float64) float64 {
 	return NewCDF(samples).Percentile(0.5)
 }
 
-// Mbps converts a byte count over a duration into megabits per second.
-func Mbps(bytes int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / 1e6 / d.Seconds()
-}
-
 // HumanBytes renders a byte count with a binary-ish decimal unit, e.g.
 // "11.8 GB".
 func HumanBytes(n int64) string {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -70,16 +69,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 	if Median([]float64{9, 1, 5}) != 5 {
 		t.Error("median wrong")
-	}
-}
-
-func TestMbps(t *testing.T) {
-	// 1,000,000 bytes over 8 seconds = 1 Mbps.
-	if got := Mbps(1_000_000, 8*time.Second); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Mbps = %v", got)
-	}
-	if Mbps(100, 0) != 0 {
-		t.Error("zero duration not handled")
 	}
 }
 
