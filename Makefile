@@ -58,7 +58,7 @@
 # make sure the transport actually runs every time.
 
 GO ?= go
-NOLINT_MAX := 23
+NOLINT_MAX := 21
 
 .PHONY: verify vet build test allocs fuzz-smoke chaos bench
 

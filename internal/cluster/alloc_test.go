@@ -30,7 +30,8 @@ const bgpHopBudget = 2
 
 // TestApplyTupleAllocs runs the owner write path — the origin hop at n1 (a
 // fresh event: Stage 1 plus its rules) and the relay hop at n2 (the frame
-// n1 shipped), each everything processTuple does but ship — on Forwarding
+// n1 shipped), each everything processTuple does but ship, plus the
+// encoding sendTuple gives a head bound for another member — on Forwarding
 // and on BGP, on volatile members with no replicas, and holds each to its
 // program's budget, so a regression in the join, the hashing, the row
 // storage, the span plumbing, the shipment encoding or a record encoded
@@ -78,17 +79,17 @@ func TestApplyTupleAllocs(t *testing.T) {
 	for _, tc := range cases {
 		c := tc.c
 		n1, n2 := c.node("n1"), c.node("n2")
-		var shipBuf [4]outShip
+		var shipBuf [4]tupleFrame
 		var buf evalBuf
 
 		// hop applies one frame at a node with a worker's buffer and hands
-		// back the single frame it must ship to want.
+		// back the single frame it must ship to want, encoded for its link.
 		hop := func(n *Node, f *tupleFrame, want string) []byte {
 			ships := n.ownStep(f, shipBuf[:0], &buf)
-			if len(ships) != 1 || string(ships[0].to) != want {
+			if len(ships) != 1 || string(ships[0].Tuple.Loc()) != want {
 				t.Fatalf("%s: hop at %s shipped %v, want one frame to %s", tc.name, n.addr, ships, want)
 			}
-			return ships[0].frame
+			return ships[0].outFrame().payload
 		}
 		// measure warms a hop up, then counts allocations per hop over
 		// distinct events.
@@ -136,7 +137,7 @@ func TestApplyTupleAllocs(t *testing.T) {
 		// The write path around the step adds nothing on this member: no
 		// lock, and no record for a log or replica it does not have.
 		stepOnly := measure(bare, func(f *tupleFrame) {
-			wire.PutBuf(n1.self.step(n1, f, true, shipBuf[:0], &buf)[0].frame)
+			wire.PutBuf(n1.self.step(n1, f, true, shipBuf[:0], &buf)[0].outFrame().payload)
 		})
 		if origin > stepOnly {
 			t.Errorf("%s origin hop: %.1f allocs through the write path, %.1f for the step alone", tc.name, origin, stepOnly)

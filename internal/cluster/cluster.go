@@ -1,8 +1,13 @@
 // Package cluster is the real-socket deployment of the system: every node
 // is a goroutine with its own TCP listener, tuples and provenance-query
-// messages travel as length-prefixed binary frames over loopback
-// connections, and provenance is maintained with any of the three schemes
-// (ExSPAN, Basic, or the Section 5 equivalence-based Advanced compression).
+// messages between nodes travel as length-prefixed binary frames over
+// loopback connections, and provenance is maintained with any of the three
+// schemes (ExSPAN, Basic, or the Section 5 equivalence-based Advanced
+// compression). A message a node addresses to itself — an injected event
+// at its origin, a head derived where it is located, a walk's first hop at
+// the querier — never touches a socket: it is delivered in-process through
+// the node's local queue (local.go), as the simulator delivers a From ==
+// To message without link cost.
 //
 // It corresponds to the paper's physical testbed of Section 6.1.3 ("actual
 // sockets were used over a physical network"), complementing the
@@ -199,6 +204,9 @@ type Node struct {
 
 	transMu sync.Mutex
 	trans   map[types.NodeAddr]*transport
+	// local is the current incarnation's delivery to itself (local.go);
+	// nil while the node is dead.
+	local atomic.Pointer[localQueue]
 
 	// linkMu guards the per-peer byte attribution, the map and every
 	// counter in it; counters persist across Kill/Restart (transports do
@@ -431,7 +439,8 @@ func (c *Cluster) newNode(addr types.NodeAddr, view *membership.View) (*Node, er
 	return n, nil
 }
 
-// startNode launches a member's shard workers and accept loop.
+// startNode launches a member's shard workers, local queue and accept
+// loop.
 func (c *Cluster) startNode(n *Node) {
 	n.shardCh = make([]chan shardWork, c.nshards)
 	for i := range n.shardCh {
@@ -440,6 +449,7 @@ func (c *Cluster) startNode(n *Node) {
 		n.wg.Add(1)
 		go n.shardWorker(ch)
 	}
+	n.startLocal()
 	n.wg.Add(1)
 	go n.acceptLoop(n.ln)
 }
@@ -658,9 +668,10 @@ func eachParallel[T any](items []T, fn func(T) error) error {
 	return first
 }
 
-// Inject sends a fresh input event to its origin node over TCP. The
-// in-flight accounting happens inside the send path, so a failed enqueue
-// leaks nothing and Quiesce stays balanced.
+// Inject hands a fresh input event to its origin node's local queue
+// (local.go) — over TCP only when the origin has Left and another member
+// acts for it. The in-flight accounting happens inside the send path, so a
+// failed enqueue leaks nothing and Quiesce stays balanced.
 func (c *Cluster) Inject(ev types.Tuple) error {
 	_, err := c.InjectTraced(ev)
 	return err
@@ -695,8 +706,8 @@ func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 		sp = c.tracer.StartSpan(trace.SpanContext{}, string(ev.Loc()), "inject", "inject "+ev.Rel)
 	}
 	sp.SetAttr("scheme", c.scheme)
-	f := &tupleFrame{Tuple: ev, Fresh: true, Trace: sp.Context()}
-	err := origin.sendOwned(ev.Loc(), f.encode(), classBase, 0)
+	f := tupleFrame{Tuple: ev, Fresh: true, Trace: sp.Context()}
+	err := origin.sendTuple(&f, true)
 	sp.End()
 	if err != nil {
 		return 0, err
@@ -804,13 +815,17 @@ func (c *Cluster) Quiesce(deadline time.Duration) error {
 }
 
 // stuckLinks describes what a stuck Quiesce waits for: for each
-// destination still counted in flight, every live sender's link to it and
-// the destination's receive tracker for that sender.
+// destination still counted in flight, its local queue, every live
+// sender's link to it and the destination's receive tracker for that
+// sender.
 func (c *Cluster) stuckLinks(stuck map[types.NodeAddr]int64) string {
 	nodes := c.nodeMap()
 	var b strings.Builder
 	for to := range stuck {
 		dst := nodes[to]
+		if q := dst.local.Load(); q != nil {
+			fmt.Fprintf(&b, "; %s local queue: %d waiting", to, q.waiting())
+		}
 		for from, n := range nodes {
 			n.transMu.Lock()
 			t := n.trans[to]
@@ -1023,9 +1038,13 @@ func (n *Node) Kill() {
 	n.c.acctDrain(n.addr)
 }
 
-// stopTransports halts every outbound link and forgets it; frames still
-// queued are drained and settled by the writers.
+// stopTransports halts every outbound link and the local queue and
+// forgets them; frames still queued are drained and settled by the
+// writers and the local drainer.
 func (n *Node) stopTransports() {
+	if q := n.local.Swap(nil); q != nil {
+		q.halt()
+	}
 	n.transMu.Lock()
 	for _, t := range n.trans {
 		t.halt()
@@ -1065,6 +1084,7 @@ func (c *Cluster) Restart(addr types.NodeAddr) error {
 	n.tcpAddr = ln.Addr().String()
 	n.addrMu.Unlock()
 	n.incarnation.Add(1)
+	n.startLocal()
 	n.alive.Store(true)
 	n.wg.Add(1)
 	go n.acceptLoop(ln)

@@ -454,13 +454,14 @@ func TestChaosUnsurvivablePlanFailsFast(t *testing.T) {
 
 // TestChaosTornFrameRetried tears live links mid-frame: under
 // FaultPlan{ResetAfter: 1} a link's second write sends only part of its
-// frame and the connection closes. Two links carry a second write here,
-// so two frames tear: n1->n1 (the recv tuple, then the walk's first hop)
-// and n0->n1 (the packet, then the walk's result). Each receiver must
-// discard its torn frame, each sender must take its one failure path (a
-// failed write, a redial, a retry), and outputs, the provenance tree and
-// the byte counts must equal the fault-free run's: torn bytes count in
-// no class.
+// frame and the connection closes. Two packets cross in opposite
+// directions, then a query at n1 walks to n0 and back, so both links
+// carry a second write and two frames tear: n1->n0 (the back packet, then
+// the walk's hop) and n0->n1 (the packet, then the walk's result). Each
+// receiver must discard its torn frame, each sender must take its one
+// failure path (a failed write, a redial, a retry), and outputs, the
+// provenance tree and the byte counts must equal the fault-free run's:
+// torn bytes count in no class.
 func TestChaosTornFrameRetried(t *testing.T) {
 	run := func(plan *FaultPlan) (out, tree string, stats TransportStats) {
 		t.Helper()
@@ -474,8 +475,10 @@ func TestChaosTornFrameRetried(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := pkt("n0", "n0", "n1", "torn")
-		if err := c.Inject(ev); err != nil {
-			t.Fatal(err)
+		for _, e := range []types.Tuple{ev, pkt("n1", "n1", "n0", "back")} {
+			if err := c.Inject(e); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := c.Quiesce(10 * time.Second); err != nil {
 			t.Fatal(err)
@@ -485,7 +488,7 @@ func TestChaosTornFrameRetried(t *testing.T) {
 			t.Fatalf("query: %v (%d trees)", err, len(res.Trees))
 		}
 		checkByteClassesExact(t, c, "after the query")
-		return fmt.Sprint(c.AllOutputs()), res.Trees[0].String(), c.TransportStats()
+		return fmt.Sprint(decodedOutputs(c)), res.Trees[0].String(), c.TransportStats()
 	}
 	wantOut, wantTree, clean := run(nil)
 	gotOut, gotTree, stats := run(&FaultPlan{ResetAfter: 1})

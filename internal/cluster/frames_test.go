@@ -9,6 +9,13 @@ import (
 	"provcompress/internal/types"
 )
 
+// encode is encodeSized without the metadata size: the frame bytes a
+// test hands the receive path.
+func (f *tupleFrame) encode() []byte {
+	b, _ := f.encodeSized()
+	return b
+}
+
 // TestMalformedFramesNoPanic feeds truncated and corrupted frames of
 // every protocol kind through the receive path: nothing may panic, the
 // in-flight accounting must stay balanced (the floor guard refuses to

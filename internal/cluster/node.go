@@ -136,7 +136,7 @@ func (n *Node) dispatch(from types.NodeAddr, d *wire.Decoder, epoch uint64) {
 			return
 		}
 		settled = true // the shard worker settles after processing
-		n.enqueueShard(f, epoch)
+		n.enqueueShard(f, epoch, n.incarnation.Load())
 	case frameSig:
 		n.applySig()
 	case frameWalk:
@@ -194,29 +194,34 @@ func (n *Node) dispatch(from types.NodeAddr, d *wire.Decoder, epoch uint64) {
 	}
 }
 
-// shardWork is one event tuple traveling from the frame decoder to the
-// shard worker owning its equivalence class, carrying the in-flight epoch
-// it must settle under.
+// shardWork is one event tuple traveling from the frame decoder (or the
+// local queue) to the shard worker owning its equivalence class, carrying
+// the in-flight epoch it must settle under and the node incarnation that
+// received it.
 type shardWork struct {
 	f     *tupleFrame
 	epoch uint64
+	inc   uint64
 }
 
 // enqueueShard hands an event tuple to its equivalence-class shard. A full
-// shard queue blocks the reader (backpressure through TCP); a closing
-// cluster settles the frame instead, matching the kill-drain accounting.
-func (n *Node) enqueueShard(f *tupleFrame, epoch uint64) {
+// shard queue blocks the reader (backpressure through TCP) or the local
+// drainer; a closing cluster settles the frame instead, matching the
+// kill-drain accounting. inc is the incarnation that received the frame.
+func (n *Node) enqueueShard(f *tupleFrame, epoch, inc uint64) {
 	select {
-	case n.shardCh[n.c.shardOf(f.Tuple)] <- shardWork{f: f, epoch: epoch}:
+	case n.shardCh[n.c.shardOf(f.Tuple)] <- shardWork{f: f, epoch: epoch, inc: inc}:
 	case <-n.c.stopCh:
 		n.c.acctSettle(n.addr, epoch)
 	}
 }
 
 // shardWorker drains one shard queue for the life of the cluster. Events
-// queued behind a node crash are dropped (the crash drain already retired
-// their accounting, so the settle here is a no-op for them). The worker
-// owns the evaluation memory its steps reuse (evalBuf).
+// queued behind a node crash are dropped — while the node is dead, and
+// after its restart too, since they carry the incarnation that received
+// them (the crash drain already retired their accounting, so the settle
+// here is a no-op for them). The worker owns the evaluation memory its
+// steps reuse (evalBuf).
 func (n *Node) shardWorker(ch chan shardWork) {
 	defer n.wg.Done()
 	var buf evalBuf
@@ -225,7 +230,7 @@ func (n *Node) shardWorker(ch chan shardWork) {
 		case <-n.c.stopCh:
 			return
 		case w := <-ch:
-			if n.alive.Load() {
+			if n.alive.Load() && w.inc == n.incarnation.Load() {
 				n.processTuple(w.f, &buf)
 			}
 			n.c.acctSettle(n.addr, w.epoch)
@@ -240,7 +245,7 @@ func (n *Node) shardWorker(ch chan shardWork) {
 func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
 	// One hop rarely derives more heads than this; they ship from the
 	// stack.
-	var shipBuf [4]outShip
+	var shipBuf [4]tupleFrame
 	if loc := f.Tuple.Loc(); loc != n.addr {
 		// A redirected tuple: its owner has Left and this node is the
 		// acting owner of the partition (membership.go). Hosted applies are
@@ -259,7 +264,7 @@ func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
 // the owner write path (durability.go) and appends the heads to ship to
 // out. The frame is recorded only when applying it changes recoverable
 // state (partition.changesState).
-func (n *Node) ownStep(f *tupleFrame, out []outShip, buf *evalBuf) []outShip {
+func (n *Node) ownStep(f *tupleFrame, out []tupleFrame, buf *evalBuf) []tupleFrame {
 	n.write(func() []byte {
 		if !n.self.changesState(n.c, f) {
 			return nil
@@ -269,29 +274,12 @@ func (n *Node) ownStep(f *tupleFrame, out []outShip, buf *evalBuf) []outShip {
 	return out
 }
 
-// outShip is a derived head ready to travel: its destination, the encoded
-// frame, the piggybacked provenance metadata size for byte attribution,
-// and the head's equivalence class as its batch delta group.
-type outShip struct {
-	to        types.NodeAddr
-	frame     []byte
-	provBytes int
-	group     uint64
-}
-
-// shipHead encodes one derived head with the metadata its firing produced.
-func shipHead(head types.Tuple, m core.AdvMeta, tc trace.SpanContext) outShip {
-	frame, metaBytes := (&tupleFrame{Tuple: head, Meta: m, Trace: tc}).encodeSized()
-	return outShip{to: head.Loc(), frame: frame, provBytes: metaBytes, group: classGroup(m)}
-}
-
-// shipAll sends the derived heads of one step. Ship frames are pooled
-// (encodeSized), so each travels as an owned buffer the transport
-// recycles.
-func (n *Node) shipAll(ships []outShip) {
-	for _, s := range ships {
-		f := outFrame{payload: s.frame, class: classBase, provBytes: s.provBytes, group: s.group, pooled: true}
-		n.sendFrame(s.to, f) //nolint:errcheck // a send the node cannot even enqueue is a drop
+// shipAll sends the derived heads of one step, each to its location. It
+// runs inside the node's message loop, so a head for this node itself is
+// admitted to the local queue without waiting.
+func (n *Node) shipAll(heads []tupleFrame) {
+	for i := range heads {
+		n.sendTuple(&heads[i], false) //nolint:errcheck // a send the node cannot even enqueue is a drop
 	}
 }
 
@@ -318,21 +306,20 @@ func (n *Node) handleWalk(f *walkFrame) {
 		sp.SetAttr("entries", strconv.Itoa(len(f.Entries)))
 		f.Trace = sp.Context()
 	}
-	if len(f.Work) == 0 {
-		n.sendOwned(f.Querier, f.encode(frameResult), classQuery, 0) //nolint:errcheck
-		return
-	}
-	target := n.routeWalk(f.Work[len(f.Work)-1].Loc)
-	if target == "" || target == n.addr || f.Hops >= maxWalkHops {
-		f.Partial = true
-		n.c.memb.partialWalks.Add(1)
-		if sp != nil {
-			sp.SetAttr("partial", "true")
+	to, kind := f.Querier, uint8(frameResult)
+	if len(f.Work) > 0 {
+		target := n.routeWalk(f.Work[len(f.Work)-1].Loc)
+		if target == "" || target == n.addr || f.Hops >= maxWalkHops {
+			f.Partial = true
+			n.c.memb.partialWalks.Add(1)
+			if sp != nil {
+				sp.SetAttr("partial", "true")
+			}
+		} else {
+			to, kind = target, frameWalk
 		}
-		n.sendOwned(f.Querier, f.encode(frameResult), classQuery, 0) //nolint:errcheck
-		return
 	}
-	n.sendOwned(target, f.encode(frameWalk), classQuery, 0) //nolint:errcheck
+	n.sendOwned(to, f.encode(kind), classQuery, 0) //nolint:errcheck // a lost walk is the querier's timeout and retry
 }
 
 // walkHost is this node's serve predicate for a walk step: its own refs
@@ -347,7 +334,8 @@ func (n *Node) walkHost(loc types.NodeAddr) (core.WalkHost, bool) {
 	return core.WalkHost{State: p.state, DB: p.db, Mu: &p.mu}, true
 }
 
-// send hands a frame to the fault-tolerant transport for the peer,
+// send hands an encoded frame to the fault-tolerant transport for the
+// peer — or to the local queue when the peer is this node (local.go) —
 // counting it in flight. class and provBytes drive the per-link byte
 // attribution when the write eventually succeeds. The actual
 // dial/write/retry happens on the link's writer goroutine, so handlers
@@ -365,10 +353,44 @@ func (n *Node) sendOwned(to types.NodeAddr, frame []byte, class uint8, provBytes
 	return n.sendFrame(to, outFrame{payload: frame, class: class, provBytes: provBytes, pooled: true})
 }
 
-// sendFrame enqueues f (everything but its epoch filled in) for to.
+// sendFrame enqueues f (everything but its epoch filled in) for to. A
+// frame that routes to this node itself goes to the local queue, admitted
+// without waiting.
 func (n *Node) sendFrame(to types.NodeAddr, f outFrame) error {
+	to, err := n.dest(to)
+	if err != nil {
+		return err
+	}
+	if to == n.addr {
+		return n.putLocal(localFrame{payload: f.payload, pooled: f.pooled}, false)
+	}
+	return n.sendLink(to, f)
+}
+
+// sendTuple sends a tuple frame to the member at its tuple's location. A
+// frame that routes to this node itself is handed to the local queue as a
+// copy of f, unencoded; wait says the sender is outside the node's message
+// loop and waits for room there (localQueue). A frame for another member
+// is encoded into a pooled buffer its link recycles, the piggybacked
+// metadata attributed to the provenance byte class and the head's
+// equivalence class its batch delta group. f does not escape.
+func (n *Node) sendTuple(f *tupleFrame, wait bool) error {
+	to, err := n.dest(f.Tuple.Loc())
+	if err != nil {
+		return err
+	}
+	if to == n.addr {
+		own := new(tupleFrame)
+		*own = *f
+		return n.putLocal(localFrame{tuple: own}, wait)
+	}
+	return n.sendLink(to, f.outFrame())
+}
+
+// dest resolves where a frame addressed to `to` goes.
+func (n *Node) dest(to types.NodeAddr) (types.NodeAddr, error) {
 	if n.c.closed.Load() {
-		return fmt.Errorf("cluster: send on closed cluster")
+		return "", fmt.Errorf("cluster: send on closed cluster")
 	}
 	if n.downLeft.Load() != 0 {
 		// A frame addressed to a departed (Left) member redirects to the
@@ -376,16 +398,32 @@ func (n *Node) sendFrame(to types.NodeAddr, f outFrame) error {
 		// (the retry budget delivers it when they return).
 		to = n.routeFor(to)
 	}
-	peer := n.c.node(to)
-	if peer == nil {
-		return fmt.Errorf("cluster: send to unknown node %s", to)
+	if n.c.node(to) == nil {
+		return "", fmt.Errorf("cluster: send to unknown node %s", to)
 	}
+	return to, nil
+}
+
+// sendLink enqueues f on the link to another member.
+func (n *Node) sendLink(to types.NodeAddr, f outFrame) error {
 	t := n.transportTo(to)
 	if t == nil {
 		return fmt.Errorf("cluster: send from dead node %s", n.addr)
 	}
 	f.epoch = n.c.acctEnqueue(to)
 	t.enqueue(f)
+	return nil
+}
+
+// putLocal counts f in flight to this node and queues it for local
+// delivery.
+func (n *Node) putLocal(f localFrame, wait bool) error {
+	q := n.local.Load()
+	if q == nil {
+		return fmt.Errorf("cluster: send from dead node %s", n.addr)
+	}
+	f.epoch = n.c.acctEnqueue(n.addr)
+	q.put(f, wait)
 	return nil
 }
 
@@ -402,6 +440,7 @@ func (c *Cluster) startSpan(parent trace.SpanContext, node types.NodeAddr, kind,
 
 // transportTo returns (creating on first use) the outbound link to a
 // peer; nil once Kill has cleared alive, so no link outlives its halt.
+// A node has no link to itself (sendFrame).
 func (n *Node) transportTo(to types.NodeAddr) *transport {
 	n.transMu.Lock()
 	defer n.transMu.Unlock()
@@ -439,8 +478,9 @@ const queryAttempts = 2
 
 // Query retrieves the provenance of an output tuple over the real
 // protocol: the walk starts at the output's node, travels the shared
-// chains over TCP, and the reconstruction (TRANSFORM_TO_D) runs back at
-// the querier. Pass types.ZeroID as evid for every stored derivation.
+// chains over TCP between nodes, and the reconstruction (TRANSFORM_TO_D)
+// runs back at the querier. Pass types.ZeroID as evid for every stored
+// derivation.
 //
 // timeout bounds each attempt; a walk whose result frame never returns is
 // re-issued once before the query fails, so a single lost message does
@@ -534,10 +574,11 @@ func (c *Cluster) tryQuery(ctx context.Context, querier *Node, out types.Tuple, 
 		// root output's VID, which fires when provenance eventually lands.
 		return QueryResult{InvalKeys: walkInvalKeys(&f.Walk, false)}, true, nil
 	}
-	// Start the walk by sending it to the first target (possibly self),
-	// routed around members the view knows are out. An unroutable first
-	// hop fails the query immediately — the membership view is exactly
-	// what keeps the retry budget off known-dead peers.
+	// Start the walk by sending it to the first target — usually the
+	// querier itself, which takes it in-process — routed around members
+	// the view knows are out. An unroutable first hop fails the query
+	// immediately: the membership view is exactly what keeps the retry
+	// budget off known-dead peers.
 	target := querier.routeWalk(f.Work[len(f.Work)-1].Loc)
 	if target == "" {
 		unregister()

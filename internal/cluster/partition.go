@@ -108,17 +108,18 @@ func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
 // served from any of them resolves the same refs.
 //
 // ship says the caller acts for the owner on a live arrival: each derived
-// head is encoded as its firing is maintained and appended to out (the
-// caller's buffer, so a hop's shipments need no slice of their own), and
-// provenance landing on an output fires its invalidation keys. WAL replay
-// and shadow applies pass false and encode nothing — the log and the
+// head, with the metadata its firing produced, is appended to out (the
+// caller's buffer, so a hop's shipments need no slice of their own) for
+// the caller to send, and provenance landing on an output fires its
+// invalidation keys. WAL replay and shadow applies pass false and ship
+// nothing — the log and the
 // record stream hold exactly the frames the owner processed, and it
 // shipped their heads and fired their keys when it did (changesState says
 // which frames those are).
 //
 // buf is the evaluation memory of the calling shard worker, or of the
 // member's WAL replay; shadow applies pass nil and get a fresh one.
-func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip, buf *evalBuf) []outShip {
+func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []tupleFrame, buf *evalBuf) []tupleFrame {
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
 	defer sp.End()
@@ -177,9 +178,8 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []outShip, buf *
 			p.mu.Unlock()
 			if ship {
 				// The shipped head carries this process span's context so
-				// the next hop's span parents under it; the metadata
-				// piggyback bytes are attributed to the provenance class.
-				out = append(out, shipHead(fr.Head, m, sp.Context()))
+				// the next hop's span parents under it.
+				out = append(out, tupleFrame{Tuple: fr.Head, Meta: m, Trace: sp.Context()})
 				if !again.IsZero() {
 					regained = append(regained, VIDInvalKey(again))
 				}

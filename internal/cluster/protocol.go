@@ -109,16 +109,11 @@ type tupleFrame struct {
 	Trace trace.SpanContext
 }
 
-func (f *tupleFrame) encode() []byte {
-	b, _ := f.encodeSized()
-	return b
-}
-
-// encodeSized also reports how many trailing bytes of the frame carry the
-// piggybacked provenance metadata, which the transport attributes to
-// the provenance byte class (the rest of a tuple frame is base-tuple
-// shipping). The buffer is pooled: callers hand the frame to sendOwned
-// (or release it themselves), and the transport recycles it on settle.
+// encodeSized encodes the frame and reports how many trailing bytes of it
+// carry the piggybacked provenance metadata, which the transport
+// attributes to the provenance byte class (the rest of a tuple frame is
+// base-tuple shipping). The buffer is pooled: the link the frame travels
+// on (outFrame) recycles it on settle, or the caller releases it.
 func (f *tupleFrame) encodeSized() ([]byte, int) {
 	e := new(wire.Encoder)
 	e.SetBuf(wire.GetFrameBuf())
@@ -126,6 +121,14 @@ func (f *tupleFrame) encodeSized() ([]byte, int) {
 	encodeTraceCtx(e, f.Trace)
 	metaBytes := f.encodeBody(e)
 	return e.Bytes(), metaBytes
+}
+
+// outFrame is the frame ready for a link: pooled, its metadata tail
+// attributed to the provenance byte class, its equivalence class the batch
+// delta group.
+func (f *tupleFrame) outFrame() outFrame {
+	frame, metaBytes := f.encodeSized()
+	return outFrame{payload: frame, class: classBase, provBytes: metaBytes, group: classGroup(f.Meta), pooled: true}
 }
 
 func decodeTupleFrame(d *wire.Decoder) (*tupleFrame, error) {

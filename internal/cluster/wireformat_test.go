@@ -169,9 +169,10 @@ func TestByteClassesFollowTheBytesSent(t *testing.T) {
 	if err := c.LoadBase(g.ShortestPaths().RouteTuples()); err != nil {
 		t.Fatal(err)
 	}
-	// A packet is sent five times — injection, three hops, and the recv
-	// head n3 ships itself — the last four with metadata.
-	const events, payloadLen, sends, relays = 64, 48, 5, 4
+	// A packet crosses a socket on each of its three hops, with metadata.
+	// Its injection and the recv head n3 derives for itself are delivered
+	// in-process and count no wire bytes.
+	const events, payloadLen, sends, relays = 64, 48, 3, 3
 	for i := 0; i < events; i++ {
 		if err := c.Inject(pkt("n0", "n0", "n3", noisePayload(payloadLen, i))); err != nil {
 			t.Fatal(err)
@@ -221,12 +222,13 @@ func TestLoneFrameIsABatchOfOne(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The injection, three hops, and the recv head n3 ships itself: each
-	// frame waits on the one before it, so none has a companion.
+	// The three hops cross a socket, each frame waiting on the one before
+	// it, so none has a companion. The injection and the recv head n3
+	// derives for itself are delivered in-process, outside any batch.
 	const hops = 3
 	s := c.TransportStats()
-	if frames := s.BatchFrames - before.BatchFrames; frames != hops+2 {
-		t.Errorf("%d frames in batches, want the %d of one derivation", frames, hops+2)
+	if frames := s.BatchFrames - before.BatchFrames; frames != hops {
+		t.Errorf("%d frames in batches, want the %d hops of one derivation", frames, hops)
 	}
 	if sends := s.Sends - before.Sends; sends != s.BatchFrames-before.BatchFrames || s.Batches != s.Sends {
 		t.Errorf("%d sends for %d frames (batches %d): lone frames coalesced or bypassed the batch",

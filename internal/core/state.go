@@ -54,6 +54,10 @@ type NodeState interface {
 	// ClearEquiKeys handles a sig broadcast: it empties htequi, which only
 	// the Advanced schemes fill.
 	ClearEquiKeys()
+	// EquiKeys lists htequi's keys in byte order: the classes the next
+	// event of which Stage 1 finds already seen. No walk reads them; they
+	// tell whether two copies of a partition took the same sig resets.
+	EquiKeys() []types.ID
 	// ProvRows anchors a query at an output VID (evid filter where the
 	// scheme records one).
 	ProvRows(vid, evid types.ID) []Prov
@@ -131,6 +135,9 @@ func (s stored) EventByEvID() bool { return s.st.withEvID }
 
 // ClearEquiKeys handles a sig broadcast (Section 5.5).
 func (s stored) ClearEquiKeys() { s.st.clearEquiKeys() }
+
+// EquiKeys lists htequi's keys in byte order.
+func (s stored) EquiKeys() []types.ID { return s.st.equiKeys() }
 
 // Collect processes one walk reference under the chained schemes (Basic,
 // Advanced): the row, its recorded VIDs, and its live next links. ExSPAN

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"provcompress/internal/types"
 )
@@ -298,6 +300,16 @@ func (s *store) clearEquiKeys() {
 	s.htequi = nil
 	s.htequiBytes = 0
 	s.sigClears++
+}
+
+// equiKeys returns htequi's keys, sorted.
+func (s *store) equiKeys() []types.ID {
+	keys := make([]types.ID, 0, len(s.htequi))
+	for h := range s.htequi {
+		keys = append(keys, h)
+	}
+	slices.SortFunc(keys, func(a, b types.ID) int { return bytes.Compare(a[:], b[:]) })
+	return keys
 }
 
 // addHmapRef installs a shared-chain reference for (class, output
