@@ -286,7 +286,9 @@ func ExampleDNSProgram() {
 // old path's provenance stays queryable (provenance is monotone).
 func ExampleSystem_InsertSlow() {
 	// n1 -- n2 -- n3 plus the alternative n1 -- n4 -- n3.
-	g := topo.Fig7()
+	g := topo.Fig2()
+	g.MustAddLink("n1", "n4", topo.SimpleLatency, topo.SimpleBandwidth)
+	g.MustAddLink("n4", "n3", topo.SimpleLatency, topo.SimpleBandwidth)
 	sys, err := provcompress.NewSystem(g, provcompress.ForwardingProgram(),
 		provcompress.SchemeAdvanced, nil)
 	if err != nil {

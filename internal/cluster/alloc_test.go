@@ -30,7 +30,7 @@ const bgpHopBudget = 2
 
 // TestApplyTupleAllocs runs the owner write path — the origin hop at n1 (a
 // fresh event: Stage 1 plus its rules) and the relay hop at n2 (the frame
-// n1 shipped), each everything processTuple does but ship, plus the
+// n1 shipped), each everything processBatch does but ship, plus the
 // encoding sendTuple gives a head bound for another member — on Forwarding
 // and on BGP, on volatile members with no replicas, and holds each to its
 // program's budget, so a regression in the join, the hashing, the row
@@ -81,11 +81,12 @@ func TestApplyTupleAllocs(t *testing.T) {
 		n1, n2 := c.node("n1"), c.node("n2")
 		var shipBuf [4]tupleFrame
 		var buf evalBuf
+		var rec walBatch
 
 		// hop applies one frame at a node with a worker's buffer and hands
 		// back the single frame it must ship to want, encoded for its link.
 		hop := func(n *Node, f *tupleFrame, want string) []byte {
-			ships := n.ownStep(f, shipBuf[:0], &buf)
+			ships := n.ownSteps([]*tupleFrame{f}, shipBuf[:0], &buf, &rec)
 			if len(ships) != 1 || string(ships[0].Tuple.Loc()) != want {
 				t.Fatalf("%s: hop at %s shipped %v, want one frame to %s", tc.name, n.addr, ships, want)
 			}

@@ -616,7 +616,8 @@ func (c *Cluster) kickIdle() {
 // LoadBase inserts base tuples directly into the member databases (the
 // initial configuration step). It loads all of them or, when a tuple's
 // location is no member, none. The members load side by side, each its
-// own tuples in their order in the list, which is the order it logs them.
+// own tuples in their order in the list, which is the order it logs them:
+// maxWriteBatch tuples to a write, and so to a record.
 func (c *Cluster) LoadBase(tuples []types.Tuple) error {
 	groups := make(map[*Node][]types.Tuple)
 	for _, t := range tuples {
@@ -631,8 +632,10 @@ func (c *Cluster) LoadBase(tuples []types.Tuple) error {
 		members = append(members, n)
 	}
 	return eachParallel(members, func(n *Node) error {
-		for _, t := range groups[n] {
-			n.insertSlow(t)
+		for ts := groups[n]; len(ts) > 0; {
+			k := min(len(ts), maxWriteBatch)
+			n.insertSlow(ts[:k]...)
+			ts = ts[k:]
 		}
 		return nil
 	})
@@ -725,7 +728,7 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 	if n == nil {
 		return fmt.Errorf("cluster: slow insert %s at unknown node", t)
 	}
-	if !n.insertSlow(t) {
+	if n.insertSlow(t) == 0 {
 		return nil
 	}
 	// The tuple is in the database from here on, whatever the broadcast

@@ -50,7 +50,7 @@ func FuzzDecodeControlFrame(f *testing.F) {
 	for _, seed := range [][]byte{
 		encodeView(view),
 		encodeView(membership.NewView()),
-		encodeRepl("n1", recSigPayload),
+		encodeRepl("n1", recSigRecord),
 		handoff,
 		handoff[:len(handoff)/2],
 		encodeHandoffAck(7, "n2"),

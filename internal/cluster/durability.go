@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,18 +14,19 @@ import (
 	"provcompress/internal/wire"
 )
 
-// The owner write path. Every change to a member's own partition — an
-// event step, a slow insert or delete, a sig reset, a read-repair merge —
-// goes through Node.write, which works the same way on every member:
+// The owner write path. Every change to a member's own partition — the
+// event steps of a shard batch, a slow insert or delete (a base load's
+// chunk of them), a sig reset, a read-repair merge — goes through
+// Node.write, which works the same way on every member:
 //
 //   - A member with a store (Config.DataDir set) owns a store.NodeStore
 //     (WAL + snapshots) in its own subdirectory and writes log-then-apply
-//     under its durMu: the record is appended, the apply runs against the
-//     partition, and no other write interleaves. WAL order is apply order,
-//     so replaying the log through partition.applyRecord (the same step,
-//     shipping nothing) rebuilds the exact pre-crash state. A crash between
-//     append and apply means the record replays on recovery, which is
-//     idempotent against the snapshot it follows.
+//     under its durMu: the write's one record is appended, the apply runs
+//     against the partition, and no other write interleaves. WAL order is
+//     apply order, so replaying the log through partition.applyRecord (the
+//     same step, shipping nothing) rebuilds the exact pre-crash state. A
+//     crash between append and apply means the record replays on
+//     recovery, which is idempotent against the snapshot it follows.
 //   - A member with replicas ships the same record bytes to them once the
 //     lock is released (replicate), so owner, replay and shadow read one
 //     stream.
@@ -33,15 +35,17 @@ import (
 //     tradeoff: shards that evaluate side by side on a volatile member
 //     serialize their applies on a durable one.
 //
-// Only a change whose apply alters recoverable state is recorded: the
-// record builder returns nil otherwise. For an event partition.changesState
+// A record is a group commit: one batch (walBatch) of every change its
+// write made, in apply order, a lone change being a batch of one. Only a
+// change whose apply alters recoverable state is an entry: the record
+// builder returns nil when none does. For an event partition.changesState
 // decides from the frame and the scheme before the step runs; under
 // Advanced an intermediate event of a class that already exists stores
 // nothing (Section 5.3), so it runs its step live — shipping its heads —
-// and writes no record. A log written when every frame was logged still
-// replays: those extra records apply as no-ops.
+// and is not logged. A log that holds such an event still replays: it
+// applies as a no-op.
 
-// WAL record kinds. Each record payload starts with one of these bytes.
+// Record entry kinds. Each entry's payload starts with one of these bytes.
 const (
 	recEvent  = 1 // tuple frame whose step changes state (partition.changesState)
 	recInsert = 2 // slow-changing insert (LoadBase / InsertSlow)
@@ -49,13 +53,19 @@ const (
 	recSig    = 4 // equivalence-table reset broadcast (Section 5.5)
 )
 
-// walFormatVersion names the layout of the records above as this file
-// encodes them; every node directory is stamped with it (store.CheckFormat)
-// and a directory stamped otherwise is refused at recovery rather than
-// replayed through the wrong decoder. Bump it with any change to a
-// record's bytes. Version 1 wrote an event's metadata as Eq, Exist, EvID
-// and an unconditional Prev; version 2 writes encodeMeta's order.
-const walFormatVersion = 2
+// walFormatVersion names the layout of the records this file encodes;
+// every node directory is stamped with it (store.CheckFormat) and a
+// directory stamped otherwise is refused at recovery rather than replayed
+// through the wrong decoder. Bump it with any change to a record's bytes.
+// Version 1 wrote an event's metadata as Eq, Exist, EvID and an
+// unconditional Prev; version 2 writes encodeMeta's order, one change per
+// record; version 3 makes every record a delta-coded batch of changes.
+const walFormatVersion = 3
+
+// maxWriteBatch caps the changes of one write: the works a shard worker
+// takes at once, and the tuples of one base-load record. It matches a
+// link's batch cap (maxBatchFrames), under wire.MaxBatchEntries.
+const maxWriteBatch = 512
 
 // nodeSnapVersion is the one version byte of a node snapshot — this byte,
 // the database snapshot, then the scheme state; bump it with any change to
@@ -183,38 +193,137 @@ func (n *Node) closeStoreLocked() {
 	n.dstore = nil
 }
 
-// encodeDurEvent frames a processed tuple for the WAL. The trace context
-// is deliberately dropped: replay is untraced.
-func encodeDurEvent(f *tupleFrame) []byte {
-	e := wire.NewEncoder(128)
+// walBatch builds one record: a wire.AppendBatch body whose entries are
+// the write's changes, each payload a kind byte and its operand — an
+// event's frame body (the trace context is dropped: replay is untraced),
+// a slow tuple, or nothing for a sig. An event entry is delta-coded
+// against the latest earlier entry of its equivalence class (classGroup),
+// as a link codes its frames, and every other entry against the one
+// before it. A shard worker keeps one and reuses its buffers for every
+// record it builds.
+type walBatch struct {
+	payloads []byte // the entries' payloads, back to back
+	ends     []int  // where each entry's payload ends in payloads
+	entries  []wire.BatchEntry
+	sizes    []int
+	rec      []byte
+}
+
+func (b *walBatch) reset() {
+	b.payloads, b.ends, b.entries = b.payloads[:0], b.ends[:0], b.entries[:0]
+}
+
+// event adds the step of f.
+func (b *walBatch) event(f *tupleFrame) {
+	var e wire.Encoder
+	e.SetBuf(b.payloads)
 	e.U8(recEvent)
-	f.encodeBody(e)
-	return e.Bytes()
+	f.encodeBody(&e)
+	b.push(e.Bytes(), classGroup(f.Meta))
 }
 
-func decodeDurEvent(d *wire.Decoder) (*tupleFrame, error) {
-	f := &tupleFrame{}
-	return f, f.decodeBody(d)
-}
-
-func encodeDurTuple(kind uint8, t types.Tuple) []byte {
-	e := wire.NewEncoder(64)
+// tuple adds a slow insert or delete of t.
+func (b *walBatch) tuple(kind uint8, t types.Tuple) {
+	var e wire.Encoder
+	e.SetBuf(b.payloads)
 	e.U8(kind)
 	e.Tuple(t)
-	return e.Bytes()
+	b.push(e.Bytes(), 0)
 }
 
-var recSigPayload = []byte{recSig}
+// sig adds a sig reset.
+func (b *walBatch) sig() { b.push(append(b.payloads, recSig), 0) }
 
-// insertSlow inserts a slow-changing tuple into this member's partition
-// and reports whether it was new. A tuple already stored writes no record.
-func (n *Node) insertSlow(t types.Tuple) (added bool) {
-	n.write(func() []byte {
-		if n.self.db.Contains(t) {
-			return nil
+// push records the entry that payloads now ends with.
+func (b *walBatch) push(payloads []byte, group uint64) {
+	b.payloads = payloads
+	b.ends = append(b.ends, len(payloads))
+	b.entries = append(b.entries, wire.BatchEntry{Group: group})
+}
+
+// bytes encodes the record, or returns nil when the batch holds no
+// change. The record is valid until the batch is reset.
+func (b *walBatch) bytes() []byte {
+	if len(b.ends) == 0 {
+		return nil
+	}
+	start := 0
+	for i, end := range b.ends {
+		b.entries[i].Payload = b.payloads[start:end]
+		start = end
+	}
+	b.rec, b.sizes = wire.AppendBatch(b.rec[:0], b.entries, true, b.sizes[:0])
+	return b.rec
+}
+
+// recSigRecord is the record of a sig reset, a batch of one.
+var recSigRecord = func() []byte {
+	var b walBatch
+	b.sig()
+	return b.bytes()
+}()
+
+// change is one decoded record entry: its kind and, for an event, its
+// frame — for a slow insert or delete, only the frame's tuple.
+type change struct {
+	kind uint8
+	f    tupleFrame
+}
+
+// decodeRecord decodes a record's changes, in order, into dst's storage.
+// A record any entry of which does not decode is refused whole, so an
+// apply never stops half way through a write. Strings decode through
+// names, and nothing decoded aliases rec.
+func decodeRecord(dst []change, rec []byte, names *types.Names) ([]change, error) {
+	entries, err := wire.DecodeBatch(wire.NewDecoder(rec))
+	if err != nil {
+		return dst[:0], fmt.Errorf("cluster: corrupt record: %w", err)
+	}
+	changes := slices.Grow(dst[:0], len(entries))[:len(entries)]
+	for i, ent := range entries {
+		ch := &changes[i]
+		*ch = change{}
+		d := wire.NewNamedDecoder(ent.Payload, names)
+		switch ch.kind = d.U8(); {
+		case d.Err() != nil:
+		case ch.kind == recEvent:
+			if err := ch.f.decodeBody(d); err != nil {
+				return changes[:0], fmt.Errorf("cluster: corrupt event entry: %w", err)
+			}
+		case ch.kind == recInsert || ch.kind == recDelete:
+			ch.f.Tuple = d.Tuple()
+		case ch.kind != recSig:
+			return changes[:0], fmt.Errorf("cluster: record entry of unknown kind %d", ch.kind)
 		}
-		return encodeDurTuple(recInsert, t)
-	}, func() { added = n.self.db.Insert(t) })
+		if err := d.Err(); err != nil {
+			return changes[:0], fmt.Errorf("cluster: corrupt record entry: %w", err)
+		}
+		if d.Remaining() != 0 {
+			return changes[:0], fmt.Errorf("cluster: record entry of kind %d with %d trailing bytes", ch.kind, d.Remaining())
+		}
+	}
+	return changes, nil
+}
+
+// insertSlow inserts slow-changing tuples into this member's partition in
+// one write and reports how many were new. A tuple already stored is not
+// logged.
+func (n *Node) insertSlow(ts ...types.Tuple) (added int) {
+	n.write(func() []byte {
+		var b walBatch
+		for _, t := range ts {
+			if !n.self.db.Contains(t) {
+				b.tuple(recInsert, t)
+			}
+		}
+		return b.bytes()
+	}, func() {
+		for _, t := range ts {
+			if n.self.db.Insert(t) {
+				added++
+			}
+		}
+	})
 	return added
 }
 
@@ -227,7 +336,9 @@ func (n *Node) deleteSlow(t types.Tuple) (removed bool, evicted []types.ID) {
 		if !n.self.db.Contains(t) {
 			return nil
 		}
-		return encodeDurTuple(recDelete, t)
+		var b walBatch
+		b.tuple(recDelete, t)
+		return b.bytes()
 	}, func() { removed, evicted = n.self.db.DeleteEvicted(t) })
 	return removed, evicted
 }
@@ -236,7 +347,7 @@ func (n *Node) deleteSlow(t types.Tuple) (removed bool, evicted []types.ID) {
 // log or a shadow clears the equivalence table at the same point in the
 // apply order the live owner did.
 func (n *Node) applySig() {
-	n.write(func() []byte { return recSigPayload }, n.self.clearEquiKeys)
+	n.write(func() []byte { return recSigRecord }, n.self.clearEquiKeys)
 	n.clearHostedSig()
 }
 

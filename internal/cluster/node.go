@@ -216,71 +216,114 @@ func (n *Node) enqueueShard(f *tupleFrame, epoch, inc uint64) {
 	}
 }
 
-// shardWorker drains one shard queue for the life of the cluster. Events
-// queued behind a node crash are dropped — while the node is dead, and
-// after its restart too, since they carry the incarnation that received
-// them (the crash drain already retired their accounting, so the settle
-// here is a no-op for them). The worker owns the evaluation memory its
-// steps reuse (evalBuf).
+// shardBatch is the memory of one shard worker, reused by every batch it
+// runs: the works it took, the evaluation buffer its steps share
+// (evalBuf), the batch's own-partition frames, the heads they derived and
+// the record their write logs.
+type shardBatch struct {
+	works []shardWork
+	own   []*tupleFrame
+	heads []tupleFrame
+	eval  evalBuf
+	rec   walBatch
+}
+
+// shardWorker drains one shard queue for the life of the cluster. Woken by
+// one work, it also takes whatever already waits behind it, up to
+// maxWriteBatch, and never waits for more: under light load a batch is one
+// frame. Events queued behind a node crash are dropped — while the node
+// is dead, and after its restart too, since they carry the incarnation
+// that received them (the crash drain already retired their accounting,
+// so the settle here is a no-op for them). Each work settles once its
+// batch has run and shipped.
 func (n *Node) shardWorker(ch chan shardWork) {
 	defer n.wg.Done()
-	var buf evalBuf
+	var b shardBatch
 	for {
 		select {
 		case <-n.c.stopCh:
 			return
 		case w := <-ch:
-			if n.alive.Load() && w.inc == n.incarnation.Load() {
-				n.processTuple(w.f, &buf)
+			b.works = append(b.works[:0], w)
+		drain:
+			for len(b.works) < maxWriteBatch {
+				select {
+				case w := <-ch:
+					b.works = append(b.works, w)
+				default:
+					break drain
+				}
 			}
-			n.c.acctSettle(n.addr, w.epoch)
+			n.processBatch(&b)
+			for i := range b.works {
+				n.c.acctSettle(n.addr, b.works[i].epoch)
+				b.works[i] = shardWork{}
+			}
 		}
 	}
 }
 
-// processTuple runs the pipeline step for an arriving tuple and ships the
-// heads it derived. A tuple located here goes through the owner write path
-// (ownStep); shipping happens after it, outside any lock. buf is the
-// calling shard worker's evaluation memory.
-func (n *Node) processTuple(f *tupleFrame, buf *evalBuf) {
-	// One hop rarely derives more heads than this; they ship from the
-	// stack.
-	var shipBuf [4]tupleFrame
-	if loc := f.Tuple.Loc(); loc != n.addr {
-		// A redirected tuple: its owner has Left and this node is the
-		// acting owner of the partition (membership.go). Hosted applies are
-		// RAM-only: the departed owner's WAL is closed, and re-replicating
-		// on its behalf would need its identity — the cooperative-leave
-		// caveat DESIGN.md documents.
-		if p := n.partitionFor(loc, true); p != nil {
-			n.shipAll(p.step(n, f, true, shipBuf[:0], buf))
+// processBatch runs the pipeline step for the tuples of one batch, in
+// order, and ships the heads they derived. The tuples located here go
+// through the owner write path together (ownSteps), and their heads ship
+// after it, outside any lock. A redirected tuple — its owner has Left and
+// this node is the acting owner of the partition (membership.go) — steps
+// and ships on its own: hosted applies are RAM-only, since the departed
+// owner's WAL is closed, and re-replicating on its behalf would need its
+// identity — the cooperative-leave caveat DESIGN.md documents.
+func (n *Node) processBatch(b *shardBatch) {
+	own := b.own[:0]
+	for _, w := range b.works {
+		if !n.alive.Load() || w.inc != n.incarnation.Load() {
+			continue
 		}
-		return
+		if loc := w.f.Tuple.Loc(); loc != n.addr {
+			if p := n.partitionFor(loc, true); p != nil {
+				b.heads = n.shipAll(p.step(n, w.f, true, b.heads[:0], &b.eval))
+			}
+			continue
+		}
+		own = append(own, w.f)
 	}
-	n.shipAll(n.ownStep(f, shipBuf[:0], buf))
+	if len(own) > 0 {
+		b.heads = n.shipAll(n.ownSteps(own, b.heads[:0], &b.eval, &b.rec))
+	}
+	clear(own) // nothing the batch held stays reachable from the worker
+	b.own = own[:0]
 }
 
-// ownStep runs the pipeline step on this member's own partition through
-// the owner write path (durability.go) and appends the heads to ship to
-// out. The frame is recorded only when applying it changes recoverable
-// state (partition.changesState).
-func (n *Node) ownStep(f *tupleFrame, out []tupleFrame, buf *evalBuf) []tupleFrame {
+// ownSteps runs the pipeline step for frames, in order, on this member's
+// own partition through one owner write (durability.go) and appends the
+// heads to ship to out. The write's record holds an entry for each frame
+// whose apply changes recoverable state (partition.changesState); rec is
+// the caller's record buffer.
+func (n *Node) ownSteps(frames []*tupleFrame, out []tupleFrame, buf *evalBuf, rec *walBatch) []tupleFrame {
 	n.write(func() []byte {
-		if !n.self.changesState(n.c, f) {
-			return nil
+		rec.reset()
+		for _, f := range frames {
+			if n.self.changesState(n.c, f) {
+				rec.event(f)
+			}
 		}
-		return encodeDurEvent(f)
-	}, func() { out = n.self.step(n, f, true, out, buf) })
+		return rec.bytes()
+	}, func() {
+		for _, f := range frames {
+			out = n.self.step(n, f, true, out, buf)
+		}
+	})
 	return out
 }
 
-// shipAll sends the derived heads of one step, each to its location. It
-// runs inside the node's message loop, so a head for this node itself is
-// admitted to the local queue without waiting.
-func (n *Node) shipAll(heads []tupleFrame) {
+// shipAll sends the derived heads of one step, each to its location, and
+// returns their buffer emptied for the next step. It runs inside the
+// node's message loop, so a head for this node itself is admitted to the
+// local queue without waiting.
+func (n *Node) shipAll(heads []tupleFrame) []tupleFrame {
 	for i := range heads {
 		n.sendTuple(&heads[i], false) //nolint:errcheck // a send the node cannot even enqueue is a drop
 	}
+	clear(heads)
+	return heads[:0]
 }
 
 // maxWalkHops caps a walk's node visits; a walk still traveling past it

@@ -76,6 +76,9 @@ func (n *Node) partitionFor(owner types.NodeAddr, create bool) *partition {
 type evalBuf struct {
 	firings []engine.Firing
 	slow    []types.Tuple
+	// changes holds the decoded record a WAL replay applies (applyRecord),
+	// reused from record to record.
+	changes []change
 }
 
 // changesState reports whether applying f changes this partition's
@@ -85,8 +88,7 @@ type evalBuf struct {
 // stored and lands, an intermediate event is stored under ExSPAN
 // (keepEvents), and otherwise only a firing the scheme maintains stores a
 // row — under Advanced, not one whose class already exists. A frame it
-// rejects still runs live, and replays as a no-op (older logs hold such
-// frames).
+// rejects still runs live, and replays as a no-op.
 func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
 	return f.Fresh || len(c.prog.RulesForEvent(f.Tuple.Rel)) == 0 || p.keepEvents || p.state.Maintains(f.Meta)
 }
@@ -117,8 +119,8 @@ func (p *partition) changesState(c *Cluster, f *tupleFrame) bool {
 // shipped their heads and fired their keys when it did (changesState says
 // which frames those are).
 //
-// buf is the evaluation memory of the calling shard worker, or of the
-// member's WAL replay; shadow applies pass nil and get a fresh one.
+// buf is the evaluation memory of the calling shard worker, of the
+// member's WAL replay or of the record a shadow applies.
 func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []tupleFrame, buf *evalBuf) []tupleFrame {
 	c := n.c
 	sp := c.startSpan(f.Trace, n.addr, "process", f.Tuple.Rel)
@@ -146,9 +148,6 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []tupleFrame, bu
 			c.fireEventHook(vidKeysOf(landed)...)
 		}
 		return out
-	}
-	if buf == nil {
-		buf = new(evalBuf)
 	}
 	// regained collects the keys of stored rows this arrival gave another
 	// predecessor (see below); empty on the usual path.
@@ -198,35 +197,35 @@ func (p *partition) step(n *Node, f *tupleFrame, ship bool, out []tupleFrame, bu
 	return out
 }
 
-// applyRecord applies one durable-format record (durability.go): WAL
-// recovery replays the owner's log through it and handleRepl the owner's
-// record stream, so a rebooted owner and a shadow rebuild the state the
-// live owner reached by the same code. Nothing decoded from rec aliases
-// it, so replay may reuse rec's buffer for the next record. buf is passed
-// to step: the recovering member's evaluation buffer, or nil.
+// applyRecord applies one record (durability.go) — a batch of changes, in
+// order: WAL recovery replays the owner's log through it and handleRepl
+// the owner's record stream, so a rebooted owner and a shadow rebuild the
+// state the live owner reached by the same code. A record that does not
+// decode applies nothing. Nothing decoded from rec aliases it, so replay
+// may reuse rec's buffer for the next record. buf is passed to step: the
+// recovering member's evaluation buffer, or nil for one of the record's
+// own.
 func (p *partition) applyRecord(n *Node, rec []byte, buf *evalBuf) error {
-	d := wire.NewNamedDecoder(rec, n.c.names)
-	switch kind := d.U8(); kind {
-	case recEvent:
-		f, err := decodeDurEvent(d)
-		if err != nil {
-			return fmt.Errorf("cluster: corrupt event record: %w", err)
+	if buf == nil {
+		buf = new(evalBuf)
+	}
+	changes, err := decodeRecord(buf.changes, rec, n.c.names)
+	buf.changes = changes
+	if err != nil {
+		return err
+	}
+	for i := range changes {
+		ch := &changes[i]
+		switch ch.kind {
+		case recEvent:
+			p.step(n, &ch.f, false, nil, buf)
+		case recInsert:
+			p.db.Insert(ch.f.Tuple)
+		case recDelete:
+			p.db.Delete(ch.f.Tuple)
+		case recSig:
+			p.clearEquiKeys()
 		}
-		p.step(n, f, false, nil, buf)
-	case recInsert, recDelete:
-		t := d.Tuple()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("cluster: corrupt slow-tuple record: %w", err)
-		}
-		if kind == recInsert {
-			p.db.Insert(t)
-		} else {
-			p.db.Delete(t)
-		}
-	case recSig:
-		p.clearEquiKeys()
-	default:
-		return fmt.Errorf("cluster: unknown record kind %d", kind)
 	}
 	return nil
 }

@@ -419,10 +419,9 @@ func decodeViewFrame(d *wire.Decoder) (*membership.View, error) {
 	return membership.DecodeView(d)
 }
 
-// encodeRepl ships one durable-format record (encodeDurEvent /
-// encodeDurTuple / recSigPayload, durability.go) for the partition owned
-// by `owner`, so a replica can maintain its shadow copy by replaying the
-// exact byte stream the owner logged (or would have logged).
+// encodeRepl ships one WAL-format record (walBatch, durability.go) for the
+// partition owned by `owner`, so a replica can maintain its shadow copy by
+// replaying the exact byte stream the owner logged (or would have logged).
 func encodeRepl(owner types.NodeAddr, rec []byte) []byte {
 	e := wire.NewEncoder(len(rec) + 16)
 	e.U8(frameRepl)

@@ -10,7 +10,6 @@ import (
 
 	"provcompress/internal/core"
 	"provcompress/internal/types"
-	"provcompress/internal/wire"
 )
 
 // fuzzSchemes are the schemes the cluster runs; the payload decoders are
@@ -101,10 +100,11 @@ func TestPartitionLoadAllocsBounded(t *testing.T) {
 
 // FuzzApplyRecord covers the record replayer, fed the WAL and the
 // replication stream a peer sends: arbitrary records must never panic nor
-// allocate by a decoded count, an event record that applies must decode
-// back to an equal frame once re-encoded, and an event record an owner
-// would not log (changesState) must leave the partition as it was — older
-// logs hold such records, and replay must treat them as no-ops.
+// allocate by a decoded count; a record refused is refused whole, leaving
+// the partition as it was; a record that applies re-encodes to a record
+// that decodes to the same changes; and a record whose every change is an
+// event an owner would not log (changesState) must leave the partition as
+// it was — replay treats such events as no-ops.
 func FuzzApplyRecord(f *testing.F) {
 	// Each scheme's record lands on n1's partition as LoadBase left it, so
 	// an event joins the routes there.
@@ -117,26 +117,7 @@ func FuzzApplyRecord(f *testing.F) {
 		c := rolesCluster(f, scheme, "", 0, true)
 		targets = append(targets, target{c, c.node("n1").self.snapshot()})
 	}
-	route := types.NewTuple("route", types.String("n1"), types.String("n9"), types.String("n2"))
-	fresh := encodeDurEvent(&tupleFrame{Tuple: pkt("n1", "n1", "n3", "a"), Fresh: true})
-	for _, seed := range [][]byte{
-		fresh,
-		encodeDurEvent(&tupleFrame{Tuple: pkt("n2", "n1", "n3", "a"), Meta: core.AdvMeta{
-			Eq: types.HashBytes([]byte("class")), EvID: types.HashBytes([]byte("a")),
-			Prev: core.Ref{Loc: "n1", RID: types.HashBytes([]byte("exec"))},
-		}}),
-		// A member of an existing class passing through n1, where it joins
-		// the route: Advanced stores nothing for it.
-		encodeDurEvent(&tupleFrame{Tuple: pkt("n1", "n0", "n3", "a"), Meta: core.AdvMeta{
-			Eq: types.HashBytes([]byte("class")), Exist: true, EvID: types.HashBytes([]byte("a")),
-		}}),
-		encodeDurTuple(recInsert, route),
-		encodeDurTuple(recDelete, route),
-		recSigPayload,
-		fresh[:len(fresh)/2],
-		{0xFF},
-		{},
-	} {
+	for _, seed := range applyRecordSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -150,27 +131,103 @@ func FuzzApplyRecord(f *testing.F) {
 			}
 			n := tg.c.node("n1")
 			checkDecodeAllocs(t, "apply", len(data), allocatedBy(func() { err = p.applyRecord(n, data, nil) }))
-			if err != nil || data[0] != recEvent {
-				continue
-			}
-			fr, err := decodeDurEvent(wire.NewDecoder(data[1:]))
-			if err != nil {
-				t.Fatalf("an applied event record does not decode: %v", err)
-			}
-			if !p.changesState(tg.c, fr) {
+			unchanged := func(what string) {
 				got := decodedSnapshot(t, tg.c, "n1", p.snapshot())
 				if want := decodedSnapshot(t, tg.c, "n1", tg.base); strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("%s: a record no owner logs changed the partition:\n--- got\n%s\n--- want\n%s",
-						tg.c.scheme, strings.Join(got, "\n"), strings.Join(want, "\n"))
+					t.Fatalf("%s: %s changed the partition:\n--- got\n%s\n--- want\n%s",
+						tg.c.scheme, what, strings.Join(got, "\n"), strings.Join(want, "\n"))
 				}
 			}
-			again, err := decodeDurEvent(wire.NewDecoder(encodeDurEvent(fr)[1:]))
+			if err != nil {
+				unchanged("a refused record")
+				continue
+			}
+			changes, err := decodeRecord(nil, data, tg.c.names)
+			if err != nil {
+				t.Fatalf("an applied record does not decode: %v", err)
+			}
+			var again walBatch
+			logged := false
+			for i := range changes {
+				ch := &changes[i]
+				switch ch.kind {
+				case recEvent:
+					again.event(&ch.f)
+					logged = logged || p.changesState(tg.c, &ch.f)
+				case recSig:
+					again.sig()
+					logged = true
+				default:
+					again.tuple(ch.kind, ch.f.Tuple)
+					logged = true
+				}
+			}
+			if !logged {
+				unchanged("a record no owner logs")
+			}
+			if len(changes) == 0 {
+				continue // an empty batch, which no writer builds
+			}
+			back, err := decodeRecord(nil, again.bytes(), tg.c.names)
 			if err != nil {
 				t.Fatalf("decode of encoder output: %v", err)
 			}
-			if !reflect.DeepEqual(again, fr) {
-				t.Fatalf("event record did not round trip: %+v became %+v", fr, again)
+			if !reflect.DeepEqual(back, changes) {
+				t.Fatalf("record did not round trip: %+v became %+v", changes, back)
 			}
 		}
 	})
+}
+
+// applyRecordSeeds are FuzzApplyRecord's seeds: a batch of one of each
+// kind, a batch whose entries delta-code against each other, and records
+// the replayer must refuse — an entry of an unknown kind after a valid
+// one, a delta entry referring past the batch's start, a torn batch.
+func applyRecordSeeds() [][]byte {
+	route := types.NewTuple("route", types.String("n1"), types.String("n9"), types.String("n2"))
+	class := core.AdvMeta{
+		Eq: types.HashBytes([]byte("class")), EvID: types.HashBytes([]byte("a")),
+		Prev: core.Ref{Loc: "n1", RID: types.HashBytes([]byte("exec"))},
+	}
+	// A member of an existing class passing through n1, where it joins
+	// the route: Advanced stores nothing for it.
+	member := core.AdvMeta{Eq: class.Eq, Exist: true, EvID: types.HashBytes([]byte("b"))}
+	frames := []*tupleFrame{
+		{Tuple: pkt("n1", "n1", "n3", "a"), Fresh: true},
+		{Tuple: pkt("n2", "n1", "n3", "a"), Meta: class},
+		{Tuple: pkt("n1", "n0", "n3", "b"), Meta: member},
+	}
+	record := func(add func(b *walBatch)) []byte {
+		var b walBatch
+		add(&b)
+		return append([]byte(nil), b.bytes()...)
+	}
+	mixed := record(func(b *walBatch) {
+		for _, f := range frames {
+			b.event(f)
+		}
+		b.tuple(recInsert, route)
+		b.sig()
+		b.tuple(recDelete, route)
+		b.event(&tupleFrame{Tuple: pkt("n1", "n1", "n3", "c"), Fresh: true})
+	})
+	seeds := [][]byte{
+		mixed,
+		mixed[:len(mixed)/2],
+		record(func(b *walBatch) { b.event(frames[2]) }),
+		recSigRecord,
+		// An entry of kind 0xFF after a valid insert.
+		record(func(b *walBatch) {
+			b.tuple(recInsert, route)
+			b.push(append(b.payloads, 0xFF, 1, 2), 0)
+		}),
+		// One entry, delta-coded against the entry before it: there is
+		// none.
+		{1, 0, 0, 1, 0, 0, 1, recSig},
+		{},
+	}
+	for _, f := range frames {
+		seeds = append(seeds, record(func(b *walBatch) { b.event(f) }))
+	}
+	return seeds
 }

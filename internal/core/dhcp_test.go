@@ -15,7 +15,11 @@ import (
 func dhcpRuntime(t *testing.T, maint engine.Maintainer) *engine.Runtime {
 	t.Helper()
 	var sched sim.Scheduler
-	g := topo.Star(4, "h") // h0 is the server; h1..h3 are clients
+	// A star: the server h0, linked to each of the clients h1..h3.
+	g := topo.NewGraph()
+	for _, client := range []types.NodeAddr{"h1", "h2", "h3"} {
+		g.MustAddLink("h0", client, topo.SimpleLatency, topo.SimpleBandwidth)
+	}
 	net := netsim.New(&sched, g)
 	rt := engine.NewRuntime(net, apps.DHCP(), apps.Funcs(), maint)
 	base := []types.Tuple{

@@ -17,7 +17,10 @@ import (
 func fig7Runtime(t *testing.T, maint engine.Maintainer) *engine.Runtime {
 	t.Helper()
 	var sched sim.Scheduler
-	net := netsim.New(&sched, topo.Fig7())
+	g := topo.Fig2()
+	g.MustAddLink("n1", "n4", topo.SimpleLatency, topo.SimpleBandwidth)
+	g.MustAddLink("n4", "n3", topo.SimpleLatency, topo.SimpleBandwidth)
+	net := netsim.New(&sched, g)
 	rt := engine.NewRuntime(net, apps.Forwarding(), apps.Funcs(), maint)
 	if err := rt.LoadBase(topo.Fig2Routes()); err != nil {
 		t.Fatal(err)

@@ -5,13 +5,16 @@
 //
 // The unit of durability is one node directory (NodeStore): the cluster
 // runtime gives every member its own directory under the configured data
-// dir and appends one record per state change a replay must redo — an
-// event frame whose step stores something, a slow-changing insert/delete,
-// a sig reset. On recovery the newest valid snapshot is
-// restored and the WAL tail replayed; a torn final record — the signature
-// of a crash mid-append — is detected by its checksum and skipped instead
-// of aborting recovery (everything before it was already durable,
-// everything after it never finished).
+// dir and appends one record per write batch — every state change of one
+// write a replay must redo, grouped: the event frames of a shard batch
+// whose steps store something, a base load's chunk of slow-changing
+// inserts, a lone insert, delete or sig reset. The store treats a record
+// as opaque bytes. On recovery the newest valid snapshot is restored and
+// the WAL tail replayed; a torn final record — the signature of a crash
+// mid-append — is detected by its checksum and skipped instead of
+// aborting recovery (everything before it was already durable, everything
+// after it never finished), so a write's changes survive all together or
+// not at all.
 //
 // Crash consistency comes from two rules: snapshots are written to a temp
 // file and renamed into place (atomic on POSIX), and WAL generations are

@@ -28,17 +28,6 @@ func Line(n int, prefix string) *Graph {
 	return g
 }
 
-// Star builds a hub with n-1 leaves: prefix0 is the hub.
-func Star(n int, prefix string) *Graph {
-	g := NewGraph()
-	hub := types.NodeAddr(prefix + "0")
-	g.AddNode(hub)
-	for i := 1; i < n; i++ {
-		g.MustAddLink(hub, types.NodeAddr(fmt.Sprintf("%s%d", prefix, i)), SimpleLatency, SimpleBandwidth)
-	}
-	return g
-}
-
 // Fig2 builds the running example of the paper's Figure 2: n1 -- n2 -- n3.
 // The forwarding route tables of the figure (route(@n1,n3,n2) and
 // route(@n2,n3,n3)) are returned by Fig2Routes.
@@ -56,13 +45,4 @@ func Fig2Routes() []types.Tuple {
 		types.NewTuple("route", types.String("n1"), types.String("n3"), types.String("n2")),
 		types.NewTuple("route", types.String("n2"), types.String("n3"), types.String("n3")),
 	}
-}
-
-// Fig7 builds the updated topology of Figure 7: Fig2 plus a new node n4
-// connected to both n1 and n3, providing the alternative path n1-n4-n3.
-func Fig7() *Graph {
-	g := Fig2()
-	g.MustAddLink("n1", "n4", SimpleLatency, SimpleBandwidth)
-	g.MustAddLink("n4", "n3", SimpleLatency, SimpleBandwidth)
-	return g
 }

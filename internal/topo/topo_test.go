@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -295,4 +296,24 @@ func TestStarAndRandom(t *testing.T) {
 	if len(r.Links()) < 19 {
 		t.Errorf("Random links = %d, want >= 19", len(r.Links()))
 	}
+}
+
+// Star builds a hub with n-1 leaves: prefix0 is the hub.
+func Star(n int, prefix string) *Graph {
+	g := NewGraph()
+	hub := types.NodeAddr(prefix + "0")
+	g.AddNode(hub)
+	for i := 1; i < n; i++ {
+		g.MustAddLink(hub, types.NodeAddr(fmt.Sprintf("%s%d", prefix, i)), SimpleLatency, SimpleBandwidth)
+	}
+	return g
+}
+
+// Fig7 builds the updated topology of Figure 7: Fig2 plus a new node n4
+// connected to both n1 and n3, providing the alternative path n1-n4-n3.
+func Fig7() *Graph {
+	g := Fig2()
+	g.MustAddLink("n1", "n4", SimpleLatency, SimpleBandwidth)
+	g.MustAddLink("n4", "n3", SimpleLatency, SimpleBandwidth)
+	return g
 }
