@@ -172,6 +172,11 @@ type (
 // NewCluster boots a real-socket cluster from a ClusterConfig.
 var NewCluster = cluster.New
 
+// ErrQueueFull is the refusal a Cluster's Inject wraps when the event's
+// origin stayed saturated for the whole admission wait; match it with
+// errors.Is and offer the event again later.
+var ErrQueueFull = cluster.ErrQueueFull
+
 // Distributed tracing: set ClusterConfig.Tracer and one injected event or
 // one distributed query yields a single parent-linked span tree across
 // every node it touched, exportable as Chrome trace JSON

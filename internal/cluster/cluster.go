@@ -30,6 +30,7 @@ package cluster
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -671,10 +672,17 @@ func eachParallel[T any](items []T, fn func(T) error) error {
 	return first
 }
 
+// ErrQueueFull is the refusal of an event whose origin's queue stayed
+// full for the whole admission wait: the node is saturated, and the event
+// was dropped and counted in TransportStats.QueueDrops. Inject returns an
+// error wrapping it; the caller may offer the event again later.
+var ErrQueueFull = errors.New("cluster: queue full")
+
 // Inject hands a fresh input event to its origin node's local queue
 // (local.go) — over TCP only when the origin has Left and another member
 // acts for it. The in-flight accounting happens inside the send path, so a
-// failed enqueue leaks nothing and Quiesce stays balanced.
+// failed enqueue leaks nothing and Quiesce stays balanced. A saturated
+// origin refuses the event with an error wrapping ErrQueueFull.
 func (c *Cluster) Inject(ev types.Tuple) error {
 	_, err := c.InjectTraced(ev)
 	return err
@@ -713,7 +721,7 @@ func (c *Cluster) InjectTraced(ev types.Tuple) (trace.TraceID, error) {
 	err := origin.sendTuple(&f, true)
 	sp.End()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("cluster: inject %s: %w", ev, err)
 	}
 	return sp.Context().Trace, nil
 }
@@ -738,14 +746,17 @@ func (c *Cluster) InsertSlow(t types.Tuple) error {
 	if !n.self.sigs {
 		return nil
 	}
+	// Every member is offered the sig, even past one whose queue refuses
+	// it; the first refusal is reported.
 	frame := encodeSig()
+	var first error
 	for addr := range c.nodeMap() {
 		// Sig broadcasts are provenance maintenance (Section 5.5).
-		if err := n.send(addr, frame, classProv, 0); err != nil {
-			return err
+		if err := n.send(addr, frame, classProv, 0); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // DeleteSlow removes a slow-changing tuple at runtime. Deletion does not

@@ -270,16 +270,25 @@ type change struct {
 	f    tupleFrame
 }
 
-// decodeRecord decodes a record's changes, in order, into dst's storage.
-// A record any entry of which does not decode is refused whole, so an
-// apply never stops half way through a write. Strings decode through
-// names, and nothing decoded aliases rec.
-func decodeRecord(dst []change, rec []byte, names *types.Names) ([]change, error) {
-	entries, err := wire.DecodeBatch(wire.NewDecoder(rec))
-	if err != nil {
-		return dst[:0], fmt.Errorf("cluster: corrupt record: %w", err)
+// decodeRecord decodes a record's changes, in order, into buf's change
+// list, through the batch entries and delta arena buf keeps beside it, so
+// a record decoded into warm buffers costs only what its tuples own; a nil
+// buf decodes into buffers of the call's own. A record any entry of which
+// does not decode is refused whole, so an apply never stops half way
+// through a write. Strings decode through names, and nothing decoded
+// aliases rec or the batch buffers.
+func decodeRecord(buf *evalBuf, rec []byte, names *types.Names) ([]change, error) {
+	if buf == nil {
+		buf = new(evalBuf)
 	}
-	changes := slices.Grow(dst[:0], len(entries))[:len(entries)]
+	entries, arena, err := wire.AppendDecodeBatch(buf.entries[:0], buf.arena[:0], wire.NewDecoder(rec))
+	buf.entries, buf.arena = entries, arena
+	if err != nil {
+		buf.changes = buf.changes[:0]
+		return buf.changes, fmt.Errorf("cluster: corrupt record: %w", err)
+	}
+	changes := slices.Grow(buf.changes[:0], len(entries))[:len(entries)]
+	buf.changes = changes
 	for i, ent := range entries {
 		ch := &changes[i]
 		*ch = change{}

@@ -24,7 +24,8 @@ import (
 //
 // Admission keeps the shape a link's queue gives: Inject, the one sender
 // outside the node's message loop that can flood the queue, waits while
-// queueLen frames wait and is refused after enqueueTimeout (a queueDrop).
+// queueLen frames wait and is refused after enqueueTimeout (a queueDrop,
+// and ErrQueueFull to the injector).
 // A frame sent from inside the loop — a shard worker's heads, a result the
 // drainer's own dispatch produces — is always admitted: its sender is what
 // drains the queue, so making it wait is a wedge, not backpressure. No
@@ -80,8 +81,10 @@ func (q *localQueue) halt() {
 
 // put admits f. wait says the sender is outside the node's message loop
 // and waits for room (see the type comment); a frame the queue refuses —
-// halted, or full past enqueueTimeout — is settled at once.
-func (q *localQueue) put(f localFrame, wait bool) {
+// halted, or full past enqueueTimeout — is settled at once. A refusal for
+// room is returned as ErrQueueFull; a frame lost to a halt is not an
+// error of the sender's.
+func (q *localQueue) put(f localFrame, wait bool) error {
 	q.mu.Lock()
 	var deadline time.Time
 	for wait && !q.halted && len(q.frames) >= queueLen {
@@ -96,20 +99,21 @@ func (q *localQueue) put(f localFrame, wait bool) {
 			q.mu.Unlock()
 			q.n.stats.queueDrops.Add(1)
 			q.discard(f)
-			return
+			return ErrQueueFull
 		}
 		q.room.Wait()
 	}
 	if q.halted {
 		q.mu.Unlock()
 		q.discard(f)
-		return
+		return nil
 	}
 	q.frames = append(q.frames, f)
 	if len(q.frames) == 1 {
 		q.ready.Signal()
 	}
 	q.mu.Unlock()
+	return nil
 }
 
 // discard settles a frame the queue will not hand on. A frame lost to a

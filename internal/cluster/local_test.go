@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -118,5 +119,36 @@ func TestLocalDeliveryNeverLinksToItself(t *testing.T) {
 				t.Errorf("queue-drops %d, drops %d; want 0, 0", s.QueueDrops, s.Drops)
 			}
 		})
+	}
+}
+
+// TestLocalQueueRefusesWhenFull: an injector that finds queueLen frames
+// waiting, and no drainer taking them, is refused after enqueueTimeout
+// with ErrQueueFull, and one queue drop is counted; a frame sent from
+// inside the node's loop is still admitted.
+func TestLocalQueueRefusesWhenFull(t *testing.T) {
+	c, err := New(Config{Prog: apps.Forwarding(), Funcs: apps.Funcs(), Nodes: topo.Line(2, "n").Nodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	n := c.node("n0")
+	q := &localQueue{n: n, inc: n.incarnation.Load()} // no drainer
+	q.ready.L = &q.mu
+	q.room.L = &q.mu
+	for i := 0; i < queueLen; i++ {
+		if err := q.put(localFrame{}, true); err != nil {
+			t.Fatalf("frame %d refused: %v", i, err)
+		}
+	}
+	drops := n.stats.queueDrops.Load()
+	if err := q.put(localFrame{}, true); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("put on a full queue = %v, want ErrQueueFull", err)
+	}
+	if got := n.stats.queueDrops.Load() - drops; got != 1 {
+		t.Errorf("%d queue drops counted, want 1", got)
+	}
+	if err := q.put(localFrame{}, false); err != nil || q.waiting() != queueLen+1 {
+		t.Errorf("a frame from inside the loop: %v, %d waiting; want admitted", err, q.waiting())
 	}
 }

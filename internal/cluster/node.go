@@ -447,27 +447,27 @@ func (n *Node) dest(to types.NodeAddr) (types.NodeAddr, error) {
 	return to, nil
 }
 
-// sendLink enqueues f on the link to another member.
+// sendLink enqueues f on the link to another member; ErrQueueFull says
+// the link's queue stayed full for enqueueTimeout and f was dropped.
 func (n *Node) sendLink(to types.NodeAddr, f outFrame) error {
 	t := n.transportTo(to)
 	if t == nil {
 		return fmt.Errorf("cluster: send from dead node %s", n.addr)
 	}
 	f.epoch = n.c.acctEnqueue(to)
-	t.enqueue(f)
-	return nil
+	return t.enqueue(f)
 }
 
 // putLocal counts f in flight to this node and queues it for local
-// delivery.
+// delivery; ErrQueueFull says the queue stayed full for enqueueTimeout
+// and f was dropped.
 func (n *Node) putLocal(f localFrame, wait bool) error {
 	q := n.local.Load()
 	if q == nil {
 		return fmt.Errorf("cluster: send from dead node %s", n.addr)
 	}
 	f.epoch = n.c.acctEnqueue(n.addr)
-	q.put(f, wait)
-	return nil
+	return q.put(f, wait)
 }
 
 // startSpan opens a child span named "<kind> <subject>" under a propagated

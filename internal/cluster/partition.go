@@ -77,8 +77,11 @@ type evalBuf struct {
 	firings []engine.Firing
 	slow    []types.Tuple
 	// changes holds the decoded record a WAL replay applies (applyRecord),
-	// reused from record to record.
+	// and entries and arena the batch it is decoded from (decodeRecord),
+	// all reused from record to record.
 	changes []change
+	entries []wire.BatchEntry
+	arena   []byte
 }
 
 // changesState reports whether applying f changes this partition's
@@ -209,8 +212,7 @@ func (p *partition) applyRecord(n *Node, rec []byte, buf *evalBuf) error {
 	if buf == nil {
 		buf = new(evalBuf)
 	}
-	changes, err := decodeRecord(buf.changes, rec, n.c.names)
-	buf.changes = changes
+	changes, err := decodeRecord(buf, rec, n.c.names)
 	if err != nil {
 		return err
 	}

@@ -305,16 +305,16 @@ func (t *transport) abandon(f outFrame, dropped *atomic.Int64) {
 
 // enqueue offers a frame to the link. On a persistently full queue the
 // frame is dropped and settled rather than blocking the caller forever
-// (backpressure with a bounded stall); on a halted link it is settled at
-// once.
-func (t *transport) enqueue(f outFrame) {
+// (backpressure with a bounded stall), and the refusal is returned as
+// ErrQueueFull; on a halted link it is settled at once.
+func (t *transport) enqueue(f outFrame) error {
 	t.mu.Lock()
 	var deadline time.Time
 	for !t.sched.offer(f) {
 		if t.sched.halted {
 			t.mu.Unlock()
 			t.abandon(f, &t.stats.drops)
-			return
+			return nil
 		}
 		if deadline.IsZero() {
 			deadline = time.Now().Add(enqueueTimeout)
@@ -326,7 +326,7 @@ func (t *transport) enqueue(f outFrame) {
 		} else if !time.Now().Before(deadline) {
 			t.mu.Unlock()
 			t.abandon(f, &t.stats.queueDrops)
-			return
+			return ErrQueueFull
 		}
 		t.room.Wait()
 	}
@@ -335,6 +335,7 @@ func (t *transport) enqueue(f outFrame) {
 	case t.kick <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
 // run is the writer goroutine. It writes each due batch (with retries)

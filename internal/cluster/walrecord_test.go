@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"provcompress/internal/apps"
+	"provcompress/internal/raceflag"
 	"provcompress/internal/store"
 	"provcompress/internal/topo"
 	"provcompress/internal/types"
@@ -53,6 +54,40 @@ func goldenChanges(b *walBatch) {
 	b.tuple(recInsert, route)
 	b.tuple(recDelete, route)
 	b.sig()
+}
+
+// TestDecodeRecordAllocs: a record decoded into warm buffers — a WAL
+// replay's or a shadow's evalBuf — allocates only what its tuples own,
+// with every string a name one Args slice per tuple, and nothing for the
+// batch entries, the delta arena or the change list.
+func TestDecodeRecordAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var b walBatch
+	goldenChanges(&b)
+	rec := b.bytes()
+	names := types.NewNames("packet", "route", "n0", "n1", "n2", "n3", "n4", "n9",
+		"alpha", "bravo", "carol", "delta", "echo")
+	var buf evalBuf
+	changes, err := decodeRecord(&buf, rec, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := 0
+	for _, ch := range changes {
+		if ch.kind != recSig {
+			tuples++
+		}
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := decodeRecord(&buf, rec, names); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != float64(tuples) {
+		t.Errorf("a warm decode of %d tuples allocates %.0f times, want %d", tuples, got, tuples)
+	}
 }
 
 // TestWALRecordGoldenBytes pins the record layout, as TestBatchGoldenBytes

@@ -44,7 +44,8 @@ func decodePersistRef(d *wire.Decoder) Ref {
 // serialization (serialize.go) remains the deterministic form.
 func (s *store) persist(e *wire.Encoder) {
 	e.U32(uint32(len(s.ruleExec)))
-	for _, row := range s.ruleExec {
+	for _, i := range s.ruleExec {
+		row := s.execAt(i)
 		e.Str(string(row.Loc))
 		e.ID(row.RID)
 		e.Str(row.Rule)

@@ -166,7 +166,8 @@ func TestStatePersistRoundTrip(t *testing.T) {
 
 			// The restored machine serves the query walk identically: every
 			// stored rule execution collects to the same entry and nexts.
-			for rid, row := range stateStore(t, st).ruleExec {
+			for rid := range stateStore(t, st).ruleExec {
+				row, _ := stateStore(t, st).getRuleExec(rid)
 				ref := Ref{Loc: row.Loc, RID: rid}
 				wantCE, wantVIDs, wantProvs, wantNexts, wantOK := st.Collect(ref)
 				gotCE, gotVIDs, gotProvs, gotNexts, gotOK := fresh.Collect(ref)

@@ -27,15 +27,15 @@ func (s *store) serialize() []byte {
 
 	// ruleExec rows, ordered by RID.
 	rids := make([]string, 0, len(s.ruleExec))
-	byHex := make(map[string]*RuleExec, len(s.ruleExec))
-	for rid, row := range s.ruleExec {
+	byHex := make(map[string]uint32, len(s.ruleExec))
+	for rid, i := range s.ruleExec {
 		h := rid.Hex()
 		rids = append(rids, h)
-		byHex[h] = row
+		byHex[h] = i
 	}
 	sort.Strings(rids)
 	for _, h := range rids {
-		row := byHex[h]
+		row := s.execAt(byHex[h])
 		encodeAddr(e, string(row.Loc))
 		e.ID(row.RID)
 		encodeName(e, row.Rule)

@@ -137,8 +137,8 @@ func (s *SimMaintainer) RuleExecRows(addr types.NodeAddr) []RuleExec {
 	}
 	tb := st.tables()
 	out := make([]RuleExec, 0, len(tb.ruleExec))
-	for _, e := range tb.ruleExec {
-		out = append(out, *e)
+	for _, i := range tb.ruleExec {
+		out = append(out, tb.execAt(i))
 	}
 	return out
 }

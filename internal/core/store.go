@@ -48,9 +48,14 @@ type RuleExec struct {
 // WireSize returns the serialized size of the row; withNext controls
 // whether the NLoc/NRID columns exist in this scheme's table.
 func (e RuleExec) WireSize(withNext bool) int {
-	n := 2 + len(e.Loc) + len(e.RID) + 1 + len(e.Rule) + 1 + len(e.VIDs)*len(types.ID{})
+	return execWireSize(e.Loc, e.Rule, len(e.VIDs), e.Next, withNext)
+}
+
+// execWireSize is RuleExec.WireSize over the row's columns.
+func execWireSize(loc types.NodeAddr, rule string, nVIDs int, next Ref, withNext bool) int {
+	n := 2 + len(loc) + len(types.ID{}) + 1 + len(rule) + 1 + nVIDs*len(types.ID{})
 	if withNext {
-		n += e.Next.WireSize()
+		n += next.WireSize()
 	}
 	return n
 }
@@ -107,26 +112,61 @@ type layout struct {
 }
 
 // Slab chunks grow from the first size to the second by doubling, so a
-// node that stores a handful of rows holds a handful of slots.
+// node that stores a handful of rows holds a handful of slots. A row's
+// index in ruleExec packs its chunk and its slot in the chunk, so the
+// largest exec chunk is 1<<execSlotBits rows.
 const (
-	minExecChunk, maxExecChunk = 8, 256
+	execSlotBits               = 8
+	minExecChunk, maxExecChunk = 8, 1 << execSlotBits
 	minVIDChunk, maxVIDChunk   = 16, 1024
 )
+
+// execRow is a ruleExec row as the store keeps it. It holds no pointer, so
+// the collector never scans the slabs of them: Loc, Rule and NLoc are
+// indexes into the store's string table, and the VID list is vidLen IDs
+// from vidOff in VID chunk vidChunk.
+type execRow struct {
+	rid, nrid                types.ID
+	loc, rule, nloc          uint32
+	vidChunk, vidOff, vidLen uint32
+}
+
+// Indexes of store.strHint, one per string column of execRow.
+const (
+	hintLoc = iota
+	hintRule
+	hintNLoc
+)
+
+// noVIDs is the VID list of a row that records none: empty, not nil.
+var noVIDs = []types.ID{}
 
 // store holds one node's provenance state for one maintenance scheme, with
 // running serialized-size accounting in the paper's measurement style
 // (Section 6: "we serialize the per-node provenance tables ... and measure
 // the size").
+//
+// The ruleExec table is pointer-free: the RID map holds row indexes, and
+// the rows and their VID lists live in chunked slabs of plain IDs and
+// integers, so however many rows a node stores, the collector has none of
+// them to scan. links, prov and hmap still hold pointers.
 type store struct {
 	layout
 
-	// ruleExec indexes the rows by RID. Rows and their VID lists live in
-	// append-only slabs, execSlab and vidSlab, each the open chunk; a full
-	// chunk lives on through the pointers into it. No row is ever deleted,
-	// so a chunk pins nothing that would otherwise be freed.
-	ruleExec map[types.ID]*RuleExec
-	execSlab []RuleExec
-	vidSlab  []types.ID
+	// ruleExec maps a RID to its row, execChunks[i>>execSlotBits][i&(1<<execSlotBits-1)].
+	// Rows and their VID lists live in append-only chunked slabs, the last
+	// chunk of each the open one. No row is ever deleted.
+	ruleExec   map[types.ID]uint32
+	execChunks [][]execRow
+	vidChunks  [][]types.ID
+	// strs is the string table of the rows' Loc, Rule and NLoc columns,
+	// strs[0] the empty string of a NULL next-reference. Its strings take
+	// few values — the store's node, the program's rule labels and its
+	// neighbours — so a row finds its strings by trying the entry its
+	// column used last (strHint) and then scanning the table, never by
+	// hashing.
+	strs    []string
+	strHint [3]uint32
 	// links holds additional next-references per RID for the
 	// inter-equivalence-class table split of Section 5.4 (ruleExecLink).
 	links map[types.ID][]Ref
@@ -162,8 +202,9 @@ type store struct {
 func newStore(withNext, withEvID, useLinks bool) *store {
 	return &store{
 		layout:   layout{withNext: withNext, withEvID: withEvID, useLinks: useLinks},
-		ruleExec: make(map[types.ID]*RuleExec),
+		ruleExec: make(map[types.ID]uint32),
 		prov:     make(map[types.ID][]Prov),
+		strs:     []string{""},
 	}
 }
 
@@ -176,33 +217,90 @@ func (s *store) bytes() int64 {
 // once (set semantics). It reports whether the row was new. A new row and
 // its VIDs are copied into the slabs, so vids may live on the caller's
 // stack — which is why the row comes as its columns rather than as a
-// RuleExec, whose VIDs would escape with its strings. A row without VIDs
-// keeps an empty, non-nil list.
+// RuleExec, whose VIDs would escape with its strings.
 func (s *store) addRuleExec(loc types.NodeAddr, rid types.ID, rule string, vids []types.ID, next Ref) bool {
 	if _, ok := s.ruleExec[rid]; ok {
 		return false
 	}
-	if len(s.execSlab) == cap(s.execSlab) {
-		s.execSlab = make([]RuleExec, 0, min(max(2*cap(s.execSlab), minExecChunk), maxExecChunk))
-	}
-	s.execSlab = append(s.execSlab, RuleExec{Loc: loc, RID: rid, Rule: rule, VIDs: s.keepVIDs(vids), Next: next})
-	row := &s.execSlab[len(s.execSlab)-1]
-	s.ruleExec[rid] = row
-	s.ruleExecBytes += int64(row.WireSize(s.withNext))
+	s.execChunks = openChunk(s.execChunks, 1, minExecChunk, maxExecChunk)
+	open := len(s.execChunks) - 1
+	chunk, off, n := s.keepVIDs(vids)
+	s.ruleExec[rid] = uint32(open)<<execSlotBits | uint32(len(s.execChunks[open]))
+	s.execChunks[open] = append(s.execChunks[open], execRow{
+		rid:  rid,
+		nrid: next.RID,
+		loc:  s.intern(string(loc), hintLoc),
+		rule: s.intern(rule, hintRule),
+		nloc: s.intern(string(next.Loc), hintNLoc),
+
+		vidChunk: chunk,
+		vidOff:   off,
+		vidLen:   n,
+	})
+	s.ruleExecBytes += int64(execWireSize(loc, rule, len(vids), next, s.withNext))
 	return true
 }
 
-// keepVIDs copies a row's VID list into the VID slab.
-func (s *store) keepVIDs(vids []types.ID) []types.ID {
+// intern returns str's index in the string table, adding it if it is
+// new. The entry column col used last is tried first.
+func (s *store) intern(str string, col int) uint32 {
+	if h := s.strHint[col]; s.strs[h] == str {
+		return h
+	}
+	i := slices.Index(s.strs, str)
+	if i < 0 {
+		i = len(s.strs)
+		s.strs = append(s.strs, str)
+	}
+	s.strHint[col] = uint32(i)
+	return uint32(i)
+}
+
+// keepVIDs copies a row's VID list into the VID slab and returns where it
+// went.
+func (s *store) keepVIDs(vids []types.ID) (chunk, off, n uint32) {
 	if len(vids) == 0 {
-		return []types.ID{}
+		return 0, 0, 0
 	}
-	if len(vids) > cap(s.vidSlab)-len(s.vidSlab) {
-		s.vidSlab = make([]types.ID, 0, max(min(max(2*cap(s.vidSlab), minVIDChunk), maxVIDChunk), len(vids)))
+	s.vidChunks = openChunk(s.vidChunks, len(vids), minVIDChunk, maxVIDChunk)
+	open := len(s.vidChunks) - 1
+	off = uint32(len(s.vidChunks[open]))
+	s.vidChunks[open] = append(s.vidChunks[open], vids...)
+	return uint32(open), off, uint32(len(vids))
+}
+
+// openChunk returns chunks with room for n more elements in its last
+// chunk, appending a new chunk when the last has none: its size doubles
+// from lo up to hi, or is n when n is larger.
+func openChunk[T any](chunks [][]T, n, lo, hi int) [][]T {
+	lastCap := 0
+	if last := len(chunks) - 1; last >= 0 {
+		if cap(chunks[last])-len(chunks[last]) >= n {
+			return chunks
+		}
+		lastCap = cap(chunks[last])
 	}
-	n := len(s.vidSlab)
-	s.vidSlab = append(s.vidSlab, vids...)
-	return s.vidSlab[n:len(s.vidSlab):len(s.vidSlab)]
+	return append(chunks, make([]T, 0, max(min(max(2*lastCap, lo), hi), n)))
+}
+
+// execAt returns the ruleExec row with index i as a RuleExec. It
+// allocates nothing: the strings are the string table's and the VIDs
+// alias the slab, capped so an append to them cannot write over a
+// neighbour's.
+func (s *store) execAt(i uint32) RuleExec {
+	r := &s.execChunks[i>>execSlotBits][i&(1<<execSlotBits-1)]
+	vids := noVIDs
+	if r.vidLen > 0 {
+		end := r.vidOff + r.vidLen
+		vids = s.vidChunks[r.vidChunk][r.vidOff:end:end]
+	}
+	return RuleExec{
+		Loc:  types.NodeAddr(s.strs[r.loc]),
+		RID:  r.rid,
+		Rule: s.strs[r.rule],
+		VIDs: vids,
+		Next: Ref{Loc: types.NodeAddr(s.strs[r.nloc]), RID: r.nrid},
+	}
 }
 
 // addLink records an extra (NLoc, NRID) link for a shared rule-execution
@@ -224,11 +322,11 @@ func (s *store) addLink(rid types.ID, next Ref) bool {
 
 // getRuleExec fetches a row by RID.
 func (s *store) getRuleExec(rid types.ID) (RuleExec, bool) {
-	e, ok := s.ruleExec[rid]
+	i, ok := s.ruleExec[rid]
 	if !ok {
 		return RuleExec{}, false
 	}
-	return *e, true
+	return s.execAt(i), true
 }
 
 // nexts returns every recorded next-reference of a rule-execution node.
@@ -236,16 +334,17 @@ func (s *store) getRuleExec(rid types.ID) (RuleExec, bool) {
 // the ruleExecLink table and one node may carry several; otherwise the
 // row's own Next column is the single reference. A leaf contributes NilRef.
 func (s *store) nexts(rid types.ID) []Ref {
-	e, ok := s.ruleExec[rid]
+	i, ok := s.ruleExec[rid]
 	if !ok {
 		return nil
 	}
 	if s.useLinks {
 		return append([]Ref(nil), s.links[rid]...)
 	}
-	out := []Ref{e.Next}
+	next := s.execAt(i).Next
+	out := []Ref{next}
 	for _, r := range s.links[rid] {
-		if r != e.Next {
+		if r != next {
 			out = append(out, r)
 		}
 	}

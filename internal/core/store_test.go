@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"provcompress/internal/types"
@@ -189,4 +191,42 @@ func TestAdvancedInjectShortEvent(t *testing.T) {
 	if m := s.Inject(short); !m.Exist {
 		t.Error("repeated short event not recognised as the same class")
 	}
+}
+
+// TestStoredIndexTypesHoldNoPointers: the ruleExec table — the RID map
+// (types.ID to a row index), the execRow slabs and the VID slabs — stays
+// pointer-free, so the collector never scans it. A field that brings a
+// pointer back fails here.
+func TestStoredIndexTypesHoldNoPointers(t *testing.T) {
+	s := new(store)
+	byRID := reflect.TypeOf(s.ruleExec)
+	for _, typ := range []reflect.Type{
+		byRID.Key(), byRID.Elem(),
+		reflect.TypeOf(s.execChunks).Elem().Elem(),
+		reflect.TypeOf(s.vidChunks).Elem().Elem(),
+	} {
+		if err := pointerFree(typ); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// pointerFree reports the first part of typ, through struct fields and
+// array elements, that is or holds a pointer.
+func pointerFree(typ reflect.Type) error {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if err := pointerFree(typ.Field(i).Type); err != nil {
+				return fmt.Errorf("%s.%s: %w", typ, typ.Field(i).Name, err)
+			}
+		}
+		return nil
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+		return fmt.Errorf("%s is a %s", typ, typ.Kind())
+	}
+	return nil
 }

@@ -27,28 +27,31 @@ import (
 )
 
 // relation is one table of the store: rows in slice order for scans, a
-// parallel VID slice plus a VID→position map for O(1) swap-remove deletes,
-// and the secondary hash indexes built so far (keyed by the bitmask of the
-// attribute positions they cover). A row holds its tuple as it arrived: a
-// cluster decodes tuples through its name table (types.Names), so a row's
-// relation name and node addresses share the table's strings, and only
-// its other strings (payloads) are the row's own.
+// parallel VID slice so a swap-remove delete can find the moved row's
+// entry in the Database's VID map, and the secondary hash indexes built
+// so far (keyed by the bitmask of the attribute positions they cover). A
+// row holds its tuple as it arrived: a cluster decodes tuples through its
+// name table (types.Names), so a row's relation name and node addresses
+// share the table's strings, and only its other strings (payloads) are
+// the row's own.
 type relation struct {
+	id   uint32 // this relation's index in Database.rels
 	rows []types.Tuple
 	vids []types.ID
-	pos  map[types.ID]int
 	idx  map[uint64]*hashIndex
 }
 
-func newRelation() *relation {
-	return &relation{
-		pos: make(map[types.ID]int),
-		idx: make(map[uint64]*hashIndex),
-	}
+// rowRef locates a live row: its relation's index in Database.rels and
+// its position in that relation's rows. It holds no pointer, so the VID
+// map that holds one per live row is never scanned by the collector.
+type rowRef struct {
+	rel, pos uint32
 }
 
 // Database is one node's local relational store of base (slow-changing)
-// tuples and locally derived tuples of interest.
+// tuples and locally derived tuples of interest. One pointer-free map,
+// byVID, finds every live row by its VID; the rows themselves live in
+// their relations.
 //
 // The store is safe for concurrent use: mutations take the write lock,
 // reads the read lock, and rule evaluation (plan.go) holds the read lock
@@ -65,7 +68,8 @@ type Database struct {
 	idxMu sync.Mutex
 
 	tables map[string]*relation
-	byVID  map[types.ID]types.Tuple
+	rels   []*relation // by rowRef.rel, in creation order
+	byVID  map[types.ID]rowRef
 	// graveyard retains the contents of deleted tuples so provenance —
 	// which is monotone (Section 5.5: deletions do not affect stored
 	// provenance) — can still resolve the VIDs it recorded. Under delete
@@ -89,7 +93,7 @@ type Database struct {
 func NewDatabase() *Database {
 	return &Database{
 		tables: make(map[string]*relation),
-		byVID:  make(map[types.ID]types.Tuple),
+		byVID:  make(map[types.ID]rowRef),
 	}
 }
 
@@ -102,7 +106,6 @@ func (db *Database) Insert(t types.Tuple) bool {
 	if _, ok := db.byVID[vid]; ok {
 		return false
 	}
-	db.byVID[vid] = t
 	// A re-inserted tuple is live again: drop its graveyard entry so the
 	// gauge and the retention cap track only genuinely deleted tuples (and
 	// so a later cap eviction cannot fire an invalidation for a live VID).
@@ -113,24 +116,26 @@ func (db *Database) Insert(t types.Tuple) bool {
 	}
 	rel := db.tables[t.Rel]
 	if rel == nil {
-		rel = newRelation()
+		rel = &relation{id: uint32(len(db.rels)), idx: make(map[uint64]*hashIndex)}
 		db.tables[t.Rel] = rel
+		db.rels = append(db.rels, rel)
 	}
-	rel.pos[vid] = len(rel.rows)
+	pos := uint32(len(rel.rows))
+	db.byVID[vid] = rowRef{rel: rel.id, pos: pos}
 	rel.rows = append(rel.rows, t)
 	rel.vids = append(rel.vids, vid)
 	for _, ix := range rel.idx {
-		ix.add(t)
+		ix.add(t, pos)
 	}
 	return true
 }
 
 // Delete removes a tuple from its table in O(1) by swapping the last row
-// into its slot (the VID→position map keeps positions stable to look up);
-// every secondary index built for the relation is kept consistent. It
-// reports whether the tuple was present. The tuple's content stays
-// resolvable through LookupVID so that previously recorded provenance
-// remains queryable.
+// into its slot (the VID map finds the slot, and the moved row's entry is
+// rewritten); every secondary index built for the relation is kept
+// consistent. It reports whether the tuple was present. The tuple's
+// content stays resolvable through LookupVID so that previously recorded
+// provenance remains queryable.
 func (db *Database) Delete(t types.Tuple) bool {
 	ok, _ := db.DeleteEvicted(t)
 	return ok
@@ -146,7 +151,8 @@ func (db *Database) DeleteEvicted(t types.Tuple) (bool, []types.ID) {
 	vid := types.HashTuple(t)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.byVID[vid]; !ok {
+	ref, ok := db.byVID[vid]
+	if !ok {
 		return false, nil
 	}
 	delete(db.byVID, vid)
@@ -159,27 +165,19 @@ func (db *Database) DeleteEvicted(t types.Tuple) (bool, []types.ID) {
 		db.graveyardOrder = append(db.graveyardOrder, vid)
 		evicted = db.enforceGraveyardCapLocked()
 	}
-	rel := db.tables[t.Rel]
-	if rel == nil {
-		return true, evicted
+	rel := db.rels[ref.rel]
+	i, last := ref.pos, uint32(len(rel.rows)-1)
+	for _, ix := range rel.idx {
+		ix.remove(rel.rows, i, last)
 	}
-	i, ok := rel.pos[vid]
-	if !ok {
-		return true, evicted
-	}
-	last := len(rel.rows) - 1
 	if i != last {
 		rel.rows[i] = rel.rows[last]
 		rel.vids[i] = rel.vids[last]
-		rel.pos[rel.vids[i]] = i
+		db.byVID[rel.vids[i]] = rowRef{rel: ref.rel, pos: i}
 	}
 	rel.rows[last] = types.Tuple{}
 	rel.rows = rel.rows[:last]
 	rel.vids = rel.vids[:last]
-	delete(rel.pos, vid)
-	for _, ix := range rel.idx {
-		ix.remove(t)
-	}
 	return true, evicted
 }
 
@@ -201,30 +199,34 @@ func (db *Database) scanLocked(rel string) []types.Tuple {
 	return nil
 }
 
-// probeLocked looks up (building on first use) the index for the position
-// set and returns the bucket for key. The caller must hold mu — the read
-// side suffices: index construction only reads rows, and idxMu serializes
-// the map install against concurrent probes.
-func (db *Database) probeLocked(relName string, positions []int, key []byte) []types.Tuple {
+// bucketLocked looks up (building on first use) the index for the
+// position set and returns the relation's rows with the chain of the
+// bucket for key: rows[p] for p := head; p != noRow; p = next[p] are the
+// candidates, in bucket order. The bucket may hold rows of another key
+// whose hash collides, so the caller must re-check every candidate. The
+// caller must hold mu — the read side suffices: index construction only
+// reads rows, and idxMu serializes the map install against concurrent
+// probes.
+func (db *Database) bucketLocked(relName string, positions []int, key []byte) (rows []types.Tuple, next []uint32, head uint32) {
 	rel := db.tables[relName]
 	if rel == nil {
-		return nil
+		return nil, nil, noRow
 	}
 	mask, ok := posMask(positions)
 	if !ok {
-		return nil
+		return nil, nil, noRow
 	}
 	db.idxMu.Lock()
 	ix := rel.idx[mask]
 	if ix == nil {
-		ix = newHashIndex(positions)
-		for _, t := range rel.rows {
-			ix.add(t)
+		ix = newHashIndex(positions, len(rel.rows))
+		for p, t := range rel.rows {
+			ix.add(t, uint32(p))
 		}
 		rel.idx[mask] = ix
 	}
 	db.idxMu.Unlock()
-	return ix.probe(key)
+	return rel.rows, ix.next, ix.probe(key)
 }
 
 // LookupVID resolves a tuple by its content hash, used by the provenance
@@ -233,8 +235,8 @@ func (db *Database) probeLocked(relName string, positions []int, key []byte) []t
 func (db *Database) LookupVID(vid types.ID) (types.Tuple, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if t, ok := db.byVID[vid]; ok {
-		return t, true
+	if ref, ok := db.byVID[vid]; ok {
+		return db.rels[ref.rel].rows[ref.pos], true
 	}
 	t, ok := db.graveyard[vid]
 	return t, ok

@@ -138,6 +138,20 @@ func TestDatabaseIndexSkipsShortTuples(t *testing.T) {
 	}
 }
 
+// probeLocked returns the candidates of the bucket for key whose values at
+// the positions encode to key (a bucket may also chain rows of a key whose
+// hash collides), in bucket order. The caller holds mu.
+func (db *Database) probeLocked(rel string, positions []int, key []byte) []types.Tuple {
+	var out []types.Tuple
+	rows, next, p := db.bucketLocked(rel, positions, key)
+	for ; p != noRow; p = next[p] {
+		if string(appendIndexKey(nil, rows[p].Args, positions)) == string(key) {
+			out = append(out, rows[p])
+		}
+	}
+	return out
+}
+
 // Probe returns the tuples of a relation whose values at the given
 // positions encode to key, using (and lazily building) the secondary hash
 // index for that position set. positions must be sorted; key is the

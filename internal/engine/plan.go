@@ -362,30 +362,41 @@ func (st *joinState) join(i int, sc *scratch) error {
 		return st.fire(sc)
 	}
 	step := &st.plan.Steps[i]
-	var cands []types.Tuple
 	if len(step.Keys) == 0 {
-		cands = st.db.scanLocked(step.Atom.Rel)
-	} else {
-		var keyBuf [64]byte
-		key := keyBuf[:0]
-		for _, k := range step.Keys {
-			if k.Slot >= 0 {
-				key = sc.frame[k.Slot].AppendEncode(key)
-			} else {
-				key = k.Const.AppendEncode(key)
-			}
-		}
-		cands = st.db.probeLocked(step.Atom.Rel, step.positions, key)
-	}
-	for _, cand := range cands {
-		if match(step.args, cand.Args, sc.frame) {
-			sc.slow[step.SlowIdx] = cand
-			if err := st.join(i+1, sc); err != nil {
+		for _, cand := range st.db.scanLocked(step.Atom.Rel) {
+			if err := st.try(i, cand, sc); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	var keyBuf [64]byte
+	key := keyBuf[:0]
+	for _, k := range step.Keys {
+		if k.Slot >= 0 {
+			key = sc.frame[k.Slot].AppendEncode(key)
+		} else {
+			key = k.Const.AppendEncode(key)
+		}
+	}
+	rows, next, p := st.db.bucketLocked(step.Atom.Rel, step.positions, key)
+	for ; p != noRow; p = next[p] {
+		if err := st.try(i, rows[p], sc); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// try extends the partial match with one candidate of step i: if it
+// matches, the join goes on to the next step.
+func (st *joinState) try(i int, cand types.Tuple, sc *scratch) error {
+	step := &st.plan.Steps[i]
+	if !match(step.args, cand.Args, sc.frame) {
+		return nil
+	}
+	sc.slow[step.SlowIdx] = cand
+	return st.join(i+1, sc)
 }
 
 // fire completes a full join: run the assignments, filter on the

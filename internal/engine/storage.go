@@ -44,7 +44,8 @@ func (db *Database) Reset() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables = make(map[string]*relation)
-	db.byVID = make(map[types.ID]types.Tuple)
+	db.rels = nil
+	db.byVID = make(map[types.ID]rowRef)
 	db.graveyard = nil
 	db.graveyardOrder = nil
 	db.graveyardHead = 0

@@ -40,6 +40,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -438,8 +439,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	for _, t := range tuples {
 		for _, name := range s.schemes {
-			if err := s.cfg.Clusters[name].Inject(t); err != nil {
-				jsonError(w, http.StatusBadRequest, "inject %s: %v", t, err)
+			if err := s.cfg.Clusters[name].Inject(t); errors.Is(err, cluster.ErrQueueFull) {
+				// The cluster is saturated, not the event malformed.
+				s.rejected.Add(1)
+				w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
+				jsonError(w, http.StatusTooManyRequests, "%v", err)
+				return
+			} else if err != nil {
+				jsonError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Batch codec: the body of every cluster delivery. A batch carries
@@ -152,23 +153,33 @@ func AppendBatch(dst []byte, entries []BatchEntry, compress bool, sizes []int) (
 	return dst, sizes
 }
 
-// scanStackEntries is how many entry lengths DecodeBatch keeps on its
+// scanStackEntries is how many entry lengths AppendDecodeBatch keeps on its
 // stack; the transport never batches more, so only a foreign or corrupt
 // batch pays for a heap slice.
 const scanStackEntries = 512
 
-// DecodeBatch decodes a batch body in two passes: a validating scan
-// that sizes the delta arena, then materialization — so a whole batch
-// costs two allocations (the entries slice and the arena), not one per
-// entry. Raw payloads alias the decoder's buffer; either way the
-// returned entries are only valid until the caller reuses that buffer.
+// DecodeBatch decodes a batch body into entries of their own: it is
+// AppendDecodeBatch into empty buffers.
 func DecodeBatch(d *Decoder) ([]BatchEntry, error) {
+	entries, _, err := AppendDecodeBatch(nil, nil, d)
+	return entries, err
+}
+
+// AppendDecodeBatch decodes a batch body in two passes — a validating scan
+// that sizes the delta arena, then materialization — appending the entries
+// to entries and the payloads of delta entries to arena, and returns both
+// grown. Warm buffers make a decode allocate nothing; a batch into empty
+// ones costs two allocations (the entries slice and the arena), not one
+// per entry. Raw payloads alias the decoder's buffer and delta payloads
+// the arena, so the entries are only valid until the caller reuses either.
+// On error both buffers come back as they were passed.
+func AppendDecodeBatch(entries []BatchEntry, arena []byte, d *Decoder) ([]BatchEntry, []byte, error) {
 	n := d.Uvarint()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return entries, arena, d.Err()
 	}
 	if n > MaxBatchEntries || n > uint64(d.Remaining()/minEntryBytes) {
-		return nil, fmt.Errorf("wire: batch of %d entries in %d bytes", n, d.Remaining())
+		return entries, arena, fmt.Errorf("wire: batch of %d entries in %d bytes", n, d.Remaining())
 	}
 	count := int(n)
 	var stack [scanStackEntries]int32
@@ -179,19 +190,22 @@ func DecodeBatch(d *Decoder) ([]BatchEntry, error) {
 	scan := *d
 	arenaSize, err := scanBatch(&scan, lens[:count])
 	if err != nil {
-		return nil, err
+		return entries, arena, err
 	}
-	entries := make([]BatchEntry, count)
-	arena := make([]byte, 0, arenaSize)
+	// The arena is grown once, up front: a delta payload refers to an
+	// earlier one of the same batch, which must not move.
+	arena = slices.Grow(arena, arenaSize)
+	base := len(entries)
+	entries = slices.Grow(entries, count)
 	var seq, epoch uint64
-	for i := range entries {
+	for i := 0; i < count; i++ {
 		seq += d.Uvarint()
 		epoch += unzigzag(d.Uvarint())
 		var payload []byte
 		if back := d.Uvarint(); back == 0 {
 			payload = d.Take(d.Uvarint())
 		} else {
-			ref := entries[i-int(back)].Payload
+			ref := entries[base+i-int(back)].Payload
 			prefix := d.Uvarint()
 			suffix := d.Uvarint()
 			mid := d.Take(d.Uvarint())
@@ -201,9 +215,9 @@ func DecodeBatch(d *Decoder) ([]BatchEntry, error) {
 			arena = append(arena, ref[uint64(len(ref))-suffix:]...)
 			payload = arena[start:len(arena):len(arena)]
 		}
-		entries[i] = BatchEntry{Seq: seq, Epoch: epoch, Payload: payload}
+		entries = append(entries, BatchEntry{Seq: seq, Epoch: epoch, Payload: payload})
 	}
-	return entries, nil
+	return entries, arena, nil
 }
 
 // scanBatch validates every entry of a batch body, records the decoded
